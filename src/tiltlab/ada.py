@@ -32,7 +32,7 @@ import numpy as np
 from scipy.special import expit
 
 from .errors import ProtocolAbort
-from .families import PointFamily, PointRef, predicate_matrix
+from .families import PointBatch, PointFamily, PointRef, predicate_matrix
 from .mechanisms import project_to_H, reconstruct_slices_batch
 from .tilt import TiltedDistribution, tilt, tilt_sample_many
 
@@ -87,58 +87,49 @@ def _check_names(obf: Obfuscation, names) -> np.ndarray:
     return names
 
 
+def _apply_masks(obf: Obfuscation, names, ti, tj, bits, decode: bool):
+    """Flip bits by the masks; the prefix keying slice r is read from the
+    clear bits, which are the input when encoding and the output when
+    decoding."""
+    names = _check_names(obf, names)
+    bits = np.asarray(bits, dtype=np.int8)
+    if obf.identity:
+        return bits.copy()
+    out = np.empty_like(bits)
+    prefix = np.zeros(len(bits), dtype=_U64)
+    for r in range(bits.shape[1]):
+        flip = _prf_bit(obf.seed, names, ti, tj, r, prefix)
+        out[:, r] = np.where(flip, -bits[:, r], bits[:, r])
+        clear = out[:, r] if decode else bits[:, r]
+        prefix |= (clear == -1).astype(_U64) << _U64(r)
+    return out
+
+
 def obfuscate_many(obf: Obfuscation, names, ti, tj, v: np.ndarray) -> np.ndarray:
     """Mask the sign matrix v (rows are points, columns are slices)."""
-    names = _check_names(obf, names)
-    v = np.asarray(v, dtype=np.int8)
-    if obf.identity:
-        return v.copy()
-    out = np.empty_like(v)
-    prefix = np.zeros(len(v), dtype=_U64)
-    for r in range(v.shape[1]):
-        flip = _prf_bit(obf.seed, names, ti, tj, r, prefix)
-        out[:, r] = np.where(flip, -v[:, r], v[:, r])
-        prefix |= (v[:, r] == -1).astype(_U64) << _U64(r)
-    return out
+    return _apply_masks(obf, names, ti, tj, v, decode=False)
 
 
 def deobfuscate_many(obf: Obfuscation, names, ti, tj, masked: np.ndarray) -> np.ndarray:
-    names = _check_names(obf, names)
-    masked = np.asarray(masked, dtype=np.int8)
-    if obf.identity:
-        return masked.copy()
-    out = np.empty_like(masked)
-    prefix = np.zeros(len(masked), dtype=_U64)
-    for r in range(masked.shape[1]):
-        flip = _prf_bit(obf.seed, names, ti, tj, r, prefix)
-        out[:, r] = np.where(flip, -masked[:, r], masked[:, r])
-        prefix |= (out[:, r] == -1).astype(_U64) << _U64(r)
-    return out
+    return _apply_masks(obf, names, ti, tj, masked, decode=True)
 
 
-def _ref_type_arrays(ref: PointRef):
+def _one_point(many, obf: Obfuscation, ref: PointRef) -> PointRef:
     if ref.v is None:
         raise ValueError("obfuscation needs points with explicit v-bits")
     if ref.name is None:
         raise ValueError("obfuscation needs a named point")
-    return (
-        np.array([ref.name]),
-        np.array([ref.i if ref.i is not None else 0]),
-        np.array([ref.j if ref.j is not None else 0]),
-        np.asarray(ref.v, dtype=np.int8)[None, :],
-    )
+    bits = many(obf, [ref.name], [ref.i or 0], [ref.j or 0],
+                np.asarray(ref.v, dtype=np.int8)[None, :])[0]
+    return PointRef(v=bits, i=ref.i, j=ref.j, name=ref.name)
 
 
 def obfuscate(obf: Obfuscation, ref: PointRef) -> PointRef:
-    names, ti, tj, v = _ref_type_arrays(ref)
-    masked = obfuscate_many(obf, names, ti, tj, v)[0]
-    return PointRef(v=masked, i=ref.i, j=ref.j, name=ref.name)
+    return _one_point(obfuscate_many, obf, ref)
 
 
 def deobfuscate(obf: Obfuscation, ref: PointRef) -> PointRef:
-    names, ti, tj, v = _ref_type_arrays(ref)
-    clear = deobfuscate_many(obf, names, ti, tj, v)[0]
-    return PointRef(v=clear, i=ref.i, j=ref.j, name=ref.name)
+    return _one_point(deobfuscate_many, obf, ref)
 
 
 # --------------------------------------------------------------------------
@@ -181,16 +172,9 @@ class FinalQuery:
     def evaluate_bits(self, ti, tj, v: np.ndarray) -> np.ndarray:
         return np.clip(self.field.score(ti, tj, v) * self.scale, -1.0, 1.0)
 
-    def __call__(self, refs) -> np.ndarray:
-        ti = np.array([r.i if r.i is not None else 0 for r in refs])
-        tj = np.array([r.j if r.j is not None else 0 for r in refs])
-        v = np.stack([np.asarray(r.v, dtype=np.int8) for r in refs])
-        return self.evaluate_bits(ti, tj, v)
-
-
-def final_attack_query(score_field: ScoreField, m: int, d: int,
-                       alpha: float, C: float) -> FinalQuery:
-    return FinalQuery(score_field, m, d, alpha, C)
+    def __call__(self, points: PointBatch) -> np.ndarray:
+        ti, tj = np.divmod(points.types, self.field.c_hat.shape[1])
+        return self.evaluate_bits(ti, tj, points.v)
 
 
 @dataclass
@@ -205,12 +189,12 @@ def gap(query: Callable, dataset, dist: TiltedDistribution,
         mc_count: int, rng: np.random.Generator) -> GapResult:
     """|dataset mean - Monte Carlo population mean| of a [-1,1] query.
 
-    ``query`` is called with a list of point refs and must return one value
-    per ref.  ``dataset`` may be a Dataset or a plain list of refs."""
-    refs = dataset.refs if hasattr(dataset, "refs") else list(dataset)
-    ds_vals = np.asarray(query(refs), dtype=float)
-    pop_refs = tilt_sample_many(dist, rng, mc_count)
-    pop_vals = np.asarray(query(pop_refs), dtype=float)
+    ``query`` is called with a PointBatch and must return one value per
+    point.  ``dataset`` may be a Dataset or a PointBatch."""
+    points = getattr(dataset, "batch", dataset)
+    ds_vals = np.asarray(query(points), dtype=float)
+    pop_vals = np.asarray(query(tilt_sample_many(dist, rng, mc_count)),
+                          dtype=float)
     pop_mean = float(pop_vals.mean())
     stderr = float(pop_vals.std(ddof=1) / math.sqrt(mc_count))
     ds_mean = float(ds_vals.mean())
@@ -444,15 +428,15 @@ def run_ada_protocol(
     mc_gap: int = 8192,
     reconstruct_iters: int = 400,
     accuracy_significance: float = 1e-3,
-    dataset_override: Optional[list] = None,
+    dataset_override: Optional[PointBatch] = None,
 ) -> AdaTranscript:
     """Run the d-stage protocol against an analyst and measure the gap.
 
     ``seed`` (an int or a SeedSequence) is split into independent branches:
     dataset draw, obfuscation masks, per-stage accuracy Monte Carlo, final
     gap Monte Carlo, and analyst noise.  ``dataset_override`` replaces the
-    dataset draw with explicit named refs while keeping the other branches
-    coupled, which is what the fairness replay test relies on.
+    dataset draw with an explicit named PointBatch while keeping the other
+    branches coupled, which is what the fairness replay test relies on.
     """
     if family.kind != "tensor":
         raise ValueError("the staged protocol needs a tensor family")
@@ -475,24 +459,21 @@ def run_ada_protocol(
     dist = tilt(family, theta)
     tilts = dist.type_tilts.reshape(m, k, d)
     ref_shift = np.tanh(tilts)
+    p_plus = expit(2.0 * tilts)  # Pr[v_r = +1] per type, as in tilt sampling
 
     if dataset_override is None:
         rng_data = np.random.default_rng(ss_data)
-        refs = tilt_sample_many(dist, rng_data, n)
-        names = rng_data.integers(0, W, size=n)
-        for ref, w in zip(refs, names):
-            ref.name = int(w)
+        points = tilt_sample_many(dist, rng_data, n)
+        points.names = rng_data.integers(0, W, size=n)
     else:
-        refs = list(dataset_override)
-        if len(refs) != n:
-            raise ValueError("dataset_override must have exactly n refs")
-        for ref in refs:
-            if ref.name is None:
-                raise ValueError("override refs must carry names")
-        names = np.array([ref.name for ref in refs])
-    ti = np.array([r.i for r in refs])
-    tj = np.array([r.j for r in refs])
-    bits = np.stack([np.asarray(r.v, dtype=np.int8) for r in refs])
+        points = dataset_override
+        if len(points) != n:
+            raise ValueError("dataset_override must have exactly n points")
+        if points.names is None:
+            raise ValueError("override points must carry names")
+    names = points.names
+    ti, tj = np.divmod(points.types, k)
+    bits = points.v
     collisions = int(n - len(np.unique(names)))
 
     obf_seed = int(ss_obf.generate_state(1, dtype=np.uint64)[0])
@@ -533,17 +514,12 @@ def run_ada_protocol(
         # population accuracy check: fresh draws, same masked-query rule
         pop_types = rng_acc.integers(0, m * k, size=mc_accuracy)
         pi, pj = np.divmod(pop_types, k)
-        p_plus = expit(2.0 * tilts[pi, pj, :])
-        pop_bits = np.where(
-            rng_acc.random((mc_accuracy, d)) < p_plus, 1, -1
-        ).astype(np.int8)
+        pop_bits = np.where(rng_acc.random((mc_accuracy, d)) < p_plus[pi, pj],
+                            np.int8(1), np.int8(-1))
         fld = ScoreField(c_hat=c_hat, ref_shift=ref_shift)
         pop_comp = fld.walk_max(pi, pj, pop_bits, upto=r) > tau
-        sums = np.zeros((m, k))
-        live = ~pop_comp
-        np.add.at(sums, (pi[live], pj[live]), pop_bits[live, r].astype(float))
-        pop_vals = ((hmat @ sums @ basis.T).T.reshape(-1)
-                    + float(pop_comp.sum())) / mc_accuracy
+        pop_vals = StageQueryBatch(pi, pj, pop_bits[:, r], pop_comp, hmat,
+                                   basis).eval_mean()
         max_dev = float(np.abs(answers - pop_vals).max())
         accuracy_ok = max_dev <= alpha + acc_slack
         if not accuracy_ok:
@@ -579,9 +555,8 @@ def run_ada_protocol(
             max_population_dev=max_dev,
         ))
 
-    field_final = ScoreField(c_hat=c_hat, ref_shift=ref_shift)
-    fq = final_attack_query(field_final, m, d, alpha, C)
-    gap_res = gap(fq, refs, dist, mc_gap, np.random.default_rng(ss_gap))
+    fq = FinalQuery(ScoreField(c_hat, ref_shift), m, d, alpha, C)
+    gap_res = gap(fq, points, dist, mc_gap, np.random.default_rng(ss_gap))
 
     return AdaTranscript(
         n=n,

@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .families import PointFamily, type_index
+from .families import PointFamily
 from .mechanisms import Dataset
 from .tilt import tilt, tilt_cov, tilt_mean, tilt_mean_typed, tilt_sample_many
 
@@ -65,10 +65,6 @@ class ThetaSampler:
         return np.sign(theta) / math.sqrt(self.dimension)
 
 
-def sample_theta(sampler: ThetaSampler, rng: np.random.Generator) -> np.ndarray:
-    return sampler.sample(rng)
-
-
 @dataclass
 class ScoreReport:
     region: str
@@ -84,18 +80,14 @@ class ScoreReport:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _scores_against(dist, family: PointFamily, ds: Dataset, answer, shift=None):
-    """Per-point <x - mu_ref, answer - shift>; mu_ref is the type mean."""
-    target = answer if shift is None else answer - shift
-    out = np.empty(ds.n)
-    cache: dict = {}
-    for idx, ref in enumerate(ds.refs):
-        t = type_index(family, ref)
-        mu = cache.get(t)
-        if mu is None:
-            mu = cache[t] = tilt_mean_typed(dist, t).reshape(-1)
-        out[idx] = (ds.points[idx] - mu) @ target
-    return out
+def _scores_against(dist, ds: Dataset, target: np.ndarray) -> np.ndarray:
+    """Per-point <x - mu_ref, target>, mu_ref the mean of the point's type,
+    as <x, target> - <mu_ref, target> so no centered copy is built."""
+    types = ds.batch.types
+    shift_score = np.zeros(dist.family.n_types)
+    for t in np.unique(types):
+        shift_score[t] = tilt_mean_typed(dist, int(t)) @ target
+    return ds.points @ target - shift_score[types]
 
 
 def run_attack_trial(
@@ -116,9 +108,9 @@ def run_attack_trial(
     ds = Dataset.from_refs(family, tilt_sample_many(dist, rng, n))
     ans = mechanism(ds, rng)
     answer = np.asarray(ans.estimate, dtype=float).reshape(-1)
-    in_scores = _scores_against(dist, family, ds, answer)
+    in_scores = _scores_against(dist, ds, answer)
     fresh = Dataset.from_refs(family, tilt_sample_many(dist, rng, fresh_count))
-    fresh_scores = _scores_against(dist, family, fresh, answer)
+    fresh_scores = _scores_against(dist, fresh, answer)
     return ScoreReport(
         region=sampler.region,
         n=n,

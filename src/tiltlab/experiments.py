@@ -468,7 +468,10 @@ def replay_row(csv_path, row_index: int):
     """
     csv_path = Path(csv_path)
     manifest = json.loads((csv_path.parent / "manifest.json").read_text())
-    cfg = ExperimentConfig(**manifest["config"])
+    try:
+        cfg = ExperimentConfig(**manifest["config"])
+    except TypeError as exc:  # unknown or missing config keys
+        raise ValueError(f"manifest config does not match: {exc}") from None
     with open(csv_path, newline="") as fh:
         stored_rows = list(csv.DictReader(fh))
     if not 0 <= row_index < len(stored_rows):

@@ -11,14 +11,18 @@ rows used against it:
 
 Points are stored structurally (type indices plus v-bits, or a column index)
 because the dense dimension m*k*d is mostly zeros for tensor points; dense
-resolution is an explicit call.
+resolution is an explicit call.  Many points travel as one PointBatch of
+arrays (flat type ids, int8 v-bits or column ids, optional names) that
+densifies in one vectorised step; PointRef is the single-point view used by
+enumeration, query evaluation and anchors.
 """
 
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -152,12 +156,7 @@ def make_family(
     )
 
 
-def _bits_to_signs(idx: int, d: int) -> np.ndarray:
-    bits = (idx >> np.arange(d)) & 1
-    return (1 - 2 * bits).astype(np.int8)
-
-
-def enumerate_refs(family: PointFamily) -> list[PointRef]:
+def support_batch(family: PointFamily) -> "PointBatch":
     """All points in canonical order (types outer, v-bits inner).
 
     Raises CapacityError beyond ENUMERATION_CAP points.
@@ -166,21 +165,19 @@ def enumerate_refs(family: PointFamily) -> list[PointRef]:
         raise CapacityError(
             f"family has {family.size} points, enumeration cap is {ENUMERATION_CAP}"
         )
-    refs: list[PointRef] = []
-    if family.kind == "hypercube":
-        refs = [PointRef(v=_bits_to_signs(idx, family.d)) for idx in range(2 ** family.d)]
-    elif family.kind == "tensor":
-        for i in range(family.m):
-            for j in range(family.k):
-                for idx in range(2 ** family.d):
-                    refs.append(PointRef(v=_bits_to_signs(idx, family.d), i=i, j=j))
-    elif family.kind == "marginal":
-        for j in range(family.k):
-            for idx in range(2 ** family.d):
-                refs.append(PointRef(v=_bits_to_signs(idx, family.d), j=j))
-    else:
-        refs = [PointRef(col=c) for c in range(family.n_columns)]
-    return refs
+    if family.kind == "matrix-columns":
+        cols = np.arange(family.n_columns)
+        return PointBatch(family, np.zeros_like(cols), cols=cols)
+    block = 2 ** family.d
+    bits = (np.arange(block)[:, None] >> np.arange(family.d)) & 1
+    v = np.tile((1 - 2 * bits).astype(np.int8), (family.n_types, 1))
+    return PointBatch(family, np.repeat(np.arange(family.n_types), block), v=v)
+
+
+def enumerate_refs(family: PointFamily) -> list[PointRef]:
+    """support_batch as single points."""
+    batch = support_batch(family)
+    return [batch[idx] for idx in range(len(batch))]
 
 
 def resolve(family: PointFamily, ref: PointRef) -> np.ndarray:
@@ -198,10 +195,10 @@ def resolve(family: PointFamily, ref: PointRef) -> np.ndarray:
 
 def support_matrix(family: PointFamily) -> np.ndarray:
     """Dense (size, dim) matrix of every point, canonical order, cap-checked."""
-    refs = enumerate_refs(family)
+    batch = support_batch(family)
     if family.kind == "matrix-columns":
         return family.matrix.T.astype(np.float64)
-    return np.stack([resolve(family, r) for r in refs])
+    return batch.densify()
 
 
 def type_index(family: PointFamily, ref: PointRef) -> int:
@@ -211,6 +208,80 @@ def type_index(family: PointFamily, ref: PointRef) -> int:
     if family.kind == "marginal":
         return ref.j
     return 0
+
+
+@dataclass(eq=False)
+class PointBatch:
+    """Points of one family held as arrays.
+
+    ``types`` are flat type ids (see type_index); product families carry
+    int8 sign bits ``v`` of shape (n, d), matrix-columns carries column ids
+    ``cols``.  ``names`` is set only when a protocol has name-extended the
+    points.
+    """
+
+    family: PointFamily
+    types: np.ndarray  # (n,) int64
+    v: Optional[np.ndarray] = None  # (n, d) int8
+    cols: Optional[np.ndarray] = None  # (n,)
+    names: Optional[np.ndarray] = None  # (n,)
+
+    def __len__(self) -> int:
+        return len(self.types)
+
+    def __getitem__(self, idx) -> PointRef:
+        idx = operator.index(idx)
+        name = None if self.names is None else int(self.names[idx])
+        if self.cols is not None:
+            return PointRef(col=int(self.cols[idx]), name=name)
+        kind = self.family.kind
+        i, j = divmod(int(self.types[idx]), self.family.k)
+        return PointRef(v=self.v[idx].copy(), i=i if kind == "tensor" else None,
+                        j=None if kind == "hypercube" else j, name=name)
+
+    @classmethod
+    def from_refs(cls, family: PointFamily, refs) -> "PointBatch":
+        refs = list(refs)
+        types = np.array([type_index(family, r) for r in refs], dtype=np.int64)
+        named = refs and all(r.name is not None for r in refs)
+        names = np.array([r.name for r in refs]) if named else None
+        if family.kind == "matrix-columns":
+            cols = np.array([r.col for r in refs], dtype=np.int64)
+            return cls(family, types, cols=cols, names=names)
+        v = np.stack([np.asarray(r.v, dtype=np.int8) for r in refs])
+        return cls(family, types, v=v, names=names)
+
+    def take(self, idx) -> "PointBatch":
+        """The points at ``idx`` (a slice or an integer array), copied."""
+        def pick(a):
+            return None if a is None else a[idx].copy()
+
+        return PointBatch(self.family, pick(self.types), pick(self.v),
+                          pick(self.cols), pick(self.names))
+
+    def concat(self, other: "PointBatch") -> "PointBatch":
+        """This batch followed by ``other``; names survive only if both
+        batches carry them."""
+        def join(a, b):
+            return None if a is None or b is None else np.concatenate([a, b])
+
+        return PointBatch(self.family, join(self.types, other.types),
+                          join(self.v, other.v), join(self.cols, other.cols),
+                          join(self.names, other.names))
+
+    def densify(self) -> np.ndarray:
+        """Dense (n, dim) float64 matrix, row-for-row equal to resolve."""
+        fam = self.family
+        if fam.kind == "hypercube":
+            return self.v.astype(np.float64)
+        if fam.kind == "matrix-columns":
+            return fam.matrix.T[self.cols].astype(np.float64)
+        # marginal points are tensor points with m = 1
+        n = len(self)
+        ti, tj = np.divmod(self.types, fam.k)
+        x = np.zeros((n, fam.m, fam.k, fam.d))
+        x[np.arange(n), ti] = fam.basis[tj][:, :, None] * self.v[:, None, :]
+        return x.reshape(n, fam.dim)
 
 
 def _predicate_sign(h: int, i: int, m: int) -> int:

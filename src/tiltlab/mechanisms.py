@@ -1,6 +1,6 @@
 """Mean-release mechanisms and private histogram release.
 
-Dataset mechanisms consume a Dataset (ordered points with resolved vectors)
+Dataset mechanisms consume a Dataset (a PointBatch plus its dense matrix)
 and return a MechanismAnswer carrying the estimate and privacy metadata.
 Histogram mechanisms operate on HistogramVector (nonnegative weights with a
 fixed total mass) under L1 adjacency.
@@ -17,33 +17,33 @@ from scipy.optimize import linprog
 from scipy.stats import beta as _beta_dist
 
 from .errors import CapacityError
-from .families import PointFamily, PointRef, predicate_matrix, resolve
+from .families import PointBatch, PointFamily, PointRef, predicate_matrix
 
 
 @dataclass
 class Dataset:
     """Ordered dataset with dense resolved points; replace-one adjacency."""
 
-    family: PointFamily
-    refs: list
+    batch: PointBatch
     points: np.ndarray  # (n, dim)
 
     @classmethod
     def from_refs(cls, family: PointFamily, refs) -> "Dataset":
-        refs = list(refs)
-        points = np.stack([resolve(family, r) for r in refs])
-        return cls(family=family, refs=refs, points=points)
+        """Dataset of a PointBatch, or of a list of PointRefs of family."""
+        batch = refs if isinstance(refs, PointBatch) \
+            else PointBatch.from_refs(family, refs)
+        return cls(batch=batch, points=batch.densify())
 
     @property
     def n(self) -> int:
-        return len(self.refs)
+        return len(self.batch)
 
     def replace_one(self, idx: int, ref: PointRef) -> "Dataset":
-        refs = list(self.refs)
-        refs[idx] = ref
-        points = self.points.copy()
-        points[idx] = resolve(self.family, ref)
-        return Dataset(family=self.family, refs=refs, points=points)
+        one = PointBatch.from_refs(self.batch.family, [ref])
+        pick = np.arange(self.n)
+        pick[idx] = self.n
+        return Dataset(batch=self.batch.concat(one).take(pick),
+                       points=np.vstack([self.points, one.densify()])[pick])
 
 
 @dataclass
@@ -563,8 +563,7 @@ class GroupPrivacyWrapped:
     def __call__(self, ds: Dataset, rng=None) -> MechanismAnswer:
         p = self.p
         big = Dataset(
-            family=ds.family,
-            refs=[r for r in ds.refs for _ in range(p)],
+            batch=ds.batch.take(np.repeat(np.arange(ds.n), p)),
             points=np.repeat(ds.points, p, axis=0),
         )
         ans = self.mech(big, rng)
@@ -587,10 +586,6 @@ class GroupPrivacyWrapped:
         )
 
 
-def group_privacy_wrap(mech, p: int) -> GroupPrivacyWrapped:
-    return GroupPrivacyWrapped(mech, p)
-
-
 def group_shrink(ds: Dataset, p: int) -> Dataset:
     """Keep one representative per block of p points; remainder discarded."""
     if not isinstance(p, int) or p < 1:
@@ -599,11 +594,7 @@ def group_shrink(ds: Dataset, p: int) -> Dataset:
     if q == 0:
         raise ValueError("dataset smaller than the group size")
     keep = slice(0, q * p, p)
-    return Dataset(
-        family=ds.family,
-        refs=ds.refs[keep],
-        points=ds.points[keep].copy(),
-    )
+    return Dataset(batch=ds.batch.take(keep), points=ds.points[keep].copy())
 
 
 class PaddedMechanism:
@@ -621,7 +612,8 @@ class PaddedMechanism:
         self.k = k
         self.z_ref = z_ref
         self.family = family
-        self._z = resolve(family, z_ref)
+        self._anchor = PointBatch.from_refs(family, [z_ref])
+        self._z = self._anchor.densify()[0]
 
     @property
     def name(self) -> str:
@@ -632,8 +624,7 @@ class PaddedMechanism:
         n = self.k * m
         pad = np.tile(self._z, (n - m, 1))
         big = Dataset(
-            family=ds.family,
-            refs=list(ds.refs) + [self.z_ref] * (n - m),
+            batch=ds.batch.concat(self._anchor.take(np.zeros(n - m, int))),
             points=np.vstack([ds.points, pad]) if n > m else ds.points.copy(),
         )
         ans = self.mech(big, rng)
@@ -647,7 +638,3 @@ class PaddedMechanism:
             adjacency=ans.adjacency,
             diagnostics=diags,
         )
-
-
-def pad_reduction(mech, k: int, z_ref: PointRef, family: PointFamily) -> PaddedMechanism:
-    return PaddedMechanism(mech, k, z_ref, family)

@@ -15,7 +15,3 @@ def trial_seed_sequence(master_seed: int, trial: int) -> np.random.SeedSequence:
     if master_seed < 0 or trial < 0:
         raise ValueError("master_seed and trial must be nonnegative")
     return np.random.SeedSequence(entropy=master_seed, spawn_key=(trial,))
-
-
-def trial_rng(master_seed: int, trial: int) -> np.random.Generator:
-    return np.random.default_rng(trial_seed_sequence(master_seed, trial))

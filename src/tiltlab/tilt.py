@@ -20,7 +20,7 @@ numerically with central finite differences against exact enumeration.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Callable, Optional
 
 import numpy as np
 from scipy.special import expit
@@ -28,10 +28,11 @@ from scipy.special import expit
 from .errors import CapacityError
 from .families import (
     ENUMERATION_CAP,
+    PointBatch,
     PointFamily,
     PointRef,
-    enumerate_refs,
     resolve,
+    support_batch,
     support_matrix,
     type_index,
 )
@@ -99,40 +100,24 @@ def _logsumexp(x: np.ndarray) -> float:
     return float(m + np.log(np.exp(x - m).sum()))
 
 
-def type_tilt_vector(dist: TiltedDistribution, type_id: int) -> np.ndarray:
-    """Coordinate tilt block t for one type of a product family."""
-    if dist.type_tilts is None:
-        raise ValueError("matrix-columns tilts have no per-type blocks")
-    return dist.type_tilts[type_id]
-
-
-def tilt_sample_many(dist: TiltedDistribution, rng: np.random.Generator, count: int):
+def tilt_sample_many(dist: TiltedDistribution, rng: np.random.Generator,
+                     count: int) -> PointBatch:
     """Draw count points; consumes rng as (types, then bits) for replay."""
     fam = dist.family
     if fam.kind == "matrix-columns":
         cols = rng.choice(fam.n_columns, size=count, p=np.exp(dist.column_logp))
-        return [PointRef(col=int(c)) for c in cols]
-    n_types = dist.type_tilts.shape[0]
-    if n_types == 1:
+        return PointBatch(fam, np.zeros(count, dtype=np.int64), cols=cols)
+    # Pr[v_c = +1] per (type, coordinate); indexing the table gives the
+    # same values as an expit over the indexed tilts
+    table = expit(2.0 * dist.type_tilts)
+    if len(table) == 1:
         types = np.zeros(count, dtype=np.int64)
+        p_plus = table[0]
     else:
-        types = rng.choice(n_types, size=count, p=np.exp(dist.type_logp))
-    p_plus = expit(2.0 * dist.type_tilts[types])
-    v = np.where(rng.random((count, fam.d)) < p_plus, 1, -1).astype(np.int8)
-    refs = []
-    for t, bits in zip(types, v):
-        t = int(t)
-        if fam.kind == "hypercube":
-            refs.append(PointRef(v=bits))
-        elif fam.kind == "tensor":
-            refs.append(PointRef(v=bits, i=t // fam.k, j=t % fam.k))
-        else:
-            refs.append(PointRef(v=bits, j=t))
-    return refs
-
-
-def tilt_sample(dist: TiltedDistribution, rng: np.random.Generator) -> PointRef:
-    return tilt_sample_many(dist, rng, 1)[0]
+        types = rng.choice(len(table), size=count, p=np.exp(dist.type_logp))
+        p_plus = table[types]
+    v = np.where(rng.random((count, fam.d)) < p_plus, np.int8(1), np.int8(-1))
+    return PointBatch(fam, types, v=v)
 
 
 def tilt_mean(
@@ -147,8 +132,7 @@ def tilt_mean(
     if mode == "mc":
         if samples < 2 or rng is None:
             raise ValueError("mc mode needs samples >= 2 and an rng")
-        refs = tilt_sample_many(dist, rng, samples)
-        mat = np.stack([resolve(fam, r) for r in refs])
+        mat = tilt_sample_many(dist, rng, samples).densify()
         est = mat.mean(axis=0)
         stderr = mat.std(axis=0, ddof=1) / np.sqrt(samples)
         return est, stderr, samples
@@ -210,9 +194,7 @@ def tilt_cov(
     elif mode == "mc":
         if samples < 2 or rng is None:
             raise ValueError("mc mode needs samples >= 2 and an rng")
-        refs = tilt_sample_many(dist, rng, samples)
-        mat = np.stack([resolve(fam, r) for r in refs])
-        cov = np.cov(mat.T, ddof=1)
+        cov = np.cov(tilt_sample_many(dist, rng, samples).densify().T, ddof=1)
     else:
         raise ValueError("mode must be 'exact' or 'mc'")
     if summary is None:
@@ -249,12 +231,6 @@ def score(x: np.ndarray, q: np.ndarray, mu: np.ndarray) -> float:
     return float((x - mu) @ q)
 
 
-def _reference_mean(dist: TiltedDistribution, ref: PointRef) -> np.ndarray:
-    if dist.conditioning == "type":
-        return tilt_mean_typed(dist, type_index(dist.family, ref))
-    return tilt_mean(dist)
-
-
 def pscore(dist: TiltedDistribution, ref: PointRef, q: np.ndarray, r: int) -> float:
     """score restricted to the first r slices (slice = the coordinates with
     last-axis index below r in the family's (.., d) layout)."""
@@ -266,7 +242,10 @@ def pscore(dist: TiltedDistribution, ref: PointRef, q: np.ndarray, r: int) -> fl
     if r == 0:
         return 0.0
     x = resolve(fam, ref)
-    mu = _reference_mean(dist, ref)
+    if dist.conditioning == "type":
+        mu = tilt_mean_typed(dist, type_index(fam, ref))
+    else:
+        mu = tilt_mean(dist)
     diff = (x - mu).reshape(-1, fam.d)[:, :r]
     qs = np.asarray(q, dtype=np.float64).reshape(-1, fam.d)[:, :r]
     return float((diff * qs).sum())
@@ -304,17 +283,14 @@ def divergence_check(
         raise CapacityError(
             f"|K|^n = {size ** n} exceeds the {DATASET_PRODUCT_CAP} dataset cap"
         )
-    refs = enumerate_refs(family)
-    mat = support_matrix(family)
+    support = support_batch(family)
+    mat = support.densify()
     dist0 = tilt(family, theta, conditioning)
 
     tuples = np.indices((size,) * n).reshape(n, -1).T  # (size^n, n)
     outputs = np.empty((len(tuples), family.dim))
     for t, row in enumerate(tuples):
-        ds = Dataset(
-            family=family, refs=[refs[idx] for idx in row], points=mat[row]
-        )
-        result = mechanism(ds)
+        result = mechanism(Dataset(batch=support.take(row), points=mat[row]))
         outputs[t] = result.estimate if hasattr(result, "estimate") else result
 
     def dataset_weights(dist):
@@ -330,9 +306,7 @@ def divergence_check(
         lhs += float((w_hi - w_lo) @ outputs[:, i]) / (2.0 * h)
 
     if dist0.conditioning == "type" and family.n_types > 1:
-        mu_rows = np.stack(
-            [tilt_mean_typed(dist0, type_index(family, r)) for r in refs]
-        )
+        mu_rows = np.stack([tilt_mean_typed(dist0, t) for t in support.types])
     else:
         mu_rows = np.broadcast_to(tilt_mean(dist0), mat.shape)
     centered = mat - mu_rows

@@ -10,14 +10,20 @@ every seed fixed so reruns are bitwise-stable:
     - score separation for exact and noised mean mechanisms
     - staged-protocol gap behavior at the desk point (m=6, k=64, d=32)
     - exact Rademacher tails, the K-functional sandwich, and reductions
-    - bitwise CSV determinism across worker counts
+    - bitwise CSV determinism across worker counts and against the golden
+      digests in tests/golden/
+
+The four full-scale runs that take most of the suite's time carry the
+``slow`` marker; ``pytest -m "not slow"`` skips them for a quick loop.
 
 The desk point, the mass constant, and the probe level were frozen by the
 recorded runs in scripts/calibration.py (master seed 1234); the quantitative
 assertions here re-run those configurations in full.
 """
 
+import hashlib
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,17 +37,17 @@ from tiltlab.attack import (
 )
 from tiltlab.config import parse_config
 from tiltlab.experiments import run_experiment
-from tiltlab.families import PointRef, make_family
+from tiltlab.families import make_family
 from tiltlab.mechanisms import (
     QUERY_RELEASE_CPRIME,
     Dataset,
     EmpiricalMean,
     GaussianMechanism,
+    GroupPrivacyWrapped,
     HistogramVector,
+    PaddedMechanism,
     audit_frequency_ratio,
-    group_privacy_wrap,
     histogram_query_release,
-    pad_reduction,
     required_mass,
     sparse_histogram,
 )
@@ -59,6 +65,7 @@ from tiltlab.structure import (
 from tiltlab.tilt import divergence_check, tilt, tilt_sample_many
 
 MASTER_SEED = 1234
+GOLDEN_DIGESTS = Path(__file__).parent / "golden" / "csv_sha256.txt"
 THETA_STREAM_TAG = 0xA11CE
 
 
@@ -130,6 +137,7 @@ class TestSparseHistogramRelease:
                 dense_out[u] = x
             assert float(np.abs(dense_in - dense_out).max()) <= bound
 
+    @pytest.mark.slow
     def test_two_element_frequency_audit_never_rejects(self):
         # mass-preserving adjacent pair at l1 distance 1 on a 2-element
         # universe; 1e6 runs per side at significance 1e-3
@@ -175,6 +183,7 @@ class TestQueryReleaseAccuracy:
 
 
 class TestColumnSumConcentration:
+    @pytest.mark.slow
     def test_subset_sums_within_cap_and_mean(self):
         # d=256, N=1024, k=3 (under the 0.1 d/ln N cap): no subset-sum
         # norm above sqrt(2kd) on at least 19/20 matrices, and the pooled
@@ -196,6 +205,7 @@ class TestColumnSumConcentration:
 
 
 class TestTiltStructureChecks:
+    @pytest.mark.slow
     def test_expanding_and_regular_fail_fractions(self):
         # r = 0.3 sqrt(ln N): tilts of random matrices stay expanding at
         # the frozen probe level and spectrally regular (lambda_max <= 2)
@@ -266,6 +276,7 @@ def desk_theta(sampler, trial):
 class TestStagedProtocolDesk:
     ALPHA = 0.125
 
+    @pytest.mark.slow
     def test_under_and_over_sampled_gaps(self):
         # under-sampled runs (one point per type) leak a detectable gap;
         # 10x the data drives the gap under 2 alpha; the obfuscated
@@ -300,8 +311,7 @@ class TestStagedProtocolDesk:
         rng = np.random.default_rng(777)
         n, W = family.m * family.k, (family.m * family.k) ** 3
         refs = tilt_sample_many(dist, rng, n)
-        for ref, name in zip(refs, rng.choice(W, size=n, replace=False)):
-            ref.name = int(name)
+        refs.names = rng.choice(W, size=n, replace=False)
         # spawning advances a SeedSequence, so each run needs its own
         # identically derived copy for the branches to replay
         def run(dataset):
@@ -318,12 +328,11 @@ class TestStagedProtocolDesk:
         idx = int(early[0])
         stage = int(tr_a.dataset_crossing_stage[idx])
 
-        refs_b = [PointRef(v=r.v.copy(), i=r.i, j=r.j, name=r.name)
-                  for r in refs]
+        refs_b = refs.take(slice(None))
         suffix = np.random.default_rng(778).choice(
             [-1, 1], size=family.d - stage - 1).astype(np.int8)
-        refs_b[idx].v[stage + 1:] = suffix
-        assert not np.array_equal(refs_b[idx].v, refs[idx].v)
+        refs_b.v[idx, stage + 1:] = suffix
+        assert not np.array_equal(refs_b.v[idx], refs.v[idx])
 
         tr_b = run(refs_b)
         for rec_a, rec_b in zip(tr_a.stages, tr_b.stages):
@@ -398,7 +407,7 @@ class TestMeanReductions:
         rng = np.random.default_rng(93)
         refs = tilt_sample_many(tilt(family, np.zeros(8)), rng, 6)
         ds = Dataset.from_refs(family, refs)
-        wrapped = group_privacy_wrap(GaussianMechanism(eps, delta), p)
+        wrapped = GroupPrivacyWrapped(GaussianMechanism(eps, delta), p)
         ans = wrapped(ds, rng)
         assert ans.epsilon == pytest.approx(p * eps, rel=1e-12)
         expected_delta = delta if p == 1 else \
@@ -415,7 +424,7 @@ class TestMeanReductions:
             anchor = tilt_sample_many(dist, rng, 1)[0]
             refs = tilt_sample_many(dist, rng, 5)
             ds = Dataset.from_refs(family, refs)
-            padded = pad_reduction(EmpiricalMean(), 3, anchor, family)
+            padded = PaddedMechanism(EmpiricalMean(), 3, anchor, family)
             est = padded(ds).estimate
             np.testing.assert_allclose(
                 est, ds.points.mean(axis=0), atol=1e-12)
@@ -479,3 +488,16 @@ class TestSuiteDeterminism:
             assert result.exit_code == 0
             outputs.append(result.csv_path.read_bytes())
         assert outputs[0] == outputs[1] == outputs[2]
+
+    @pytest.mark.parametrize("kind", sorted(DETERMINISM_CONFIGS))
+    def test_csv_bytes_match_golden_digest(self, kind, tmp_path):
+        # pins the bytes across code changes, not only across worker counts
+        golden = {}
+        for line in GOLDEN_DIGESTS.read_text().splitlines():
+            digest, name = line.split()
+            golden[name] = digest
+        result = run_experiment(parse_config(DETERMINISM_CONFIGS[kind]), 99,
+                                tmp_path)
+        assert result.exit_code == 0
+        got = hashlib.sha256(result.csv_path.read_bytes()).hexdigest()
+        assert got == golden[f"{kind}.csv"]

@@ -8,6 +8,7 @@ import pytest
 from tiltlab.ada import (
     ClampedMeanAnalyst,
     ExactMeanAnalyst,
+    FinalQuery,
     GaussianNoisedAnalyst,
     Obfuscation,
     SampleSplitAnalyst,
@@ -17,7 +18,6 @@ from tiltlab.ada import (
     default_tau,
     deobfuscate,
     deobfuscate_many,
-    final_attack_query,
     gap,
     obfuscate,
     obfuscate_many,
@@ -26,6 +26,7 @@ from tiltlab.ada import (
 from tiltlab.attack import ThetaSampler
 from tiltlab.errors import ProtocolAbort
 from tiltlab.families import (
+    PointBatch,
     PointRef,
     QueryId,
     enumerate_refs,
@@ -46,11 +47,9 @@ def surface_theta(family, rng):
 
 
 def named_sample(dist, rng, n, W):
-    refs = tilt_sample_many(dist, rng, n)
-    names = rng.choice(W, size=n, replace=False)
-    for ref, w in zip(refs, names):
-        ref.name = int(w)
-    return refs
+    points = tilt_sample_many(dist, rng, n)
+    points.names = rng.choice(W, size=n, replace=False)
+    return points
 
 
 class TestObfuscation:
@@ -134,7 +133,7 @@ class TestObfuscation:
 class TestFinalQuery:
     def test_zero_field_gives_zero(self):
         fld = ScoreField(c_hat=np.zeros((2, 4, 6)), ref_shift=np.zeros((2, 4, 6)))
-        fq = final_attack_query(fld, m=2, d=6, alpha=0.25, C=2.0)
+        fq = FinalQuery(fld, m=2, d=6, alpha=0.25, C=2.0)
         vals = fq.evaluate_bits(np.array([0, 1]), np.array([1, 2]),
                                 np.ones((2, 6), dtype=np.int8))
         assert np.array_equal(vals, np.zeros(2))
@@ -144,19 +143,19 @@ class TestFinalQuery:
         target = 2.0 * C * math.sqrt(d * math.log(1.0 / alpha)) / m
         c_hat = np.full((m, 1, d), target / d)
         fld = ScoreField(c_hat=c_hat, ref_shift=np.zeros((m, 1, d)))
-        fq = final_attack_query(fld, m=m, d=d, alpha=alpha, C=C)
+        fq = FinalQuery(fld, m=m, d=d, alpha=alpha, C=C)
         v = np.ones((1, d), dtype=np.int8)
         at = fq.evaluate_bits(np.array([0]), np.array([0]), v)[0]
         assert at == pytest.approx(1.0, abs=1e-12)
         # doubling the field saturates the clamp exactly
         fld2 = ScoreField(c_hat=2 * c_hat, ref_shift=np.zeros((m, 1, d)))
-        fq2 = final_attack_query(fld2, m=m, d=d, alpha=alpha, C=C)
+        fq2 = FinalQuery(fld2, m=m, d=d, alpha=alpha, C=C)
         assert fq2.evaluate_bits(np.array([0]), np.array([0]), v)[0] == 1.0
         assert fq2.evaluate_bits(np.array([0]), np.array([0]), -v)[0] == -1.0
 
     def test_scale_formula(self):
         fld = ScoreField(c_hat=np.zeros((6, 2, 32)), ref_shift=np.zeros((6, 2, 32)))
-        fq = final_attack_query(fld, m=6, d=32, alpha=1 / 8, C=2.0)
+        fq = FinalQuery(fld, m=6, d=32, alpha=1 / 8, C=2.0)
         assert fq.scale == pytest.approx(6 / (4 * math.sqrt(32 * math.log(8))))
 
     def test_default_tau(self):
@@ -192,8 +191,8 @@ class TestGap:
             return np.array([1.0 if r.v.tobytes() == key else 0.0
                              for r in batch])
 
-        res = gap(indicator, [refs_all[target]], dist, 200_000,
-                  np.random.default_rng(12))
+        res = gap(indicator, PointBatch.from_refs(fam, [refs_all[target]]),
+                  dist, 200_000, np.random.default_rng(12))
         assert abs(res.value - (1.0 - probs[target])) <= 5 * res.stderr + 1e-3
 
     def test_random_sign_query_small_gap(self):
@@ -217,9 +216,8 @@ class TestStageQueryBatch:
     def _make(self, rng, fam, n, comp_idx=()):
         dist = tilt(fam, surface_theta(fam, rng))
         refs = tilt_sample_many(dist, rng, n)
-        ti = np.array([r.i for r in refs])
-        tj = np.array([r.j for r in refs])
-        bits = np.stack([r.v for r in refs])
+        ti, tj = np.divmod(refs.types, fam.k)
+        bits = refs.v
         comp = np.zeros(n, dtype=bool)
         comp[list(comp_idx)] = True
         r = 1
@@ -393,7 +391,7 @@ class TestRunProtocol:
         alpha, C = 0.25, 2.0
         tr = run_ada_protocol(ExactMeanAnalyst(), fam, theta, n=64, seed=47,
                               alpha=alpha, C=C)
-        fq = final_attack_query(tr.score_field(), fam.m, fam.d, alpha, C)
+        fq = FinalQuery(tr.score_field(), fam.m, fam.d, alpha, C)
         dist = tilt(fam, theta)
         pop_refs = tilt_sample_many(dist, np.random.default_rng(48), 100_000)
         vals = fq(pop_refs)
@@ -425,12 +423,11 @@ class TestRunProtocol:
         idx = int(early[0])
         stage = int(tr_a.dataset_crossing_stage[idx])
 
-        refs_b = [PointRef(v=r.v.copy(), i=r.i, j=r.j, name=r.name)
-                  for r in refs]
+        refs_b = refs.take(slice(None))
         suffix = np.random.default_rng(53).choice(
             [-1, 1], size=fam.d - stage - 1).astype(np.int8)
-        refs_b[idx].v[stage + 1:] = suffix
-        assert not np.array_equal(refs_b[idx].v, refs[idx].v)
+        refs_b.v[idx, stage + 1:] = suffix
+        assert not np.array_equal(refs_b.v[idx], refs.v[idx])
 
         tr_b = run_ada_protocol(ExactMeanAnalyst(), fam, theta, n=n,
                                 dataset_override=refs_b, **kw)
@@ -471,10 +468,9 @@ class TestAnalysts:
         dist = tilt(fam, theta)
         n, W = 40, 40 ** 3
         refs_a = named_sample(dist, rng, n, W)
-        refs_b = [PointRef(v=r.v.copy(), i=r.i, j=r.j, name=r.name)
-                  for r in refs_a]
+        refs_b = refs_a.take(slice(None))
         victim = n - 1  # second fold under a two-way split
-        refs_b[victim].v[1] = -refs_b[victim].v[1]
+        refs_b.v[victim, 1] = -refs_b.v[victim, 1]
 
         kw = dict(n=n, W=W, seed=65, alpha=0.25)
         tr_a = run_ada_protocol(SampleSplitAnalyst(2), fam, theta,
@@ -489,10 +485,8 @@ class TestAnalysts:
         rng = np.random.default_rng(66)
         dist = tilt(fam, surface_theta(fam, rng))
         refs = tilt_sample_many(dist, rng, 10)
-        ti = np.array([r.i for r in refs])
-        tj = np.array([r.j for r in refs])
-        bits = np.stack([r.v for r in refs])
-        batch = StageQueryBatch(ti, tj, bits[:, 0], np.zeros(10, bool),
+        ti, tj = np.divmod(refs.types, fam.k)
+        batch = StageQueryBatch(ti, tj, refs.v[:, 0], np.zeros(10, bool),
                                 predicate_matrix(fam.m).astype(float),
                                 fam.basis.astype(float))
         analyst = ClampedMeanAnalyst(bound=0.05)

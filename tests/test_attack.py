@@ -5,6 +5,7 @@ Oracles:
       exact norm constraints, closed-form surface normals.
     - Constant mechanisms give identically zero scores.
     - Exact-mean separations are pre-registered two-sample statistics.
+    - Trial scores against a per-point <x - tilt_mean_typed, answer> loop.
 """
 
 import math
@@ -19,16 +20,21 @@ from tiltlab.attack import (
     aggregate_separation,
     run_attack_trial,
     run_shifted_attack_trial,
-    sample_theta,
     separation_statistic,
 )
-from tiltlab.families import make_family
+from tiltlab.families import make_family, resolve, type_index
 from tiltlab.mechanisms import (
     EmpiricalMean,
     GaussianMechanism,
     MechanismAnswer,
 )
-from tiltlab.tilt import tilt, tilt_cov, tilt_mean
+from tiltlab.tilt import (
+    tilt,
+    tilt_cov,
+    tilt_mean,
+    tilt_mean_typed,
+    tilt_sample_many,
+)
 
 
 class ConstantAnswer:
@@ -59,7 +65,7 @@ class TestThetaSampler:
         ]:
             sampler = ThetaSampler(region=region, dimension=7, radius=2.5)
             for _ in range(200):
-                assert check(sample_theta(sampler, rng)), region
+                assert check(sampler.sample(rng)), region
 
     def test_sphere_angle_uniform(self):
         rng = np.random.default_rng(1)
@@ -189,6 +195,37 @@ class TestRunAttackTrial:
         pooled_se = math.sqrt(ins.var(ddof=1) / len(ins)
                               + fresh.var(ddof=1) / len(fresh))
         assert ins.mean() <= fresh.mean() + slack + 4 * pooled_se
+
+
+    @pytest.mark.parametrize("kind,shape", [
+        ("hypercube", dict(d=16)),
+        ("tensor", dict(m=2, k=4, d=5)),
+    ])
+    def test_scores_match_per_point_oracle(self, kind, shape):
+        fam = make_family(kind, **shape)
+        sampler = ThetaSampler("l2-sphere", fam.dim, 3.0)
+        n, fresh = 6, 3000
+        report = run_attack_trial(fam, sampler, EmpiricalMean(), n, fresh,
+                                  np.random.default_rng(70))
+        # replay the trial's rng order: theta, dataset, (mechanism), fresh
+        rng = np.random.default_rng(70)
+        dist = tilt(fam, sampler.sample(rng))
+        in_pts = tilt_sample_many(dist, rng, n)
+        fresh_pts = tilt_sample_many(dist, rng, fresh)
+
+        def oracle(points):
+            out = []
+            for idx in range(len(points)):
+                ref = points[idx]
+                mu = tilt_mean_typed(dist, type_index(fam, ref))
+                out.append((resolve(fam, ref) - mu) @ report.answer)
+            return np.array(out)
+
+        for got, points in ((report.in_scores, in_pts),
+                            (report.fresh_scores, fresh_pts)):
+            want = oracle(points)
+            np.testing.assert_allclose(
+                got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
 
 
 class TestShiftedAttack:

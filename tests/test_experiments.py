@@ -305,6 +305,20 @@ class TestCli:
         assert main(["replay", "--csv", str(out / "mech-bench.csv"),
                      "--row", "5"]) == 2
 
+    def test_replay_unknown_manifest_key_exit_code(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "kind = mech-bench\ntrials = 1")
+        out = tmp_path / "out"
+        main(["run", "--config", cfg, "--out", str(out)])
+        capsys.readouterr()
+        manifest_path = out / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["config"]["bogus"] = 1
+        manifest_path.write_text(json.dumps(manifest))
+        assert main(["replay", "--csv", str(out / "mech-bench.csv"),
+                     "--row", "0"]) == 2
+        err = capsys.readouterr().err
+        assert "replay failed" in err and "bogus" in err
+
     def test_env_seed_default(self, tmp_path, monkeypatch, capsys):
         cfg = write_config(tmp_path, "kind = mech-bench\ntrials = 1")
         monkeypatch.setenv("TILTLAB_SEED", "42")

@@ -5,7 +5,7 @@ Oracles:
     - Water-filling projection optimality against random feasible candidates.
     - reconstruct_slice against exhaustive grid search for m <= 3.
     - project_to_H exact mode against a brute-force lambda grid at k = 2.
-    - pad_reduction and group_privacy_wrap closed-form behavior.
+    - PaddedMechanism and GroupPrivacyWrapped closed-form behavior.
 """
 
 import math
@@ -19,12 +19,12 @@ from tiltlab.mechanisms import (
     Dataset,
     EmpiricalMean,
     GaussianMechanism,
+    GroupPrivacyWrapped,
     HistogramVector,
+    PaddedMechanism,
     audit_frequency_ratio,
-    group_privacy_wrap,
     group_shrink,
     histogram_query_release,
-    pad_reduction,
     project_to_H,
     reconstruct_slice,
     required_mass,
@@ -310,20 +310,20 @@ class TestReductions:
         refs = enumerate_refs(fam)[:4]
         ds = Dataset.from_refs(fam, refs)
         mech = GaussianMechanism(epsilon=0.5, delta=1e-5)
-        wrapped = group_privacy_wrap(mech, p=3)
+        wrapped = GroupPrivacyWrapped(mech, p=3)
         ans = wrapped(ds, np.random.default_rng(16))
         assert ans.epsilon == pytest.approx(1.5, abs=1e-12)
         want_delta = 1e-5 * (math.exp(1.5) - 1) / (math.exp(0.5) - 1)
         assert ans.delta == pytest.approx(want_delta, rel=1e-12)
         # replication leaves the empirical mean invariant
-        plain = group_privacy_wrap(EmpiricalMean(), p=4)(ds)
+        plain = GroupPrivacyWrapped(EmpiricalMean(), p=4)(ds)
         np.testing.assert_allclose(plain.estimate, ds.points.mean(axis=0),
                                    atol=1e-12)
 
     def test_group_wrap_identity_at_p_one(self):
         fam = make_family("hypercube", d=2)
         ds = Dataset.from_refs(fam, enumerate_refs(fam)[:2])
-        ans = group_privacy_wrap(EmpiricalMean(), p=1)(ds)
+        ans = GroupPrivacyWrapped(EmpiricalMean(), p=1)(ds)
         np.testing.assert_array_equal(ans.estimate, ds.points.mean(axis=0))
         assert ans.delta == 0.0
 
@@ -343,7 +343,7 @@ class TestReductions:
             anchor = refs[rng.integers(len(refs))]
             chosen = [refs[i] for i in rng.choice(len(refs), size=4)]
             ds = Dataset.from_refs(fam, chosen)
-            padded = pad_reduction(EmpiricalMean(), k=3, z_ref=anchor, family=fam)
+            padded = PaddedMechanism(EmpiricalMean(), k=3, z_ref=anchor, family=fam)
             ans = padded(ds)
             np.testing.assert_allclose(
                 ans.estimate, ds.points.mean(axis=0), atol=1e-12

@@ -8,6 +8,8 @@ Oracles:
     - Divergence check against closed-form divergences for the exact-mean
       mechanism: sum_i sech^2(theta_i) on the hypercube and
       (1/m) sum_{i,j,r} sech^2(T[i,j,r]) for the type-conditioned tensor tilt.
+    - Batched sampling against a per-point copy of the sampling recipe, and
+      PointBatch.densify against per-point resolve.
 """
 
 import math
@@ -16,7 +18,15 @@ import numpy as np
 import pytest
 
 from tiltlab.errors import CapacityError
-from tiltlab.families import enumerate_refs, make_family, resolve, support_matrix
+from scipy.special import expit
+
+from tiltlab.families import (
+    PointBatch,
+    enumerate_refs,
+    make_family,
+    resolve,
+    support_matrix,
+)
 from tiltlab.mechanisms import ClampedMean, Dataset, EmpiricalMean
 from tiltlab.tilt import (
     divergence_check,
@@ -28,7 +38,6 @@ from tiltlab.tilt import (
     tilt_mean,
     tilt_mean_typed,
     tilt_sample_many,
-    type_tilt_vector,
 )
 
 
@@ -52,7 +61,7 @@ class TestHypercubeClosedForm:
         # plus-probability via sampling the closed-form law
         rng = np.random.default_rng(0)
         refs = tilt_sample_many(dist, rng, 20000)
-        frac = np.mean([r.v[0] == 1 for r in refs])
+        frac = np.mean(refs.v[:, 0] == 1)
         assert abs(frac - 0.75) < 0.02
 
     def test_mean_matches_enumeration(self):
@@ -224,7 +233,7 @@ class TestDivergence:
         closed = 0.0
         for i in range(2):
             for j in range(2):
-                t = type_tilt_vector(dist, i * fam.k + j)
+                t = dist.type_tilts[i * fam.k + j]
                 closed += float(np.sum(1 / np.cosh(t) ** 2))
         closed /= fam.m
         assert report.lhs == pytest.approx(closed, abs=1e-6)
@@ -253,7 +262,97 @@ class TestDivergence:
             divergence_check(fam, np.zeros(4), EmpiricalMean(), n=6)
 
 
+BATCH_FAMILIES = {
+    "hypercube": dict(d=5),
+    "tensor": dict(m=2, k=4, d=3),
+    "marginal": dict(k=2, d=4),
+    "matrix-columns": dict(d=6, n_columns=12, seed=5),
+}
+
+
+def per_point_sample(dist, rng, count):
+    """The sampling recipe point by point: (types, bits) or column ids."""
+    fam = dist.family
+    if fam.kind == "matrix-columns":
+        return rng.choice(fam.n_columns, size=count, p=np.exp(dist.column_logp))
+    n_types = dist.type_tilts.shape[0]
+    if n_types == 1:
+        types = np.zeros(count, dtype=np.int64)
+    else:
+        types = rng.choice(n_types, size=count, p=np.exp(dist.type_logp))
+    p_plus = expit(2.0 * dist.type_tilts[types])
+    v = np.where(rng.random((count, fam.d)) < p_plus, 1, -1).astype(np.int8)
+    return types, v
+
+
+class TestPointBatch:
+    @pytest.mark.parametrize("kind", sorted(BATCH_FAMILIES))
+    def test_sample_many_matches_per_point_recipe(self, kind):
+        fam = make_family(kind, **BATCH_FAMILIES[kind])
+        theta = np.random.default_rng(30).normal(size=fam.dim)
+        dist = tilt(fam, theta)
+        batch = tilt_sample_many(dist, np.random.default_rng(31), 500)
+        want = per_point_sample(dist, np.random.default_rng(31), 500)
+        assert len(batch) == 500
+        if kind == "matrix-columns":
+            assert np.array_equal(batch.cols, want)
+        else:
+            assert np.array_equal(batch.types, want[0])
+            assert np.array_equal(batch.v, want[1])
+            assert batch.v.dtype == np.int8
+
+    @pytest.mark.parametrize("kind", sorted(BATCH_FAMILIES))
+    def test_densify_matches_resolve(self, kind):
+        fam = make_family(kind, **BATCH_FAMILIES[kind])
+        refs = enumerate_refs(fam)
+        batch = PointBatch.from_refs(fam, refs)
+        dense = batch.densify()
+        assert dense.dtype == np.float64 and dense.flags.c_contiguous
+        assert np.array_equal(dense, np.stack([resolve(fam, r) for r in refs]))
+        sampled = tilt_sample_many(tilt(fam, np.full(fam.dim, 0.3)),
+                                   np.random.default_rng(32), 50)
+        assert np.array_equal(
+            sampled.densify(),
+            np.stack([resolve(fam, sampled[i]) for i in range(50)]))
+
+    @pytest.mark.parametrize("kind", sorted(BATCH_FAMILIES))
+    def test_single_points_round_trip(self, kind):
+        fam = make_family(kind, **BATCH_FAMILIES[kind])
+        batch = tilt_sample_many(tilt(fam, np.zeros(fam.dim)),
+                                 np.random.default_rng(33), 20)
+        batch.names = np.arange(100, 120)
+        back = PointBatch.from_refs(fam, [batch[i] for i in range(20)])
+        for field in ("types", "v", "cols", "names"):
+            mine, theirs = getattr(batch, field), getattr(back, field)
+            assert (mine is None and theirs is None) or \
+                np.array_equal(mine, theirs), field
+        assert batch[-1].name == 119
+        with pytest.raises(IndexError):
+            batch[20]
+
+    def test_take_and_concat(self):
+        fam = make_family("tensor", m=2, k=2, d=3)
+        batch = PointBatch.from_refs(fam, enumerate_refs(fam)[:6])
+        picked = batch.take(np.array([4, 1]))
+        assert np.array_equal(picked.v, batch.v[[4, 1]])
+        assert np.array_equal(picked.types, batch.types[[4, 1]])
+        joined = batch.concat(picked)
+        assert len(joined) == 8
+        assert np.array_equal(joined.densify()[6:], batch.densify()[[4, 1]])
+        picked.v[0] = 0  # take copies
+        assert np.all(np.abs(batch.v) == 1)
+
+
 class TestDatasetPlumbing:
+    def test_from_refs_accepts_batch_or_refs(self):
+        fam = make_family("marginal", k=2, d=3)
+        refs = enumerate_refs(fam)[3:9]
+        from_list = Dataset.from_refs(fam, refs)
+        from_batch = Dataset.from_refs(fam, PointBatch.from_refs(fam, refs))
+        assert from_list.n == from_batch.n == 6
+        assert np.array_equal(from_list.points, from_batch.points)
+        assert from_list.batch.family is fam
+
     def test_replace_one(self):
         fam = make_family("hypercube", d=3)
         refs = enumerate_refs(fam)
