@@ -40,6 +40,7 @@ sys.path.insert(0, "src")
 
 from tiltlab.ada import builtin_analysts, run_ada_protocol
 from tiltlab.attack import ThetaSampler
+from tiltlab.experiments import THETA_STREAM_TAG
 from tiltlab.families import make_family
 from tiltlab.mechanisms import (
     QUERY_RELEASE_CPRIME,
@@ -49,8 +50,6 @@ from tiltlab.mechanisms import (
 )
 from tiltlab.seeds import trial_seed_sequence
 from tiltlab.structure import ETA_PROBE_SCALE, check_expanding, check_regular
-
-THETA_STREAM_TAG = 0xA11CE
 
 
 def query_release_section(master_seed: int, trials: int) -> None:

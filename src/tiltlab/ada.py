@@ -447,10 +447,10 @@ def run_ada_protocol(
         W = n ** 3
     if W < n ** 2:
         raise ValueError("need W >= n^2 for collision-safe names")
-    if tau is None:
-        tau = default_tau(d, alpha, C, m)
     if not 0 < alpha < 1:
         raise ValueError("alpha must be in (0, 1)")
+    if tau is None:
+        tau = default_tau(d, alpha, C, m)
 
     ss = seed if isinstance(seed, np.random.SeedSequence) \
         else np.random.SeedSequence(seed)

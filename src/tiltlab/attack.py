@@ -155,7 +155,7 @@ def run_shifted_attack_trial(
     in_scores = (ds.points - mu) @ target
     fresh = Dataset.from_refs(family, tilt_sample_many(dist, rng, fresh_count))
     fresh_scores = (fresh.points - mu) @ target
-    lam = tilt_cov(dist, summary="lambda_max")
+    lam = float(np.linalg.eigvalsh(tilt_cov(dist))[-1])
     return ScoreReport(
         region=sampler.region,
         n=n,
@@ -188,9 +188,16 @@ def separation_statistic(report: ScoreReport) -> float:
 def aggregate_separation(reports) -> float:
     """Two-sample statistic of per-trial total in-sample score against
     per-trial mean fresh score; +inf when both sides are constant."""
-    totals = np.array([r.in_scores.sum() for r in reports])
-    fresh = np.array([r.fresh_scores.mean() for r in reports])
-    if len(reports) < 2:
+    return separation_of_totals([r.in_scores.sum() for r in reports],
+                                [r.fresh_scores.mean() for r in reports])
+
+
+def separation_of_totals(totals, fresh_means) -> float:
+    """aggregate_separation from the per-trial in-sample totals and fresh
+    score means, as the attack-hypercube CSV rows record them."""
+    totals = np.asarray(totals, dtype=float)
+    fresh = np.asarray(fresh_means, dtype=float)
+    if len(totals) < 2:
         raise ValueError("need at least 2 reports")
     se2 = totals.var(ddof=1) / len(totals) + fresh.var(ddof=1) / len(fresh)
     if se2 == 0:

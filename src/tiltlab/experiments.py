@@ -21,7 +21,7 @@ import numpy as np
 from . import __version__
 from .ada import builtin_analysts, run_ada_protocol
 from .attack import run_attack_trial, run_shifted_attack_trial, \
-    separation_statistic, ThetaSampler
+    separation_of_totals, separation_statistic, ThetaSampler
 from .config import ExperimentConfig
 from .families import make_family
 from .mechanisms import ClampedMean, EmpiricalMean, GaussianMechanism, \
@@ -164,7 +164,9 @@ def _trial_attack_random(cfg: ExperimentConfig, master_seed: int, trial: int):
     return row, []
 
 
-_THETA_STREAM_TAG = 0xA11CE
+# entropy tag of the ada-run theta stream, shared with the calibration
+# script and the acceptance tests so they draw the same thetas
+THETA_STREAM_TAG = 0xA11CE
 
 
 def _ada_theta(cfg: ExperimentConfig, master_seed: int, trial: int,
@@ -173,9 +175,9 @@ def _ada_theta(cfg: ExperimentConfig, master_seed: int, trial: int,
     # spawned under the bare master seed (protocol branches included)
     radius = cfg.radius if cfg.radius is not None else dim / math.sqrt(k)
     if cfg.theta_mode == "frozen":
-        seq = np.random.SeedSequence(entropy=(master_seed, _THETA_STREAM_TAG))
+        seq = np.random.SeedSequence(entropy=(master_seed, THETA_STREAM_TAG))
     elif cfg.theta_mode == "sampled":
-        seq = np.random.SeedSequence(entropy=(master_seed, _THETA_STREAM_TAG),
+        seq = np.random.SeedSequence(entropy=(master_seed, THETA_STREAM_TAG),
                                      spawn_key=(trial,))
     else:
         raise ValueError(f"unknown theta_mode {cfg.theta_mode!r}")
@@ -364,14 +366,10 @@ def _aggregate(kind: str, rows: list) -> dict:
     if not data:
         return agg
     if kind in ("attack-hypercube", "attack-random") and len(data) >= 2:
-        totals = np.array([float(r["in_total"]) for r in data])
         if kind == "attack-hypercube":
-            fresh = np.array([float(r["fresh_mean"]) for r in data])
-            se2 = totals.var(ddof=1) / len(totals) + \
-                fresh.var(ddof=1) / len(fresh)
-            agg["aggregate_separation"] = \
-                float((totals.mean() - fresh.mean()) / math.sqrt(se2)) \
-                if se2 > 0 else math.inf
+            agg["aggregate_separation"] = separation_of_totals(
+                [float(r["in_total"]) for r in data],
+                [float(r["fresh_mean"]) for r in data])
         else:
             ratios = [float(r["fresh_second_moment"]) /
                       float(r["moment_bound"]) for r in data

@@ -13,8 +13,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional, Union
 
 import numpy as np
-from scipy.optimize import linprog
-from scipy.stats import beta as _beta_dist
+from scipy.special import betaincinv
 
 from .errors import CapacityError
 from .families import PointBatch, PointFamily, PointRef, predicate_matrix
@@ -330,11 +329,11 @@ def audit_frequency_ratio(
     alpha_each = significance / (2 * n_cells)
 
     def lcb(k):
-        return np.where(k > 0, _beta_dist.ppf(alpha_each, k, runs - k + 1), 0.0)
+        return np.where(k > 0, betaincinv(k, runs - k + 1, alpha_each), 0.0)
 
     def ucb(k):
-        return np.where(k < runs, _beta_dist.ppf(1 - alpha_each, k + 1,
-                                                 np.maximum(runs - k, 1)), 1.0)
+        return np.where(k < runs, betaincinv(k + 1, np.maximum(runs - k, 1),
+                                             1 - alpha_each), 1.0)
 
     grow = math.exp(epsilon)
     margin_ab = lcb(counts_a) - (grow * ucb(counts_b) + delta)
@@ -357,61 +356,25 @@ def audit_frequency_ratio(
 RECONSTRUCT_CAP = 12
 
 
-def reconstruct_slice(
-    answers: np.ndarray,
-    alpha: float,
-    m: int,
-    iters: int = 10_000,
-) -> np.ndarray:
-    """Recover a mean slice in [-1/m, 1/m]^m from noisy predicate answers.
-
-    Finds mu minimizing max_h |<mu, h> - answers_h| over the box, by
-    projected subgradient descent from the least-squares warm start
-    (predicate rows are orthogonal as columns, so the warm start is the
-    unconstrained optimum of the squared residual).  Stops early once the
-    worst violation is at most alpha; otherwise returns the best iterate.
-    """
-    if m > RECONSTRUCT_CAP:
-        raise CapacityError(f"reconstruct_slice supports m <= {RECONSTRUCT_CAP}")
-    h = predicate_matrix(m).astype(float)
-    answers = np.asarray(answers, dtype=float)
-    if answers.shape != (2 ** m,):
-        raise ValueError(f"expected {2 ** m} predicate answers")
-    box = 1.0 / m
-    mu = np.clip(h.T @ answers / 2 ** m, -box, box)
-    best_mu = mu.copy()
-    best_f = float(np.max(np.abs(h @ mu - answers)))
-    for t in range(1, iters + 1):
-        if best_f <= alpha:
-            break
-        resid = h @ mu - answers
-        i = int(np.argmax(np.abs(resid)))
-        f = abs(resid[i])
-        if f < best_f:
-            best_f = f
-            best_mu = mu.copy()
-            if f <= alpha:
-                break
-        target = max(alpha, best_f - 0.5 * box / math.sqrt(t))
-        step = (f - target) / m  # subgradient norm^2 is m
-        mu = np.clip(mu - step * math.copysign(1.0, resid[i]) * h[i], -box, box)
-    return best_mu
-
-
 def reconstruct_slices_batch(
     answers: np.ndarray,
     alpha: float,
     m: int,
     iters: int = 800,
 ) -> np.ndarray:
-    """Vectorized reconstruct_slice over many slices at once.
+    """Recover mean slices in [-1/m, 1/m]^m from noisy predicate answers.
 
-    ``answers`` has one row of 2^m predicate answers per slice.  Runs the
-    same warm-started projected subgradient on every row simultaneously;
-    rows that reach violation alpha stop moving.
+    ``answers`` has one row of 2^m predicate answers per slice.  For each
+    row, finds mu minimizing max_h |<mu, h> - answers_h| over the box, by
+    projected subgradient descent from the least-squares warm start
+    (predicate rows are orthogonal as columns, so the warm start is the
+    unconstrained optimum of the squared residual).  All rows run at once;
+    a row stops moving once its worst violation is at most alpha, and
+    otherwise ends at its best iterate.
     """
     if m > RECONSTRUCT_CAP:
-        raise CapacityError(f"reconstruct_slice supports m <= {RECONSTRUCT_CAP}")
+        raise CapacityError(
+            f"reconstruct_slices_batch supports m <= {RECONSTRUCT_CAP}")
     h = predicate_matrix(m).astype(float)
     answers = np.asarray(answers, dtype=float)
     if answers.ndim != 2 or answers.shape[1] != 2 ** m:
@@ -465,6 +428,8 @@ def project_to_H(
         return (box_scale / k) * (basis.T @ lam), lam
     if mode != "exact":
         raise ValueError(f"unknown mode {mode!r}")
+    from scipy.optimize import linprog  # only exact mode needs the LP solver
+
     point_of_lam = (box_scale / k) * basis.T  # columns scale each lambda
     eye = np.eye(k)
     a_ub = np.block([[point_of_lam, -eye], [-point_of_lam, -eye]])

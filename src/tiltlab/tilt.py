@@ -176,34 +176,24 @@ def tilt_cov(
     mode: str = "exact",
     samples: int = 0,
     rng: Optional[np.random.Generator] = None,
-    summary: Optional[str] = None,
-):
-    """Covariance of D_theta, optionally summarized to its top eigenvalue."""
+) -> np.ndarray:
+    """Covariance of D_theta."""
     fam = dist.family
     if mode == "exact":
         if fam.kind == "hypercube":
-            cov = np.diag(1.0 - np.tanh(dist.type_tilts[0]) ** 2)
-        else:
-            if fam.size > ENUMERATION_CAP:
-                raise CapacityError("exact covariance needs an enumerable family")
-            w = np.exp(log_weights(dist))
-            mat = support_matrix(fam)
-            mu = w @ mat
-            centered = mat - mu
-            cov = centered.T @ (centered * w[:, None])
-    elif mode == "mc":
+            return np.diag(1.0 - np.tanh(dist.type_tilts[0]) ** 2)
+        if fam.size > ENUMERATION_CAP:
+            raise CapacityError("exact covariance needs an enumerable family")
+        w = np.exp(log_weights(dist))
+        mat = support_matrix(fam)
+        mu = w @ mat
+        centered = mat - mu
+        return centered.T @ (centered * w[:, None])
+    if mode == "mc":
         if samples < 2 or rng is None:
             raise ValueError("mc mode needs samples >= 2 and an rng")
-        cov = np.cov(tilt_sample_many(dist, rng, samples).densify().T, ddof=1)
-    else:
-        raise ValueError("mode must be 'exact' or 'mc'")
-    if summary is None:
-        return cov
-    if summary == "lambda_max":
-        from .linalg import lambda_max_psd
-
-        return lambda_max_psd(np.atleast_2d(cov))
-    raise ValueError("summary must be None or 'lambda_max'")
+        return np.cov(tilt_sample_many(dist, rng, samples).densify().T, ddof=1)
+    raise ValueError("mode must be 'exact' or 'mc'")
 
 
 def log_weights(dist: TiltedDistribution) -> np.ndarray:

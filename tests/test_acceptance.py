@@ -36,7 +36,7 @@ from tiltlab.attack import (
     run_shifted_attack_trial,
 )
 from tiltlab.config import parse_config
-from tiltlab.experiments import run_experiment
+from tiltlab.experiments import THETA_STREAM_TAG, run_experiment
 from tiltlab.families import make_family
 from tiltlab.mechanisms import (
     QUERY_RELEASE_CPRIME,
@@ -66,7 +66,6 @@ from tiltlab.tilt import divergence_check, tilt, tilt_sample_many
 
 MASTER_SEED = 1234
 GOLDEN_DIGESTS = Path(__file__).parent / "golden" / "csv_sha256.txt"
-THETA_STREAM_TAG = 0xA11CE
 
 
 def seeded_matrix_family(d, n_columns, trial):

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tiltlab.ada import (
     ClampedMeanAnalyst,
@@ -74,6 +75,23 @@ class TestObfuscation:
         assert not np.array_equal(masked, v)
         back = deobfuscate_many(obf, names, ti, tj, masked)
         assert np.array_equal(back, v)
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(st.data())
+    def test_roundtrip_property(self, data):
+        n = data.draw(st.integers(1, 20))
+        d = data.draw(st.integers(1, 12))
+        W = data.draw(st.integers(n, 10 ** 12))
+        names = data.draw(st.lists(st.integers(0, W - 1), min_size=n,
+                                   max_size=n, unique=True))
+        ti = data.draw(st.lists(st.integers(0, 20), min_size=n, max_size=n))
+        tj = data.draw(st.lists(st.integers(0, 64), min_size=n, max_size=n))
+        v = np.array(data.draw(st.lists(
+            st.lists(st.sampled_from([-1, 1]), min_size=d, max_size=d),
+            min_size=n, max_size=n)), dtype=np.int8)
+        obf = Obfuscation(seed=data.draw(st.integers(0, 2 ** 63 - 1)), W=W)
+        masked = obfuscate_many(obf, names, ti, tj, v)
+        assert np.array_equal(deobfuscate_many(obf, names, ti, tj, masked), v)
 
     def test_single_ref_roundtrip(self):
         rng = np.random.default_rng(2)
@@ -383,6 +401,14 @@ class TestRunProtocol:
             run_ada_protocol(ExactMeanAnalyst(),
                              make_family("hypercube", d=4),
                              np.zeros(4), n=8, seed=45)
+
+    @pytest.mark.parametrize("alpha", [0, 1, 2])
+    def test_alpha_out_of_range_rejected(self, alpha):
+        fam = small_family()
+        theta = surface_theta(fam, np.random.default_rng(47))
+        with pytest.raises(ValueError, match="alpha"):
+            run_ada_protocol(ExactMeanAnalyst(), fam, theta, n=8, seed=48,
+                             alpha=alpha)
 
     def test_fresh_population_mean_near_zero(self):
         # the final query is exactly centered on the population up to clamping

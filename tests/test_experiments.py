@@ -7,11 +7,16 @@ and exit codes.
 """
 
 import json
+import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import tiltlab
+from tiltlab.attack import ThetaSampler, aggregate_separation, run_attack_trial
 from tiltlab.cli import main
 from tiltlab.config import ConfigError, ExperimentConfig, parse_config
 from tiltlab.experiments import (
@@ -21,6 +26,22 @@ from tiltlab.experiments import (
     run_experiment,
     run_trial,
 )
+from tiltlab.families import make_family
+from tiltlab.mechanisms import EmpiricalMean
+from tiltlab.seeds import trial_seed_sequence
+
+
+def test_import_skips_unused_scipy_modules():
+    # scipy.stats and scipy.optimize cost most of the import time and no
+    # experiment kind needs them
+    code = ("import sys, tiltlab.experiments; "
+            "print(sorted(m for m in ('scipy.stats', 'scipy.optimize') "
+            "if m in sys.modules))")
+    src = os.path.dirname(os.path.dirname(tiltlab.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env=env, timeout=120).stdout
+    assert out.strip() == "[]"
 
 
 class TestParseConfig:
@@ -209,6 +230,17 @@ class TestRunExperiment:
         assert manifest["invariants_ok"] is True
         assert manifest["config"]["d"] == 8
         assert "aggregate_separation" in manifest["aggregate"]
+        # the same trials, scored from their reports rather than CSV rows
+        family = make_family("hypercube", d=cfg.d)
+        sampler = ThetaSampler(cfg.region, family.dim, 5.0 * math.sqrt(cfg.d))
+        reports = [
+            run_attack_trial(family, sampler, EmpiricalMean(), cfg.n,
+                             cfg.fresh,
+                             np.random.default_rng(trial_seed_sequence(5, t)))
+            for t in range(3)
+        ]
+        assert manifest["aggregate"]["aggregate_separation"] == \
+            aggregate_separation(reports)
 
     def test_ada_log_file(self, tmp_path):
         cfg = tiny_config("ada-run", trials=2)

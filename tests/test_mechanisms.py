@@ -3,7 +3,7 @@
 Oracles:
     - Truncated Laplace empirical CDF against the closed-form truncated CDF.
     - Water-filling projection optimality against random feasible candidates.
-    - reconstruct_slice against exhaustive grid search for m <= 3.
+    - reconstruct_slices_batch against exhaustive grid search for m <= 3.
     - project_to_H exact mode against a brute-force lambda grid at k = 2.
     - PaddedMechanism and GroupPrivacyWrapped closed-form behavior.
 """
@@ -12,6 +12,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tiltlab.errors import CapacityError
 from tiltlab.families import enumerate_refs, make_family, predicate_matrix
@@ -26,7 +27,7 @@ from tiltlab.mechanisms import (
     group_shrink,
     histogram_query_release,
     project_to_H,
-    reconstruct_slice,
+    reconstruct_slices_batch,
     required_mass,
     sparse_histogram,
     trunc_laplace,
@@ -100,6 +101,27 @@ class TestSparseHistogram:
             out = sparse_histogram(hist, eps, delta, rng)
             assert out.total == pytest.approx(hist.total, abs=1e-9)
             assert hist.linf_distance(out) <= 2 * v + 1e-9
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(
+        weights=st.dictionaries(
+            st.integers(0, 999),
+            st.floats(0.0, 1e3, allow_nan=False, allow_infinity=False),
+            min_size=1, max_size=12),
+        extra=st.none() | st.integers(0, 50),
+        epsilon=st.floats(0.05, 5.0),
+        delta=st.floats(1e-12, 0.5),
+        seed=st.integers(0, 2 ** 32 - 1),
+    )
+    def test_mass_and_linf_property(self, weights, extra, epsilon, delta, seed):
+        hist = HistogramVector(
+            weights=weights,
+            universe_size=None if extra is None else len(weights) + extra)
+        out = sparse_histogram(hist, epsilon, delta,
+                               np.random.default_rng(seed))
+        # the mass invariant the mech-bench rows check
+        assert abs(out.total - hist.total) <= 1e-9 * max(1.0, hist.total)
+        assert hist.linf_distance(out) <= 10 * math.log(1 / delta) / epsilon
 
     def test_support_only_noise(self):
         # absent elements gain mass only through the projection background
@@ -192,7 +214,8 @@ class TestReconstructSlice:
             mu_true = rng.uniform(-1 / m, 1 / m, size=m)
             alpha = 0.05
             answers = h @ mu_true + rng.uniform(-0.8, 0.8, size=2 ** m) * alpha
-            mu_hat = reconstruct_slice(answers, alpha, m)
+            mu_hat = reconstruct_slices_batch(answers[None], alpha, m,
+                                              iters=10_000)[0]
             viol_hat = np.max(np.abs(h @ mu_hat - answers))
             _, viol_grid = grid_chebyshev(answers, m, resolution)
             grid_step = (2 / m) / (resolution - 1)
@@ -207,16 +230,15 @@ class TestReconstructSlice:
             mu_true = rng.uniform(-1 / m, 1 / m, size=m)
             alpha = 0.1
             answers = h @ mu_true + rng.uniform(-0.7, 0.7, size=2 ** m) * alpha
-            mu_hat = reconstruct_slice(answers, alpha, m)
+            mu_hat = reconstruct_slices_batch(answers[None], alpha, m,
+                                              iters=10_000)[0]
             assert np.abs(mu_hat - mu_true).sum() <= 2 * alpha + 1e-9
 
     def test_capacity_limit(self):
         with pytest.raises(CapacityError):
-            reconstruct_slice(np.zeros(2 ** 13), 0.1, 13)
+            reconstruct_slices_batch(np.zeros((1, 2 ** 13)), 0.1, 13)
 
     def test_batch_matches_contract(self):
-        from tiltlab.mechanisms import reconstruct_slices_batch
-
         rng = np.random.default_rng(20)
         m, slices = 6, 40
         h = predicate_matrix(m).astype(float)

@@ -290,11 +290,13 @@ class TestRegular:
         theta = rng.normal(size=20) * 0.2
         cov = tilted_column_cov(a, theta)
         report = check_regular(a, r=0.6, trials=30, rng=rng)
-        from tiltlab.linalg import lambda_max_psd
-
-        lam = lambda_max_psd(cov, np.random.default_rng(0))
+        lam = np.linalg.eigvalsh(cov)[-1]
         assert lam >= np.max(np.diag(cov)) - 1e-9
         assert np.all(np.asarray(report.values) > 0)
+        # the report's top eigenvalue dominates its covariance diagonal too
+        flat = check_regular(a, r=0.0, trials=1, rng=rng)
+        flat_cov = tilted_column_cov(a, np.zeros(20))
+        assert flat.values[0] >= np.max(np.diag(flat_cov)) - 1e-9
 
     def test_desk_scale_fraction(self):
         rng = np.random.default_rng(20)
