@@ -5,6 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from typing import Optional
 
+from .structure import column_sum_cap
+
 KINDS = (
     "attack-hypercube",
     "attack-random",
@@ -34,7 +36,7 @@ class ExperimentConfig:
     d: int = 64
     m: int = 6
     k: int = 64
-    n_columns: int = 256
+    n_columns: int = 2048
     # sampling
     n: int = 4
     fresh: int = 1000
@@ -58,7 +60,7 @@ class ExperimentConfig:
     mc_accuracy: int = 2048
     mc_gap: int = 8192
     # structure checks
-    k_subset: int = 3
+    k_subset: int = 1
     n_subsets: int = 10_000
     n_theta: int = 200
     cap_scale: float = 0.1
@@ -116,6 +118,7 @@ def parse_config(text: str) -> ExperimentConfig:
     the one required key.
     """
     values: dict = {}
+    lines: dict = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -136,6 +139,7 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ConfigError(
                 f"line {lineno}: invalid {want} for {key!r}: {val!r}"
             ) from None
+        lines[key] = lineno
     if "kind" not in values:
         raise ConfigError("kind is required")
     if values["kind"] not in KINDS:
@@ -145,4 +149,26 @@ def parse_config(text: str) -> ExperimentConfig:
     cfg = ExperimentConfig(**values)
     if cfg.trials < 0:
         raise ConfigError("trials must be nonnegative")
+    if cfg.kind == "verify-structure":
+        _check_structure(cfg, lines)
     return cfg
+
+
+def _check_structure(cfg: ExperimentConfig, lines: dict) -> None:
+    """Ranges a verify-structure run needs, so a bad value exits 2 at parse
+    time instead of writing error rows."""
+
+    def fail(key, msg):
+        where = f"line {lines[key]}: " if key in lines else ""
+        raise ConfigError(f"{where}{msg}")
+
+    for key, low in (("d", 1), ("n_columns", 2), ("n_subsets", 1),
+                     ("n_theta", 1)):
+        if getattr(cfg, key) < low:
+            fail(key, f"{key} must be >= {low}, got {getattr(cfg, key)}")
+    cap = column_sum_cap(cfg.d, cfg.n_columns, cfg.cap_scale)
+    if not 1 <= cfg.k_subset <= cap:
+        fail("k_subset",
+             f"k_subset must be in [1, {cap:.3f}] at d={cfg.d}, "
+             f"n_columns={cfg.n_columns}, cap_scale={cfg.cap_scale}; "
+             f"got {cfg.k_subset}")

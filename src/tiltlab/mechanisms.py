@@ -215,8 +215,9 @@ class HistogramVector:
 def _water_fill_surplus(values: list, target: float) -> tuple:
     """Lower values uniformly (flooring at zero) until they sum to target.
 
-    Bisects the water level to 1e-12 and patches the leftover rounding
-    residual onto the largest entry, so the output mass is fsum-exact.
+    Bisects the water level to 1e-12, then sets the largest entry to the
+    target minus the fsum of the others, so the output mass is fsum-exact
+    even when the target is far below the bisection width.
     Returns (new_values, level).
     """
     lo, hi = 0.0, max(values)
@@ -231,9 +232,8 @@ def _water_fill_surplus(values: list, target: float) -> tuple:
             break
     c = 0.5 * (lo + hi)
     out = [v - c if v > c else 0.0 for v in values]
-    resid = target - math.fsum(out)
     top = max(range(len(out)), key=out.__getitem__)
-    out[top] += resid
+    out[top] = target - math.fsum(out[:top] + out[top + 1:])
     if out[top] < 0:
         raise AssertionError("water-fill residual patch went negative")
     return out, c

@@ -255,6 +255,32 @@ def _validate_pm1(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def column_sum_cap(d: int, n_columns: int, cap_scale: float) -> float:
+    """Largest subset size k that ``check_column_sums`` accepts.
+
+    k = 1 is always legal; the log-capacity cap cap_scale d / ln N only
+    bites above that.
+    """
+    return max(1.0, cap_scale * d / math.log(n_columns))
+
+
+def sample_k_subsets(rng: np.random.Generator, n: int, k: int,
+                     count: int) -> np.ndarray:
+    """``count`` uniform k-subsets of range(n), one per row of the result.
+
+    Floyd's algorithm (Bentley & Floyd, "A sample of brilliance", CACM
+    30(9), 1987), vectorised across rows: for j = n-k, ..., n-1 draw t
+    uniform in [0, j] and keep t, or j when t is already in the row.  O(k)
+    draws per subset, whatever n is.
+    """
+    idx = np.empty((count, k), dtype=np.int64)
+    for step, j in enumerate(range(n - k, n)):
+        t = rng.integers(0, j + 1, size=count)
+        taken = (idx[:, :step] == t[:, None]).any(axis=1)
+        idx[:, step] = np.where(taken, j, t)
+    return idx
+
+
 @dataclass
 class ColumnSumReport:
     k: int
@@ -283,17 +309,16 @@ def check_column_sums(
     d, n = a.shape
     if n < 2:
         raise ValueError("need at least 2 columns")
-    # k = 1 is always legal; the log-capacity cap only bites above that
-    cap = max(1.0, cap_scale * d / math.log(n))
+    cap = column_sum_cap(d, n, cap_scale)
     if not 1 <= k <= cap:
         raise ValueError(f"k must be in [1, {cap:.3f}] (cap_scale={cap_scale})")
     norms_sq = np.empty(subset_trials)
+    # chunking bounds the (d, count, k) gather below
     chunk = 10_000
     a8 = a.astype(np.int8)
     for start in range(0, subset_trials, chunk):
         count = min(chunk, subset_trials - start)
-        scores = rng.random((count, n))
-        idx = np.argpartition(scores, k - 1, axis=1)[:, :k]
+        idx = sample_k_subsets(rng, n, k, count)
         sums = a8[:, idx].sum(axis=2)  # (d, count)
         norms_sq[start:start + count] = (sums.astype(float) ** 2).sum(axis=0)
     violations = int(np.sum(norms_sq > 2 * k * d))
@@ -383,7 +408,11 @@ def tilted_column_cov(a: np.ndarray, theta: np.ndarray) -> np.ndarray:
     p = np.exp(z)
     p /= p.sum()
     mu = a @ p
-    return (a * p) @ a.T - np.outer(mu, mu)
+    # a product with its own transpose goes to BLAS syrk: half the flops
+    b = a * np.sqrt(p)
+    cov = b @ b.T
+    cov -= np.outer(mu, mu)
+    return cov
 
 
 @dataclass

@@ -107,6 +107,28 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="trials must be nonnegative"):
             parse_config("kind = mech-bench\ntrials = -1")
 
+    @pytest.mark.parametrize("line,match", [
+        ("d = 0", "line 2: d must be >= 1"),
+        ("n_columns = 1", "line 2: n_columns must be >= 2"),
+        ("n_subsets = 0", "line 2: n_subsets must be >= 1"),
+        ("n_theta = 0", "line 2: n_theta must be >= 1"),
+        ("k_subset = 0", r"line 2: k_subset must be in \[1, 1\.000\]"),
+        ("k_subset = 2", r"line 2: k_subset must be in \[1, 1\.000\]"),
+    ])
+    def test_structure_ranges(self, line, match):
+        with pytest.raises(ConfigError, match=match):
+            parse_config(f"kind = verify-structure\n{line}")
+
+    def test_structure_cap_uses_every_key(self):
+        # 0.1 * 64 / ln 16 = 2.31 admits k = 2; n_columns = 256 does not
+        parse_config("kind = verify-structure\nn_columns = 16\nk_subset = 2")
+        with pytest.raises(ConfigError, match="k_subset must be in"):
+            parse_config("kind = verify-structure\nk_subset = 2\n"
+                         "cap_scale = 0.05\nn_columns = 16")
+
+    def test_structure_ranges_only_for_structure(self):
+        assert parse_config("kind = mech-bench\nn_theta = 0").n_theta == 0
+
 
 class TestAdaTheta:
     def test_frozen_same_across_trials(self):
@@ -314,6 +336,23 @@ class TestCli:
         assert main(["run", "--config", cfg, "--out",
                      str(tmp_path / "out")]) == 1
         assert "INVARIANTS FAILED" in capsys.readouterr().out
+
+    def test_default_verify_structure_runs_clean(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "kind = verify-structure")
+        assert main(["run", "--config", cfg, "--out",
+                     str(tmp_path / "out")]) == 0
+        assert "invariants ok" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("line", [
+        "d = 0", "n_columns = 1", "n_subsets = 0", "n_theta = 0",
+        "k_subset = 0", "k_subset = 2",
+    ])
+    def test_bad_structure_config_exit_code(self, tmp_path, capsys, line):
+        cfg = write_config(tmp_path, f"kind = verify-structure\n{line}")
+        out = tmp_path / "out"
+        assert main(["run", "--config", cfg, "--out", str(out)]) == 2
+        assert "config error: line 2:" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_config_error_exit_code(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "kind = bogus")

@@ -123,6 +123,24 @@ class TestSparseHistogram:
         assert abs(out.total - hist.total) <= 1e-9 * max(1.0, hist.total)
         assert hist.linf_distance(out) <= 10 * math.log(1 / delta) / epsilon
 
+    def test_mass_exact_at_tiny_and_large_totals(self):
+        # noise of scale 1 swamps totals far below the water-level bisection
+        # width, so most of these releases take the surplus path
+        for exp10 in range(-84, 4, 3):
+            t = 10.0 ** exp10
+            hist = HistogramVector(weights={0: t, 1: t / 3})
+            total = hist.total
+            for seed in range(300):
+                out = sparse_histogram(hist, 1.0, 1e-6,
+                                       np.random.default_rng(seed))
+                assert abs(out.total - total) <= 4 * math.ulp(total)
+
+    def test_tiny_single_weight_keeps_mass(self):
+        hist = HistogramVector(weights={0: 2.68e-84})
+        for seed in range(20):
+            out = sparse_histogram(hist, 1.0, 1e-6, np.random.default_rng(seed))
+            assert abs(out.total - 2.68e-84) <= 4 * math.ulp(2.68e-84)
+
     def test_support_only_noise(self):
         # absent elements gain mass only through the projection background
         rng = np.random.default_rng(3)

@@ -24,6 +24,7 @@ from tiltlab.structure import (
     k12,
     k12_sandwich_constant,
     rademacher_tail,
+    sample_k_subsets,
     tilt_shift_check,
     tilted_column_cov,
 )
@@ -237,6 +238,30 @@ class TestColumnSums:
             check_column_sums(a, k=0, subset_trials=10, rng=rng)
 
 
+class TestSampleKSubsets:
+    @pytest.mark.parametrize("n,k", [(2, 1), (7, 1), (7, 3), (7, 7),
+                                     (1024, 8), (50, 50)])
+    def test_rows_are_distinct_in_range(self, n, k):
+        idx = sample_k_subsets(np.random.default_rng(30), n, k, 2000)
+        assert idx.shape == (2000, k)
+        assert idx.min() >= 0 and idx.max() < n
+        ordered = np.sort(idx, axis=1)
+        assert np.all(np.diff(ordered, axis=1) > 0)
+        if k == n:
+            assert np.all(ordered == np.arange(n))
+
+    def test_all_subsets_uniform(self):
+        n, k, draws = 6, 3, 20_000
+        idx = sample_k_subsets(np.random.default_rng(31), n, k, draws)
+        keys = (1 << idx).sum(axis=1)  # distinct indices: one bitmask each
+        _, counts = np.unique(keys, return_counts=True)
+        n_sets = math.comb(n, k)
+        assert len(counts) == n_sets
+        p = 1.0 / n_sets
+        sd = math.sqrt(p * (1 - p) / draws)
+        assert np.all(np.abs(counts / draws - p) <= 5 * sd)
+
+
 class TestExpanding:
     def test_single_column_value_is_plain_inner_product(self):
         rng = np.random.default_rng(13)
@@ -305,6 +330,23 @@ class TestRegular:
         r = 0.3 * math.sqrt(math.log(n_cols))
         report = check_regular(a, r=r, trials=200, rng=rng)
         assert report.fraction_above <= 0.01
+
+
+class TestTiltedColumnCov:
+    def test_matches_direct_product(self):
+        rng = np.random.default_rng(32)
+        for d, n_cols, scale in [(8, 40, 0.3), (64, 2048, 0.5), (20, 7, 3.0)]:
+            a = random_pm1_matrix(rng, d, n_cols).astype(float)
+            theta = rng.normal(size=d) * scale
+            z = a.T @ theta
+            p = np.exp(z - z.max())
+            p /= p.sum()
+            mu = a @ p
+            want = (a * p) @ a.T - np.outer(mu, mu)
+            got = tilted_column_cov(a, theta)
+            # each entry is a difference of two moments of size <= 1
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+            assert np.array_equal(got, got.T)
 
 
 class TestTiltShift:
