@@ -34,7 +34,7 @@ from scipy.special import expit
 from .errors import ProtocolAbort
 from .families import PointBatch, PointFamily, PointRef, predicate_matrix
 from .mechanisms import project_to_H, reconstruct_slices_batch
-from .tilt import TiltedDistribution, tilt, tilt_sample_many
+from .tilt import TiltedDistribution, sign_bits, tilt, tilt_sample_many
 
 # --------------------------------------------------------------------------
 # seeded pseudorandom masks
@@ -154,11 +154,28 @@ class ScoreField:
         return self.increments(ti, tj, v).sum(axis=1)
 
     def walk_max(self, ti, tj, v: np.ndarray, upto: int) -> np.ndarray:
-        """Running-max partial score over slices below ``upto``."""
+        """Running-max partial score over slices below ``upto``: the largest
+        of the prefix sums of lengths 1..upto (0 when ``upto`` is 0).
+
+        Only the first ``upto`` columns of v are read.  The walk runs slice
+        by slice on contiguous per-slice vectors, adding slices left to
+        right as a row cumsum would, so the result is bitwise the same.
+        """
+        n = len(v)
         if upto == 0:
-            return np.zeros(len(v))
-        inc = self.increments(ti, tj, v)[:, :upto]
-        return np.maximum.accumulate(inc.cumsum(axis=1), axis=1)[:, -1]
+            return np.zeros(n)
+
+        def by_slice(table):  # (upto, n): row c is slice c of every point
+            return table[:, :, :upto].transpose(2, 0, 1)[:, ti, tj]
+
+        inc = v[:, :upto].T - by_slice(self.ref_shift)
+        inc *= by_slice(self.c_hat)
+        psum = np.zeros(n)
+        best = np.full(n, -np.inf)
+        for row in inc:
+            psum += row
+            np.maximum(best, psum, out=best)
+        return best
 
 
 class FinalQuery:
@@ -240,9 +257,10 @@ class StageQueryBatch:
             vr, comp = self._vr[idx], self._comp[idx]
         m = self._hmat.shape[1]
         k = self._basis.shape[0]
-        sums = np.zeros((m, k))
         live = ~comp
-        np.add.at(sums, (ti[live], tj[live]), vr[live])
+        # per-type sums of +-1 bits: exact integers in any order
+        sums = np.bincount(ti[live] * k + tj[live], weights=vr[live],
+                           minlength=m * k).reshape(m, k)
         vals = self._hmat @ sums @ self._basis.T  # (2^m, k)
         flat = vals.T.reshape(-1)
         return (flat + float(comp.sum())) / len(ti)
@@ -457,9 +475,9 @@ def run_ada_protocol(
     ss_data, ss_obf, ss_acc, ss_gap, ss_analyst = ss.spawn(5)
 
     dist = tilt(family, theta)
-    tilts = dist.type_tilts.reshape(m, k, d)
-    ref_shift = np.tanh(tilts)
-    p_plus = expit(2.0 * tilts)  # Pr[v_r = +1] per type, as in tilt sampling
+    ref_shift = np.tanh(dist.type_tilts).reshape(m, k, d)
+    # Pr[v_r = +1] per flat type id, as in tilt sampling
+    p_flat = expit(2.0 * dist.type_tilts)
 
     if dataset_override is None:
         rng_data = np.random.default_rng(ss_data)
@@ -511,11 +529,13 @@ def run_ada_protocol(
         if not np.all(np.isfinite(answers)) or np.abs(answers).max() > 1 + 1e-9:
             raise ProtocolAbort(r, "analyst answer outside [-1, 1]")
 
-        # population accuracy check: fresh draws, same masked-query rule
+        # population accuracy check: fresh draws, same masked-query rule.
+        # The stage reads only slices 0..r, so only those uniforms become
+        # bits; all d are still drawn to keep the rng stream fixed.
         pop_types = rng_acc.integers(0, m * k, size=mc_accuracy)
         pi, pj = np.divmod(pop_types, k)
-        pop_bits = np.where(rng_acc.random((mc_accuracy, d)) < p_plus[pi, pj],
-                            np.int8(1), np.int8(-1))
+        pop_bits = sign_bits(rng_acc.random((mc_accuracy, d))[:, :r + 1]
+                             < p_flat[pop_types, :r + 1])
         fld = ScoreField(c_hat=c_hat, ref_shift=ref_shift)
         pop_comp = fld.walk_max(pi, pj, pop_bits, upto=r) > tau
         pop_vals = StageQueryBatch(pi, pj, pop_bits[:, r], pop_comp, hmat,

@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from typing import Optional
 
+from .mechanisms import RECONSTRUCT_CAP
 from .structure import column_sum_cap
 
 KINDS = (
@@ -147,28 +148,45 @@ def parse_config(text: str) -> ExperimentConfig:
             f"unknown kind {values['kind']!r}; expected one of {', '.join(KINDS)}"
         )
     cfg = ExperimentConfig(**values)
-    if cfg.trials < 0:
-        raise ConfigError("trials must be nonnegative")
-    if cfg.kind == "verify-structure":
-        _check_structure(cfg, lines)
+    check_ranges(cfg, lines)
     return cfg
 
 
-def _check_structure(cfg: ExperimentConfig, lines: dict) -> None:
-    """Ranges a verify-structure run needs, so a bad value exits 2 at parse
-    time instead of writing error rows."""
+def check_ranges(cfg: ExperimentConfig, lines: Optional[dict] = None) -> None:
+    """Reject values a run of cfg.kind cannot use, so a bad config exits 2
+    before anything is written instead of producing error rows.
+
+    ``lines`` maps keys to their config line numbers for the message;
+    replayed manifest configs have none.
+    """
+    lines = lines or {}
 
     def fail(key, msg):
         where = f"line {lines[key]}: " if key in lines else ""
         raise ConfigError(f"{where}{msg}")
 
-    for key, low in (("d", 1), ("n_columns", 2), ("n_subsets", 1),
-                     ("n_theta", 1)):
-        if getattr(cfg, key) < low:
-            fail(key, f"{key} must be >= {low}, got {getattr(cfg, key)}")
-    cap = column_sum_cap(cfg.d, cfg.n_columns, cfg.cap_scale)
-    if not 1 <= cfg.k_subset <= cap:
-        fail("k_subset",
-             f"k_subset must be in [1, {cap:.3f}] at d={cfg.d}, "
-             f"n_columns={cfg.n_columns}, cap_scale={cfg.cap_scale}; "
-             f"got {cfg.k_subset}")
+    def at_least(*pairs):
+        for key, low in pairs:
+            if getattr(cfg, key) < low:
+                fail(key, f"{key} must be >= {low}, got {getattr(cfg, key)}")
+
+    if cfg.trials < 0:
+        fail("trials", "trials must be nonnegative")
+    if cfg.kind == "verify-structure":
+        at_least(("d", 1), ("n_columns", 2), ("n_subsets", 1), ("n_theta", 1))
+        cap = column_sum_cap(cfg.d, cfg.n_columns, cfg.cap_scale)
+        if not 1 <= cfg.k_subset <= cap:
+            fail("k_subset",
+                 f"k_subset must be in [1, {cap:.3f}] at d={cfg.d}, "
+                 f"n_columns={cfg.n_columns}, cap_scale={cfg.cap_scale}; "
+                 f"got {cfg.k_subset}")
+    elif cfg.kind == "ada-run":
+        at_least(("d", 1), ("n", 1), ("mc_accuracy", 2), ("mc_gap", 2))
+        if not 1 <= cfg.m <= RECONSTRUCT_CAP:
+            fail("m", f"m must be in [1, {RECONSTRUCT_CAP}], got {cfg.m}")
+        if cfg.k < 1 or cfg.k & (cfg.k - 1):
+            fail("k", f"k must be a power of two, got {cfg.k}")
+        if not 0 < cfg.alpha < 1:
+            fail("alpha", f"alpha must be in (0, 1), got {cfg.alpha}")
+        if cfg.W is not None and cfg.W < cfg.n ** 2:
+            fail("W", f"W must be >= n^2 = {cfg.n ** 2}, got {cfg.W}")

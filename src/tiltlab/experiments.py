@@ -22,7 +22,7 @@ from . import __version__
 from .ada import builtin_analysts, run_ada_protocol
 from .attack import run_attack_trial, run_shifted_attack_trial, \
     separation_of_totals, separation_statistic, ThetaSampler
-from .config import ExperimentConfig
+from .config import ConfigError, ExperimentConfig, check_ranges
 from .families import make_family
 from .mechanisms import ClampedMean, EmpiricalMean, GaussianMechanism, \
     HistogramVector, sparse_histogram
@@ -462,7 +462,8 @@ def replay_row(csv_path, row_index: int):
     """Recompute one CSV data row from its recorded trial and seed.
 
     Returns (stored_row, recomputed_row, match); the config comes from the
-    manifest.json written next to the CSV.
+    manifest.json written next to the CSV and must pass the same range
+    checks as a parsed config.
     """
     csv_path = Path(csv_path)
     manifest = json.loads((csv_path.parent / "manifest.json").read_text())
@@ -470,6 +471,10 @@ def replay_row(csv_path, row_index: int):
         cfg = ExperimentConfig(**manifest["config"])
     except TypeError as exc:  # unknown or missing config keys
         raise ValueError(f"manifest config does not match: {exc}") from None
+    try:
+        check_ranges(cfg)
+    except ConfigError as exc:
+        raise ConfigError(f"manifest config out of range: {exc}") from None
     with open(csv_path, newline="") as fh:
         stored_rows = list(csv.DictReader(fh))
     if not 0 <= row_index < len(stored_rows):

@@ -116,8 +116,16 @@ def tilt_sample_many(dist: TiltedDistribution, rng: np.random.Generator,
     else:
         types = rng.choice(len(table), size=count, p=np.exp(dist.type_logp))
         p_plus = table[types]
-    v = np.where(rng.random((count, fam.d)) < p_plus, np.int8(1), np.int8(-1))
+    v = sign_bits(rng.random((count, fam.d)) < p_plus)
     return PointBatch(fam, types, v=v)
+
+
+def sign_bits(plus: np.ndarray) -> np.ndarray:
+    """int8 +1 where ``plus`` is True, else -1: 2*b - 1 on the bool bytes,
+    which numpy runs far faster than np.where with int8 scalars."""
+    v = plus.view(np.int8) * np.int8(2)
+    v -= 1
+    return v
 
 
 def tilt_mean(

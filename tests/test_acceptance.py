@@ -500,3 +500,9 @@ class TestSuiteDeterminism:
         assert result.exit_code == 0
         got = hashlib.sha256(result.csv_path.read_bytes()).hexdigest()
         assert got == golden[f"{kind}.csv"]
+        # kinds that write a log (ada-run) pin its bytes too
+        log_name = f"{kind}.log"
+        assert result.log_path.exists() == (log_name in golden)
+        if log_name in golden:
+            got = hashlib.sha256(result.log_path.read_bytes()).hexdigest()
+            assert got == golden[log_name]

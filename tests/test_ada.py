@@ -275,6 +275,102 @@ class TestStageQueryBatch:
             batch.eval_mean(np.array([], dtype=int))
 
 
+def eval_mean_add_at(ti, tj, vr, comp, hmat, basis):
+    """The per-type sums by np.add.at, as eval_mean once computed them."""
+    sums = np.zeros((hmat.shape[1], basis.shape[0]))
+    live = ~comp
+    np.add.at(sums, (ti[live], tj[live]), vr[live].astype(float))
+    vals = hmat @ sums @ basis.T
+    return (vals.T.reshape(-1) + float(comp.sum())) / len(ti)
+
+
+class TestEvalMeanOracle:
+    def test_matches_add_at_formula(self):
+        fam = make_family("tensor", m=3, k=8, d=4)
+        rng = np.random.default_rng(24)
+        n = 500
+        types = rng.integers(0, fam.m * fam.k, size=n)
+        ti, tj = np.divmod(types, fam.k)
+        vr = rng.choice(np.array([-1, 1], dtype=np.int8), size=n)
+        comp = rng.random(n) < 0.3
+        hmat = predicate_matrix(fam.m).astype(float)
+        basis = fam.basis.astype(float)
+        batch = StageQueryBatch(ti, tj, vr, comp, hmat, basis)
+        assert np.array_equal(batch.eval_mean(),
+                              eval_mean_add_at(ti, tj, vr, comp, hmat, basis))
+        idx = rng.choice(n, size=77, replace=False)
+        want = eval_mean_add_at(ti[idx], tj[idx], vr[idx], comp[idx], hmat,
+                                basis)
+        assert np.array_equal(batch.eval_mean(idx), want)
+
+    def test_all_compromised(self):
+        fam = small_family()
+        ti = np.array([0, 1, 1])
+        tj = np.array([3, 0, 2])
+        batch = StageQueryBatch(ti, tj, np.array([1, -1, 1], dtype=np.int8),
+                                np.ones(3, dtype=bool),
+                                predicate_matrix(fam.m).astype(float),
+                                fam.basis.astype(float))
+        assert np.array_equal(batch.eval_mean(), np.ones(batch.n_queries))
+
+
+def walk_max_oracle(field, ti, tj, v, upto):
+    """Largest prefix sum of lengths 1..upto, point by point in Python."""
+    out = np.zeros(len(v))
+    for p in range(len(v)):
+        psum, best = 0.0, -math.inf
+        for c in range(upto):
+            psum += ((float(v[p, c]) - field.ref_shift[ti[p], tj[p], c])
+                     * field.c_hat[ti[p], tj[p], c])
+            best = max(best, psum)
+        out[p] = best if upto else 0.0
+    return out
+
+
+class TestWalkMax:
+    def _field(self, seed, m=3, k=4, d=9, n=400):
+        rng = np.random.default_rng(seed)
+        # coefficients of mixed sizes and signs, so a different summation
+        # order rounds differently on some points
+        scale = 10.0 ** rng.integers(-3, 2, size=(m, k, d))
+        c_hat = rng.normal(size=(m, k, d)) * scale
+        field = ScoreField(c_hat=c_hat,
+                           ref_shift=np.tanh(rng.normal(size=(m, k, d))))
+        ti = rng.integers(0, m, size=n)
+        tj = rng.integers(0, k, size=n)
+        v = rng.choice(np.array([-1, 1], dtype=np.int8), size=(n, d))
+        return field, ti, tj, v
+
+    @pytest.mark.parametrize("upto", [0, 1, 2, 5, 9])
+    def test_matches_per_point_oracle(self, upto):
+        field, ti, tj, v = self._field(40)
+        got = field.walk_max(ti, tj, v, upto)
+        assert np.array_equal(got, walk_max_oracle(field, ti, tj, v, upto))
+        if upto:
+            # the empty prefix does not count: some walks stay below zero
+            assert (got < 0).any()
+
+    def test_reads_only_columns_below_upto(self):
+        field, ti, tj, v = self._field(41)
+        upto = 4
+        want = walk_max_oracle(field, ti, tj, v, upto)
+        assert np.array_equal(field.walk_max(ti, tj, v, upto), want)
+        assert np.array_equal(field.walk_max(ti, tj, v[:, :upto], upto), want)
+        flipped = v.copy()
+        flipped[:, upto:] *= -1
+        assert np.array_equal(field.walk_max(ti, tj, flipped, upto), want)
+
+    def test_crossing_points_match_oracle(self):
+        field, ti, tj, v = self._field(42, d=12)
+        got = field.walk_max(ti, tj, v, 12)
+        want = walk_max_oracle(field, ti, tj, v, 12)
+        assert np.array_equal(got, want)
+        tau = float(np.median(want))
+        crossed = got > tau
+        assert crossed.any() and not crossed.all()
+        assert np.array_equal(crossed, want > tau)
+
+
 class ZeroAnalyst:
     name = "zero"
 

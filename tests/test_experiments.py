@@ -27,7 +27,7 @@ from tiltlab.experiments import (
     run_trial,
 )
 from tiltlab.families import make_family
-from tiltlab.mechanisms import EmpiricalMean
+from tiltlab.mechanisms import RECONSTRUCT_CAP, EmpiricalMean
 from tiltlab.seeds import trial_seed_sequence
 
 
@@ -128,6 +128,35 @@ class TestParseConfig:
 
     def test_structure_ranges_only_for_structure(self):
         assert parse_config("kind = mech-bench\nn_theta = 0").n_theta == 0
+
+    @pytest.mark.parametrize("line,match", [
+        ("d = 0", "line 2: d must be >= 1"),
+        ("n = 0", "line 2: n must be >= 1"),
+        ("m = 0", rf"line 2: m must be in \[1, {RECONSTRUCT_CAP}\]"),
+        (f"m = {RECONSTRUCT_CAP + 1}",
+         rf"line 2: m must be in \[1, {RECONSTRUCT_CAP}\]"),
+        ("k = 0", "line 2: k must be a power of two"),
+        ("k = 3", "line 2: k must be a power of two"),
+        ("k = 48", "line 2: k must be a power of two"),
+        ("alpha = 0", r"line 2: alpha must be in \(0, 1\)"),
+        ("alpha = 1", r"line 2: alpha must be in \(0, 1\)"),
+        ("mc_accuracy = 1", "line 2: mc_accuracy must be >= 2"),
+        ("mc_gap = 1", "line 2: mc_gap must be >= 2"),
+        ("W = 15", r"line 2: W must be >= n\^2 = 16"),
+    ])
+    def test_ada_ranges(self, line, match):
+        with pytest.raises(ConfigError, match=match):
+            parse_config(f"kind = ada-run\n{line}")
+
+    def test_ada_range_edges_accepted(self):
+        cfg = parse_config(f"kind = ada-run\nd = 1\nn = 1\n"
+                           f"m = {RECONSTRUCT_CAP}\nk = 1\nalpha = 0.999\n"
+                           "mc_accuracy = 2\nmc_gap = 2\nW = 1")
+        assert (cfg.m, cfg.k, cfg.W) == (RECONSTRUCT_CAP, 1, 1)
+        assert parse_config("kind = ada-run\nn = 4\nW = 16").W == 16
+
+    def test_ada_ranges_only_for_ada(self):
+        assert parse_config("kind = mech-bench\nk = 3\nmc_gap = 1").k == 3
 
 
 class TestAdaTheta:
@@ -354,6 +383,17 @@ class TestCli:
         assert "config error: line 2:" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("line", [
+        "k = 3", f"m = {RECONSTRUCT_CAP + 1}", "alpha = 0", "n = 0", "d = 0",
+        "mc_gap = 1",
+    ])
+    def test_bad_ada_config_exit_code(self, tmp_path, capsys, line):
+        cfg = write_config(tmp_path, f"kind = ada-run\n{line}")
+        out = tmp_path / "out"
+        assert main(["run", "--config", cfg, "--out", str(out)]) == 2
+        assert "config error: line 2:" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_config_error_exit_code(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "kind = bogus")
         assert main(["run", "--config", cfg]) == 2
@@ -389,6 +429,26 @@ class TestCli:
                      "--row", "0"]) == 2
         err = capsys.readouterr().err
         assert "replay failed" in err and "bogus" in err
+
+    @pytest.mark.parametrize("kind,key,value", [
+        ("verify-structure", "k_subset", 5),
+        ("ada-run", "k", 3),
+    ])
+    def test_replay_out_of_range_manifest_exit_code(self, tmp_path, capsys,
+                                                    kind, key, value):
+        cfg = tiny_config(kind)
+        out = tmp_path / "out"
+        run_experiment(cfg, 4, out_dir=out)
+        manifest_path = out / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["config"][key] = value
+        manifest_path.write_text(json.dumps(manifest))
+        assert main(["replay", "--csv", str(out / f"{kind}.csv"),
+                     "--row", "0"]) == 2
+        captured = capsys.readouterr()
+        assert "replay failed: manifest config out of range" in captured.err
+        assert key in captured.err
+        assert "MISMATCH" not in captured.out
 
     def test_env_seed_default(self, tmp_path, monkeypatch, capsys):
         cfg = write_config(tmp_path, "kind = mech-bench\ntrials = 1")
