@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from typing import Optional
 
@@ -190,3 +191,15 @@ def check_ranges(cfg: ExperimentConfig, lines: Optional[dict] = None) -> None:
             fail("alpha", f"alpha must be in (0, 1), got {cfg.alpha}")
         if cfg.W is not None and cfg.W < cfg.n ** 2:
             fail("W", f"W must be >= n^2 = {cfg.n ** 2}, got {cfg.W}")
+    elif cfg.kind == "mech-bench":
+        at_least(("support", 1))
+        if not 0 < cfg.epsilon < math.inf:
+            fail("epsilon",
+                 f"epsilon must be finite and > 0, got {cfg.epsilon}")
+        if not 0 < cfg.delta < 1:
+            fail("delta", f"delta must be in (0, 1), got {cfg.delta}")
+        if not 0 <= cfg.mass < math.inf:
+            fail("mass", f"mass must be finite and >= 0, got {cfg.mass}")
+        if cfg.universe is not None and cfg.universe < cfg.support:
+            fail("universe", f"universe must be unset or >= support = "
+                             f"{cfg.support}, got {cfg.universe}")

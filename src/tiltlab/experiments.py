@@ -223,8 +223,6 @@ def _trial_ada(cfg: ExperimentConfig, master_seed: int, trial: int):
 
 def _trial_mech_bench(cfg: ExperimentConfig, master_seed: int, trial: int):
     rng = np.random.default_rng(trial_seed_sequence(master_seed, trial))
-    if cfg.support < 1:
-        raise ValueError("support must be positive")
     weights = rng.uniform(0.0, 2.0 * cfg.mass / cfg.support,
                           size=cfg.support)
     hist = HistogramVector(
@@ -463,10 +461,15 @@ def replay_row(csv_path, row_index: int):
 
     Returns (stored_row, recomputed_row, match); the config comes from the
     manifest.json written next to the CSV and must pass the same range
-    checks as a parsed config.
+    checks as a parsed config.  A manifest written by another tiltlab
+    version is refused, since its rows need not be reproducible here.
     """
     csv_path = Path(csv_path)
     manifest = json.loads((csv_path.parent / "manifest.json").read_text())
+    version = manifest.get("version")
+    if version != __version__:
+        raise ValueError(f"manifest written by tiltlab {version!r}, "
+                         f"this is tiltlab {__version__!r}")
     try:
         cfg = ExperimentConfig(**manifest["config"])
     except TypeError as exc:  # unknown or missing config keys

@@ -128,14 +128,23 @@ class GaussianMechanism:
 # private sparse histograms
 
 
-def trunc_laplace(rng: np.random.Generator, scale: float, bound: float) -> float:
-    """Laplace(0, scale) conditioned on [-bound, bound], by rejection."""
+def trunc_laplace(rng: np.random.Generator, scale: float, bound: float,
+                  size: int) -> np.ndarray:
+    """``size`` draws of Laplace(0, scale) conditioned on [-bound, bound].
+
+    Rejection in array form: draw as many as are still missing and keep
+    those inside the bound, until ``size`` are kept.  Every draw of the last
+    round is kept, so the generator ends where ``size`` one-at-a-time
+    rejection loops end, with the same values in the same order.
+    """
     if scale <= 0 or bound <= 0:
         raise ValueError("need scale > 0 and bound > 0")
-    while True:
-        x = rng.laplace(0.0, scale)
-        if abs(x) <= bound:
-            return float(x)
+    x = rng.laplace(0.0, scale, size=size)
+    x = x[np.abs(x) <= bound]
+    while len(x) < size:
+        more = rng.laplace(0.0, scale, size=size - len(x))
+        x = np.concatenate([x, more[np.abs(more) <= bound]])
+    return x
 
 
 @dataclass
@@ -212,31 +221,88 @@ class HistogramVector:
         return cls(weights=weights, universe_size=universe_size)
 
 
-def _water_fill_surplus(values: list, target: float) -> tuple:
-    """Lower values uniformly (flooring at zero) until they sum to target.
+def _row_fsums(block: np.ndarray) -> np.ndarray:
+    """Exactly rounded sum of each row of a 2-D block."""
+    return np.fromiter((math.fsum(row.tolist()) for row in block),
+                       dtype=float, count=len(block))
 
-    Bisects the water level to 1e-12, then sets the largest entry to the
-    target minus the fsum of the others, so the output mass is fsum-exact
-    even when the target is far below the bisection width.
-    Returns (new_values, level).
+
+def _water_fill_surplus(values: np.ndarray, target: float) -> np.ndarray:
+    """Lower each row uniformly (flooring at zero) until it sums to target.
+
+    The level is the threshold of the Euclidean projection onto the simplex
+    {x >= 0, sum(x) = target} (Held, Wolfe & Crowder 1974; Duchi et al.
+    2008): with u the row sorted in descending order and
+    levels_j = (u_1 + ... + u_j - target) / j, it is levels_rho for the last
+    rho with u_rho >= levels_rho.  The largest entry of each row is then set
+    to the target minus the fsum of the others, so the output mass is
+    fsum-exact even when the target is far below the rounding of the level.
     """
-    lo, hi = 0.0, max(values)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        phi = math.fsum(v - mid for v in values if v > mid)
-        if phi > target:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-12:
-            break
-    c = 0.5 * (lo + hi)
-    out = [v - c if v > c else 0.0 for v in values]
-    top = max(range(len(out)), key=out.__getitem__)
-    out[top] = target - math.fsum(out[:top] + out[top + 1:])
-    if out[top] < 0:
+    rows, s = values.shape
+    u = np.sort(values, axis=1)[:, ::-1]
+    levels = (np.cumsum(u, axis=1) - target) / np.arange(1, s + 1)
+    rho = s - 1 - np.argmax((u >= levels)[:, ::-1], axis=1)
+    pick = np.arange(rows)
+    level = np.maximum(levels[pick, rho], 0.0)
+    out = np.maximum(values - level[:, None], 0.0)
+    top = np.argmax(out, axis=1)
+    out[pick, top] = 0.0
+    patch = target - _row_fsums(out)
+    if (patch < 0).any():
         raise AssertionError("water-fill residual patch went negative")
-    return out, c
+    out[pick, top] = patch
+    return out
+
+
+def _release_rows(hist: HistogramVector, epsilon: float, delta: float,
+                  rng: np.random.Generator, runs: int) -> tuple:
+    """The releases behind sparse_histogram_many.
+
+    Returns (items, block, level): the (element, weight) pairs in canonical
+    order, the (runs, support) released weights, and the (runs,) deficit
+    level each row spread over the universe (zero where there was none).
+    """
+    if epsilon <= 0 or not 0 < delta < 1:
+        raise ValueError("need epsilon > 0 and delta in (0, 1)")
+    if hist.background != 0:
+        raise ValueError("input histogram must have zero background")
+    v = 5.0 * math.log(1.0 / delta) / epsilon
+    # canonical element order, independent of dict construction history
+    items = sorted(hist.weights.items(), key=lambda kv: repr(kv[0]))
+    s = len(items)
+    target = hist.total
+    w = np.array([x for _, x in items], dtype=float)
+    noise = trunc_laplace(rng, 1.0 / epsilon, v, runs * s).reshape(runs, s)
+    block = np.maximum(w + noise, 0.0)
+    current = _row_fsums(block)
+    surplus = current > target
+    if surplus.any():
+        block[surplus] = _water_fill_surplus(block[surplus], target)
+    level = np.zeros(runs)
+    deficit = current < target
+    if deficit.any():
+        extra = 0 if hist.universe_size is None else hist.universe_size - s
+        level[deficit] = (target - current[deficit]) / (s + extra)
+        block[deficit] += level[deficit, None]
+    return items, block, level
+
+
+def sparse_histogram_many(
+    hist: HistogramVector,
+    epsilon: float,
+    delta: float,
+    rng: np.random.Generator,
+    runs: int,
+) -> np.ndarray:
+    """``runs`` independent sparse_histogram releases of hist.
+
+    Returns a (runs, support) float64 block whose columns follow the
+    canonical element order (sorted by repr).  The noise for all runs is one
+    array draw, run-major, so row r equals the r-th of ``runs`` sequential
+    sparse_histogram calls on rng (zeros included, for dropped elements),
+    and rng ends in the same state.
+    """
+    return _release_rows(hist, epsilon, delta, rng, runs)[1]
 
 
 def sparse_histogram(
@@ -257,34 +323,13 @@ def sparse_histogram(
     surplus water level c solves phi(c) = total with phi(v) <= total, and a
     deficit spreads at most (support * v) / support <= v per element.
     """
-    if epsilon <= 0 or not 0 < delta < 1:
-        raise ValueError("need epsilon > 0 and delta in (0, 1)")
-    if hist.background != 0:
-        raise ValueError("input histogram must have zero background")
-    v = 5.0 * math.log(1.0 / delta) / epsilon
-    # canonical element order, independent of dict construction history
-    items = sorted(hist.weights.items(), key=lambda kv: repr(kv[0]))
-    target = hist.total
-    noised = [
-        max(0.0, w + trunc_laplace(rng, 1.0 / epsilon, v)) for _, w in items
-    ]
-    current = math.fsum(noised)
-    background = 0.0
-    if current > target:
-        noised, _ = _water_fill_surplus(noised, target)
-    elif current < target:
-        extra = 0
-        if hist.universe_size is not None:
-            extra = hist.universe_size - len(items)
-        level = (target - current) / (len(items) + extra)
-        noised = [x + level for x in noised]
-        if extra > 0:
-            background = level
-    weights = {u: x for (u, _), x in zip(items, noised) if x > 0}
+    items, block, level = _release_rows(hist, epsilon, delta, rng, 1)
+    spread = hist.universe_size is not None \
+        and hist.universe_size > len(items)
     return HistogramVector(
-        weights=weights,
+        weights={u: x for (u, _), x in zip(items, block[0].tolist()) if x > 0},
         universe_size=hist.universe_size,
-        background=background,
+        background=float(level[0]) if spread else 0.0,
     )
 
 
@@ -300,8 +345,8 @@ class AuditReport:
 
 
 def audit_frequency_ratio(
-    mech_a: Callable[[np.random.Generator], float],
-    mech_b: Callable[[np.random.Generator], float],
+    mech_a: Callable[[np.random.Generator, int], np.ndarray],
+    mech_b: Callable[[np.random.Generator, int], np.ndarray],
     *,
     epsilon: float,
     delta: float,
@@ -312,15 +357,20 @@ def audit_frequency_ratio(
 ) -> AuditReport:
     """Frequency test of the (epsilon, delta) bound on two output samplers.
 
-    Bins the scalar outputs of both samplers (with underflow and overflow
-    cells) and rejects when a Clopper-Pearson lower bound on one cell mass
-    exceeds e^eps times the upper bound on the other plus delta, in either
-    direction, Bonferroni-corrected so a mechanism that honestly satisfies
-    the bound is rejected with probability at most ``significance``.
+    Each sampler maps (rng, runs) to a (runs,) array of scalar outputs;
+    side a draws first, then side b.  Bins both samples (with underflow
+    and overflow cells) and rejects when a Clopper-Pearson lower bound on
+    one cell mass exceeds e^eps times the upper bound on the other plus
+    delta, in either direction, Bonferroni-corrected so a mechanism that
+    honestly satisfies the bound is rejected with probability at most
+    ``significance``.
     """
     edges = np.asarray(bin_edges, dtype=float)
-    a = np.fromiter((mech_a(rng) for _ in range(runs)), dtype=float, count=runs)
-    b = np.fromiter((mech_b(rng) for _ in range(runs)), dtype=float, count=runs)
+    a = np.asarray(mech_a(rng, runs), dtype=float)
+    b = np.asarray(mech_b(rng, runs), dtype=float)
+    if a.shape != (runs,) or b.shape != (runs,):
+        raise ValueError(f"samplers must return ({runs},) arrays, got "
+                         f"{a.shape} and {b.shape}")
     n_cells = len(edges) + 1
     counts_a = np.bincount(np.searchsorted(edges, a, side="right"),
                            minlength=n_cells)

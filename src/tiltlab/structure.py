@@ -312,6 +312,8 @@ def check_column_sums(
     cap = column_sum_cap(d, n, cap_scale)
     if not 1 <= k <= cap:
         raise ValueError(f"k must be in [1, {cap:.3f}] (cap_scale={cap_scale})")
+    if subset_trials < 1:
+        raise ValueError(f"subset_trials must be >= 1, got {subset_trials}")
     norms_sq = np.empty(subset_trials)
     # chunking bounds the (d, count, k) gather below
     chunk = 10_000

@@ -50,6 +50,7 @@ from tiltlab.mechanisms import (
     histogram_query_release,
     required_mass,
     sparse_histogram,
+    sparse_histogram_many,
 )
 from tiltlab.seeds import trial_seed_sequence
 from tiltlab.structure import (
@@ -144,8 +145,8 @@ class TestSparseHistogramRelease:
         hist_a = HistogramVector(weights={0: 6.0, 1: 4.0}, universe_size=2)
         hist_b = HistogramVector(weights={0: 6.5, 1: 3.5}, universe_size=2)
         report = audit_frequency_ratio(
-            lambda r: sparse_histogram(hist_a, 1.0, 1e-4, r).weights.get(0, 0.0),
-            lambda r: sparse_histogram(hist_b, 1.0, 1e-4, r).weights.get(0, 0.0),
+            lambda r, n: sparse_histogram_many(hist_a, 1.0, 1e-4, r, n)[:, 0],
+            lambda r, n: sparse_histogram_many(hist_b, 1.0, 1e-4, r, n)[:, 0],
             epsilon=1.0, delta=1e-4, runs=1_000_000,
             bin_edges=np.linspace(0.0, 10.0, 21), rng=rng,
         )

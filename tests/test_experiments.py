@@ -158,6 +158,33 @@ class TestParseConfig:
     def test_ada_ranges_only_for_ada(self):
         assert parse_config("kind = mech-bench\nk = 3\nmc_gap = 1").k == 3
 
+    @pytest.mark.parametrize("line,match", [
+        ("support = 0", "line 2: support must be >= 1"),
+        ("epsilon = 0", r"line 2: epsilon must be finite and > 0"),
+        ("epsilon = -1", r"line 2: epsilon must be finite and > 0"),
+        ("epsilon = inf", r"line 2: epsilon must be finite and > 0"),
+        ("delta = 0", r"line 2: delta must be in \(0, 1\)"),
+        ("delta = 1", r"line 2: delta must be in \(0, 1\)"),
+        ("delta = nan", r"line 2: delta must be in \(0, 1\)"),
+        ("mass = -1", "line 2: mass must be finite and >= 0"),
+        ("mass = nan", "line 2: mass must be finite and >= 0"),
+        ("universe = 4", "line 2: universe must be unset or >= support = 32"),
+    ])
+    def test_mech_bench_ranges(self, line, match):
+        with pytest.raises(ConfigError, match=match):
+            parse_config(f"kind = mech-bench\n{line}")
+
+    def test_mech_bench_range_edges_accepted(self, tmp_path):
+        cfg = parse_config("kind = mech-bench\ntrials = 3\nsupport = 1\n"
+                           "epsilon = 1e-9\ndelta = 0.999\nmass = 0\n"
+                           "universe = 1")
+        assert (cfg.support, cfg.mass, cfg.universe) == (1, 0.0, 1)
+        assert run_experiment(cfg, 3, out_dir=tmp_path).exit_code == 0
+
+    def test_mech_bench_ranges_only_for_mech_bench(self):
+        cfg = parse_config("kind = ada-run\nsupport = 0\ndelta = 1")
+        assert (cfg.support, cfg.delta) == (0, 1)
+
 
 class TestAdaTheta:
     def test_frozen_same_across_trials(self):
@@ -221,7 +248,8 @@ class TestRunTrial:
             assert float(row["abs_err"]) <= 1e-6
 
     def test_error_becomes_row(self):
-        row, logs = run_trial(tiny_config("mech-bench", support=0), 7, 0)
+        # a config built in code skips the parse-time range checks
+        row, logs = run_trial(tiny_config("mech-bench", mass=-1.0), 7, 0)
         assert row["status"].startswith("error:ValueError:")
         assert row["linf"] == ""
         assert logs == []
@@ -360,8 +388,10 @@ class TestCli:
         assert "match" in capsys.readouterr().out
 
     def test_run_invariant_failure_exit_code(self, tmp_path, capsys):
-        cfg = write_config(tmp_path,
-                           "kind = mech-bench\ntrials = 1\nsupport = 0")
+        # parses, then fails in every trial: mechanism names are resolved
+        # when a trial builds its mechanism
+        cfg = write_config(tmp_path, "kind = attack-hypercube\ntrials = 1\n"
+                           "d = 4\nn = 2\nfresh = 50\nmechanism = bogus")
         assert main(["run", "--config", cfg, "--out",
                      str(tmp_path / "out")]) == 1
         assert "INVARIANTS FAILED" in capsys.readouterr().out
@@ -389,6 +419,16 @@ class TestCli:
     ])
     def test_bad_ada_config_exit_code(self, tmp_path, capsys, line):
         cfg = write_config(tmp_path, f"kind = ada-run\n{line}")
+        out = tmp_path / "out"
+        assert main(["run", "--config", cfg, "--out", str(out)]) == 2
+        assert "config error: line 2:" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("line", [
+        "support = 0", "epsilon = 0", "delta = 1", "universe = 4", "mass = -1",
+    ])
+    def test_bad_mech_bench_config_exit_code(self, tmp_path, capsys, line):
+        cfg = write_config(tmp_path, f"kind = mech-bench\n{line}")
         out = tmp_path / "out"
         assert main(["run", "--config", cfg, "--out", str(out)]) == 2
         assert "config error: line 2:" in capsys.readouterr().err
@@ -448,6 +488,23 @@ class TestCli:
         captured = capsys.readouterr()
         assert "replay failed: manifest config out of range" in captured.err
         assert key in captured.err
+        assert "MISMATCH" not in captured.out
+
+    def test_replay_other_version_manifest_exit_code(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "kind = mech-bench\ntrials = 1")
+        out = tmp_path / "out"
+        main(["run", "--config", cfg, "--out", str(out)])
+        capsys.readouterr()
+        manifest_path = out / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["version"] = "0.0.1"
+        manifest_path.write_text(json.dumps(manifest))
+        assert main(["replay", "--csv", str(out / "mech-bench.csv"),
+                     "--row", "0"]) == 2
+        captured = capsys.readouterr()
+        assert "replay failed:" in captured.err
+        assert "'0.0.1'" in captured.err
+        assert repr(tiltlab.__version__) in captured.err
         assert "MISMATCH" not in captured.out
 
     def test_env_seed_default(self, tmp_path, monkeypatch, capsys):

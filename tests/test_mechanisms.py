@@ -2,6 +2,9 @@
 
 Oracles:
     - Truncated Laplace empirical CDF against the closed-form truncated CDF.
+    - The array truncated-Laplace draw against a one-at-a-time rejection
+      loop, and the sorted water level against a bisection.
+    - sparse_histogram_many rows against sequential sparse_histogram calls.
     - Water-filling projection optimality against random feasible candidates.
     - reconstruct_slices_batch against exhaustive grid search for m <= 3.
     - project_to_H exact mode against a brute-force lambda grid at k = 2.
@@ -29,21 +32,51 @@ from tiltlab.mechanisms import (
     project_to_H,
     reconstruct_slices_batch,
     required_mass,
+    _water_fill_surplus,
     sparse_histogram,
+    sparse_histogram_many,
     trunc_laplace,
 )
+
+
+def scalar_trunc_laplace(rng, scale, bound, size):
+    """One rejection loop per draw: the stream the array draw must equal."""
+    out = []
+    for _ in range(size):
+        while True:
+            x = rng.laplace(0.0, scale)
+            if abs(x) <= bound:
+                out.append(float(x))
+                break
+    return np.array(out)
+
+
+def bisection_water_fill(values, target):
+    """Water fill by a 200-step fsum bisection of the level, to 1e-12."""
+    lo, hi = 0.0, max(values)
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        phi = math.fsum(v - mid for v in values if v > mid)
+        if phi > target:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo <= 1e-12:
+            break
+    c = 0.5 * (lo + hi)
+    return np.array([v - c if v > c else 0.0 for v in values])
 
 
 class TestTruncLaplace:
     def test_always_inside_bound(self):
         rng = np.random.default_rng(0)
-        draws = np.array([trunc_laplace(rng, 1.0, 3.0) for _ in range(2000)])
+        draws = trunc_laplace(rng, 1.0, 3.0, 2000)
         assert np.all(np.abs(draws) <= 3.0)
 
     def test_matches_truncated_cdf(self):
         rng = np.random.default_rng(1)
         scale, bound, n = 0.8, 2.0, 100_000
-        draws = np.sort([trunc_laplace(rng, scale, bound) for _ in range(n)])
+        draws = np.sort(trunc_laplace(rng, scale, bound, n))
 
         def laplace_cdf(x):
             return np.where(
@@ -55,6 +88,22 @@ class TestTruncLaplace:
         emp = np.arange(1, n + 1) / n
         ks = np.max(np.abs(cdf - emp))
         assert ks < 0.01
+
+    @pytest.mark.parametrize("scale,bound", [
+        (1.0, 3.0), (1.0, 0.3), (2.0, 0.5), (0.5, 10.0),
+    ])
+    def test_equals_one_at_a_time_rejection(self, scale, bound):
+        # bound 0.3 at scale 1 rejects 74% of draws
+        for seed in range(40):
+            for size in (0, 1, 7, 64):
+                r1 = np.random.default_rng(seed)
+                r2 = np.random.default_rng(seed)
+                got = trunc_laplace(r1, scale, bound, size)
+                assert got.shape == (size,)
+                assert np.array_equal(got,
+                                      scalar_trunc_laplace(r2, scale, bound,
+                                                           size))
+                assert r1.random() == r2.random()
 
 
 def random_sparse_hist(rng, support, total, universe_size=None, min_w=0.2):
@@ -168,12 +217,78 @@ class TestSparseHistogram:
             assert min(out.weights.values(), default=0.0) >= -1e-12
 
 
+def dense_rows(hist, releases):
+    keys = sorted(hist.weights, key=repr)
+    return np.array([[out.weights.get(u, 0.0) for u in keys]
+                     for out in releases])
+
+
+class TestSparseHistogramMany:
+    @pytest.mark.parametrize("support,universe,delta", [
+        (2, 2, 1e-4), (2, None, 0.3), (9, None, 1e-6), (9, 40, 0.3),
+        (32, None, 1e-6), (32, 32, 0.3),
+    ])
+    def test_rows_equal_sequential_releases(self, support, universe, delta):
+        eps, runs = 1.0, 300
+        rng = np.random.default_rng(support)
+        w = rng.uniform(0.0, 4.0, size=support)
+        hist = HistogramVector(
+            weights={f"e{j}": float(x) for j, x in enumerate(w)},
+            universe_size=universe)
+        v = 5 * math.log(1 / delta) / eps
+        # the noise the releases see: some rows must add mass, some must
+        # remove it, and delta = 0.3 must make the truncation reject
+        noise = trunc_laplace(np.random.default_rng(7), 1 / eps, v,
+                              runs * support).reshape(runs, support)
+        canon = np.array([hist.weights[u] for u in sorted(hist.weights,
+                                                          key=repr)])
+        noised = np.maximum(canon + noise, 0.0)
+        sums = np.array([math.fsum(r) for r in noised.tolist()])
+        assert (sums > hist.total).any() and (sums < hist.total).any()
+        raw = np.random.default_rng(7).laplace(0, 1 / eps, runs * support)
+        assert (np.abs(raw) > v).any() == (delta == 0.3)
+
+        r1 = np.random.default_rng(7)
+        r2 = np.random.default_rng(7)
+        block = sparse_histogram_many(hist, eps, delta, r1, runs)
+        seq = [sparse_histogram(hist, eps, delta, r2) for _ in range(runs)]
+        assert block.dtype == np.float64 and block.shape == (runs, support)
+        assert np.array_equal(block, dense_rows(hist, seq))
+        assert r1.random() == r2.random()
+
+    def test_sorted_level_matches_bisection(self):
+        rng = np.random.default_rng(13)
+        for _ in range(300):
+            s = int(rng.integers(1, 33))
+            values = rng.uniform(0.0, 1e3, size=s) * (rng.random(s) < 0.8)
+            target = float(rng.choice([0.0, 1e-20, rng.uniform(0.0, 1.0)])) \
+                * math.fsum(values)
+            if not math.fsum(values) > target:
+                continue
+            got = _water_fill_surplus(values[None, :], target)[0]
+            want = bisection_water_fill(values.tolist(), target)
+            # every entry but the mass-patched top one moves by the level
+            top = int(np.argmax(got))
+            rest = np.arange(s) != top
+            assert np.abs(got - want)[rest].max(initial=0.0) <= 1e-11
+            assert math.fsum(got.tolist()) == pytest.approx(target,
+                                                            abs=1e-9)
+            assert got.min() >= 0.0
+
+    def test_zero_mass_rows_release_zero(self):
+        # a zero target floors every row to zero, whatever the noise
+        hist = HistogramVector(weights={0: 0.0, 1: 0.0, 2: 0.0})
+        block = sparse_histogram_many(hist, 1.0, 1e-6,
+                                      np.random.default_rng(3), 50)
+        assert not block.any()
+
+
 class TestFrequencyAudit:
     def test_identical_distributions_pass(self):
         rng = np.random.default_rng(5)
 
-        def sample(r):
-            return float(r.normal())
+        def sample(r, n):
+            return r.normal(size=n)
 
         report = audit_frequency_ratio(
             sample, sample, epsilon=0.5, delta=1e-6, runs=20_000,
@@ -185,11 +300,11 @@ class TestFrequencyAudit:
         rng = np.random.default_rng(6)
         eps = 1.0
 
-        def run_a(r):
-            return 0.0 + r.laplace(0, 1 / eps)
+        def run_a(r, n):
+            return 0.0 + r.laplace(0, 1 / eps, size=n)
 
-        def run_b(r):
-            return 1.0 + r.laplace(0, 1 / eps)
+        def run_b(r, n):
+            return 1.0 + r.laplace(0, 1 / eps, size=n)
 
         report = audit_frequency_ratio(
             run_a, run_b, epsilon=eps, delta=0.0, runs=50_000,
@@ -200,17 +315,25 @@ class TestFrequencyAudit:
     def test_broken_mechanism_rejected(self):
         rng = np.random.default_rng(7)
 
-        def run_a(r):
-            return 0.0 + r.laplace(0, 0.05)
+        def run_a(r, n):
+            return 0.0 + r.laplace(0, 0.05, size=n)
 
-        def run_b(r):
-            return 1.0 + r.laplace(0, 0.05)
+        def run_b(r, n):
+            return 1.0 + r.laplace(0, 0.05, size=n)
 
         report = audit_frequency_ratio(
             run_a, run_b, epsilon=1.0, delta=1e-6, runs=50_000,
             bin_edges=np.linspace(-2, 3, 21), rng=rng,
         )
         assert report.rejected
+
+    def test_sampler_shape_checked(self):
+        with pytest.raises(ValueError, match=r"\(10,\) arrays"):
+            audit_frequency_ratio(
+                lambda r, n: r.normal(size=n), lambda r, n: r.normal(size=1),
+                epsilon=1.0, delta=0.0, runs=10,
+                bin_edges=np.linspace(-1, 1, 3),
+                rng=np.random.default_rng(0))
 
 
 def grid_chebyshev(answers, m, resolution):

@@ -237,6 +237,12 @@ class TestColumnSums:
         with pytest.raises(ValueError):
             check_column_sums(a, k=0, subset_trials=10, rng=rng)
 
+    def test_no_subsets_rejected(self):
+        rng = np.random.default_rng(12)
+        a = random_pm1_matrix(rng, 32, 64)
+        with pytest.raises(ValueError, match="subset_trials must be >= 1"):
+            check_column_sums(a, k=1, subset_trials=0, rng=rng)
+
 
 class TestSampleKSubsets:
     @pytest.mark.parametrize("n,k", [(2, 1), (7, 1), (7, 3), (7, 7),
