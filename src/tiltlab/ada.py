@@ -13,8 +13,8 @@ distinguishing query, and the sample-vs-population gap is measured.
 
 Universe points are never enumerated: a point's partial score depends only
 on its type, its revealed bits, and the reconstructed field, so dataset
-points are tracked directly and population points by a closed-form random
-walk on Monte Carlo draws.
+points and one Monte Carlo population per run are tracked by the same
+running walk, advanced one slice per stage.
 
 Seeding is split into fixed, independent branches (dataset, obfuscation,
 accuracy checks, gap estimation, analyst noise), so replaying a run with
@@ -153,29 +153,17 @@ class ScoreField:
     def score(self, ti, tj, v: np.ndarray) -> np.ndarray:
         return self.increments(ti, tj, v).sum(axis=1)
 
-    def walk_max(self, ti, tj, v: np.ndarray, upto: int) -> np.ndarray:
-        """Running-max partial score over slices below ``upto``: the largest
-        of the prefix sums of lengths 1..upto (0 when ``upto`` is 0).
+    def advance(self, ti, tj, v_r: np.ndarray, r: int, psum: np.ndarray,
+                run_max: np.ndarray) -> None:
+        """Add slice r's increments to psum and raise run_max to it, in place.
 
-        Only the first ``upto`` columns of v are read.  The walk runs slice
-        by slice on contiguous per-slice vectors, adding slices left to
-        right as a row cumsum would, so the result is bitwise the same.
+        Started at zero and advanced over slices 0..r-1, run_max is the
+        largest prefix sum of lengths 0..r of each point's partial score.
+        The empty prefix counts, so it differs from the largest non-empty
+        prefix only below zero, which no threshold tau > 0 tells apart.
         """
-        n = len(v)
-        if upto == 0:
-            return np.zeros(n)
-
-        def by_slice(table):  # (upto, n): row c is slice c of every point
-            return table[:, :, :upto].transpose(2, 0, 1)[:, ti, tj]
-
-        inc = v[:, :upto].T - by_slice(self.ref_shift)
-        inc *= by_slice(self.c_hat)
-        psum = np.zeros(n)
-        best = np.full(n, -np.inf)
-        for row in inc:
-            psum += row
-            np.maximum(best, psum, out=best)
-        return best
+        psum += (v_r - self.ref_shift[ti, tj, r]) * self.c_hat[ti, tj, r]
+        np.maximum(run_max, psum, out=run_max)
 
 
 class FinalQuery:
@@ -294,7 +282,7 @@ class GaussianNoisedAnalyst:
     """Dataset mean plus N(0, sigma^2) noise, clipped back into [-1, 1]."""
 
     def __init__(self, sigma: float):
-        if sigma < 0:
+        if not sigma >= 0:
             raise ValueError("sigma must be nonnegative")
         self.sigma = sigma
         self.name = f"gaussian-noised({sigma:g})"
@@ -332,7 +320,7 @@ class ClampedMeanAnalyst:
     """Dataset mean with coordinates clamped to [-bound, bound]."""
 
     def __init__(self, bound: float = 0.5):
-        if bound <= 0:
+        if not bound > 0:
             raise ValueError("bound must be positive")
         self.bound = bound
         self.name = f"clamped-mean({bound:g})"
@@ -451,10 +439,11 @@ def run_ada_protocol(
     """Run the d-stage protocol against an analyst and measure the gap.
 
     ``seed`` (an int or a SeedSequence) is split into independent branches:
-    dataset draw, obfuscation masks, per-stage accuracy Monte Carlo, final
-    gap Monte Carlo, and analyst noise.  ``dataset_override`` replaces the
-    dataset draw with an explicit named PointBatch while keeping the other
-    branches coupled, which is what the fairness replay test relies on.
+    dataset draw, obfuscation masks, the accuracy-check population (types,
+    then all d slices, drawn once per run), final gap Monte Carlo, and
+    analyst noise.  ``dataset_override`` replaces the dataset draw with an
+    explicit named PointBatch while keeping the other branches coupled,
+    which is what the fairness replay test relies on.
     """
     if family.kind != "tensor":
         raise ValueError("the staged protocol needs a tensor family")
@@ -469,6 +458,8 @@ def run_ada_protocol(
         raise ValueError("alpha must be in (0, 1)")
     if tau is None:
         tau = default_tau(d, alpha, C, m)
+    if not tau > 0:
+        raise ValueError(f"tau must be > 0, got {tau}")
 
     ss = seed if isinstance(seed, np.random.SeedSequence) \
         else np.random.SeedSequence(seed)
@@ -509,19 +500,27 @@ def run_ada_protocol(
     acc_slack = math.sqrt(
         2.0 * math.log(2.0 * n_queries / accuracy_significance) / mc_accuracy
     )
+    # one population per run, walked with the dataset (rows first) as one
+    # stacked state; it is independent of all the analyst sees and each
+    # stage's slack bounds that stage alone, so stages may share it
     rng_acc = np.random.default_rng(ss_acc)
+    pop_types = rng_acc.integers(0, m * k, size=mc_accuracy)
+    pop_bits = sign_bits(rng_acc.random((mc_accuracy, d)) < p_flat[pop_types])
+    wi, wj = np.divmod(np.concatenate([points.types, pop_types]), k)
+    wbits = np.concatenate([bits, pop_bits])
+    psum = np.zeros(n + mc_accuracy)
+    run_max = np.zeros(n + mc_accuracy)
 
     c_hat = np.zeros((m, k, d))
+    field = ScoreField(c_hat, ref_shift)
     comp = np.zeros(n, dtype=bool)
-    psum = np.zeros(n)
-    run_max = np.zeros(n)
     crossing_stage = np.full(n, -1, dtype=np.int64)
     crossing_pscore = np.full(n, np.nan)
     stages = []
     inaccurate = []
 
     for r in range(d):
-        batch = StageQueryBatch(ti, tj, bits[:, r], comp.copy(), hmat, basis)
+        batch = StageQueryBatch(ti, tj, bits[:, r], comp, hmat, basis)
         answers = np.asarray(analyst.answer_stage(r, batch), dtype=float)
         if answers.shape != (n_queries,):
             raise ProtocolAbort(r, f"expected {n_queries} answers, "
@@ -529,17 +528,10 @@ def run_ada_protocol(
         if not np.all(np.isfinite(answers)) or np.abs(answers).max() > 1 + 1e-9:
             raise ProtocolAbort(r, "analyst answer outside [-1, 1]")
 
-        # population accuracy check: fresh draws, same masked-query rule.
-        # The stage reads only slices 0..r, so only those uniforms become
-        # bits; all d are still drawn to keep the rng stream fixed.
-        pop_types = rng_acc.integers(0, m * k, size=mc_accuracy)
-        pi, pj = np.divmod(pop_types, k)
-        pop_bits = sign_bits(rng_acc.random((mc_accuracy, d))[:, :r + 1]
-                             < p_flat[pop_types, :r + 1])
-        fld = ScoreField(c_hat=c_hat, ref_shift=ref_shift)
-        pop_comp = fld.walk_max(pi, pj, pop_bits, upto=r) > tau
-        pop_vals = StageQueryBatch(pi, pj, pop_bits[:, r], pop_comp, hmat,
-                                   basis).eval_mean()
+        # population accuracy check under the same masked-query rule
+        pop_comp = run_max[n:] > tau
+        pop_vals = StageQueryBatch(wi[n:], wj[n:], pop_bits[:, r], pop_comp,
+                                   hmat, basis).eval_mean()
         max_dev = float(np.abs(answers - pop_vals).max())
         accuracy_ok = max_dev <= alpha + acc_slack
         if not accuracy_ok:
@@ -556,26 +548,25 @@ def run_ada_protocol(
             _, lam = project_to_H(recon[:, i], basis, 1.0 / m, mode="fast")
             c_hat[i, :, r] = lam / m
 
-        inc = (bits[:, r] - ref_shift[ti, tj, r]) * c_hat[ti, tj, r]
-        psum = psum + inc
-        run_max = np.maximum(run_max, psum)
-        newly = (run_max > tau) & ~comp
+        field.advance(wi, wj, wbits[:, r], r, psum, run_max)
+        crossed = run_max[:n] > tau
+        newly = crossed & ~comp
         crossing_stage[newly] = r
-        crossing_pscore[newly] = psum[newly]
-        comp = comp | newly
+        crossing_pscore[newly] = psum[:n][newly]
 
         stages.append(StageRecord(
             stage=r,
             query_digest=_digest(np.array([r], dtype=np.int64).tobytes()
-                                 + np.packbits(batch._comp).tobytes()),
+                                 + np.packbits(comp).tobytes()),
             answer_digest=_digest(answers.tobytes()),
-            compromised_count=int(comp.sum()),
+            compromised_count=int(crossed.sum()),
             pop_compromised_frac=float(pop_comp.mean()),
             accuracy_ok=accuracy_ok,
             max_population_dev=max_dev,
         ))
+        comp = crossed
 
-    fq = FinalQuery(ScoreField(c_hat, ref_shift), m, d, alpha, C)
+    fq = FinalQuery(field, m, d, alpha, C)
     gap_res = gap(fq, points, dist, mc_gap, np.random.default_rng(ss_gap))
 
     return AdaTranscript(

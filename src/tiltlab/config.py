@@ -6,6 +6,7 @@ import math
 from dataclasses import dataclass, fields
 from typing import Optional
 
+from .ada import builtin_analysts
 from .mechanisms import RECONSTRUCT_CAP
 from .structure import column_sum_cap
 
@@ -79,15 +80,7 @@ def _to_int(text: str) -> int:
     return int(text, 0)
 
 
-def _to_float(text: str) -> float:
-    return float(text)
-
-
-def _to_str(text: str) -> str:
-    return text
-
-
-_CONVERTERS = {int: _to_int, float: _to_float, str: _to_str}
+_CONVERTERS = {int: _to_int, float: float, str: str}
 
 # Optional fields parse with the converter of their inner type
 _OPTIONAL_TYPES = {
@@ -153,6 +146,21 @@ def parse_config(text: str) -> ExperimentConfig:
     return cfg
 
 
+# the config key whose value each built-in analyst's constructor takes
+ANALYST_SETTINGS = {"gaussian-noised": "sigma", "sample-split": "folds",
+                    "clamped-mean": "bound"}
+
+
+def analyst_from_config(cfg: ExperimentConfig):
+    """Build cfg.analyst from the one setting it reads; ValueError when the
+    name is unknown or the analyst rejects the setting."""
+    registry = builtin_analysts()
+    if cfg.analyst not in registry:
+        raise ValueError(f"analyst must be one of {', '.join(registry)}")
+    key = ANALYST_SETTINGS.get(cfg.analyst)
+    return registry[cfg.analyst](*([getattr(cfg, key)] if key else []))
+
+
 def check_ranges(cfg: ExperimentConfig, lines: Optional[dict] = None) -> None:
     """Reject values a run of cfg.kind cannot use, so a bad config exits 2
     before anything is written instead of producing error rows.
@@ -191,6 +199,18 @@ def check_ranges(cfg: ExperimentConfig, lines: Optional[dict] = None) -> None:
             fail("alpha", f"alpha must be in (0, 1), got {cfg.alpha}")
         if cfg.W is not None and cfg.W < cfg.n ** 2:
             fail("W", f"W must be >= n^2 = {cfg.n ** 2}, got {cfg.W}")
+        if cfg.tau is not None and not 0 < cfg.tau < math.inf:
+            fail("tau", f"tau must be unset or finite and > 0, got {cfg.tau}")
+        if not 0 < cfg.C < math.inf:
+            fail("C", f"C must be finite and > 0, got {cfg.C}")
+        if cfg.theta_mode not in ("sampled", "frozen"):
+            fail("theta_mode", f"theta_mode must be sampled or frozen, "
+                               f"got {cfg.theta_mode!r}")
+        try:
+            analyst_from_config(cfg)
+        except ValueError as err:
+            key = ANALYST_SETTINGS.get(cfg.analyst, "analyst")
+            fail(key, f"{err}, got {getattr(cfg, key)!r}")
     elif cfg.kind == "mech-bench":
         at_least(("support", 1))
         if not 0 < cfg.epsilon < math.inf:

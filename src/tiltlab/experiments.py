@@ -19,10 +19,11 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .ada import builtin_analysts, run_ada_protocol
+from .ada import run_ada_protocol
 from .attack import run_attack_trial, run_shifted_attack_trial, \
     separation_of_totals, separation_statistic, ThetaSampler
-from .config import ConfigError, ExperimentConfig, check_ranges
+from .config import ConfigError, ExperimentConfig, analyst_from_config, \
+    check_ranges
 from .families import make_family
 from .mechanisms import ClampedMean, EmpiricalMean, GaussianMechanism, \
     HistogramVector, sparse_histogram
@@ -81,19 +82,6 @@ def _mechanism_from_config(cfg: ExperimentConfig):
     if cfg.mechanism == "gaussian":
         return GaussianMechanism(epsilon=cfg.epsilon, delta=cfg.delta)
     raise ValueError(f"unknown mechanism {cfg.mechanism!r}")
-
-
-def _analyst_from_config(cfg: ExperimentConfig):
-    registry = builtin_analysts()
-    if cfg.analyst not in registry:
-        raise ValueError(f"unknown analyst {cfg.analyst!r}")
-    if cfg.analyst == "gaussian-noised":
-        return registry[cfg.analyst](cfg.sigma)
-    if cfg.analyst == "sample-split":
-        return registry[cfg.analyst](cfg.folds)
-    if cfg.analyst == "clamped-mean":
-        return registry[cfg.analyst](cfg.bound)
-    return registry[cfg.analyst]()
 
 
 # --------------------------------------------------------------------------
@@ -189,7 +177,7 @@ def _trial_ada(cfg: ExperimentConfig, master_seed: int, trial: int):
     family = make_family("tensor", m=cfg.m, k=cfg.k, d=cfg.d)
     theta = _ada_theta(cfg, master_seed, trial, family.dim, cfg.k)
     transcript = run_ada_protocol(
-        _analyst_from_config(cfg),
+        analyst_from_config(cfg),
         family,
         theta,
         n=cfg.n,

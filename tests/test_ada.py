@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.special import expit
 
 from tiltlab.ada import (
     ClampedMeanAnalyst,
@@ -327,7 +328,20 @@ def walk_max_oracle(field, ti, tj, v, upto):
     return out
 
 
+def advanced_state(field, ti, tj, v, upto, check=None):
+    """psum and run_max after advancing a zero state over slices 0..upto-1;
+    ``check(r, psum, run_max)`` runs after each slice."""
+    psum, run_max = np.zeros(len(v)), np.zeros(len(v))
+    for r in range(upto):
+        field.advance(ti, tj, v[:, r], r, psum, run_max)
+        if check:
+            check(r, psum, run_max)
+    return psum, run_max
+
+
 class TestWalkMax:
+    """ScoreField.advance, one slice per stage, against the per-point walk."""
+
     def _field(self, seed, m=3, k=4, d=9, n=400):
         rng = np.random.default_rng(seed)
         # coefficients of mixed sizes and signs, so a different summation
@@ -344,31 +358,59 @@ class TestWalkMax:
     @pytest.mark.parametrize("upto", [0, 1, 2, 5, 9])
     def test_matches_per_point_oracle(self, upto):
         field, ti, tj, v = self._field(40)
-        got = field.walk_max(ti, tj, v, upto)
-        assert np.array_equal(got, walk_max_oracle(field, ti, tj, v, upto))
-        if upto:
-            # the empty prefix does not count: some walks stay below zero
-            assert (got < 0).any()
+        inc = field.increments(ti, tj, v)
+
+        def check(r, psum, run_max):
+            want = walk_max_oracle(field, ti, tj, v, r + 1)
+            # the state starts at 0 and the oracle at -inf: points whose
+            # prefix sums are all negative sit at 0, and no tau > 0 sees it
+            assert (want < 0).any()
+            assert np.array_equal(run_max, np.maximum(want, 0.0))
+            assert np.array_equal(psum, np.cumsum(inc[:, :r + 1], axis=1)[:, -1])
+
+        psum, run_max = advanced_state(field, ti, tj, v, upto, check)
+        if upto == 0:
+            assert not psum.any() and not run_max.any()
 
     def test_reads_only_columns_below_upto(self):
         field, ti, tj, v = self._field(41)
         upto = 4
-        want = walk_max_oracle(field, ti, tj, v, upto)
-        assert np.array_equal(field.walk_max(ti, tj, v, upto), want)
-        assert np.array_equal(field.walk_max(ti, tj, v[:, :upto], upto), want)
+        want = advanced_state(field, ti, tj, v, upto)
         flipped = v.copy()
         flipped[:, upto:] *= -1
-        assert np.array_equal(field.walk_max(ti, tj, flipped, upto), want)
+        for bits in (v[:, :upto], flipped):
+            got = advanced_state(field, ti, tj, bits, upto)
+            assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
     def test_crossing_points_match_oracle(self):
         field, ti, tj, v = self._field(42, d=12)
-        got = field.walk_max(ti, tj, v, 12)
+        _, run_max = advanced_state(field, ti, tj, v, 12)
         want = walk_max_oracle(field, ti, tj, v, 12)
-        assert np.array_equal(got, want)
-        tau = float(np.median(want))
-        crossed = got > tau
-        assert crossed.any() and not crossed.all()
+        assert np.array_equal(run_max, np.maximum(want, 0.0))
+        # a point whose running max equals tau exactly is not compromised
+        tau = float(np.sort(want[want > 0])[(want > 0).sum() // 2])
+        at_tau = run_max == tau
+        assert at_tau.any() and tau > 0
+        crossed = run_max > tau
+        assert crossed.any() and not crossed[at_tau].any()
         assert np.array_equal(crossed, want > tau)
+
+
+class RecordingAnalyst:
+    """Wraps an analyst and keeps a copy of every stage's answers."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.name = inner.name
+        self.answers = []
+
+    def begin(self, obf_dataset, rng):
+        self.inner.begin(obf_dataset, rng)
+
+    def answer_stage(self, stage, batch):
+        ans = np.asarray(self.inner.answer_stage(stage, batch), dtype=float)
+        self.answers.append(ans.copy())
+        return ans
 
 
 class ZeroAnalyst:
@@ -472,6 +514,47 @@ class TestRunProtocol:
         tr = run_ada_protocol(ExactMeanAnalyst(), fam, theta, n=512, seed=38,
                               alpha=0.25)
         assert tr.inaccurate_stages == []
+
+    def test_population_check_matches_oracle(self):
+        # the accuracy branch draws one population per run (types, then all
+        # d slices as uniforms below Pr[v = +1]); stage r reads slice r on
+        # the points whose walk over slices 0..r-1 stays at or below tau
+        fam = small_family()
+        m, k, d = fam.m, fam.k, fam.d
+        theta = surface_theta(fam, np.random.default_rng(80))
+        alpha, tau, mc, seed = 0.1, 0.05, 256, 81
+        analyst = RecordingAnalyst(ExactMeanAnalyst())
+        tr = run_ada_protocol(analyst, fam, theta, n=32, seed=seed, tau=tau,
+                              alpha=alpha, mc_accuracy=mc)
+
+        ss_acc = np.random.SeedSequence(seed).spawn(5)[2]
+        rng = np.random.default_rng(ss_acc)
+        types = rng.integers(0, m * k, size=mc)
+        p_plus = expit(2.0 * tilt(fam, theta).type_tilts)
+        v = np.where(rng.random((mc, d)) < p_plus[types], 1, -1)
+        ti, tj = np.divmod(types, k)
+        hmat = predicate_matrix(m).astype(float)
+        basis = fam.basis.astype(float)
+        n_queries = 2 ** m * k
+        slack = math.sqrt(2.0 * math.log(2.0 * n_queries / 1e-3) / mc)
+        field = tr.score_field()  # slice s of c_hat is fixed after stage s
+        for r, rec in enumerate(tr.stages):
+            comp = walk_max_oracle(field, ti, tj, v, r) > tau
+            assert rec.pop_compromised_frac == comp.mean()
+            pop_vals = eval_mean_add_at(ti, tj, v[:, r], comp, hmat, basis)
+            dev = float(np.abs(analyst.answers[r] - pop_vals).max())
+            assert rec.max_population_dev == dev
+            assert rec.accuracy_ok == (dev <= alpha + slack)
+        assert sum(rec.pop_compromised_frac > 0 for rec in tr.stages) >= 3
+        assert 0 < len(tr.inaccurate_stages) < d
+
+    @pytest.mark.parametrize("tau", [0.0, -1.0, math.nan])
+    def test_nonpositive_tau_rejected(self, tau):
+        fam = small_family()
+        theta = surface_theta(fam, np.random.default_rng(82))
+        with pytest.raises(ValueError, match="tau must be > 0"):
+            run_ada_protocol(ExactMeanAnalyst(), fam, theta, n=8, seed=83,
+                             tau=tau)
 
     def test_out_of_range_answer_aborts(self):
         fam = small_family()

@@ -44,6 +44,20 @@ def test_import_skips_unused_scipy_modules():
     assert out.strip() == "[]"
 
 
+def test_calibration_ada_desk_smoke():
+    # the script puts src/ on the path itself, so it runs from the repo root
+    root = os.path.dirname(os.path.dirname(os.path.dirname(tiltlab.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "scripts/calibration.py", "--section", "ada-desk",
+         "--trials", "2"],
+        capture_output=True, text=True, cwd=root, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert any(line.startswith("max population compromised fraction")
+               for line in lines)
+    assert any(line.startswith("desk point holds") for line in lines)
+
+
 class TestParseConfig:
     def test_minimal(self):
         cfg = parse_config("kind = mech-bench")
@@ -143,10 +157,37 @@ class TestParseConfig:
         ("mc_accuracy = 1", "line 2: mc_accuracy must be >= 2"),
         ("mc_gap = 1", "line 2: mc_gap must be >= 2"),
         ("W = 15", r"line 2: W must be >= n\^2 = 16"),
+        ("tau = -1", "line 2: tau must be unset or finite and > 0"),
+        ("tau = 0", "line 2: tau must be unset or finite and > 0"),
+        ("tau = inf", "line 2: tau must be unset or finite and > 0"),
+        ("tau = nan", "line 2: tau must be unset or finite and > 0"),
+        ("C = 0", "line 2: C must be finite and > 0"),
+        ("C = -2", "line 2: C must be finite and > 0"),
+        ("theta_mode = bogus", "line 2: theta_mode must be sampled or frozen"),
+        ("analyst = oracle", "line 2: analyst must be one of exact-mean, "
+                             "gaussian-noised, sample-split, clamped-mean, "
+                             "got 'oracle'"),
+        ("sigma = -1\nanalyst = gaussian-noised",
+         "line 2: sigma must be nonnegative, got -1.0"),
+        ("sigma = nan\nanalyst = gaussian-noised",
+         "line 2: sigma must be nonnegative, got nan"),
+        ("folds = 0\nanalyst = sample-split",
+         "line 2: folds must be positive, got 0"),
+        ("bound = 0\nanalyst = clamped-mean",
+         "line 2: bound must be positive, got 0.0"),
     ])
     def test_ada_ranges(self, line, match):
         with pytest.raises(ConfigError, match=match):
             parse_config(f"kind = ada-run\n{line}")
+
+    def test_analyst_settings_checked_only_for_their_analyst(self):
+        cfg = parse_config("kind = ada-run\nsigma = -1\nfolds = 0\n"
+                           "bound = 0\ntau = 1e-9\nC = 1e-9\n"
+                           "theta_mode = frozen")
+        assert (cfg.sigma, cfg.folds, cfg.bound) == (-1.0, 0, 0.0)
+        for analyst in ("gaussian-noised", "sample-split", "clamped-mean"):
+            parse_config(f"kind = ada-run\nanalyst = {analyst}\nsigma = 0\n"
+                         "folds = 1\nbound = 1e-9")
 
     def test_ada_range_edges_accepted(self):
         cfg = parse_config(f"kind = ada-run\nd = 1\nn = 1\n"
@@ -415,7 +456,10 @@ class TestCli:
 
     @pytest.mark.parametrize("line", [
         "k = 3", f"m = {RECONSTRUCT_CAP + 1}", "alpha = 0", "n = 0", "d = 0",
-        "mc_gap = 1",
+        "mc_gap = 1", "tau = -1", "C = 0", "theta_mode = bogus",
+        "analyst = oracle", "sigma = -1\nanalyst = gaussian-noised",
+        "folds = 0\nanalyst = sample-split",
+        "bound = 0\nanalyst = clamped-mean",
     ])
     def test_bad_ada_config_exit_code(self, tmp_path, capsys, line):
         cfg = write_config(tmp_path, f"kind = ada-run\n{line}")
@@ -473,6 +517,8 @@ class TestCli:
     @pytest.mark.parametrize("kind,key,value", [
         ("verify-structure", "k_subset", 5),
         ("ada-run", "k", 3),
+        ("ada-run", "tau", -1.0),
+        ("ada-run", "theta_mode", "bogus"),
     ])
     def test_replay_out_of_range_manifest_exit_code(self, tmp_path, capsys,
                                                     kind, key, value):
