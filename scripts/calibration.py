@@ -33,10 +33,11 @@ import argparse
 import math
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
-sys.path.insert(0, "src")
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from tiltlab.ada import builtin_analysts, run_ada_protocol
 from tiltlab.attack import ThetaSampler

@@ -32,7 +32,7 @@ import numpy as np
 from scipy.special import expit
 
 from .errors import ProtocolAbort
-from .families import PointBatch, PointFamily, PointRef, predicate_matrix
+from .families import PointBatch, PointFamily, predicate_matrix
 from .mechanisms import project_to_H, reconstruct_slices_batch
 from .tilt import TiltedDistribution, sign_bits, tilt, tilt_sample_many
 
@@ -114,24 +114,6 @@ def deobfuscate_many(obf: Obfuscation, names, ti, tj, masked: np.ndarray) -> np.
     return _apply_masks(obf, names, ti, tj, masked, decode=True)
 
 
-def _one_point(many, obf: Obfuscation, ref: PointRef) -> PointRef:
-    if ref.v is None:
-        raise ValueError("obfuscation needs points with explicit v-bits")
-    if ref.name is None:
-        raise ValueError("obfuscation needs a named point")
-    bits = many(obf, [ref.name], [ref.i or 0], [ref.j or 0],
-                np.asarray(ref.v, dtype=np.int8)[None, :])[0]
-    return PointRef(v=bits, i=ref.i, j=ref.j, name=ref.name)
-
-
-def obfuscate(obf: Obfuscation, ref: PointRef) -> PointRef:
-    return _one_point(obfuscate_many, obf, ref)
-
-
-def deobfuscate(obf: Obfuscation, ref: PointRef) -> PointRef:
-    return _one_point(deobfuscate_many, obf, ref)
-
-
 # --------------------------------------------------------------------------
 # score field and final query
 
@@ -190,13 +172,12 @@ class GapResult:
     stderr: float
 
 
-def gap(query: Callable, dataset, dist: TiltedDistribution,
+def gap(query: Callable, points: PointBatch, dist: TiltedDistribution,
         mc_count: int, rng: np.random.Generator) -> GapResult:
     """|dataset mean - Monte Carlo population mean| of a [-1,1] query.
 
     ``query`` is called with a PointBatch and must return one value per
-    point.  ``dataset`` may be a Dataset or a PointBatch."""
-    points = getattr(dataset, "batch", dataset)
+    point."""
     ds_vals = np.asarray(query(points), dtype=float)
     pop_vals = np.asarray(query(tilt_sample_many(dist, rng, mc_count)),
                           dtype=float)
@@ -252,14 +233,6 @@ class StageQueryBatch:
         vals = self._hmat @ sums @ self._basis.T  # (2^m, k)
         flat = vals.T.reshape(-1)
         return (flat + float(comp.sum())) / len(ti)
-
-    def eval_point(self, idx: int) -> np.ndarray:
-        """All query values on one dataset point."""
-        if self._comp[idx]:
-            return np.ones(self.n_queries)
-        col = np.outer(self._basis[:, self._tj[idx]],
-                       self._hmat[:, self._ti[idx]]) * self._vr[idx]
-        return col.reshape(-1)
 
 
 # --------------------------------------------------------------------------

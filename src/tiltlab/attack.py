@@ -105,11 +105,11 @@ def run_attack_trial(
         raise ValueError("need n >= 1")
     theta = sampler.sample(rng)
     dist = tilt(family, theta)
-    ds = Dataset.from_refs(family, tilt_sample_many(dist, rng, n))
+    ds = Dataset.from_refs(tilt_sample_many(dist, rng, n))
     ans = mechanism(ds, rng)
     answer = np.asarray(ans.estimate, dtype=float).reshape(-1)
     in_scores = _scores_against(dist, ds, answer)
-    fresh = Dataset.from_refs(family, tilt_sample_many(dist, rng, fresh_count))
+    fresh = Dataset.from_refs(tilt_sample_many(dist, rng, fresh_count))
     fresh_scores = _scores_against(dist, fresh, answer)
     return ScoreReport(
         region=sampler.region,
@@ -148,12 +148,12 @@ def run_shifted_attack_trial(
     theta = sampler.sample(rng)
     dist = tilt(family, theta)
     mu = tilt_mean(dist)
-    ds = Dataset.from_refs(family, tilt_sample_many(dist, rng, n))
+    ds = Dataset.from_refs(tilt_sample_many(dist, rng, n))
     ans = mechanism(ds, rng)
     answer = np.asarray(ans.estimate, dtype=float).reshape(-1)
     target = answer - mu
     in_scores = (ds.points - mu) @ target
-    fresh = Dataset.from_refs(family, tilt_sample_many(dist, rng, fresh_count))
+    fresh = Dataset.from_refs(tilt_sample_many(dist, rng, fresh_count))
     fresh_scores = (fresh.points - mu) @ target
     lam = float(np.linalg.eigvalsh(tilt_cov(dist))[-1])
     return ScoreReport(

@@ -7,7 +7,9 @@ from dataclasses import dataclass, fields
 from typing import Optional
 
 from .ada import builtin_analysts
-from .mechanisms import RECONSTRUCT_CAP
+from .attack import _REGIONS
+from .mechanisms import RECONSTRUCT_CAP, ClampedMean, EmpiricalMean, \
+    GaussianMechanism
 from .structure import column_sum_cap
 
 KINDS = (
@@ -161,6 +163,21 @@ def analyst_from_config(cfg: ExperimentConfig):
     return registry[cfg.analyst](*([getattr(cfg, key)] if key else []))
 
 
+MECHANISMS = ("exact-mean", "clamped-mean", "gaussian")
+
+
+def mechanism_from_config(cfg: ExperimentConfig):
+    """Build cfg.mechanism with the settings it reads; ValueError when the
+    name is unknown."""
+    if cfg.mechanism == "exact-mean":
+        return EmpiricalMean()
+    if cfg.mechanism == "clamped-mean":
+        return ClampedMean(bound=cfg.bound)
+    if cfg.mechanism == "gaussian":
+        return GaussianMechanism(epsilon=cfg.epsilon, delta=cfg.delta)
+    raise ValueError(f"unknown mechanism {cfg.mechanism!r}")
+
+
 def check_ranges(cfg: ExperimentConfig, lines: Optional[dict] = None) -> None:
     """Reject values a run of cfg.kind cannot use, so a bad config exits 2
     before anything is written instead of producing error rows.
@@ -179,9 +196,33 @@ def check_ranges(cfg: ExperimentConfig, lines: Optional[dict] = None) -> None:
             if getattr(cfg, key) < low:
                 fail(key, f"{key} must be >= {low}, got {getattr(cfg, key)}")
 
+    def privacy_budget():
+        if not 0 < cfg.epsilon < math.inf:
+            fail("epsilon",
+                 f"epsilon must be finite and > 0, got {cfg.epsilon}")
+        if not 0 < cfg.delta < 1:
+            fail("delta", f"delta must be in (0, 1), got {cfg.delta}")
+
     if cfg.trials < 0:
         fail("trials", "trials must be nonnegative")
-    if cfg.kind == "verify-structure":
+    if cfg.kind in ("attack-hypercube", "attack-random"):
+        at_least(("d", 1), ("n", 1), ("fresh", 2))
+        if cfg.kind == "attack-random":
+            at_least(("n_columns", 2))
+        if cfg.region not in _REGIONS:
+            fail("region", f"region must be one of {', '.join(_REGIONS)}, "
+                           f"got {cfg.region!r}")
+        if cfg.radius is not None and not 0 < cfg.radius < math.inf:
+            fail("radius",
+                 f"radius must be unset or finite and > 0, got {cfg.radius}")
+        if cfg.mechanism not in MECHANISMS:
+            fail("mechanism", f"mechanism must be one of "
+                              f"{', '.join(MECHANISMS)}, got {cfg.mechanism!r}")
+        if cfg.mechanism == "gaussian":
+            privacy_budget()
+        if cfg.mechanism == "clamped-mean" and not cfg.bound > 0:
+            fail("bound", f"bound must be > 0, got {cfg.bound}")
+    elif cfg.kind == "verify-structure":
         at_least(("d", 1), ("n_columns", 2), ("n_subsets", 1), ("n_theta", 1))
         cap = column_sum_cap(cfg.d, cfg.n_columns, cfg.cap_scale)
         if not 1 <= cfg.k_subset <= cap:
@@ -213,11 +254,7 @@ def check_ranges(cfg: ExperimentConfig, lines: Optional[dict] = None) -> None:
             fail(key, f"{err}, got {getattr(cfg, key)!r}")
     elif cfg.kind == "mech-bench":
         at_least(("support", 1))
-        if not 0 < cfg.epsilon < math.inf:
-            fail("epsilon",
-                 f"epsilon must be finite and > 0, got {cfg.epsilon}")
-        if not 0 < cfg.delta < 1:
-            fail("delta", f"delta must be in (0, 1), got {cfg.delta}")
+        privacy_budget()
         if not 0 <= cfg.mass < math.inf:
             fail("mass", f"mass must be finite and >= 0, got {cfg.mass}")
         if cfg.universe is not None and cfg.universe < cfg.support:

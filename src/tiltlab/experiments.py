@@ -23,10 +23,9 @@ from .ada import run_ada_protocol
 from .attack import run_attack_trial, run_shifted_attack_trial, \
     separation_of_totals, separation_statistic, ThetaSampler
 from .config import ConfigError, ExperimentConfig, analyst_from_config, \
-    check_ranges
+    check_ranges, mechanism_from_config
 from .families import make_family
-from .mechanisms import ClampedMean, EmpiricalMean, GaussianMechanism, \
-    HistogramVector, sparse_histogram
+from .mechanisms import EmpiricalMean, HistogramVector, sparse_histogram
 from .seeds import trial_seed_sequence
 from .structure import ETA_PROBE_SCALE, check_column_sums, check_expanding, \
     check_regular
@@ -74,16 +73,6 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
-def _mechanism_from_config(cfg: ExperimentConfig):
-    if cfg.mechanism == "exact-mean":
-        return EmpiricalMean()
-    if cfg.mechanism == "clamped-mean":
-        return ClampedMean(bound=cfg.bound)
-    if cfg.mechanism == "gaussian":
-        return GaussianMechanism(epsilon=cfg.epsilon, delta=cfg.delta)
-    raise ValueError(f"unknown mechanism {cfg.mechanism!r}")
-
-
 # --------------------------------------------------------------------------
 # per-kind trial workers: (config, master_seed, trial) -> (row, log_lines)
 
@@ -94,7 +83,7 @@ def _trial_attack_hypercube(cfg: ExperimentConfig, master_seed: int,
     family = make_family("hypercube", d=cfg.d)
     radius = cfg.radius if cfg.radius is not None else 5.0 * math.sqrt(cfg.d)
     sampler = ThetaSampler(cfg.region, family.dim, radius)
-    report = run_attack_trial(family, sampler, _mechanism_from_config(cfg),
+    report = run_attack_trial(family, sampler, mechanism_from_config(cfg),
                               cfg.n, cfg.fresh, rng)
     stat = separation_statistic(report)
     fresh_se = report.fresh_scores.std(ddof=1) / math.sqrt(cfg.fresh)
@@ -126,7 +115,7 @@ def _trial_attack_random(cfg: ExperimentConfig, master_seed: int, trial: int):
         else 2.0 * math.sqrt(math.log(cfg.n_columns))
     sampler = ThetaSampler(cfg.region, family.dim, radius)
     report = run_shifted_attack_trial(family, sampler,
-                                      _mechanism_from_config(cfg), cfg.n,
+                                      mechanism_from_config(cfg), cfg.n,
                                       rng, fresh_count=cfg.fresh)
     stat = separation_statistic(report)
     second = float((report.fresh_scores ** 2).mean())
@@ -270,7 +259,8 @@ def _trial_verify_structure(cfg: ExperimentConfig, master_seed: int,
     return row, []
 
 
-# at least ten enumerable instances spanning plain and type-conditioned tilts
+# at least ten enumerable instances: single-type hypercubes and tensor
+# families with one or several types, each at n = 1 and 2
 _DIVERGENCE_CATALOG = (
     ("hypercube", {"d": 2}, 1),
     ("hypercube", {"d": 2}, 2),

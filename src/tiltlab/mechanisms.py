@@ -10,13 +10,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional, Union
+from typing import Callable, Optional
 
 import numpy as np
 from scipy.special import betaincinv
 
 from .errors import CapacityError
-from .families import PointBatch, PointFamily, PointRef, predicate_matrix
+from .families import PointBatch, PointFamily, predicate_matrix
 
 
 @dataclass
@@ -27,22 +27,14 @@ class Dataset:
     points: np.ndarray  # (n, dim)
 
     @classmethod
-    def from_refs(cls, family: PointFamily, refs) -> "Dataset":
-        """Dataset of a PointBatch, or of a list of PointRefs of family."""
-        batch = refs if isinstance(refs, PointBatch) \
-            else PointBatch.from_refs(family, refs)
+    def from_refs(cls, batch: PointBatch) -> "Dataset":
+        """Dataset of a PointBatch, densified once (the name is kept for the
+        perfbench span that times it)."""
         return cls(batch=batch, points=batch.densify())
 
     @property
     def n(self) -> int:
         return len(self.batch)
-
-    def replace_one(self, idx: int, ref: PointRef) -> "Dataset":
-        one = PointBatch.from_refs(self.batch.family, [ref])
-        pick = np.arange(self.n)
-        pick[idx] = self.n
-        return Dataset(batch=self.batch.concat(one).take(pick),
-                       points=np.vstack([self.points, one.densify()])[pick])
 
 
 @dataclass
@@ -190,35 +182,6 @@ class HistogramVector:
         if size is None or size > len(keys):
             d = max(d, abs(self.background - other.background))
         return d
-
-    @classmethod
-    def from_lines(
-        cls,
-        lines: Union[str, Iterable[str]],
-        universe_size: Optional[int] = None,
-    ) -> "HistogramVector":
-        """Parse ``element,weight`` text lines; blank lines are skipped."""
-        if isinstance(lines, str):
-            lines = lines.splitlines()
-        weights: dict = {}
-        for lineno, raw in enumerate(lines, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 2:
-                raise ValueError(f"line {lineno}: expected 'element,weight'")
-            eid = parts[0].strip()
-            try:
-                w = float(parts[1])
-            except ValueError:
-                raise ValueError(f"line {lineno}: weight is not a number") from None
-            if w < 0:
-                raise ValueError(f"line {lineno}: negative weight")
-            if eid in weights:
-                raise ValueError(f"line {lineno}: duplicate element {eid!r}")
-            weights[eid] = w
-        return cls(weights=weights, universe_size=universe_size)
 
 
 def _row_fsums(block: np.ndarray) -> np.ndarray:
@@ -620,15 +583,15 @@ class PaddedMechanism:
     undoes the padding exactly for mean answers.
     """
 
-    def __init__(self, mech, k: int, z_ref: PointRef, family: PointFamily):
+    def __init__(self, mech, k: int, anchor: PointBatch):
         if not isinstance(k, int) or k < 1:
             raise ValueError("pad factor k must be a positive integer")
+        if len(anchor) != 1:
+            raise ValueError("the anchor must be a one-point batch")
         self.mech = mech
         self.k = k
-        self.z_ref = z_ref
-        self.family = family
-        self._anchor = PointBatch.from_refs(family, [z_ref])
-        self._z = self._anchor.densify()[0]
+        self.anchor = anchor
+        self._z = anchor.densify()[0]
 
     @property
     def name(self) -> str:
@@ -639,7 +602,7 @@ class PaddedMechanism:
         n = self.k * m
         pad = np.tile(self._z, (n - m, 1))
         big = Dataset(
-            batch=ds.batch.concat(self._anchor.take(np.zeros(n - m, int))),
+            batch=ds.batch.concat(self.anchor.take(np.zeros(n - m, int))),
             points=np.vstack([ds.points, pad]) if n > m else ds.points.copy(),
         )
         ans = self.mech(big, rng)

@@ -406,7 +406,7 @@ class TestMeanReductions:
         family = make_family("hypercube", d=8)
         rng = np.random.default_rng(93)
         refs = tilt_sample_many(tilt(family, np.zeros(8)), rng, 6)
-        ds = Dataset.from_refs(family, refs)
+        ds = Dataset.from_refs(refs)
         wrapped = GroupPrivacyWrapped(GaussianMechanism(eps, delta), p)
         ans = wrapped(ds, rng)
         assert ans.epsilon == pytest.approx(p * eps, rel=1e-12)
@@ -421,10 +421,10 @@ class TestMeanReductions:
         rng = np.random.default_rng(94)
         dist = tilt(family, np.zeros(family.dim))
         for _ in range(100):
-            anchor = tilt_sample_many(dist, rng, 1)[0]
+            anchor = tilt_sample_many(dist, rng, 1)
             refs = tilt_sample_many(dist, rng, 5)
-            ds = Dataset.from_refs(family, refs)
-            padded = PaddedMechanism(EmpiricalMean(), 3, anchor, family)
+            ds = Dataset.from_refs(refs)
+            padded = PaddedMechanism(EmpiricalMean(), 3, anchor)
             est = padded(ds).estimate
             np.testing.assert_allclose(
                 est, ds.points.mean(axis=0), atol=1e-12)

@@ -18,24 +18,14 @@ from tiltlab.ada import (
     StageQueryBatch,
     builtin_analysts,
     default_tau,
-    deobfuscate,
     deobfuscate_many,
     gap,
-    obfuscate,
     obfuscate_many,
     run_ada_protocol,
 )
 from tiltlab.attack import ThetaSampler
 from tiltlab.errors import ProtocolAbort
-from tiltlab.families import (
-    PointBatch,
-    PointRef,
-    QueryId,
-    enumerate_refs,
-    eval_query,
-    make_family,
-    predicate_matrix,
-)
+from tiltlab.families import make_family, predicate_matrix, support_batch
 from tiltlab.tilt import log_weights, tilt, tilt_sample_many
 
 
@@ -94,16 +84,6 @@ class TestObfuscation:
         masked = obfuscate_many(obf, names, ti, tj, v)
         assert np.array_equal(deobfuscate_many(obf, names, ti, tj, masked), v)
 
-    def test_single_ref_roundtrip(self):
-        rng = np.random.default_rng(2)
-        ref = PointRef(v=rng.choice([-1, 1], size=12).astype(np.int8),
-                       i=1, j=3, name=77)
-        obf = Obfuscation(seed=9, W=100)
-        masked = obfuscate(obf, ref)
-        assert masked.name == 77 and masked.i == 1 and masked.j == 3
-        back = deobfuscate(obf, masked)
-        assert np.array_equal(back.v, ref.v)
-
     def test_mask_flips_are_balanced(self):
         # a fixed +1 input should come out roughly half flipped
         obf = Obfuscation(seed=3, W=10 ** 6)
@@ -141,8 +121,6 @@ class TestObfuscation:
         v = np.ones((1, 4), dtype=np.int8)
         with pytest.raises(ValueError, match="names"):
             obfuscate_many(obf, np.array([10]), np.array([0]), np.array([0]), v)
-        with pytest.raises(ValueError, match="named"):
-            obfuscate(obf, PointRef(v=np.ones(4, dtype=np.int8), i=0, j=0))
 
     def test_bad_name_space(self):
         with pytest.raises(ValueError):
@@ -201,16 +179,15 @@ class TestGap:
         fam = make_family("tensor", m=1, k=1, d=2)
         theta = np.array([0.3, -0.7])
         dist = tilt(fam, theta)
-        refs_all = enumerate_refs(fam)
+        support = support_batch(fam)
         probs = np.exp(log_weights(dist))
         target = 2
-        key = refs_all[target].v.tobytes()
+        key = support.v[target]
 
         def indicator(batch):
-            return np.array([1.0 if r.v.tobytes() == key else 0.0
-                             for r in batch])
+            return np.all(batch.v == key, axis=1).astype(float)
 
-        res = gap(indicator, PointBatch.from_refs(fam, [refs_all[target]]),
+        res = gap(indicator, support.take([target]),
                   dist, 200_000, np.random.default_rng(12))
         assert abs(res.value - (1.0 - probs[target])) <= 5 * res.stderr + 1e-3
 
@@ -222,13 +199,32 @@ class TestGap:
         refs = tilt_sample_many(dist, rng, n)
 
         def hash_sign(batch):
+            ti, tj = np.divmod(batch.types, fam.k)
             return np.array([
-                1.0 if (hash(r.v.tobytes()) + r.i + r.j) % 2 else -1.0
-                for r in batch
+                1.0 if (hash(v.tobytes()) + i + j) % 2 else -1.0
+                for v, i, j in zip(batch.v, ti.tolist(), tj.tolist())
             ])
 
         res = gap(hash_sign, refs, dist, 20_000, np.random.default_rng(14))
         assert res.value <= 4 / math.sqrt(n) + 4 * res.stderr
+
+
+def eval_query(fam, h, p, q, ti, tj, v):
+    """Workload row (predicate mask h, basis row p, slice q) at the tensor
+    point of type (ti, tj) with bits v: h(ti) * u_tj[p] * v[q]."""
+    sign = -1 if (h >> ti) & 1 else 1
+    return float(sign * fam.basis[tj, p] * v[q])
+
+
+def eval_point(batch, idx):
+    """All of a stage's query values on one point, one query at a time in
+    closed form: the constant 1 on a compromised point, otherwise
+    u_j[p] * h(i) * v_r at index p * 2^m + h."""
+    if batch._comp[idx]:
+        return np.ones(batch.n_queries)
+    col = np.outer(batch._basis[:, batch._tj[idx]],
+                   batch._hmat[:, batch._ti[idx]]) * batch._vr[idx]
+    return col.reshape(-1)
 
 
 class TestStageQueryBatch:
@@ -248,29 +244,34 @@ class TestStageQueryBatch:
     def test_point_values_match_family_queries(self):
         fam = small_family()
         batch, refs, r = self._make(np.random.default_rng(20), fam, 9)
+        ti, tj = np.divmod(refs.types, fam.k)
         for idx in (0, 4):
-            vals = batch.eval_point(idx)
+            vals = eval_point(batch, idx)
+            one = batch.eval_mean([idx])
             for p in range(fam.k):
                 for h in range(2 ** fam.m):
-                    expect = eval_query(fam, QueryId(h=h, p=p, q=r), refs[idx])
+                    expect = eval_query(fam, h, p, r, ti[idx], tj[idx],
+                                        refs.v[idx])
                     assert vals[p * 2 ** fam.m + h] == expect
+                    assert one[p * 2 ** fam.m + h] == expect
 
     def test_compromised_point_is_constant_one(self):
         fam = small_family()
         batch, _, _ = self._make(np.random.default_rng(21), fam, 5, comp_idx=(2,))
-        assert np.array_equal(batch.eval_point(2), np.ones(batch.n_queries))
+        assert np.array_equal(eval_point(batch, 2), np.ones(batch.n_queries))
+        assert np.array_equal(batch.eval_mean([2]), np.ones(batch.n_queries))
 
     def test_mean_is_average_of_point_values(self):
         fam = small_family()
         batch, _, _ = self._make(np.random.default_rng(22), fam, 13, comp_idx=(3,))
-        stacked = np.stack([batch.eval_point(i) for i in range(13)])
+        stacked = np.stack([eval_point(batch, i) for i in range(13)])
         assert np.allclose(batch.eval_mean(), stacked.mean(axis=0))
 
     def test_subset_mean(self):
         fam = small_family()
         batch, _, _ = self._make(np.random.default_rng(23), fam, 12)
         idx = np.array([1, 5, 7])
-        stacked = np.stack([batch.eval_point(i) for i in idx])
+        stacked = np.stack([eval_point(batch, i) for i in idx])
         assert np.allclose(batch.eval_mean(idx), stacked.mean(axis=0))
         with pytest.raises(ValueError, match="empty"):
             batch.eval_mean(np.array([], dtype=int))

@@ -22,7 +22,7 @@ from tiltlab.attack import (
     run_shifted_attack_trial,
     separation_statistic,
 )
-from tiltlab.families import make_family, resolve, type_index
+from tiltlab.families import make_family
 from tiltlab.mechanisms import (
     EmpiricalMean,
     GaussianMechanism,
@@ -213,12 +213,20 @@ class TestRunAttackTrial:
         in_pts = tilt_sample_many(dist, rng, n)
         fresh_pts = tilt_sample_many(dist, rng, fresh)
 
+        def resolve(points, idx):
+            # one dense point, built from the family definition
+            if fam.kind == "hypercube":
+                return points.v[idx].astype(float)
+            i, j = divmod(int(points.types[idx]), fam.k)
+            x = np.zeros((fam.m, fam.k, fam.d))
+            x[i] = np.outer(fam.basis[j], points.v[idx])
+            return x.reshape(fam.dim)
+
         def oracle(points):
             out = []
             for idx in range(len(points)):
-                ref = points[idx]
-                mu = tilt_mean_typed(dist, type_index(fam, ref))
-                out.append((resolve(fam, ref) - mu) @ report.answer)
+                mu = tilt_mean_typed(dist, int(points.types[idx]))
+                out.append((resolve(points, idx) - mu) @ report.answer)
             return np.array(out)
 
         for got, points in ((report.in_scores, in_pts),

@@ -44,18 +44,42 @@ def test_import_skips_unused_scipy_modules():
     assert out.strip() == "[]"
 
 
-def test_calibration_ada_desk_smoke():
-    # the script puts src/ on the path itself, so it runs from the repo root
+def test_calibration_ada_desk_smoke(tmp_path):
+    # the script puts src/ on the path itself, from any working directory
     root = os.path.dirname(os.path.dirname(os.path.dirname(tiltlab.__file__)))
+    script = os.path.join(root, "scripts", "calibration.py")
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     proc = subprocess.run(
-        [sys.executable, "scripts/calibration.py", "--section", "ada-desk",
-         "--trials", "2"],
-        capture_output=True, text=True, cwd=root, timeout=300)
+        [sys.executable, script, "--section", "ada-desk", "--trials", "2"],
+        capture_output=True, text=True, cwd=tmp_path, env=env, timeout=300)
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     assert any(line.startswith("max population compromised fraction")
                for line in lines)
     assert any(line.startswith("desk point holds") for line in lines)
+
+
+ATTACK_RANGE_CASES = [
+    ("d = 0", "line 2: d must be >= 1"),
+    ("n = 0", "line 2: n must be >= 1"),
+    ("fresh = 1", "line 2: fresh must be >= 2"),
+    ("region = bogus", "line 2: region must be one of l2-sphere, l2-ball, "
+                       "l1-surface, l1-ball, got 'bogus'"),
+    ("radius = -1", "line 2: radius must be unset or finite and > 0"),
+    ("radius = 0", "line 2: radius must be unset or finite and > 0"),
+    ("radius = inf", "line 2: radius must be unset or finite and > 0"),
+    ("radius = nan", "line 2: radius must be unset or finite and > 0"),
+    ("mechanism = nope", "line 2: mechanism must be one of exact-mean, "
+                         "clamped-mean, gaussian, got 'nope'"),
+    ("epsilon = 0\nmechanism = gaussian",
+     "line 2: epsilon must be finite and > 0"),
+    ("epsilon = inf\nmechanism = gaussian",
+     "line 2: epsilon must be finite and > 0"),
+    ("delta = 2\nmechanism = gaussian", r"line 2: delta must be in \(0, 1\)"),
+    ("delta = 0\nmechanism = gaussian", r"line 2: delta must be in \(0, 1\)"),
+    ("bound = 0\nmechanism = clamped-mean", "line 2: bound must be > 0"),
+    ("bound = nan\nmechanism = clamped-mean", "line 2: bound must be > 0"),
+]
 
 
 class TestParseConfig:
@@ -66,12 +90,12 @@ class TestParseConfig:
 
     def test_fields_assigned(self):
         cfg = parse_config(
-            "kind = attack-hypercube\nd = 32\nn = 4\nregion = l1-sphere\n"
+            "kind = attack-hypercube\nd = 32\nn = 4\nregion = l1-surface\n"
             "radius = 2.5\ntrials = 7"
         )
         assert cfg.d == 32
         assert cfg.n == 4
-        assert cfg.region == "l1-sphere"
+        assert cfg.region == "l1-surface"
         assert cfg.radius == 2.5
         assert cfg.trials == 7
 
@@ -226,6 +250,47 @@ class TestParseConfig:
         cfg = parse_config("kind = ada-run\nsupport = 0\ndelta = 1")
         assert (cfg.support, cfg.delta) == (0, 1)
 
+    @pytest.mark.parametrize("kind", ["attack-hypercube", "attack-random"])
+    @pytest.mark.parametrize("line,match", ATTACK_RANGE_CASES)
+    def test_attack_ranges(self, kind, line, match):
+        with pytest.raises(ConfigError, match=match):
+            parse_config(f"kind = {kind}\n{line}")
+
+    def test_attack_random_needs_two_columns(self):
+        with pytest.raises(ConfigError,
+                           match="line 2: n_columns must be >= 2"):
+            parse_config("kind = attack-random\nn_columns = 1")
+        cfg = parse_config("kind = attack-hypercube\nn_columns = 1")
+        assert cfg.n_columns == 1
+
+    @pytest.mark.parametrize("kind", ["attack-hypercube", "attack-random"])
+    def test_attack_range_edges_accepted(self, kind, tmp_path):
+        cfg = parse_config(f"kind = {kind}\ntrials = 2\nd = 1\nn = 1\n"
+                           "fresh = 2\nn_columns = 2\nradius = 1e-9\n"
+                           "region = l1-ball\nmechanism = gaussian\n"
+                           "epsilon = 1e-9\ndelta = 0.999")
+        assert (cfg.d, cfg.n, cfg.fresh, cfg.n_columns) == (1, 1, 2, 2)
+        res = run_experiment(cfg, 3, out_dir=tmp_path)
+        assert res.aggregate["error_rows"] == 0
+
+    def test_attack_mechanism_settings_checked_only_for_their_mechanism(self):
+        cfg = parse_config("kind = attack-hypercube\nepsilon = 0\n"
+                           "delta = 1\nbound = 0")
+        assert (cfg.epsilon, cfg.delta, cfg.bound) == (0.0, 1.0, 0.0)
+        parse_config("kind = attack-random\nmechanism = clamped-mean\n"
+                     "epsilon = 0\ndelta = 1\nbound = 1e-9")
+        parse_config("kind = attack-random\nmechanism = gaussian\n"
+                     "bound = 0")
+
+    def test_attack_ranges_only_for_attack(self):
+        cfg = parse_config("kind = mech-bench\nregion = bogus\nfresh = 1\n"
+                           "mechanism = nope")
+        assert (cfg.region, cfg.fresh, cfg.mechanism) == ("bogus", 1, "nope")
+        # divergence-check reads only trials
+        cfg = parse_config("kind = divergence-check\nd = 0\nn = 0\n"
+                           "region = bogus\nmechanism = nope")
+        assert (cfg.d, cfg.n) == (0, 0)
+
 
 class TestAdaTheta:
     def test_frozen_same_across_trials(self):
@@ -280,6 +345,25 @@ class TestRunTrial:
         assert list(row) == CSV_HEADERS[kind]
         assert all(isinstance(v, str) for v in row.values())
         assert row["status"] == "ok"
+
+    @pytest.mark.parametrize("kind,overrides,seed", [
+        ("attack-hypercube", dict(mechanism="nope"), 7),
+        ("attack-random", dict(n_columns=1), 7),
+        ("ada-run", dict(analyst="oracle"), 7),
+        ("mech-bench", dict(mass=-1.0), 7),
+        ("verify-structure", dict(d=0), 7),
+        # divergence-check reads no setting a config can break; a negative
+        # master seed cannot seed its trial stream
+        ("divergence-check", {}, -1),
+    ])
+    def test_error_row_covers_header(self, kind, overrides, seed):
+        # configs built in code skip the parse-time range checks
+        row, logs = run_trial(tiny_config(kind, **overrides), seed, 0)
+        assert list(row) == CSV_HEADERS[kind]
+        assert all(isinstance(v, str) for v in row.values())
+        assert row["status"].startswith("error:")
+        assert all(row[col] == "" for col in CSV_HEADERS[kind][2:-1])
+        assert logs == []
 
     def test_divergence_catalog_all_ok(self):
         cfg = tiny_config("divergence-check")
@@ -429,10 +513,12 @@ class TestCli:
         assert "match" in capsys.readouterr().out
 
     def test_run_invariant_failure_exit_code(self, tmp_path, capsys):
-        # parses, then fails in every trial: mechanism names are resolved
-        # when a trial builds its mechanism
-        cfg = write_config(tmp_path, "kind = attack-hypercube\ntrials = 1\n"
-                           "d = 4\nn = 2\nfresh = 50\nmechanism = bogus")
+        # parses, then genuinely fails the regular check: at d = 16 the
+        # tilted column covariances of a 64-column matrix are far from
+        # regular (regular_fail_frac 0.85)
+        cfg = write_config(tmp_path, "kind = verify-structure\ntrials = 1\n"
+                           "d = 16\nn_columns = 64\nn_subsets = 100\n"
+                           "n_theta = 20\nradius = 5")
         assert main(["run", "--config", cfg, "--out",
                      str(tmp_path / "out")]) == 1
         assert "INVARIANTS FAILED" in capsys.readouterr().out
@@ -473,6 +559,22 @@ class TestCli:
     ])
     def test_bad_mech_bench_config_exit_code(self, tmp_path, capsys, line):
         cfg = write_config(tmp_path, f"kind = mech-bench\n{line}")
+        out = tmp_path / "out"
+        assert main(["run", "--config", cfg, "--out", str(out)]) == 2
+        assert "config error: line 2:" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kind", ["attack-hypercube", "attack-random"])
+    @pytest.mark.parametrize("line", [line for line, _ in ATTACK_RANGE_CASES])
+    def test_bad_attack_config_exit_code(self, tmp_path, capsys, kind, line):
+        cfg = write_config(tmp_path, f"kind = {kind}\n{line}")
+        out = tmp_path / "out"
+        assert main(["run", "--config", cfg, "--out", str(out)]) == 2
+        assert "config error: line 2:" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_bad_attack_random_columns_exit_code(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "kind = attack-random\nn_columns = 1")
         out = tmp_path / "out"
         assert main(["run", "--config", cfg, "--out", str(out)]) == 2
         assert "config error: line 2:" in capsys.readouterr().err
@@ -519,6 +621,10 @@ class TestCli:
         ("ada-run", "k", 3),
         ("ada-run", "tau", -1.0),
         ("ada-run", "theta_mode", "bogus"),
+        ("attack-hypercube", "region", "bogus"),
+        ("attack-hypercube", "mechanism", "nope"),
+        ("attack-random", "n_columns", 1),
+        ("attack-random", "radius", -1.0),
     ])
     def test_replay_out_of_range_manifest_exit_code(self, tmp_path, capsys,
                                                     kind, key, value):

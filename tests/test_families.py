@@ -1,10 +1,12 @@
-"""Point-family construction, resolution, and query evaluation.
+"""Point-family construction, enumeration, and the dense point layout.
 
 Oracles:
     - Hadamard rows: brute-force pairwise dot products equal k * identity.
-    - eval_query against a materialized dense query row dotted with the
-      resolved point, across every (query, point) pair at m=2, k=2, d=2.
-    - matrix-columns eval_query against direct matrix indexing.
+    - A test-local structural query evaluation (predicate sign times basis
+      entry times v-bit) against a materialized dense query row dotted with
+      the densified point, across every (query, point) pair at m=2, k=2, d=2.
+    - matrix-columns densified entries against direct matrix indexing.
+    - Flat type ids against the type read back from each dense point.
 """
 
 import numpy as np
@@ -13,20 +15,39 @@ import pytest
 from tiltlab.errors import CapacityError
 from tiltlab.families import (
     ENUMERATION_CAP,
-    PointRef,
-    QueryId,
-    enumerate_refs,
-    eval_query,
-    family_from_manifest,
-    family_manifest,
     hadamard_orthogonal_set,
     make_family,
     predicate_matrix,
-    query_vector,
-    resolve,
+    support_batch,
     support_matrix,
-    type_index,
 )
+
+
+def type_index(fam, x):
+    """Flat type id i*k + j of a dense tensor point x = e_i (x) u_j (x) v,
+    read off the point itself: i is its nonzero block, and since every
+    Sylvester row starts with +1, u_j is that block's first column divided
+    by its first entry."""
+    blocks = x.reshape(fam.m, fam.k, fam.d)
+    i = int(np.flatnonzero(np.abs(blocks).sum(axis=(1, 2)))[0])
+    col = blocks[i][:, 0] * blocks[i][0, 0]
+    j = int(np.flatnonzero((fam.basis == col).all(axis=1))[0])
+    return i * fam.k + j
+
+
+def eval_query(fam, h, p, q, ti, tj, v):
+    """Workload row (predicate mask h, basis row p, slice q) at the tensor
+    point of type (ti, tj) with bits v; always +-1 valued."""
+    sign = -1 if (h >> ti) & 1 else 1
+    return float(sign * fam.basis[tj, p] * v[q])
+
+
+def query_vector(fam, h, p, q):
+    """Dense workload row, so eval_query(...) == row . densified point."""
+    row = np.zeros((fam.m, fam.k, fam.d))
+    for i in range(fam.m):
+        row[i, p, q] = -1 if (h >> i) & 1 else 1
+    return row.reshape(fam.dim)
 
 
 class TestHadamard:
@@ -72,11 +93,6 @@ class TestMakeFamily:
         assert fam.dim == 3 * 4 * 2
         assert fam.size == 3 * 4 * 2 ** 2
 
-    def test_marginal_shape(self):
-        fam = make_family("marginal", k=4, d=3)
-        assert fam.dim == 12
-        assert fam.size == 4 * 8
-
     def test_matrix_columns_shape(self):
         fam = make_family("matrix-columns", d=16, n_columns=40, seed=7)
         assert fam.dim == 16
@@ -114,26 +130,20 @@ class TestEnumeration:
     def test_tensor_block_structure(self):
         fam = make_family("tensor", m=2, k=2, d=2)
         u = fam.basis
-        for ref in enumerate_refs(fam):
-            x = resolve(fam, ref).reshape(2, 2, 2)
-            np.testing.assert_array_equal(
-                x[ref.i], np.outer(u[ref.j], ref.v)
-            )
-            other = 1 - ref.i
+        batch = support_batch(fam)
+        dense = batch.densify().reshape(-1, 2, 2, 2)
+        ti, tj = np.divmod(batch.types, fam.k)
+        for x, i, j, v in zip(dense, ti, tj, batch.v):
+            np.testing.assert_array_equal(x[i], np.outer(u[j], v))
+            other = 1 - i
             assert np.all(x[other] == 0)
-
-    def test_marginal_points_all_pm_one(self):
-        fam = make_family("marginal", k=2, d=2)
-        mat = support_matrix(fam)
-        assert mat.shape == (8, 4)
-        assert set(np.unique(mat)) == {-1.0, 1.0}
 
     def test_typed_coordinate_sums_vanish(self):
         # Within a fixed type the v-bits run over the full cube, so every
         # coordinate sums to zero across the type's points.
         fam = make_family("tensor", m=2, k=2, d=3)
         mat = support_matrix(fam)
-        types = np.array([type_index(fam, r) for r in enumerate_refs(fam)])
+        types = np.array([type_index(fam, x) for x in mat])
         for t in range(4):
             np.testing.assert_array_equal(
                 mat[types == t].sum(axis=0), np.zeros(fam.dim)
@@ -147,72 +157,32 @@ class TestEnumeration:
 
     def test_types_contiguous(self):
         fam = make_family("tensor", m=2, k=2, d=1)
-        types = [type_index(fam, r) for r in enumerate_refs(fam)]
+        batch = support_batch(fam)
+        types = [type_index(fam, x) for x in batch.densify()]
         assert types == sorted(types)
+        assert types == batch.types.tolist()
 
 
 class TestEvalQuery:
     def test_tensor_matches_dense_row_oracle(self):
         fam = make_family("tensor", m=2, k=2, d=2)
-        refs = enumerate_refs(fam)
+        batch = support_batch(fam)
+        dense = batch.densify()
+        ti, tj = np.divmod(batch.types, fam.k)
         for h in range(2 ** fam.m):
             for p in range(fam.k):
                 for q in range(fam.d):
-                    qid = QueryId(h=h, p=p, q=q)
-                    row = query_vector(fam, qid)
-                    for ref in refs:
-                        want = float(row @ resolve(fam, ref))
-                        got = eval_query(fam, qid, ref)
+                    row = query_vector(fam, h, p, q)
+                    for idx in range(len(batch)):
+                        want = float(row @ dense[idx])
+                        got = eval_query(fam, h, p, q, ti[idx], tj[idx],
+                                         batch.v[idx])
                         assert got == pytest.approx(want)
                         assert abs(got) == 1.0
 
     def test_matrix_columns_matches_entry(self):
         fam = make_family("matrix-columns", d=6, n_columns=9, seed=11)
+        dense = support_batch(fam).densify()
         for row in range(6):
             for col in range(9):
-                got = eval_query(fam, QueryId(row=row), PointRef(col=col))
-                assert got == fam.matrix[row, col]
-
-    def test_marginal_and_hypercube_queries(self):
-        fam = make_family("marginal", k=2, d=2)
-        for ref in enumerate_refs(fam):
-            for p in range(2):
-                for q in range(2):
-                    qid = QueryId(p=p, q=q)
-                    want = float(query_vector(fam, qid) @ resolve(fam, ref))
-                    assert eval_query(fam, qid, ref) == pytest.approx(want)
-        cube = make_family("hypercube", d=3)
-        ref = enumerate_refs(cube)[5]
-        for q in range(3):
-            assert eval_query(cube, QueryId(q=q), ref) == ref.v[q]
-
-    def test_kind_mismatch_rejected(self):
-        fam = make_family("tensor", m=2, k=2, d=2)
-        ref = enumerate_refs(fam)[0]
-        with pytest.raises(ValueError):
-            eval_query(fam, QueryId(row=0), ref)
-        with pytest.raises(ValueError):
-            eval_query(fam, QueryId(h=1, p=0, q=5), ref)  # q out of range
-
-
-class TestManifest:
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            dict(kind="hypercube", d=4),
-            dict(kind="tensor", m=2, k=4, d=3),
-            dict(kind="marginal", k=4, d=2),
-            dict(kind="matrix-columns", d=8, n_columns=20, seed=5),
-        ],
-    )
-    def test_roundtrip(self, kwargs):
-        fam = make_family(**kwargs)
-        text = family_manifest(fam)
-        back = family_from_manifest(text)
-        assert back.kind == fam.kind
-        assert back.dim == fam.dim
-        assert back.size == fam.size
-        if fam.matrix is not None:
-            # matrices reconstruct from the seed rather than being stored
-            assert "matrix" not in text or "[[" not in text
-            np.testing.assert_array_equal(back.matrix, fam.matrix)
+                assert dense[col, row] == fam.matrix[row, col]

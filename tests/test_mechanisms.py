@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tiltlab.errors import CapacityError
-from tiltlab.families import enumerate_refs, make_family, predicate_matrix
+from tiltlab.families import make_family, predicate_matrix, support_batch
 from tiltlab.mechanisms import (
     Dataset,
     EmpiricalMean,
@@ -118,20 +118,6 @@ def random_sparse_hist(rng, support, total, universe_size=None, min_w=0.2):
 
 
 class TestHistogramVector:
-    def test_from_lines(self):
-        text = "apple,3.5\nbanana,1.5\n\npear,5.0\n"
-        hist = HistogramVector.from_lines(text)
-        assert hist.total == pytest.approx(10.0)
-        assert hist.weights["banana"] == 1.5
-
-    def test_from_lines_errors_carry_line_numbers(self):
-        with pytest.raises(ValueError, match="line 2"):
-            HistogramVector.from_lines("a,1.0\nb,-2\n")
-        with pytest.raises(ValueError, match="line 1"):
-            HistogramVector.from_lines("justonefield\n")
-        with pytest.raises(ValueError, match="line 3"):
-            HistogramVector.from_lines("a,1\nb,2\na,3\n")
-
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             HistogramVector(weights={"a": -0.5})
@@ -470,8 +456,7 @@ class TestQueryRelease:
 class TestReductions:
     def test_group_wrap_metadata_and_estimate(self):
         fam = make_family("hypercube", d=3)
-        refs = enumerate_refs(fam)[:4]
-        ds = Dataset.from_refs(fam, refs)
+        ds = Dataset.from_refs(support_batch(fam).take(slice(0, 4)))
         mech = GaussianMechanism(epsilon=0.5, delta=1e-5)
         wrapped = GroupPrivacyWrapped(mech, p=3)
         ans = wrapped(ds, np.random.default_rng(16))
@@ -485,14 +470,14 @@ class TestReductions:
 
     def test_group_wrap_identity_at_p_one(self):
         fam = make_family("hypercube", d=2)
-        ds = Dataset.from_refs(fam, enumerate_refs(fam)[:2])
+        ds = Dataset.from_refs(support_batch(fam).take(slice(0, 2)))
         ans = GroupPrivacyWrapped(EmpiricalMean(), p=1)(ds)
         np.testing.assert_array_equal(ans.estimate, ds.points.mean(axis=0))
         assert ans.delta == 0.0
 
     def test_group_shrink_discards_remainder(self):
         fam = make_family("hypercube", d=2)
-        ds = Dataset.from_refs(fam, enumerate_refs(fam))  # 4 points
+        ds = Dataset.from_refs(support_batch(fam))  # 4 points
         small = group_shrink(ds, p=3)
         assert small.n == 1
         with pytest.raises(ValueError):
@@ -500,13 +485,13 @@ class TestReductions:
 
     def test_pad_reduction_recovers_small_mean(self):
         fam = make_family("hypercube", d=4)
-        refs = enumerate_refs(fam)
+        support = support_batch(fam)
         rng = np.random.default_rng(17)
         for _ in range(20):
-            anchor = refs[rng.integers(len(refs))]
-            chosen = [refs[i] for i in rng.choice(len(refs), size=4)]
-            ds = Dataset.from_refs(fam, chosen)
-            padded = PaddedMechanism(EmpiricalMean(), k=3, z_ref=anchor, family=fam)
+            anchor = support.take([rng.integers(len(support))])
+            ds = Dataset.from_refs(
+                support.take(rng.choice(len(support), size=4)))
+            padded = PaddedMechanism(EmpiricalMean(), k=3, anchor=anchor)
             ans = padded(ds)
             np.testing.assert_allclose(
                 ans.estimate, ds.points.mean(axis=0), atol=1e-12

@@ -9,29 +9,24 @@ Oracles:
       mechanism: sum_i sech^2(theta_i) on the hypercube and
       (1/m) sum_{i,j,r} sech^2(T[i,j,r]) for the type-conditioned tensor tilt.
     - Batched sampling against a per-point copy of the sampling recipe, and
-      PointBatch.densify against per-point resolve.
+      PointBatch.densify against a test-local per-point resolve.
+    - Exact tilt means (overall and per type) on random small families
+      against softmax-weighted enumeration, as a hypothesis property.
 """
 
 import math
 
 import numpy as np
 import pytest
-
-from tiltlab.errors import CapacityError
+from hypothesis import given, settings, strategies as st
 from scipy.special import expit
 
-from tiltlab.families import (
-    PointBatch,
-    enumerate_refs,
-    make_family,
-    resolve,
-    support_matrix,
-)
+from tiltlab.errors import CapacityError
+from tiltlab.families import make_family, support_batch, support_matrix
 from tiltlab.mechanisms import ClampedMean, Dataset, EmpiricalMean
 from tiltlab.tilt import (
     divergence_check,
     log_weights,
-    pscore,
     score,
     tilt,
     tilt_cov,
@@ -41,11 +36,24 @@ from tiltlab.tilt import (
 )
 
 
-def brute_mean(family, theta, conditioning):
-    dist = tilt(family, theta, conditioning)
+def brute_mean(family, theta):
+    dist = tilt(family, theta)
     w = np.exp(log_weights(dist))
     mat = support_matrix(family)
     return w @ mat
+
+
+def resolve(fam, batch, idx):
+    """Dense vector of point idx of batch, built from the family definition
+    one point at a time."""
+    if fam.kind == "hypercube":
+        return batch.v[idx].astype(np.float64)
+    if fam.kind == "matrix-columns":
+        return fam.matrix[:, batch.cols[idx]].astype(np.float64)
+    i, j = divmod(int(batch.types[idx]), fam.k)
+    x = np.zeros((fam.m, fam.k, fam.d))
+    x[i] = np.outer(fam.basis[j], batch.v[idx])
+    return x.reshape(fam.dim)
 
 
 class TestHypercubeClosedForm:
@@ -70,28 +78,26 @@ class TestHypercubeClosedForm:
         theta = rng.normal(size=3)
         dist = tilt(fam, theta)
         np.testing.assert_allclose(
-            tilt_mean(dist), brute_mean(fam, theta, "plain"), atol=1e-12
+            tilt_mean(dist), brute_mean(fam, theta), atol=1e-12
         )
         np.testing.assert_allclose(tilt_mean(dist), np.tanh(theta), atol=1e-12)
 
 
 class TestTensorTilt:
-    @pytest.mark.parametrize("conditioning", ["type", "plain"])
-    def test_mean_matches_enumeration(self, conditioning):
+    def test_mean_matches_enumeration(self):
         fam = make_family("tensor", m=2, k=2, d=2)
         rng = np.random.default_rng(2)
         theta = rng.normal(scale=0.7, size=fam.dim)
-        dist = tilt(fam, theta, conditioning)
+        dist = tilt(fam, theta)
         np.testing.assert_allclose(
-            tilt_mean(dist), brute_mean(fam, theta, conditioning), atol=1e-12
+            tilt_mean(dist), brute_mean(fam, theta), atol=1e-12
         )
 
     def test_log_weights_normalized(self):
         fam = make_family("tensor", m=2, k=2, d=3)
         theta = np.random.default_rng(3).normal(size=fam.dim)
-        for conditioning in ("type", "plain"):
-            lw = log_weights(tilt(fam, theta, conditioning))
-            assert math.isclose(np.exp(lw).sum(), 1.0, rel_tol=1e-12)
+        lw = log_weights(tilt(fam, theta))
+        assert math.isclose(np.exp(lw).sum(), 1.0, rel_tol=1e-12)
 
     def test_typed_mean_bounds(self):
         # |mu_{i,p,r}| <= 1/m and |<mu_{i,*,r}, u_j>| <= 1/m for the
@@ -99,7 +105,7 @@ class TestTensorTilt:
         fam = make_family("tensor", m=3, k=4, d=2)
         rng = np.random.default_rng(4)
         theta = rng.normal(scale=2.0, size=fam.dim)
-        dist = tilt(fam, theta, "type")
+        dist = tilt(fam, theta)
         mu = tilt_mean(dist).reshape(3, 4, 2)
         assert np.max(np.abs(mu)) <= 1 / 3 + 1e-12
         for i in range(3):
@@ -111,13 +117,14 @@ class TestTensorTilt:
     def test_typed_mean_matches_conditional_enumeration(self):
         fam = make_family("tensor", m=2, k=2, d=2)
         theta = np.random.default_rng(5).normal(size=fam.dim)
-        dist = tilt(fam, theta, "type")
-        refs = enumerate_refs(fam)
+        dist = tilt(fam, theta)
+        batch = support_batch(fam)
+        ti, tj = np.divmod(batch.types, fam.k)
         w = np.exp(log_weights(dist))
-        mat = support_matrix(fam)
+        mat = batch.densify()
         for i in range(2):
             for j in range(2):
-                sel = np.array([r.i == i and r.j == j for r in refs])
+                sel = (ti == i) & (tj == j)
                 cond = (w[sel] / w[sel].sum()) @ mat[sel]
                 tid = i * fam.k + j
                 np.testing.assert_allclose(
@@ -127,38 +134,25 @@ class TestTensorTilt:
     def test_sampling_matches_mean(self):
         fam = make_family("tensor", m=2, k=2, d=4)
         theta = np.random.default_rng(6).normal(scale=0.5, size=fam.dim)
-        dist = tilt(fam, theta, "type")
+        dist = tilt(fam, theta)
         rng = np.random.default_rng(7)
-        refs = tilt_sample_many(dist, rng, 40000)
-        emp = np.mean([resolve(fam, r) for r in refs], axis=0)
+        emp = tilt_sample_many(dist, rng, 40000).densify().mean(axis=0)
         np.testing.assert_allclose(emp, tilt_mean(dist), atol=0.03)
-
-    def test_mc_mean_interface(self):
-        fam = make_family("tensor", m=2, k=2, d=3)
-        theta = np.random.default_rng(8).normal(size=fam.dim)
-        dist = tilt(fam, theta, "type")
-        est, stderr, count = tilt_mean(
-            dist, mode="mc", samples=5000, rng=np.random.default_rng(9)
-        )
-        assert count == 5000
-        assert est.shape == stderr.shape == (fam.dim,)
-        exact = tilt_mean(dist)
-        assert np.all(np.abs(est - exact) < 6 * stderr + 1e-9)
 
 
 class TestMatrixColumns:
     def test_mean_matches_enumeration(self):
         fam = make_family("matrix-columns", d=6, n_columns=30, seed=10)
         theta = np.random.default_rng(11).normal(scale=0.3, size=6)
-        dist = tilt(fam, theta, "plain")
+        dist = tilt(fam, theta)
         np.testing.assert_allclose(
-            tilt_mean(dist), brute_mean(fam, theta, "plain"), atol=1e-12
+            tilt_mean(dist), brute_mean(fam, theta), atol=1e-12
         )
 
     def test_cov_matches_enumeration(self):
         fam = make_family("matrix-columns", d=5, n_columns=20, seed=12)
         theta = np.random.default_rng(13).normal(scale=0.4, size=5)
-        dist = tilt(fam, theta, "plain")
+        dist = tilt(fam, theta)
         w = np.exp(log_weights(dist))
         mat = support_matrix(fam)
         mu = w @ mat
@@ -170,35 +164,58 @@ class TestScore:
     def test_fresh_score_mean_zero(self):
         fam = make_family("tensor", m=2, k=2, d=3)
         theta = np.random.default_rng(14).normal(size=fam.dim)
-        dist = tilt(fam, theta, "type")
+        dist = tilt(fam, theta)
         q = np.random.default_rng(15).normal(size=fam.dim)
-        refs = enumerate_refs(fam)
+        batch = support_batch(fam)
         w = np.exp(log_weights(dist))
         total = 0.0
-        for wt, ref in zip(w, refs):
-            tid = ref.i * fam.k + ref.j
-            total += wt * score(resolve(fam, ref), q, tilt_mean_typed(dist, tid))
+        for idx, (wt, tid) in enumerate(zip(w, batch.types)):
+            total += wt * score(resolve(fam, batch, idx), q,
+                                tilt_mean_typed(dist, int(tid)))
         assert abs(total) < 1e-12
 
-    def test_pscore_prefix_structure(self):
-        fam = make_family("tensor", m=2, k=2, d=4)
-        theta = np.random.default_rng(16).normal(size=fam.dim)
-        dist = tilt(fam, theta, "type")
-        ref = enumerate_refs(fam)[7]
-        q = np.random.default_rng(17).normal(size=fam.dim)
-        assert pscore(dist, ref, q, 0) == 0.0
-        tid = ref.i * fam.k + ref.j
-        full = score(resolve(fam, ref), q, tilt_mean_typed(dist, tid))
-        assert pscore(dist, ref, q, fam.d) == pytest.approx(full, abs=1e-12)
-        # prefix sums are monotone in coverage: each extension adds one slice
-        parts = [pscore(dist, ref, q, r) for r in range(fam.d + 1)]
-        deltas = np.diff(parts)
-        q3 = q.reshape(2, 2, 4)
-        mu = tilt_mean_typed(dist, tid).reshape(2, 2, 4)
-        x = resolve(fam, ref).reshape(2, 2, 4)
-        for r in range(fam.d):
-            want = float(((x - mu)[:, :, r] * q3[:, :, r]).sum())
-            assert deltas[r] == pytest.approx(want, abs=1e-12)
+
+def enumerated_means(fam, theta):
+    """Overall and per-type means by softmax-weighted enumeration: within a
+    type Pr[x] is proportional to exp(<theta, x>), and types are uniform."""
+    batch = support_batch(fam)
+    dense = batch.densify()
+    logits = dense @ theta
+    typed = []
+    for t in range(fam.n_types):
+        sel = batch.types == t
+        w = np.exp(logits[sel] - logits[sel].max())
+        typed.append((w / w.sum()) @ dense[sel])
+    return np.mean(typed, axis=0), typed
+
+
+@st.composite
+def small_families(draw):
+    kind = draw(st.sampled_from(["hypercube", "tensor", "matrix-columns"]))
+    if kind == "hypercube":
+        return make_family(kind, d=draw(st.integers(1, 5)))
+    if kind == "tensor":
+        return make_family(kind, m=draw(st.integers(1, 3)),
+                           k=draw(st.sampled_from([1, 2, 4])),
+                           d=draw(st.integers(1, 3)))
+    return make_family(kind, d=draw(st.integers(1, 6)),
+                       n_columns=draw(st.integers(1, 24)),
+                       seed=draw(st.integers(0, 2 ** 32 - 1)))
+
+
+class TestExactMeanProperty:
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(st.data())
+    def test_means_match_softmax_enumeration(self, data):
+        fam = data.draw(small_families())
+        theta = np.array(data.draw(st.lists(
+            st.floats(-3, 3), min_size=fam.dim, max_size=fam.dim)))
+        dist = tilt(fam, theta)
+        mean, typed = enumerated_means(fam, theta)
+        np.testing.assert_allclose(tilt_mean(dist), mean, rtol=0, atol=1e-12)
+        for t in range(fam.n_types):
+            np.testing.assert_allclose(tilt_mean_typed(dist, t), typed[t],
+                                       rtol=0, atol=1e-12)
 
 
 class TestDivergence:
@@ -227,7 +244,7 @@ class TestDivergence:
         theta = rng.normal(scale=0.6, size=fam.dim)
         report = divergence_check(fam, theta, EmpiricalMean(), n=1)
         assert report.abs_err <= 1e-6
-        dist = tilt(fam, theta, "type")
+        dist = tilt(fam, theta)
         closed = 0.0
         for i in range(2):
             for j in range(2):
@@ -263,7 +280,6 @@ class TestDivergence:
 BATCH_FAMILIES = {
     "hypercube": dict(d=5),
     "tensor": dict(m=2, k=4, d=3),
-    "marginal": dict(k=2, d=4),
     "matrix-columns": dict(d=6, n_columns=12, seed=5),
 }
 
@@ -302,35 +318,39 @@ class TestPointBatch:
     @pytest.mark.parametrize("kind", sorted(BATCH_FAMILIES))
     def test_densify_matches_resolve(self, kind):
         fam = make_family(kind, **BATCH_FAMILIES[kind])
-        refs = enumerate_refs(fam)
-        batch = PointBatch.from_refs(fam, refs)
+        batch = support_batch(fam)
         dense = batch.densify()
         assert dense.dtype == np.float64 and dense.flags.c_contiguous
-        assert np.array_equal(dense, np.stack([resolve(fam, r) for r in refs]))
+        assert np.array_equal(
+            dense, np.stack([resolve(fam, batch, i) for i in range(len(batch))]))
         sampled = tilt_sample_many(tilt(fam, np.full(fam.dim, 0.3)),
                                    np.random.default_rng(32), 50)
         assert np.array_equal(
             sampled.densify(),
-            np.stack([resolve(fam, sampled[i]) for i in range(50)]))
+            np.stack([resolve(fam, sampled, i) for i in range(50)]))
 
     @pytest.mark.parametrize("kind", sorted(BATCH_FAMILIES))
     def test_single_points_round_trip(self, kind):
+        # a single point is a one-row batch; joining them back in order
+        # rebuilds the batch, names included
         fam = make_family(kind, **BATCH_FAMILIES[kind])
         batch = tilt_sample_many(tilt(fam, np.zeros(fam.dim)),
                                  np.random.default_rng(33), 20)
         batch.names = np.arange(100, 120)
-        back = PointBatch.from_refs(fam, [batch[i] for i in range(20)])
+        back = batch.take([0])
+        for i in range(1, 20):
+            back = back.concat(batch.take([i]))
         for field in ("types", "v", "cols", "names"):
             mine, theirs = getattr(batch, field), getattr(back, field)
             assert (mine is None and theirs is None) or \
                 np.array_equal(mine, theirs), field
-        assert batch[-1].name == 119
+        assert batch.take([-1]).names.tolist() == [119]
         with pytest.raises(IndexError):
-            batch[20]
+            batch.take([20])
 
     def test_take_and_concat(self):
         fam = make_family("tensor", m=2, k=2, d=3)
-        batch = PointBatch.from_refs(fam, enumerate_refs(fam)[:6])
+        batch = support_batch(fam).take(slice(0, 6))
         picked = batch.take(np.array([4, 1]))
         assert np.array_equal(picked.v, batch.v[[4, 1]])
         assert np.array_equal(picked.types, batch.types[[4, 1]])
@@ -342,22 +362,12 @@ class TestPointBatch:
 
 
 class TestDatasetPlumbing:
-    def test_from_refs_accepts_batch_or_refs(self):
-        fam = make_family("marginal", k=2, d=3)
-        refs = enumerate_refs(fam)[3:9]
-        from_list = Dataset.from_refs(fam, refs)
-        from_batch = Dataset.from_refs(fam, PointBatch.from_refs(fam, refs))
-        assert from_list.n == from_batch.n == 6
-        assert np.array_equal(from_list.points, from_batch.points)
-        assert from_list.batch.family is fam
-
-    def test_replace_one(self):
-        fam = make_family("hypercube", d=3)
-        refs = enumerate_refs(fam)
-        ds = Dataset.from_refs(fam, refs[:4])
-        swapped = ds.replace_one(2, refs[7])
-        assert swapped.n == 4
-        np.testing.assert_array_equal(swapped.points[2], resolve(fam, refs[7]))
-        np.testing.assert_array_equal(swapped.points[0], ds.points[0])
-        # original untouched
-        np.testing.assert_array_equal(ds.points[2], resolve(fam, refs[2]))
+    def test_from_refs_densifies_batch(self):
+        fam = make_family("tensor", m=2, k=2, d=3)
+        batch = support_batch(fam).take(slice(3, 9))
+        ds = Dataset.from_refs(batch)
+        assert ds.n == 6
+        assert ds.batch is batch
+        assert np.array_equal(
+            ds.points, np.stack([resolve(fam, batch, i) for i in range(6)]))
+        assert ds.batch.family is fam
