@@ -73,17 +73,13 @@ def query_release_section(master_seed: int, trials: int) -> None:
             ids = rng.choice(n_cols, size=support, replace=False)
             raw = rng.uniform(0.2, 1.0, size=support)
             raw *= n_req / raw.sum()
-            hist = HistogramVector(
-                weights={int(u): float(w) for u, w in zip(ids, raw)},
-                universe_size=n_cols,
-            )
+            hist = HistogramVector(ids, raw, universe_size=n_cols)
             yhat, _ = histogram_query_release(
                 fam, hist, epsilon=eps, delta=delta, alpha=alpha, rng=rng,
                 cprime=cprime,
             )
             dense = np.zeros(n_cols)
-            for u, w in hist.weights.items():
-                dense[u] = w
+            dense[hist.elements] = hist.weights
             truth = fam.matrix.astype(float) @ dense / hist.total
             ratio = float(np.linalg.norm(yhat - truth)) / budget
             worst = max(worst, ratio)

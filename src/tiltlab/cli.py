@@ -41,16 +41,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _env_int(name: str):
-    raw = os.environ.get(name)
-    if raw is None or raw == "":
-        return None
-    try:
-        return int(raw, 0)
-    except ValueError:
-        raise SystemExit(f"{name} must be an integer, got {raw!r}")
-
-
 def _cmd_run(args) -> int:
     try:
         with open(args.config) as fh:
@@ -63,9 +53,16 @@ def _cmd_run(args) -> int:
         return 2
     seed = args.seed
     if seed is None:
-        seed = _env_int("TILTLAB_SEED")
-    if seed is None:
-        seed = 0
+        raw = os.environ.get("TILTLAB_SEED") or "0"
+        try:
+            seed = int(raw, 0)
+        except ValueError:
+            print(f"TILTLAB_SEED must be an integer, got {raw!r}",
+                  file=sys.stderr)
+            return 2
+    if seed < 0:
+        print(f"master seed must be >= 0, got {seed}", file=sys.stderr)
+        return 2
     out = args.out or os.environ.get("TILTLAB_OUT") or None
     result = run_experiment(cfg, seed, out_dir=out, workers=args.workers)
     print(f"wrote {result.csv_path} ({len(result.rows)} rows)")

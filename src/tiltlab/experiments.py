@@ -202,10 +202,8 @@ def _trial_mech_bench(cfg: ExperimentConfig, master_seed: int, trial: int):
     rng = np.random.default_rng(trial_seed_sequence(master_seed, trial))
     weights = rng.uniform(0.0, 2.0 * cfg.mass / cfg.support,
                           size=cfg.support)
-    hist = HistogramVector(
-        weights={f"u{i}": float(w) for i, w in enumerate(weights)},
-        universe_size=cfg.universe,
-    )
+    hist = HistogramVector(np.arange(cfg.support), weights,
+                           universe_size=cfg.universe)
     released = sparse_histogram(hist, cfg.epsilon, cfg.delta, rng)
     bound = 10.0 * math.log(1.0 / cfg.delta) / cfg.epsilon
     mass_in = hist.total

@@ -2,8 +2,8 @@
 
 Dataset mechanisms consume a Dataset (a PointBatch plus its dense matrix)
 and return a MechanismAnswer carrying the estimate and privacy metadata.
-Histogram mechanisms operate on HistogramVector (nonnegative weights with a
-fixed total mass) under L1 adjacency.
+Histogram mechanisms operate on HistogramVector (nonnegative weights on
+integer elements, with a fixed total mass) under L1 adjacency.
 """
 
 from __future__ import annotations
@@ -141,45 +141,54 @@ def trunc_laplace(rng: np.random.Generator, scale: float, bound: float,
 
 @dataclass
 class HistogramVector:
-    """Nonnegative weights over a universe, with an optional flat background.
+    """Nonnegative weights on distinct integer elements, plus a flat
+    background on the rest of the universe.
 
-    ``weights`` holds the explicitly represented elements.  Every element of
-    the universe not listed there carries ``background`` mass; a positive
-    background therefore requires a finite ``universe_size``.  ``total`` is
-    the full mass including the background part.
+    ``elements`` (s,) int64 ids and ``weights`` (s,) float64 stay in the
+    caller's order, which is the order a release pairs them with its noise.
+    A positive ``background`` needs a finite ``universe_size``; ``total``
+    includes the background part.
     """
 
-    weights: dict
+    elements: np.ndarray
+    weights: np.ndarray
     universe_size: Optional[int] = None
     background: float = 0.0
 
     def __post_init__(self):
-        for u, w in self.weights.items():
-            if w < 0:
-                raise ValueError(f"negative weight for element {u!r}")
+        ids = np.asarray(self.elements)
+        self.weights = np.asarray(self.weights, dtype=float)
+        if ids.ndim != 1 or self.weights.shape != ids.shape:
+            raise ValueError("elements and weights must be 1-D of one length")
+        if ids.dtype.kind not in "iu":
+            raise ValueError("elements must be integer ids")
+        self.elements = ids.astype(np.int64, copy=False)
+        if len(np.unique(ids)) < len(ids):
+            raise ValueError("elements must be distinct")
+        if not (self.weights >= 0).all():
+            raise ValueError("weights must be nonnegative")
         if self.background < 0:
             raise ValueError("background must be nonnegative")
         if self.universe_size is None:
             if self.background > 0:
                 raise ValueError("positive background needs a finite universe")
-        elif self.universe_size < len(self.weights):
+        elif self.universe_size < len(self.elements):
             raise ValueError("universe smaller than the explicit support")
 
     @property
     def total(self) -> float:
-        base = math.fsum(self.weights.values())
+        base = math.fsum(self.weights.tolist())
         if self.universe_size is not None:
             base += self.background * (self.universe_size - len(self.weights))
         return base
 
-    def value(self, u) -> float:
-        return self.weights.get(u, self.background)
-
     def linf_distance(self, other: "HistogramVector") -> float:
-        keys = set(self.weights) | set(other.weights)
-        d = max((abs(self.value(u) - other.value(u)) for u in keys), default=0.0)
+        """Sup-norm distance to a histogram over the same elements."""
+        if not np.array_equal(self.elements, other.elements):
+            raise ValueError("linf_distance needs equal elements")
+        d = float(np.abs(self.weights - other.weights).max(initial=0.0))
         size = self.universe_size
-        if size is None or size > len(keys):
+        if size is None or size > len(self.elements):
             d = max(d, abs(self.background - other.background))
         return d
 
@@ -221,22 +230,19 @@ def _release_rows(hist: HistogramVector, epsilon: float, delta: float,
                   rng: np.random.Generator, runs: int) -> tuple:
     """The releases behind sparse_histogram_many.
 
-    Returns (items, block, level): the (element, weight) pairs in canonical
-    order, the (runs, support) released weights, and the (runs,) deficit
-    level each row spread over the universe (zero where there was none).
+    Returns (block, level): the (runs, support) released weights, columns in
+    element order, and the (runs,) deficit level each row spread over the
+    universe (zero where there was none).
     """
     if epsilon <= 0 or not 0 < delta < 1:
         raise ValueError("need epsilon > 0 and delta in (0, 1)")
     if hist.background != 0:
         raise ValueError("input histogram must have zero background")
     v = 5.0 * math.log(1.0 / delta) / epsilon
-    # canonical element order, independent of dict construction history
-    items = sorted(hist.weights.items(), key=lambda kv: repr(kv[0]))
-    s = len(items)
+    s = len(hist.weights)
     target = hist.total
-    w = np.array([x for _, x in items], dtype=float)
     noise = trunc_laplace(rng, 1.0 / epsilon, v, runs * s).reshape(runs, s)
-    block = np.maximum(w + noise, 0.0)
+    block = np.maximum(hist.weights + noise, 0.0)
     current = _row_fsums(block)
     surplus = current > target
     if surplus.any():
@@ -247,7 +253,7 @@ def _release_rows(hist: HistogramVector, epsilon: float, delta: float,
         extra = 0 if hist.universe_size is None else hist.universe_size - s
         level[deficit] = (target - current[deficit]) / (s + extra)
         block[deficit] += level[deficit, None]
-    return items, block, level
+    return block, level
 
 
 def sparse_histogram_many(
@@ -259,13 +265,12 @@ def sparse_histogram_many(
 ) -> np.ndarray:
     """``runs`` independent sparse_histogram releases of hist.
 
-    Returns a (runs, support) float64 block whose columns follow the
-    canonical element order (sorted by repr).  The noise for all runs is one
-    array draw, run-major, so row r equals the r-th of ``runs`` sequential
-    sparse_histogram calls on rng (zeros included, for dropped elements),
-    and rng ends in the same state.
+    Returns a (runs, support) float64 block whose columns follow
+    ``hist.elements``.  The noise for all runs is one array draw, run-major,
+    so row r equals the weights of the r-th of ``runs`` sequential
+    sparse_histogram calls on rng, and rng ends in the same state.
     """
-    return _release_rows(hist, epsilon, delta, rng, runs)[1]
+    return _release_rows(hist, epsilon, delta, rng, runs)[0]
 
 
 def sparse_histogram(
@@ -285,15 +290,13 @@ def sparse_histogram(
     satisfies ||out - hist||_inf <= 2v: per-element noise is at most v, the
     surplus water level c solves phi(c) = total with phi(v) <= total, and a
     deficit spreads at most (support * v) / support <= v per element.
+    The release lists hist's elements in hist's order, zeros included.
     """
-    items, block, level = _release_rows(hist, epsilon, delta, rng, 1)
+    block, level = _release_rows(hist, epsilon, delta, rng, 1)
     spread = hist.universe_size is not None \
-        and hist.universe_size > len(items)
-    return HistogramVector(
-        weights={u: x for (u, _), x in zip(items, block[0].tolist()) if x > 0},
-        universe_size=hist.universe_size,
-        background=float(level[0]) if spread else 0.0,
-    )
+        and hist.universe_size > len(hist.elements)
+    return HistogramVector(hist.elements, block[0], hist.universe_size,
+                           float(level[0]) if spread else 0.0)
 
 
 @dataclass
@@ -499,18 +502,14 @@ def histogram_query_release(
             f"got {hist.total:.6g}"
         )
     n_cols = family.n_columns
-    for u in hist.weights:
-        if not isinstance(u, (int, np.integer)) or not 0 <= u < n_cols:
-            raise ValueError(f"element {u!r} is not a column index")
-    scale = n_req / hist.total
-    scaled = HistogramVector(
-        weights={u: w * scale for u, w in hist.weights.items()},
-        universe_size=n_cols,
-    )
+    if ((hist.elements < 0) | (hist.elements >= n_cols)).any():
+        raise ValueError(f"histogram elements must be column indices in "
+                         f"[0, {n_cols})")
+    scaled = HistogramVector(hist.elements, hist.weights * (n_req / hist.total),
+                             universe_size=n_cols)
     released = sparse_histogram(scaled, epsilon / 2, delta / 2, rng)
-    dense = np.full(n_cols, released.background, dtype=float)
-    for u, w in released.weights.items():
-        dense[u] = w
+    dense = np.full(n_cols, released.background)
+    dense[released.elements] = released.weights
     yhat = family.matrix.astype(float) @ dense / released.total
     return yhat, released
 

@@ -121,20 +121,16 @@ class TestSparseHistogramRelease:
             universe = None if rng.random() < 0.5 \
                 else support + int(rng.integers(0, 40))
             w = rng.uniform(0.1, 5.0, size=support)
-            hist = HistogramVector(
-                weights={int(j): float(x) for j, x in enumerate(w)},
-                universe_size=universe,
-            )
+            hist = HistogramVector(np.arange(support), w,
+                                   universe_size=universe)
             out = sparse_histogram(hist, eps, delta, rng)
             assert abs(out.total - hist.total) <= 4 * np.spacing(hist.total)
             bound = 10.0 * math.log(1.0 / delta) / eps
             size = universe if universe is not None else support
             dense_in = np.zeros(size)
             dense_out = np.full(size, out.background)
-            for u, x in hist.weights.items():
-                dense_in[u] = x
-            for u, x in out.weights.items():
-                dense_out[u] = x
+            dense_in[hist.elements] = hist.weights
+            dense_out[out.elements] = out.weights
             assert float(np.abs(dense_in - dense_out).max()) <= bound
 
     @pytest.mark.slow
@@ -142,8 +138,8 @@ class TestSparseHistogramRelease:
         # mass-preserving adjacent pair at l1 distance 1 on a 2-element
         # universe; 1e6 runs per side at significance 1e-3
         rng = np.random.default_rng(4321)
-        hist_a = HistogramVector(weights={0: 6.0, 1: 4.0}, universe_size=2)
-        hist_b = HistogramVector(weights={0: 6.5, 1: 3.5}, universe_size=2)
+        hist_a = HistogramVector([0, 1], [6.0, 4.0], universe_size=2)
+        hist_b = HistogramVector([0, 1], [6.5, 3.5], universe_size=2)
         report = audit_frequency_ratio(
             lambda r, n: sparse_histogram_many(hist_a, 1.0, 1e-4, r, n)[:, 0],
             lambda r, n: sparse_histogram_many(hist_b, 1.0, 1e-4, r, n)[:, 0],
@@ -167,16 +163,12 @@ class TestQueryReleaseAccuracy:
             ids = rng.choice(n_cols, size=support, replace=False)
             raw = rng.uniform(0.2, 1.0, size=support)
             raw *= n_req / raw.sum()
-            hist = HistogramVector(
-                weights={int(u): float(w) for u, w in zip(ids, raw)},
-                universe_size=n_cols,
-            )
+            hist = HistogramVector(ids, raw, universe_size=n_cols)
             yhat, _ = histogram_query_release(
                 family, hist, epsilon=eps, delta=delta, alpha=alpha, rng=rng,
             )
             dense = np.zeros(n_cols)
-            for u, w in hist.weights.items():
-                dense[u] = w
+            dense[hist.elements] = hist.weights
             truth = family.matrix.astype(float) @ dense / hist.total
             passes += float(np.linalg.norm(yhat - truth)) <= budget
         assert passes >= 99

@@ -1,5 +1,6 @@
 """Staged-protocol tests: obfuscation, evaluators, analysts, transcripts."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -199,9 +200,11 @@ class TestGap:
         refs = tilt_sample_many(dist, rng, n)
 
         def hash_sign(batch):
+            # a digest, not hash(): str/bytes hashing is salted per process
             ti, tj = np.divmod(batch.types, fam.k)
             return np.array([
-                1.0 if (hash(v.tobytes()) + i + j) % 2 else -1.0
+                1.0 if (hashlib.sha256(v.tobytes()).digest()[0] + i + j) % 2
+                else -1.0
                 for v, i, j in zip(batch.v, ti.tolist(), tj.tolist())
             ])
 

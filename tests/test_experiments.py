@@ -44,19 +44,22 @@ def test_import_skips_unused_scipy_modules():
     assert out.strip() == "[]"
 
 
-def test_calibration_ada_desk_smoke(tmp_path):
+@pytest.mark.parametrize("section,prefixes", [
+    ("ada-desk", ("max population compromised fraction", "desk point holds")),
+    ("query-release", ("frozen C'=24",)),
+])
+def test_calibration_ada_desk_smoke(tmp_path, section, prefixes):
     # the script puts src/ on the path itself, from any working directory
     root = os.path.dirname(os.path.dirname(os.path.dirname(tiltlab.__file__)))
     script = os.path.join(root, "scripts", "calibration.py")
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     proc = subprocess.run(
-        [sys.executable, script, "--section", "ada-desk", "--trials", "2"],
+        [sys.executable, script, "--section", section, "--trials", "2"],
         capture_output=True, text=True, cwd=tmp_path, env=env, timeout=300)
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
-    assert any(line.startswith("max population compromised fraction")
-               for line in lines)
-    assert any(line.startswith("desk point holds") for line in lines)
+    for prefix in prefixes:
+        assert any(line.startswith(prefix) for line in lines), prefix
 
 
 ATTACK_RANGE_CASES = [
@@ -580,6 +583,23 @@ class TestCli:
         assert "config error: line 2:" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flags,env,message", [
+        (["--seed", "-1"], None, "master seed must be >= 0, got -1"),
+        ([], "-1", "master seed must be >= 0, got -1"),
+        ([], "abc", "TILTLAB_SEED must be an integer, got 'abc'"),
+    ], ids=["flag-negative", "env-negative", "env-not-integer"])
+    def test_bad_seed_exit_code(self, tmp_path, capsys, monkeypatch, flags,
+                                env, message):
+        if env is None:
+            monkeypatch.delenv("TILTLAB_SEED", raising=False)
+        else:
+            monkeypatch.setenv("TILTLAB_SEED", env)
+        cfg = write_config(tmp_path, "kind = mech-bench\ntrials = 1")
+        out = tmp_path / "out"
+        assert main(["run", "--config", cfg, "--out", str(out), *flags]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_config_error_exit_code(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "kind = bogus")
         assert main(["run", "--config", cfg]) == 2
@@ -683,9 +703,3 @@ class TestCli:
         main(["run", "--config", cfg])
         capsys.readouterr()
         assert (tmp_path / "envout" / "mech-bench.csv").exists()
-
-    def test_bad_env_seed(self, tmp_path, monkeypatch, capsys):
-        cfg = write_config(tmp_path, "kind = mech-bench\ntrials = 1")
-        monkeypatch.setenv("TILTLAB_SEED", "forty")
-        with pytest.raises(SystemExit, match="TILTLAB_SEED"):
-            main(["run", "--config", cfg, "--out", str(tmp_path / "out")])

@@ -111,16 +111,28 @@ def random_sparse_hist(rng, support, total, universe_size=None, min_w=0.2):
                      size=support, replace=False)
     raw = rng.uniform(min_w, 1.0, size=support)
     raw = raw / raw.sum() * total
-    return HistogramVector(
-        weights={int(u): float(w) for u, w in zip(ids, raw)},
-        universe_size=universe_size,
-    )
+    return HistogramVector(ids, raw, universe_size=universe_size)
 
 
 class TestHistogramVector:
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            HistogramVector(weights={"a": -0.5})
+    @pytest.mark.parametrize("elements,weights,kwargs,match", [
+        ([0, 1], [1.0], {}, "1-D of one length"),
+        ([[0, 1]], [[1.0, 2.0]], {}, "1-D of one length"),
+        ([0.0, 1.0], [1.0, 2.0], {}, "integer ids"),
+        ([3, 5, 3], [1.0, 2.0, 3.0], {}, "distinct"),
+        ([0, 1], [1.0, -0.5], {}, "nonnegative"),
+        ([0, 1], [1.0, 2.0], {"background": 0.5}, "finite universe"),
+    ], ids=["shapes", "2-D", "float-elements", "duplicates", "negative",
+            "background-without-universe"])
+    def test_rejects_bad_input(self, elements, weights, kwargs, match):
+        with pytest.raises(ValueError, match=match):
+            HistogramVector(np.array(elements), np.array(weights), **kwargs)
+
+    @pytest.mark.parametrize("other", [[1, 0], [0, 2], [0, 1, 2]])
+    def test_linf_distance_needs_equal_elements(self, other):
+        hist = HistogramVector([0, 1], [1.0, 2.0])
+        with pytest.raises(ValueError, match="equal elements"):
+            hist.linf_distance(HistogramVector(other, np.ones(len(other))))
 
 
 class TestSparseHistogram:
@@ -150,7 +162,7 @@ class TestSparseHistogram:
     )
     def test_mass_and_linf_property(self, weights, extra, epsilon, delta, seed):
         hist = HistogramVector(
-            weights=weights,
+            list(weights), list(weights.values()),
             universe_size=None if extra is None else len(weights) + extra)
         out = sparse_histogram(hist, epsilon, delta,
                                np.random.default_rng(seed))
@@ -163,7 +175,7 @@ class TestSparseHistogram:
         # width, so most of these releases take the surplus path
         for exp10 in range(-84, 4, 3):
             t = 10.0 ** exp10
-            hist = HistogramVector(weights={0: t, 1: t / 3})
+            hist = HistogramVector([0, 1], [t, t / 3])
             total = hist.total
             for seed in range(300):
                 out = sparse_histogram(hist, 1.0, 1e-6,
@@ -171,7 +183,7 @@ class TestSparseHistogram:
                 assert abs(out.total - total) <= 4 * math.ulp(total)
 
     def test_tiny_single_weight_keeps_mass(self):
-        hist = HistogramVector(weights={0: 2.68e-84})
+        hist = HistogramVector([0], [2.68e-84])
         for seed in range(20):
             out = sparse_histogram(hist, 1.0, 1e-6, np.random.default_rng(seed))
             assert abs(out.total - 2.68e-84) <= 4 * math.ulp(2.68e-84)
@@ -181,15 +193,14 @@ class TestSparseHistogram:
         rng = np.random.default_rng(3)
         hist = random_sparse_hist(rng, support=5, total=400.0, universe_size=1000)
         out = sparse_histogram(hist, 0.5, 1e-8, rng)
-        extra = set(out.weights) - set(hist.weights)
-        assert not extra
+        assert np.array_equal(out.elements, hist.elements)
         assert out.background >= 0.0
 
     def test_deterministic_under_seed(self):
-        hist = HistogramVector(weights={3: 50.0, 9: 30.0, 1: 20.0}, universe_size=50)
+        hist = HistogramVector([3, 9, 1], [50.0, 30.0, 20.0], universe_size=50)
         a = sparse_histogram(hist, 1.0, 1e-6, np.random.default_rng(42))
         b = sparse_histogram(hist, 1.0, 1e-6, np.random.default_rng(42))
-        assert a.weights == b.weights
+        assert np.array_equal(a.weights, b.weights)
         assert a.background == b.background
 
     def test_projection_beats_random_feasible_candidates(self):
@@ -200,13 +211,7 @@ class TestSparseHistogram:
             hist = random_sparse_hist(rng, support=6, total=60.0, universe_size=6)
             out = sparse_histogram(hist, 0.3, 1e-4, rng)
             assert out.total == pytest.approx(60.0, abs=1e-9)
-            assert min(out.weights.values(), default=0.0) >= -1e-12
-
-
-def dense_rows(hist, releases):
-    keys = sorted(hist.weights, key=repr)
-    return np.array([[out.weights.get(u, 0.0) for u in keys]
-                     for out in releases])
+            assert out.weights.min() >= -1e-12
 
 
 class TestSparseHistogramMany:
@@ -218,17 +223,15 @@ class TestSparseHistogramMany:
         eps, runs = 1.0, 300
         rng = np.random.default_rng(support)
         w = rng.uniform(0.0, 4.0, size=support)
-        hist = HistogramVector(
-            weights={f"e{j}": float(x) for j, x in enumerate(w)},
-            universe_size=universe)
+        # distinct ids in no sorted order: columns follow the caller's order
+        ids = rng.permutation(10 * support)[:support]
+        hist = HistogramVector(ids, w, universe_size=universe)
         v = 5 * math.log(1 / delta) / eps
         # the noise the releases see: some rows must add mass, some must
         # remove it, and delta = 0.3 must make the truncation reject
         noise = trunc_laplace(np.random.default_rng(7), 1 / eps, v,
                               runs * support).reshape(runs, support)
-        canon = np.array([hist.weights[u] for u in sorted(hist.weights,
-                                                          key=repr)])
-        noised = np.maximum(canon + noise, 0.0)
+        noised = np.maximum(w + noise, 0.0)
         sums = np.array([math.fsum(r) for r in noised.tolist()])
         assert (sums > hist.total).any() and (sums < hist.total).any()
         raw = np.random.default_rng(7).laplace(0, 1 / eps, runs * support)
@@ -239,8 +242,14 @@ class TestSparseHistogramMany:
         block = sparse_histogram_many(hist, eps, delta, r1, runs)
         seq = [sparse_histogram(hist, eps, delta, r2) for _ in range(runs)]
         assert block.dtype == np.float64 and block.shape == (runs, support)
-        assert np.array_equal(block, dense_rows(hist, seq))
+        assert all(np.array_equal(out.elements, ids) for out in seq)
+        assert all(np.array_equal(out.weights, row)
+                   for out, row in zip(seq, block))
         assert r1.random() == r2.random()
+        # columns follow the caller's order: a row that gained mass is its
+        # noised row raised by one level
+        shift = block[sums < hist.total] - noised[sums < hist.total]
+        assert np.allclose(shift, shift[:, :1], rtol=0.0, atol=1e-9)
 
     def test_sorted_level_matches_bisection(self):
         rng = np.random.default_rng(13)
@@ -263,7 +272,7 @@ class TestSparseHistogramMany:
 
     def test_zero_mass_rows_release_zero(self):
         # a zero target floors every row to zero, whatever the noise
-        hist = HistogramVector(weights={0: 0.0, 1: 0.0, 2: 0.0})
+        hist = HistogramVector([0, 1, 2], np.zeros(3))
         block = sparse_histogram_many(hist, 1.0, 1e-6,
                                       np.random.default_rng(3), 50)
         assert not block.any()
@@ -429,8 +438,19 @@ class TestProjectToH:
 class TestQueryRelease:
     def test_precondition_message_names_required_mass(self):
         fam = make_family("matrix-columns", d=8, n_columns=32, seed=13)
-        hist = HistogramVector(weights={0: 5.0}, universe_size=32)
+        hist = HistogramVector([0], [5.0], universe_size=32)
         with pytest.raises(ValueError, match="requires total mass"):
+            histogram_query_release(
+                fam, hist, epsilon=1.0, delta=1e-6, alpha=0.5,
+                rng=np.random.default_rng(0),
+            )
+
+    @pytest.mark.parametrize("bad", [-1, 32])
+    def test_rejects_elements_outside_columns(self, bad):
+        fam = make_family("matrix-columns", d=8, n_columns=32, seed=13)
+        mass = required_mass(1.0, 1e-6, 0.5)
+        hist = HistogramVector([0, bad], [mass, mass])
+        with pytest.raises(ValueError, match="column indices"):
             histogram_query_release(
                 fam, hist, epsilon=1.0, delta=1e-6, alpha=0.5,
                 rng=np.random.default_rng(0),
@@ -446,8 +466,7 @@ class TestQueryRelease:
             fam, hist, epsilon=1.0, delta=1e-6, alpha=0.5, rng=rng,
         )
         dense = np.zeros(64)
-        for u, w in hist.weights.items():
-            dense[u] = w
+        dense[hist.elements] = hist.weights
         truth = fam.matrix.astype(float) @ dense / hist.total
         assert np.linalg.norm(yhat - truth) <= 0.5 * math.sqrt(16)
         assert released.total == pytest.approx(n_req, abs=1e-6)
