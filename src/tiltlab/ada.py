@@ -392,6 +392,10 @@ def _digest(payload: bytes) -> str:
     return hashlib.sha256(payload).hexdigest()[:16]
 
 
+RECONSTRUCT_ITERS = 400  # subgradient steps per slice reconstruction
+ACCURACY_SIGNIFICANCE = 1e-3  # family-wise level of the accuracy slack
+
+
 def run_ada_protocol(
     analyst,
     family: PointFamily,
@@ -405,8 +409,6 @@ def run_ada_protocol(
     C: float = 2.0,
     mc_accuracy: int = 2048,
     mc_gap: int = 8192,
-    reconstruct_iters: int = 400,
-    accuracy_significance: float = 1e-3,
     dataset_override: Optional[PointBatch] = None,
 ) -> AdaTranscript:
     """Run the d-stage protocol against an analyst and measure the gap.
@@ -471,7 +473,7 @@ def run_ada_protocol(
     basis = family.basis.astype(float)
     n_queries = 2 ** m * k
     acc_slack = math.sqrt(
-        2.0 * math.log(2.0 * n_queries / accuracy_significance) / mc_accuracy
+        2.0 * math.log(2.0 * n_queries / ACCURACY_SIGNIFICANCE) / mc_accuracy
     )
     # one population per run, walked with the dataset (rows first) as one
     # stacked state; it is independent of all the analyst sees and each
@@ -514,7 +516,7 @@ def run_ada_protocol(
         # the analyst's values feed the slice reconstruction directly
         per_p = answers.reshape(k, 2 ** m)
         recon = reconstruct_slices_batch(per_p, alpha, m,
-                                         iters=reconstruct_iters)  # (k, m)
+                                         iters=RECONSTRUCT_ITERS)  # (k, m)
         # recon[p, i] estimates mean coordinate (i, p) of the slice, so
         # recon[:, i] is already the coordinate vector that projects onto H
         for i in range(m):

@@ -80,14 +80,14 @@ class ScoreReport:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _scores_against(dist, ds: Dataset, target: np.ndarray) -> np.ndarray:
+def _scores_against(dist, types: np.ndarray, points: np.ndarray,
+                    target: np.ndarray) -> np.ndarray:
     """Per-point <x - mu_ref, target>, mu_ref the mean of the point's type,
     as <x, target> - <mu_ref, target> so no centered copy is built."""
-    types = ds.batch.types
     shift_score = np.zeros(dist.family.n_types)
     for t in np.unique(types):
         shift_score[t] = tilt_mean_typed(dist, int(t)) @ target
-    return ds.points @ target - shift_score[types]
+    return points @ target - shift_score[types]
 
 
 def run_attack_trial(
@@ -105,12 +105,14 @@ def run_attack_trial(
         raise ValueError("need n >= 1")
     theta = sampler.sample(rng)
     dist = tilt(family, theta)
-    ds = Dataset.from_refs(tilt_sample_many(dist, rng, n))
+    batch = tilt_sample_many(dist, rng, n)
+    ds = Dataset.from_refs(batch)
     ans = mechanism(ds, rng)
     answer = np.asarray(ans.estimate, dtype=float).reshape(-1)
-    in_scores = _scores_against(dist, ds, answer)
-    fresh = Dataset.from_refs(tilt_sample_many(dist, rng, fresh_count))
-    fresh_scores = _scores_against(dist, fresh, answer)
+    in_scores = _scores_against(dist, batch.types, ds.points, answer)
+    fresh = tilt_sample_many(dist, rng, fresh_count)
+    fresh_scores = _scores_against(dist, fresh.types,
+                                   Dataset.from_refs(fresh).points, answer)
     return ScoreReport(
         region=sampler.region,
         n=n,

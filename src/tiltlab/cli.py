@@ -63,6 +63,9 @@ def _cmd_run(args) -> int:
     if seed < 0:
         print(f"master seed must be >= 0, got {seed}", file=sys.stderr)
         return 2
+    if args.workers < 1:
+        print(f"--workers must be >= 1, got {args.workers}", file=sys.stderr)
+        return 2
     out = args.out or os.environ.get("TILTLAB_OUT") or None
     result = run_experiment(cfg, seed, out_dir=out, workers=args.workers)
     print(f"wrote {result.csv_path} ({len(result.rows)} rows)")

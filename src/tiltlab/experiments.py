@@ -365,7 +365,7 @@ def _aggregate(kind: str, rows: list) -> dict:
     return agg
 
 
-def _invariants_ok(kind: str, rows: list, aggregate: dict) -> bool:
+def _invariants_ok(kind: str, rows: list) -> bool:
     if any(r["status"].startswith("error") for r in rows):
         return False
     bad = sum(1 for r in rows if r["status"] == STATUS_INVARIANT)
@@ -406,7 +406,7 @@ def run_experiment(cfg: ExperimentConfig, master_seed: int,
         log_path.write_text("\n".join(log_lines) + "\n")
 
     aggregate = _aggregate(cfg.kind, rows)
-    ok = _invariants_ok(cfg.kind, rows, aggregate)
+    ok = _invariants_ok(cfg.kind, rows)
     manifest = {
         "kind": cfg.kind,
         "config": asdict(cfg),

@@ -3,16 +3,16 @@
 A point family is a finite subset of {-1, 0, +1}^dim together with the query
 rows used against it:
 
-    hypercube       {+-1}^d, queried coordinatewise
     tensor          e_i (x) u_j (x) v for a +-1 orthogonal basis u_1..u_k and
-                    v in {+-1}^d, queried by (predicate mask h, p, q) rows
+                    v in {+-1}^d, queried by (predicate mask h, p, q) rows;
+                    make_family("hypercube", d=d) is the m = k = 1 case
     matrix-columns  the columns of a seeded random +-1 matrix, queried by row
 
 Points are stored structurally (type indices plus v-bits, or a column index)
 because the dense dimension m*k*d is mostly zeros for tensor points; dense
-resolution is an explicit call.  Points always travel as a PointBatch of
-arrays (flat type ids, int8 v-bits or column ids, optional names) that
-densifies in one vectorised step; a single point is a one-row batch.
+resolution is an explicit call.  Points travel as a PointBatch of arrays
+(flat type ids, int8 v-bits or column ids, optional names) that densifies in
+one vectorised step.
 """
 
 from __future__ import annotations
@@ -26,7 +26,9 @@ from .errors import CapacityError
 
 ENUMERATION_CAP = 2 ** 24
 
-_KINDS = ("hypercube", "tensor", "matrix-columns")
+# tensor families known by their own name, as kind -> (m, k)
+_TENSOR_ALIASES = {"hypercube": (1, 1)}
+_KINDS = ("tensor", "matrix-columns", *_TENSOR_ALIASES)
 
 
 def hadamard_orthogonal_set(k: int) -> np.ndarray:
@@ -70,17 +72,13 @@ class PointFamily:
 
     @property
     def size(self) -> int:
-        if self.kind == "hypercube":
-            return 2 ** self.d
-        if self.kind == "tensor":
-            return self.m * self.k * 2 ** self.d
-        return self.n_columns
+        if self.kind == "matrix-columns":
+            return self.n_columns
+        return self.n_types * 2 ** self.d
 
     @property
     def n_types(self) -> int:
-        if self.kind == "tensor":
-            return self.m * self.k
-        return 1
+        return self.m * self.k
 
 
 def make_family(
@@ -94,15 +92,13 @@ def make_family(
 ) -> PointFamily:
     if kind not in _KINDS:
         raise ValueError(f"unknown family kind {kind!r}; expected one of {_KINDS}")
-    if kind == "hypercube":
-        if d is None or d < 1:
-            raise ValueError("hypercube requires d >= 1")
-        return PointFamily(kind=kind, dim=d, d=d)
-    if kind == "tensor":
+    if kind in _TENSOR_ALIASES:
+        m, k = _TENSOR_ALIASES[kind]
+    if kind != "matrix-columns":
         if m is None or m < 1 or k is None or d is None or d < 1:
-            raise ValueError("tensor requires m >= 1, k, d >= 1")
-        basis = hadamard_orthogonal_set(k)
-        return PointFamily(kind=kind, dim=m * k * d, m=m, k=k, d=d, basis=basis)
+            raise ValueError(f"{kind} requires m >= 1, k, d >= 1")
+        return PointFamily(kind="tensor", dim=m * k * d, m=m, k=k, d=d,
+                           basis=hadamard_orthogonal_set(k))
     # matrix-columns
     if d is None or d < 1 or n_columns is None or n_columns < 1:
         raise ValueError("matrix-columns requires d >= 1 and n_columns >= 1")
@@ -150,8 +146,8 @@ def support_matrix(family: PointFamily) -> np.ndarray:
 class PointBatch:
     """Points of one family held as arrays.
 
-    ``types`` are flat type ids (tensor type (i, j) is i*k + j; the other
-    families have the one type 0); product families carry int8 sign bits
+    ``types`` are flat type ids (tensor type (i, j) is i*k + j;
+    matrix-columns has the one type 0); tensor points carry int8 sign bits
     ``v`` of shape (n, d), matrix-columns carries column ids ``cols``.
     ``names`` is set only when a protocol has name-extended the points.
     """
@@ -165,31 +161,14 @@ class PointBatch:
     def __len__(self) -> int:
         return len(self.types)
 
-    def take(self, idx) -> "PointBatch":
-        """The points at ``idx`` (a slice or an integer array), copied."""
-        def pick(a):
-            return None if a is None else a[idx].copy()
-
-        return PointBatch(self.family, pick(self.types), pick(self.v),
-                          pick(self.cols), pick(self.names))
-
-    def concat(self, other: "PointBatch") -> "PointBatch":
-        """This batch followed by ``other``; names survive only if both
-        batches carry them."""
-        def join(a, b):
-            return None if a is None or b is None else np.concatenate([a, b])
-
-        return PointBatch(self.family, join(self.types, other.types),
-                          join(self.v, other.v), join(self.cols, other.cols),
-                          join(self.names, other.names))
-
     def densify(self) -> np.ndarray:
         """Dense (n, dim) float64 matrix, one row per point."""
         fam = self.family
-        if fam.kind == "hypercube":
-            return self.v.astype(np.float64)
         if fam.kind == "matrix-columns":
             return fam.matrix.T[self.cols].astype(np.float64)
+        if fam.n_types == 1:
+            # basis [[1]]: a point is its v-bits; a cast beats the scatter
+            return self.v.astype(np.float64)
         n = len(self)
         ti, tj = np.divmod(self.types, fam.k)
         x = np.zeros((n, fam.m, fam.k, fam.d))

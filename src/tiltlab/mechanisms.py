@@ -1,7 +1,8 @@
 """Mean-release mechanisms and private histogram release.
 
-Dataset mechanisms consume a Dataset (a PointBatch plus its dense matrix)
-and return a MechanismAnswer carrying the estimate and privacy metadata.
+Dataset mechanisms consume a Dataset (the dense (n, dim) matrix of its
+points) and return a MechanismAnswer carrying the estimate and privacy
+metadata.
 Histogram mechanisms operate on HistogramVector (nonnegative weights on
 integer elements, with a fixed total mass) under L1 adjacency.
 """
@@ -21,20 +22,18 @@ from .families import PointBatch, PointFamily, predicate_matrix
 
 @dataclass
 class Dataset:
-    """Ordered dataset with dense resolved points; replace-one adjacency."""
+    """Ordered dataset of dense points; replace-one adjacency."""
 
-    batch: PointBatch
     points: np.ndarray  # (n, dim)
 
     @classmethod
     def from_refs(cls, batch: PointBatch) -> "Dataset":
-        """Dataset of a PointBatch, densified once (the name is kept for the
-        perfbench span that times it)."""
-        return cls(batch=batch, points=batch.densify())
+        """Dataset of a PointBatch, densified once (perfbench times this)."""
+        return cls(batch.densify())
 
     @property
     def n(self) -> int:
-        return len(self.batch)
+        return len(self.points)
 
 
 @dataclass
@@ -539,11 +538,7 @@ class GroupPrivacyWrapped:
 
     def __call__(self, ds: Dataset, rng=None) -> MechanismAnswer:
         p = self.p
-        big = Dataset(
-            batch=ds.batch.take(np.repeat(np.arange(ds.n), p)),
-            points=np.repeat(ds.points, p, axis=0),
-        )
-        ans = self.mech(big, rng)
+        ans = self.mech(Dataset(np.repeat(ds.points, p, axis=0)), rng)
         eps, delta = ans.epsilon, ans.delta
         if p == 1 or math.isinf(eps):
             new_eps, new_delta = eps, delta
@@ -571,7 +566,7 @@ def group_shrink(ds: Dataset, p: int) -> Dataset:
     if q == 0:
         raise ValueError("dataset smaller than the group size")
     keep = slice(0, q * p, p)
-    return Dataset(batch=ds.batch.take(keep), points=ds.points[keep].copy())
+    return Dataset(ds.points[keep].copy())
 
 
 class PaddedMechanism:
@@ -582,15 +577,14 @@ class PaddedMechanism:
     undoes the padding exactly for mean answers.
     """
 
-    def __init__(self, mech, k: int, anchor: PointBatch):
+    def __init__(self, mech, k: int, anchor: np.ndarray):
         if not isinstance(k, int) or k < 1:
             raise ValueError("pad factor k must be a positive integer")
-        if len(anchor) != 1:
-            raise ValueError("the anchor must be a one-point batch")
+        self.anchor = np.asarray(anchor, dtype=np.float64)
+        if self.anchor.ndim != 1:
+            raise ValueError("the anchor must be one dense (dim,) point")
         self.mech = mech
         self.k = k
-        self.anchor = anchor
-        self._z = anchor.densify()[0]
 
     @property
     def name(self) -> str:
@@ -599,13 +593,9 @@ class PaddedMechanism:
     def __call__(self, ds: Dataset, rng=None) -> MechanismAnswer:
         m = ds.n
         n = self.k * m
-        pad = np.tile(self._z, (n - m, 1))
-        big = Dataset(
-            batch=ds.batch.concat(self.anchor.take(np.zeros(n - m, int))),
-            points=np.vstack([ds.points, pad]) if n > m else ds.points.copy(),
-        )
-        ans = self.mech(big, rng)
-        est = (n / m) * (ans.estimate - ((n - m) / n) * self._z)
+        pad = np.tile(self.anchor, (n - m, 1))
+        ans = self.mech(Dataset(np.vstack([ds.points, pad])), rng)
+        est = (n / m) * (ans.estimate - ((n - m) / n) * self.anchor)
         diags = dict(ans.diagnostics)
         diags["pad_factor"] = self.k
         return MechanismAnswer(

@@ -1,13 +1,13 @@
 """Exponential tilts of point families and the score/divergence toolkit.
 
 A tilt D_theta reweights a family by Pr[x] proportional to exp(<theta, x>).
-On the tensor family the tilt is type-conditioned: the type (i, j) is
-uniform and only the v-bits are tilted.  Within a type the v-bits are
-independent with Pr[v_c = +1] = e^{t_c} / (e^{t_c} + e^{-t_c}) where t is
-the type's tilt block, so exact means are tanh(t) laws and never require
-enumeration.  Matrix-columns tilts are one softmax over the columns.
+On the tensor family (the hypercube is its m = k = 1 case) the tilt is
+type-conditioned: the type (i, j) is uniform and only the v-bits are
+tilted.  Within a type the v-bits are independent with
+Pr[v_c = +1] = e^{t_c} / (e^{t_c} + e^{-t_c}) where t is the type's tilt
+block, so exact means are tanh(t) laws and never require enumeration.  Matrix-columns tilts are one softmax over the columns.
 
-score(x; q) = <x - mu_ref, q> measures the correlation between a point and a
+The score <x - mu_ref, q> measures the correlation between a point and a
 mechanism answer; under a fresh draw its mean is exactly zero. The divergence
 identity ties the sum of in-sample scores to the divergence of the mechanism's
 expectation g(theta) = E[A(x^1..x^n)], and divergence_check verifies it
@@ -34,9 +34,9 @@ DATASET_PRODUCT_CAP = 10 ** 6
 class TiltedDistribution:
     family: PointFamily
     theta: np.ndarray
-    # per-type coordinate tilts: (n_types, d) for product families, else None
+    # per-type coordinate tilts: (n_types, d) for tensor families, else None
     type_tilts: Optional[np.ndarray] = None
-    # log partition per type (product families) or None
+    # log partition per type (tensor families) or None
     type_logz: Optional[np.ndarray] = None
     # log probability of each type
     type_logp: Optional[np.ndarray] = None
@@ -58,13 +58,10 @@ def tilt(family: PointFamily, theta) -> TiltedDistribution:
         logp = logits - _logsumexp(logits)
         return TiltedDistribution(family, theta, column_logp=logp)
 
-    if family.kind == "hypercube":
-        tilts = theta[None, :]
-    else:
-        # theta viewed as (m, k, d); the (i, j) type tilts the v-bits with
-        # t_c = sum_b theta[i, b, c] * u_j[b]
-        th = theta.reshape(family.m, family.k, family.d)
-        tilts = np.einsum("ibc,jb->ijc", th, family.basis).reshape(-1, family.d)
+    # theta viewed as (m, k, d); the (i, j) type tilts the v-bits with
+    # t_c = sum_b theta[i, b, c] * u_j[b]
+    th = theta.reshape(family.m, family.k, family.d)
+    tilts = np.einsum("ibc,jb->ijc", th, family.basis).reshape(-1, family.d)
 
     logz = _log2cosh(tilts).sum(axis=1)
     logp = np.full(len(logz), -np.log(len(logz)))
@@ -111,25 +108,18 @@ def tilt_mean(dist: TiltedDistribution) -> np.ndarray:
     fam = dist.family
     if fam.kind == "matrix-columns":
         return np.exp(dist.column_logp) @ fam.matrix.T.astype(np.float64)
-    tanh = np.tanh(dist.type_tilts)
-    p = np.exp(dist.type_logp)
-    if fam.kind == "hypercube":
-        return tanh[0]
-    t3 = tanh.reshape(fam.m, fam.k, fam.d)
-    p2 = p.reshape(fam.m, fam.k)
+    t3 = np.tanh(dist.type_tilts).reshape(fam.m, fam.k, fam.d)
+    p2 = np.exp(dist.type_logp).reshape(fam.m, fam.k)
     mu = np.einsum("ij,jp,ijr->ipr", p2, fam.basis.astype(np.float64), t3)
     return mu.reshape(fam.dim)
 
 
 def tilt_mean_typed(dist: TiltedDistribution, type_id: int) -> np.ndarray:
-    """Dense conditional mean E[x | type]; for single-type families this is
-    the mean itself."""
+    """Dense conditional mean E[x | type] (the mean, for matrix-columns)."""
     fam = dist.family
     if fam.kind == "matrix-columns":
         return tilt_mean(dist)
     tanh = np.tanh(dist.type_tilts[type_id])
-    if fam.kind == "hypercube":
-        return tanh
     i, j = divmod(type_id, fam.k)
     out = np.zeros((fam.m, fam.k, fam.d))
     out[i] = np.outer(fam.basis[j], tanh)
@@ -137,15 +127,11 @@ def tilt_mean_typed(dist: TiltedDistribution, type_id: int) -> np.ndarray:
 
 
 def tilt_cov(dist: TiltedDistribution) -> np.ndarray:
-    """Exact covariance of D_theta; beyond the hypercube this enumerates
-    the family, so it raises CapacityError past ENUMERATION_CAP points."""
-    fam = dist.family
-    if fam.kind == "hypercube":
-        return np.diag(1.0 - np.tanh(dist.type_tilts[0]) ** 2)
+    """Exact covariance of D_theta by enumerating the family; raises
+    CapacityError past ENUMERATION_CAP points."""
     w = np.exp(log_weights(dist))
-    mat = support_matrix(fam)
-    mu = w @ mat
-    centered = mat - mu
+    mat = support_matrix(dist.family)
+    centered = mat - w @ mat
     return centered.T @ (centered * w[:, None])
 
 
@@ -156,22 +142,15 @@ def log_weights(dist: TiltedDistribution) -> np.ndarray:
         raise CapacityError("log_weights requires an enumerable family")
     if fam.kind == "matrix-columns":
         return dist.column_logp.copy()
-    n_types = dist.type_tilts.shape[0]
-    bits = (np.arange(2 ** fam.d)[:, None] >> np.arange(fam.d)) & 1
-    signs = (1 - 2 * bits).astype(np.float64)
-    out = np.empty(fam.size)
     block = 2 ** fam.d
-    for t in range(n_types):
+    signs = support_batch(fam).v[:block].astype(np.float64)  # type-0 bits
+    out = np.empty(fam.size)
+    for t in range(fam.n_types):
         scores = signs @ dist.type_tilts[t]
         out[t * block : (t + 1) * block] = (
             dist.type_logp[t] - dist.type_logz[t] + scores
         )
     return out
-
-
-def score(x: np.ndarray, q: np.ndarray, mu: np.ndarray) -> float:
-    """<x - mu, q>."""
-    return float((x - mu) @ q)
 
 
 @dataclass
@@ -190,7 +169,7 @@ def divergence_check(
     n: int,
     h: float = 1e-4,
 ) -> DivergenceReport:
-    """Verify div g(theta) = E[sum_j score(x^j; A(x))] by exact enumeration.
+    """Verify div g(theta) = E[sum_j <x^j - mu_j, A(x)>] by exact enumeration.
 
     g(theta) = E_{x ~ D_theta^n}[A(x)]; the left side sums central finite
     differences of g_i in theta_i at step h, the right side is the exact
@@ -212,7 +191,7 @@ def divergence_check(
     tuples = np.indices((size,) * n).reshape(n, -1).T  # (size^n, n)
     outputs = np.empty((len(tuples), family.dim))
     for t, row in enumerate(tuples):
-        result = mechanism(Dataset(batch=support.take(row), points=mat[row]))
+        result = mechanism(Dataset(mat[row]))
         outputs[t] = result.estimate if hasattr(result, "estimate") else result
 
     def dataset_weights(dist):

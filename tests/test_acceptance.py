@@ -23,6 +23,7 @@ assertions here re-run those configurations in full.
 
 import hashlib
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -320,7 +321,7 @@ class TestStagedProtocolDesk:
         idx = int(early[0])
         stage = int(tr_a.dataset_crossing_stage[idx])
 
-        refs_b = refs.take(slice(None))
+        refs_b = replace(refs, v=refs.v.copy())
         suffix = np.random.default_rng(778).choice(
             [-1, 1], size=family.d - stage - 1).astype(np.int8)
         refs_b.v[idx, stage + 1:] = suffix
@@ -413,7 +414,7 @@ class TestMeanReductions:
         rng = np.random.default_rng(94)
         dist = tilt(family, np.zeros(family.dim))
         for _ in range(100):
-            anchor = tilt_sample_many(dist, rng, 1)
+            anchor = tilt_sample_many(dist, rng, 1).densify()[0]
             refs = tilt_sample_many(dist, rng, 5)
             ds = Dataset.from_refs(refs)
             padded = PaddedMechanism(EmpiricalMean(), 3, anchor)

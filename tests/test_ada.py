@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -26,7 +27,8 @@ from tiltlab.ada import (
 )
 from tiltlab.attack import ThetaSampler
 from tiltlab.errors import ProtocolAbort
-from tiltlab.families import make_family, predicate_matrix, support_batch
+from tiltlab.families import PointBatch, make_family, predicate_matrix, \
+    support_batch
 from tiltlab.tilt import log_weights, tilt, tilt_sample_many
 
 
@@ -188,7 +190,8 @@ class TestGap:
         def indicator(batch):
             return np.all(batch.v == key, axis=1).astype(float)
 
-        res = gap(indicator, support.take([target]),
+        res = gap(indicator, PointBatch(fam, support.types[[target]],
+                                        v=support.v[[target]]),
                   dist, 200_000, np.random.default_rng(12))
         assert abs(res.value - (1.0 - probs[target])) <= 5 * res.stderr + 1e-3
 
@@ -582,7 +585,8 @@ class TestRunProtocol:
                              seed=44)
         with pytest.raises(ValueError, match="tensor"):
             run_ada_protocol(ExactMeanAnalyst(),
-                             make_family("hypercube", d=4),
+                             make_family("matrix-columns", d=4, n_columns=8,
+                                         seed=45),
                              np.zeros(4), n=8, seed=45)
 
     @pytest.mark.parametrize("alpha", [0, 1, 2])
@@ -632,7 +636,7 @@ class TestRunProtocol:
         idx = int(early[0])
         stage = int(tr_a.dataset_crossing_stage[idx])
 
-        refs_b = refs.take(slice(None))
+        refs_b = replace(refs, v=refs.v.copy())
         suffix = np.random.default_rng(53).choice(
             [-1, 1], size=fam.d - stage - 1).astype(np.int8)
         refs_b.v[idx, stage + 1:] = suffix
@@ -677,7 +681,7 @@ class TestAnalysts:
         dist = tilt(fam, theta)
         n, W = 40, 40 ** 3
         refs_a = named_sample(dist, rng, n, W)
-        refs_b = refs_a.take(slice(None))
+        refs_b = replace(refs_a, v=refs_a.v.copy())
         victim = n - 1  # second fold under a two-way split
         refs_b.v[victim, 1] = -refs_b.v[victim, 1]
 

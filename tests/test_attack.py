@@ -215,8 +215,6 @@ class TestRunAttackTrial:
 
         def resolve(points, idx):
             # one dense point, built from the family definition
-            if fam.kind == "hypercube":
-                return points.v[idx].astype(float)
             i, j = divmod(int(points.types[idx]), fam.k)
             x = np.zeros((fam.m, fam.k, fam.d))
             x[i] = np.outer(fam.basis[j], points.v[idx])

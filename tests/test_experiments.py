@@ -587,7 +587,10 @@ class TestCli:
         (["--seed", "-1"], None, "master seed must be >= 0, got -1"),
         ([], "-1", "master seed must be >= 0, got -1"),
         ([], "abc", "TILTLAB_SEED must be an integer, got 'abc'"),
-    ], ids=["flag-negative", "env-negative", "env-not-integer"])
+        (["--workers", "0"], None, "--workers must be >= 1, got 0"),
+        (["--workers", "-4"], None, "--workers must be >= 1, got -4"),
+    ], ids=["flag-negative", "env-negative", "env-not-integer",
+            "workers-zero", "workers-negative"])
     def test_bad_seed_exit_code(self, tmp_path, capsys, monkeypatch, flags,
                                 env, message):
         if env is None:

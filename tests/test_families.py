@@ -88,6 +88,12 @@ class TestMakeFamily:
         assert fam.dim == 5
         assert fam.size == 32
 
+    def test_hypercube_is_single_type_tensor(self):
+        cube = make_family("hypercube", d=5)
+        assert cube == make_family("tensor", m=1, k=1, d=5)
+        assert (cube.kind, cube.m, cube.k, cube.n_types) == ("tensor", 1, 1, 1)
+        assert np.array_equal(cube.basis, [[1]])
+
     def test_tensor_shape(self):
         fam = make_family("tensor", m=3, k=4, d=2)
         assert fam.dim == 3 * 4 * 2

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tiltlab.errors import CapacityError
-from tiltlab.families import make_family, predicate_matrix, support_batch
+from tiltlab.families import make_family, predicate_matrix, support_matrix
 from tiltlab.mechanisms import (
     Dataset,
     EmpiricalMean,
@@ -475,7 +475,7 @@ class TestQueryRelease:
 class TestReductions:
     def test_group_wrap_metadata_and_estimate(self):
         fam = make_family("hypercube", d=3)
-        ds = Dataset.from_refs(support_batch(fam).take(slice(0, 4)))
+        ds = Dataset(support_matrix(fam)[:4])
         mech = GaussianMechanism(epsilon=0.5, delta=1e-5)
         wrapped = GroupPrivacyWrapped(mech, p=3)
         ans = wrapped(ds, np.random.default_rng(16))
@@ -489,14 +489,14 @@ class TestReductions:
 
     def test_group_wrap_identity_at_p_one(self):
         fam = make_family("hypercube", d=2)
-        ds = Dataset.from_refs(support_batch(fam).take(slice(0, 2)))
+        ds = Dataset(support_matrix(fam)[:2])
         ans = GroupPrivacyWrapped(EmpiricalMean(), p=1)(ds)
         np.testing.assert_array_equal(ans.estimate, ds.points.mean(axis=0))
         assert ans.delta == 0.0
 
     def test_group_shrink_discards_remainder(self):
         fam = make_family("hypercube", d=2)
-        ds = Dataset.from_refs(support_batch(fam))  # 4 points
+        ds = Dataset(support_matrix(fam))  # 4 points
         small = group_shrink(ds, p=3)
         assert small.n == 1
         with pytest.raises(ValueError):
@@ -504,14 +504,15 @@ class TestReductions:
 
     def test_pad_reduction_recovers_small_mean(self):
         fam = make_family("hypercube", d=4)
-        support = support_batch(fam)
+        support = support_matrix(fam)
         rng = np.random.default_rng(17)
         for _ in range(20):
-            anchor = support.take([rng.integers(len(support))])
-            ds = Dataset.from_refs(
-                support.take(rng.choice(len(support), size=4)))
+            anchor = support[rng.integers(len(support))]
+            ds = Dataset(support[rng.choice(len(support), size=4)])
             padded = PaddedMechanism(EmpiricalMean(), k=3, anchor=anchor)
             ans = padded(ds)
             np.testing.assert_allclose(
                 ans.estimate, ds.points.mean(axis=0), atol=1e-12
             )
+        with pytest.raises(ValueError, match="anchor"):
+            PaddedMechanism(EmpiricalMean(), k=3, anchor=support[:1])

@@ -9,7 +9,8 @@ Oracles:
       mechanism: sum_i sech^2(theta_i) on the hypercube and
       (1/m) sum_{i,j,r} sech^2(T[i,j,r]) for the type-conditioned tensor tilt.
     - Batched sampling against a per-point copy of the sampling recipe, and
-      PointBatch.densify against a test-local per-point resolve.
+      PointBatch.densify against a test-local per-point resolve; its
+      m = k = 1 fast path against a test-local copy of the general scatter.
     - Exact tilt means (overall and per type) on random small families
       against softmax-weighted enumeration, as a hypothesis property.
 """
@@ -22,12 +23,12 @@ from hypothesis import given, settings, strategies as st
 from scipy.special import expit
 
 from tiltlab.errors import CapacityError
-from tiltlab.families import make_family, support_batch, support_matrix
+from tiltlab.families import PointBatch, make_family, support_batch, \
+    support_matrix
 from tiltlab.mechanisms import ClampedMean, Dataset, EmpiricalMean
 from tiltlab.tilt import (
     divergence_check,
     log_weights,
-    score,
     tilt,
     tilt_cov,
     tilt_mean,
@@ -46,8 +47,6 @@ def brute_mean(family, theta):
 def resolve(fam, batch, idx):
     """Dense vector of point idx of batch, built from the family definition
     one point at a time."""
-    if fam.kind == "hypercube":
-        return batch.v[idx].astype(np.float64)
     if fam.kind == "matrix-columns":
         return fam.matrix[:, batch.cols[idx]].astype(np.float64)
     i, j = divmod(int(batch.types[idx]), fam.k)
@@ -170,8 +169,8 @@ class TestScore:
         w = np.exp(log_weights(dist))
         total = 0.0
         for idx, (wt, tid) in enumerate(zip(w, batch.types)):
-            total += wt * score(resolve(fam, batch, idx), q,
-                                tilt_mean_typed(dist, int(tid)))
+            mu = tilt_mean_typed(dist, int(tid))
+            total += wt * float((resolve(fam, batch, idx) - mu) @ q)
         assert abs(total) < 1e-12
 
 
@@ -329,45 +328,29 @@ class TestPointBatch:
             sampled.densify(),
             np.stack([resolve(fam, sampled, i) for i in range(50)]))
 
-    @pytest.mark.parametrize("kind", sorted(BATCH_FAMILIES))
-    def test_single_points_round_trip(self, kind):
-        # a single point is a one-row batch; joining them back in order
-        # rebuilds the batch, names included
-        fam = make_family(kind, **BATCH_FAMILIES[kind])
-        batch = tilt_sample_many(tilt(fam, np.zeros(fam.dim)),
-                                 np.random.default_rng(33), 20)
-        batch.names = np.arange(100, 120)
-        back = batch.take([0])
-        for i in range(1, 20):
-            back = back.concat(batch.take([i]))
-        for field in ("types", "v", "cols", "names"):
-            mine, theirs = getattr(batch, field), getattr(back, field)
-            assert (mine is None and theirs is None) or \
-                np.array_equal(mine, theirs), field
-        assert batch.take([-1]).names.tolist() == [119]
-        with pytest.raises(IndexError):
-            batch.take([20])
-
-    def test_take_and_concat(self):
-        fam = make_family("tensor", m=2, k=2, d=3)
-        batch = support_batch(fam).take(slice(0, 6))
-        picked = batch.take(np.array([4, 1]))
-        assert np.array_equal(picked.v, batch.v[[4, 1]])
-        assert np.array_equal(picked.types, batch.types[[4, 1]])
-        joined = batch.concat(picked)
-        assert len(joined) == 8
-        assert np.array_equal(joined.densify()[6:], batch.densify()[[4, 1]])
-        picked.v[0] = 0  # take copies
-        assert np.all(np.abs(batch.v) == 1)
+    def test_single_type_fast_path_matches_scatter(self):
+        # at m = k = 1 densify casts the v-bits; the general tensor scatter
+        # (copied here) must give the same float64 bits
+        fam = make_family("hypercube", d=7)
+        batch = tilt_sample_many(tilt(fam, np.full(fam.dim, 0.2)),
+                                 np.random.default_rng(34), 300)
+        n = len(batch)
+        ti, tj = np.divmod(batch.types, fam.k)
+        x = np.zeros((n, fam.m, fam.k, fam.d))
+        x[np.arange(n), ti] = fam.basis[tj][:, :, None] * batch.v[:, None, :]
+        scatter = x.reshape(n, fam.dim)
+        dense = batch.densify()
+        assert dense.dtype == scatter.dtype == np.float64
+        assert dense.tobytes() == scatter.tobytes()
 
 
 class TestDatasetPlumbing:
     def test_from_refs_densifies_batch(self):
         fam = make_family("tensor", m=2, k=2, d=3)
-        batch = support_batch(fam).take(slice(3, 9))
+        full = support_batch(fam)
+        batch = PointBatch(fam, full.types[3:9], v=full.v[3:9])
         ds = Dataset.from_refs(batch)
         assert ds.n == 6
-        assert ds.batch is batch
         assert np.array_equal(
             ds.points, np.stack([resolve(fam, batch, i) for i in range(6)]))
-        assert ds.batch.family is fam
+        assert ds.points.shape == (6, fam.dim)
