@@ -7,7 +7,9 @@ of fresh draws.  Fresh scores always have mean zero, so a positive
 separation certifies that the answer leaks its inputs.
 
 RNG order within a trial is fixed (theta, dataset, mechanism, fresh draws)
-so a trial is replayable from its seed.
+so a trial is replayable from its seed.  Fresh points are drawn and scored
+FRESH_BLOCK rows at a time, on the stream of one tilt_sample_many call, so
+memory does not grow with the fresh count.
 """
 
 from __future__ import annotations
@@ -20,10 +22,11 @@ import numpy as np
 
 from .families import PointFamily
 from .mechanisms import Dataset
-from .tilt import tilt, tilt_cov, tilt_mean, tilt_mean_typed, tilt_sample_many
+from .tilt import tilt, tilt_cov, tilt_mean, tilt_mean_typed, \
+    tilt_sample_blocks, tilt_sample_many
 
 _REGIONS = ("l2-sphere", "l2-ball", "l1-surface", "l1-ball")
-_SURFACES = ("l2-sphere", "l1-surface")
+FRESH_BLOCK = 4096  # fresh points drawn, densified and scored at a time
 
 
 @dataclass(frozen=True)
@@ -55,15 +58,6 @@ class ThetaSampler:
             theta = theta * rng.random() ** (1.0 / dim)
         return theta
 
-    def normal(self, theta: np.ndarray) -> np.ndarray:
-        """Outward unit normal of the surface at theta."""
-        if self.region not in _SURFACES:
-            raise ValueError("normals are defined only on surface regions")
-        theta = np.asarray(theta, dtype=float)
-        if self.region == "l2-sphere":
-            return theta / np.linalg.norm(theta)
-        return np.sign(theta) / math.sqrt(self.dimension)
-
 
 @dataclass
 class ScoreReport:
@@ -80,14 +74,21 @@ class ScoreReport:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _scores_against(dist, types: np.ndarray, points: np.ndarray,
-                    target: np.ndarray) -> np.ndarray:
-    """Per-point <x - mu_ref, target>, mu_ref the mean of the point's type,
-    as <x, target> - <mu_ref, target> so no centered copy is built."""
-    shift_score = np.zeros(dist.family.n_types)
-    for t in np.unique(types):
-        shift_score[t] = tilt_mean_typed(dist, int(t)) @ target
-    return points @ target - shift_score[types]
+def _scores(dist, blocks, target: np.ndarray, center=None) -> np.ndarray:
+    """<x - c, target> over (types, dense points) blocks, c the center or,
+    when it is None, the mean of the point's type, one block at a time."""
+    types, scores = [], []
+    for t, x in blocks:
+        types.append(t)
+        scores.append((x if center is None else x - center) @ target)
+    scores = np.concatenate(scores)
+    if center is None:
+        types = np.concatenate(types)
+        shift = np.zeros(dist.family.n_types)
+        for t in np.unique(types):
+            shift[t] = tilt_mean_typed(dist, int(t)) @ target
+        scores -= shift[types]
+    return scores
 
 
 def run_attack_trial(
@@ -109,10 +110,10 @@ def run_attack_trial(
     ds = Dataset.from_refs(batch)
     ans = mechanism(ds, rng)
     answer = np.asarray(ans.estimate, dtype=float).reshape(-1)
-    in_scores = _scores_against(dist, batch.types, ds.points, answer)
-    fresh = tilt_sample_many(dist, rng, fresh_count)
-    fresh_scores = _scores_against(dist, fresh.types,
-                                   Dataset.from_refs(fresh).points, answer)
+    in_scores = _scores(dist, [(batch.types, ds.points)], answer)
+    fresh = tilt_sample_blocks(dist, rng, fresh_count, FRESH_BLOCK)
+    fresh_scores = _scores(dist, ((b.types, b.densify()) for b in fresh),
+                           answer)
     return ScoreReport(
         region=sampler.region,
         n=n,
@@ -155,8 +156,9 @@ def run_shifted_attack_trial(
     answer = np.asarray(ans.estimate, dtype=float).reshape(-1)
     target = answer - mu
     in_scores = (ds.points - mu) @ target
-    fresh = Dataset.from_refs(tilt_sample_many(dist, rng, fresh_count))
-    fresh_scores = (fresh.points - mu) @ target
+    fresh = tilt_sample_blocks(dist, rng, fresh_count, FRESH_BLOCK)
+    fresh_scores = _scores(dist, ((b.types, b.densify()) for b in fresh),
+                           target, mu)
     lam = float(np.linalg.eigvalsh(tilt_cov(dist))[-1])
     return ScoreReport(
         region=sampler.region,
@@ -187,16 +189,10 @@ def separation_statistic(report: ScoreReport) -> float:
     return float((ins.mean() - fresh.mean()) / math.sqrt(se2))
 
 
-def aggregate_separation(reports) -> float:
-    """Two-sample statistic of per-trial total in-sample score against
-    per-trial mean fresh score; +inf when both sides are constant."""
-    return separation_of_totals([r.in_scores.sum() for r in reports],
-                                [r.fresh_scores.mean() for r in reports])
-
-
 def separation_of_totals(totals, fresh_means) -> float:
-    """aggregate_separation from the per-trial in-sample totals and fresh
-    score means, as the attack-hypercube CSV rows record them."""
+    """Two-sample statistic of per-trial total in-sample score against
+    per-trial mean fresh score, as the attack-hypercube CSV rows record
+    them; +inf when both sides are constant."""
     totals = np.asarray(totals, dtype=float)
     fresh = np.asarray(fresh_means, dtype=float)
     if len(totals) < 2:

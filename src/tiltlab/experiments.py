@@ -380,6 +380,8 @@ def run_experiment(cfg: ExperimentConfig, master_seed: int,
     """Run all trials, then write <kind>.csv, <kind>.log, manifest.json."""
     if cfg.kind not in _TRIAL_FUNCS:
         raise ValueError(f"unknown experiment kind {cfg.kind!r}")
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     out = Path(out_dir) if out_dir else Path(cfg.out or f"runs/{cfg.kind}")
     out.mkdir(parents=True, exist_ok=True)
 

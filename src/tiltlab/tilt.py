@@ -77,22 +77,34 @@ def _logsumexp(x: np.ndarray) -> float:
 
 def tilt_sample_many(dist: TiltedDistribution, rng: np.random.Generator,
                      count: int) -> PointBatch:
-    """Draw count points; consumes rng as (types, then bits) for replay."""
+    """Draw count points as one batch (tilt_sample_blocks in one block)."""
+    return next(tilt_sample_blocks(dist, rng, count, max(count, 1)))
+
+
+def tilt_sample_blocks(dist: TiltedDistribution, rng: np.random.Generator,
+                       count: int, block: int):
+    """Yield count points in batches of at most block rows: all types (or
+    columns) first, then the v-bits block by block.  Uniforms come out the
+    same in blocks as in one call, so every block size gives the same rows
+    and leaves rng in the same state."""
     fam = dist.family
+    types = np.zeros(count, dtype=np.int64)
     if fam.kind == "matrix-columns":
         cols = rng.choice(fam.n_columns, size=count, p=np.exp(dist.column_logp))
-        return PointBatch(fam, np.zeros(count, dtype=np.int64), cols=cols)
-    # Pr[v_c = +1] per (type, coordinate); indexing the table gives the
-    # same values as an expit over the indexed tilts
-    table = expit(2.0 * dist.type_tilts)
-    if len(table) == 1:
-        types = np.zeros(count, dtype=np.int64)
-        p_plus = table[0]
     else:
-        types = rng.choice(len(table), size=count, p=np.exp(dist.type_logp))
-        p_plus = table[types]
-    v = sign_bits(rng.random((count, fam.d)) < p_plus)
-    return PointBatch(fam, types, v=v)
+        # Pr[v_c = +1] per (type, coordinate); indexing the table gives the
+        # same values as an expit over the indexed tilts
+        table = expit(2.0 * dist.type_tilts)
+        if len(table) > 1:
+            types = rng.choice(len(table), size=count, p=np.exp(dist.type_logp))
+    for s in range(0, max(count, 1), block):
+        t = types[s:s + block]
+        if fam.kind == "matrix-columns":
+            yield PointBatch(fam, t, cols=cols[s:s + block])
+        else:
+            p_plus = table[0] if len(table) == 1 else table[t]
+            v = sign_bits(rng.random((len(t), fam.d)) < p_plus)
+            yield PointBatch(fam, t, v=v)
 
 
 def sign_bits(plus: np.ndarray) -> np.ndarray:

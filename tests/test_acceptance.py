@@ -10,8 +10,8 @@ every seed fixed so reruns are bitwise-stable:
     - score separation for exact and noised mean mechanisms
     - staged-protocol gap behavior at the desk point (m=6, k=64, d=32)
     - exact Rademacher tails, the K-functional sandwich, and reductions
-    - bitwise CSV determinism across worker counts and against the golden
-      digests in tests/golden/
+    - bitwise CSV determinism across worker counts, across BLAS thread
+      counts, and against the golden digests in tests/golden/
 
 The four full-scale runs that take most of the suite's time carry the
 ``slow`` marker; ``pytest -m "not slow"`` skips them for a quick loop.
@@ -23,18 +23,23 @@ assertions here re-run those configurations in full.
 
 import hashlib
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import tiltlab
 from tiltlab.ada import ExactMeanAnalyst, run_ada_protocol
 from tiltlab.attack import (
+    FRESH_BLOCK,
     ThetaSampler,
-    aggregate_separation,
     run_attack_trial,
     run_shifted_attack_trial,
+    separation_of_totals,
 )
 from tiltlab.config import parse_config
 from tiltlab.experiments import THETA_STREAM_TAG, run_experiment
@@ -227,7 +232,8 @@ class TestHypercubeScoreSeparation:
             )
             for t in range(200)
         ]
-        return aggregate_separation(reports)
+        return separation_of_totals([r.in_scores.sum() for r in reports],
+                                    [r.fresh_scores.mean() for r in reports])
 
     def test_exact_mean_separates_and_noise_suppresses(self):
         exact = self._aggregate(EmpiricalMean())
@@ -500,3 +506,32 @@ class TestSuiteDeterminism:
         if log_name in golden:
             got = hashlib.sha256(result.log_path.read_bytes()).hexdigest()
             assert got == golden[log_name]
+
+    def test_attack_csv_bytes_stable_across_blas_threads(self, tmp_path):
+        # fresh scores are matrix-vector products over row blocks; OpenBLAS
+        # splits each product across its threads, which must move no bit
+        fresh = 2 * FRESH_BLOCK + 100
+        configs = [
+            f"kind = attack-hypercube\ntrials = 2\nd = 64\nn = 4\n"
+            f"fresh = {fresh}",
+            f"kind = attack-random\ntrials = 2\nd = 32\nn_columns = 64\n"
+            f"n = 4\nfresh = {fresh}",
+        ]
+        code = ("import sys\n"
+                "from tiltlab.config import parse_config\n"
+                "from tiltlab.experiments import run_experiment\n"
+                "for i, text in enumerate(sys.argv[2:]):\n"
+                "    run_experiment(parse_config(text), 99,\n"
+                "                   f'{sys.argv[1]}/{i}')\n")
+        src = os.path.dirname(os.path.dirname(tiltlab.__file__))
+        outputs = []
+        for threads in ("1", "2"):
+            out = tmp_path / threads
+            env = dict(os.environ, PYTHONPATH=src,
+                       OPENBLAS_NUM_THREADS=threads)
+            subprocess.run([sys.executable, "-c", code, str(out), *configs],
+                           check=True, env=env, timeout=300)
+            outputs.append([(out / str(i) / f"{kind}.csv").read_bytes()
+                            for i, kind in enumerate(("attack-hypercube",
+                                                      "attack-random"))])
+        assert outputs[0] == outputs[1]

@@ -2,28 +2,33 @@
 
 Oracles:
     - Sampler laws: chi-square angle uniformity, KS on the ball radius law,
-      exact norm constraints, closed-form surface normals.
+      exact norm constraints.
     - Constant mechanisms give identically zero scores.
     - Exact-mean separations are pre-registered two-sample statistics.
     - Trial scores against a per-point <x - tilt_mean_typed, answer> loop.
+    - Fresh scores streamed in blocks against one dense tilt_sample_many
+      path, bitwise, rng state included; the peak memory of a large trial.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import stats
 
 from tiltlab.attack import (
+    FRESH_BLOCK,
     ScoreReport,
     ThetaSampler,
-    aggregate_separation,
     run_attack_trial,
     run_shifted_attack_trial,
+    separation_of_totals,
     separation_statistic,
 )
 from tiltlab.families import make_family
 from tiltlab.mechanisms import (
+    Dataset,
     EmpiricalMean,
     GaussianMechanism,
     MechanismAnswer,
@@ -94,20 +99,6 @@ class TestThetaSampler:
         assert set(np.unique(draws)) == {-3.0, 3.0}
         assert abs((draws > 0).mean() - 0.5) < 0.05
 
-    def test_surface_normals(self):
-        rng = np.random.default_rng(4)
-        sph = ThetaSampler(region="l2-sphere", dimension=6, radius=2.0)
-        theta = sph.sample(rng)
-        np.testing.assert_allclose(sph.normal(theta),
-                                   theta / np.linalg.norm(theta), atol=0)
-        l1 = ThetaSampler(region="l1-surface", dimension=6, radius=2.0)
-        theta = l1.sample(rng)
-        np.testing.assert_allclose(l1.normal(theta),
-                                   np.sign(theta) / math.sqrt(6), atol=0)
-        assert np.linalg.norm(l1.normal(theta)) == pytest.approx(1.0)
-        with pytest.raises(ValueError):
-            ThetaSampler(region="l2-ball", dimension=6, radius=2.0).normal(theta)
-
     def test_rejects_bad_region(self):
         with pytest.raises(ValueError):
             ThetaSampler(region="l3-sphere", dimension=2, radius=1.0)
@@ -150,7 +141,9 @@ class TestRunAttackTrial:
                              fresh_count=16, rng=rng)
             for _ in range(200)
         ]
-        assert aggregate_separation(reports) > 5
+        assert separation_of_totals(
+            [r.in_scores.sum() for r in reports],
+            [r.fresh_scores.mean() for r in reports]) > 5
 
     def test_gaussian_noise_shrinks_separation(self):
         d = 16
@@ -197,14 +190,16 @@ class TestRunAttackTrial:
         assert ins.mean() <= fresh.mean() + slack + 4 * pooled_se
 
 
-    @pytest.mark.parametrize("kind,shape", [
-        ("hypercube", dict(d=16)),
-        ("tensor", dict(m=2, k=4, d=5)),
+    @pytest.mark.parametrize("kind,shape,fresh", [
+        pytest.param("hypercube", dict(d=16), 3000, id="hypercube-shape0"),
+        pytest.param("tensor", dict(m=2, k=4, d=5), 3000, id="tensor-shape1"),
+        pytest.param("tensor", dict(m=2, k=4, d=5), 2 * FRESH_BLOCK + 5,
+                     id="tensor-multiblock"),
     ])
-    def test_scores_match_per_point_oracle(self, kind, shape):
+    def test_scores_match_per_point_oracle(self, kind, shape, fresh):
         fam = make_family(kind, **shape)
         sampler = ThetaSampler("l2-sphere", fam.dim, 3.0)
-        n, fresh = 6, 3000
+        n = 6
         report = run_attack_trial(fam, sampler, EmpiricalMean(), n, fresh,
                                   np.random.default_rng(70))
         # replay the trial's rng order: theta, dataset, (mechanism), fresh
@@ -288,7 +283,9 @@ class TestShiftedAttack:
         ]
         totals = [r.in_scores.sum() for r in reports]
         assert min(totals) >= 0  # sum of <x_j - mu, mean - mu> = n ||mean - mu||^2
-        assert aggregate_separation(reports) > 5
+        assert separation_of_totals(
+            [r.in_scores.sum() for r in reports],
+            [r.fresh_scores.mean() for r in reports]) > 5
 
     def test_requires_matrix_family(self):
         fam = make_family("hypercube", d=4)
@@ -296,6 +293,78 @@ class TestShiftedAttack:
         with pytest.raises(ValueError):
             run_shifted_attack_trial(fam, sampler, EmpiricalMean(), n=2,
                                      rng=np.random.default_rng(0))
+
+
+# three full fresh blocks and a ragged fourth
+MULTI_BLOCK = 3 * FRESH_BLOCK + 17
+
+BLOCK_FAMILIES = {
+    "hypercube": dict(kind="hypercube", d=16),
+    "tensor": dict(kind="tensor", m=2, k=4, d=5),
+    "matrix-columns": dict(kind="matrix-columns", d=12, n_columns=40,
+                           seed=10),
+}
+
+
+class TestFreshBlocks:
+    """Fresh scores are streamed FRESH_BLOCK rows at a time; past one block
+    they must still be the bits of one dense draw, scored in one product."""
+
+    @staticmethod
+    def _replay(fam, sampler, n, seed):
+        # the trial's rng order with every fresh point drawn at once:
+        # theta, dataset, mechanism, fresh points
+        rng = np.random.default_rng(seed)
+        dist = tilt(fam, sampler.sample(rng))
+        in_pts = tilt_sample_many(dist, rng, n)
+        answer = EmpiricalMean()(Dataset(in_pts.densify()), rng).estimate
+        fresh_pts = tilt_sample_many(dist, rng, MULTI_BLOCK)
+        return rng, dist, answer, in_pts, fresh_pts
+
+    @pytest.mark.parametrize("name", sorted(BLOCK_FAMILIES))
+    def test_plain_attack_matches_dense_path(self, name):
+        fam = make_family(**BLOCK_FAMILIES[name])
+        sampler = ThetaSampler("l2-sphere", fam.dim, 3.0)
+        rng = np.random.default_rng(71)
+        report = run_attack_trial(fam, sampler, EmpiricalMean(), 6,
+                                  MULTI_BLOCK, rng)
+        ref_rng, dist, answer, in_pts, fresh_pts = self._replay(
+            fam, sampler, 6, 71)
+        shift = np.array([tilt_mean_typed(dist, t) @ answer
+                          for t in range(fam.n_types)])
+        for got, pts in ((report.in_scores, in_pts),
+                         (report.fresh_scores, fresh_pts)):
+            want = pts.densify() @ answer - shift[pts.types]
+            assert np.array_equal(got, want)
+        assert np.array_equal(rng.random(3), ref_rng.random(3))
+
+    def test_shifted_attack_matches_dense_path(self):
+        fam = make_family(**BLOCK_FAMILIES["matrix-columns"])
+        sampler = ThetaSampler("l2-sphere", fam.dim, 2.0)
+        rng = np.random.default_rng(73)
+        report = run_shifted_attack_trial(fam, sampler, EmpiricalMean(), 6,
+                                          rng, MULTI_BLOCK)
+        ref_rng, dist, answer, in_pts, fresh_pts = self._replay(
+            fam, sampler, 6, 73)
+        mu = tilt_mean(dist)
+        for got, pts in ((report.in_scores, in_pts),
+                         (report.fresh_scores, fresh_pts)):
+            assert np.array_equal(got, (pts.densify() - mu) @ (answer - mu))
+        assert np.array_equal(rng.random(3), ref_rng.random(3))
+
+    def test_peak_memory_does_not_grow_with_fresh(self):
+        # one dense copy of 1e5 fresh points at d = 64 is 51 MB, and the
+        # dense path peaked at 57 MiB; streamed, the trial peaks near 6 MiB
+        fam = make_family("hypercube", d=64)
+        sampler = ThetaSampler("l2-sphere", 64, 40.0)
+        tracemalloc.start()
+        try:
+            run_attack_trial(fam, sampler, EmpiricalMean(), 8, 100_000,
+                             np.random.default_rng(74))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2 ** 20
 
 
 class TestSeparationStatistic:

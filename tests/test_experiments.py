@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import tiltlab
-from tiltlab.attack import ThetaSampler, aggregate_separation, run_attack_trial
+from tiltlab.attack import ThetaSampler, run_attack_trial, separation_of_totals
 from tiltlab.cli import main
 from tiltlab.config import ConfigError, ExperimentConfig, parse_config
 from tiltlab.experiments import (
@@ -420,6 +420,14 @@ class TestRunExperiment:
         res3 = run_experiment(cfg, 11, out_dir=tmp_path / "b", workers=3)
         assert res1.csv_path.read_bytes() == res3.csv_path.read_bytes()
 
+    @pytest.mark.parametrize("workers", [0, -4])
+    def test_rejects_worker_count_below_one(self, tmp_path, workers):
+        out = tmp_path / "out"
+        with pytest.raises(ValueError, match="workers"):
+            run_experiment(tiny_config("mech-bench", trials=2), 11,
+                           out_dir=out, workers=workers)
+        assert not out.exists()
+
     def test_seed_changes_rows(self, tmp_path):
         cfg = tiny_config("attack-hypercube", trials=2)
         res1 = run_experiment(cfg, 1, out_dir=tmp_path / "a")
@@ -447,7 +455,8 @@ class TestRunExperiment:
             for t in range(3)
         ]
         assert manifest["aggregate"]["aggregate_separation"] == \
-            aggregate_separation(reports)
+            separation_of_totals([r.in_scores.sum() for r in reports],
+                                 [r.fresh_scores.mean() for r in reports])
 
     def test_ada_log_file(self, tmp_path):
         cfg = tiny_config("ada-run", trials=2)
