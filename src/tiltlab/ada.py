@@ -68,12 +68,11 @@ class Obfuscation:
     The mask for slice r is a seeded pseudorandom function of the name, the
     type pair, the slice index, and the true bits before r, so masks for
     distinct names are independent and decoding must proceed slice by
-    slice.  ``identity=True`` is a test hook that masks nothing.
+    slice.
     """
 
     seed: int
     W: int
-    identity: bool = False
 
     def __post_init__(self):
         if self.W < 1:
@@ -93,8 +92,6 @@ def _apply_masks(obf: Obfuscation, names, ti, tj, bits, decode: bool):
     decoding."""
     names = _check_names(obf, names)
     bits = np.asarray(bits, dtype=np.int8)
-    if obf.identity:
-        return bits.copy()
     out = np.empty_like(bits)
     prefix = np.zeros(len(bits), dtype=_U64)
     for r in range(bits.shape[1]):
@@ -362,9 +359,6 @@ class AdaTranscript:
     final_scale: float
     final_gap: GapResult
 
-    def score_field(self) -> ScoreField:
-        return ScoreField(c_hat=self.c_hat, ref_shift=self.ref_shift)
-
     def log_lines(self) -> list:
         lines = []
         for rec in self.stages:
@@ -520,7 +514,7 @@ def run_ada_protocol(
         # recon[p, i] estimates mean coordinate (i, p) of the slice, so
         # recon[:, i] is already the coordinate vector that projects onto H
         for i in range(m):
-            _, lam = project_to_H(recon[:, i], basis, 1.0 / m, mode="fast")
+            _, lam = project_to_H(recon[:, i], basis, 1.0 / m)
             c_hat[i, :, r] = lam / m
 
         field.advance(wi, wj, wbits[:, r], r, psum, run_max)

@@ -86,12 +86,11 @@ class GaussianMechanism:
 
     name = "gaussian"
 
-    def __init__(self, epsilon: float, delta: float, clamp: bool = False):
+    def __init__(self, epsilon: float, delta: float):
         if epsilon <= 0 or not 0 < delta < 1:
             raise ValueError("need epsilon > 0 and delta in (0, 1)")
         self.epsilon = epsilon
         self.delta = delta
-        self.clamp = clamp
 
     def sigma(self, n: int, dim: int) -> float:
         sensitivity = 2.0 * math.sqrt(dim) / n
@@ -102,16 +101,12 @@ class GaussianMechanism:
             raise ValueError("gaussian mechanism needs an rng")
         sigma = self.sigma(ds.n, ds.points.shape[1])
         est = ds.points.mean(axis=0) + rng.normal(scale=sigma, size=ds.points.shape[1])
-        clamped = 0
-        if self.clamp:
-            clamped = int(np.sum(np.abs(est) > 1.0))
-            est = np.clip(est, -1.0, 1.0)
         return MechanismAnswer(
             estimate=est,
             epsilon=self.epsilon,
             delta=self.delta,
             adjacency="replace-one",
-            diagnostics={"sigma": sigma, "clamped_coords": clamped},
+            diagnostics={"sigma": sigma},
         )
 
 
@@ -416,18 +411,12 @@ def reconstruct_slices_batch(
     return best_mu
 
 
-def project_to_H(
-    w: np.ndarray,
-    basis: np.ndarray,
-    box_scale: float,
-    mode: str = "fast",
-) -> tuple:
+def project_to_H(w: np.ndarray, basis: np.ndarray, box_scale: float) -> tuple:
     """Project w onto {(s/k) sum_j lam_j u^j : lam in [-1,1]^k}.
 
-    ``basis`` rows are the orthogonal +-1 vectors u^j.  Fast mode clips the
-    exact basis coefficients, which is the exact L2 projection and is within
-    sqrt(k) of the optimal L1 movement; exact mode solves the L1-minimizing
-    projection as a linear program.  Returns (projection, lam).
+    ``basis`` rows are the orthogonal +-1 vectors u^j.  Clipping the exact
+    basis coefficients to [-1, 1] gives the exact L2 projection, which is
+    within sqrt(k) of the optimal L1 movement.  Returns (projection, lam).
     """
     basis = np.asarray(basis, dtype=float)
     k = basis.shape[0]
@@ -438,24 +427,8 @@ def project_to_H(
     w = np.asarray(w, dtype=float)
     if w.shape != (k,):
         raise ValueError("w must match the basis dimension")
-    if mode == "fast":
-        lam = np.clip(basis @ w / box_scale, -1.0, 1.0)
-        return (box_scale / k) * (basis.T @ lam), lam
-    if mode != "exact":
-        raise ValueError(f"unknown mode {mode!r}")
-    from scipy.optimize import linprog  # only exact mode needs the LP solver
-
-    point_of_lam = (box_scale / k) * basis.T  # columns scale each lambda
-    eye = np.eye(k)
-    a_ub = np.block([[point_of_lam, -eye], [-point_of_lam, -eye]])
-    b_ub = np.concatenate([w, -w])
-    cost = np.concatenate([np.zeros(k), np.ones(k)])
-    bounds = [(-1.0, 1.0)] * k + [(0.0, None)] * k
-    res = linprog(cost, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs")
-    if not res.success:
-        raise RuntimeError(f"projection LP failed: {res.message}")
-    lam = res.x[:k]
-    return point_of_lam @ lam, lam
+    lam = np.clip(basis @ w / box_scale, -1.0, 1.0)
+    return (box_scale / k) * (basis.T @ lam), lam
 
 
 # --------------------------------------------------------------------------

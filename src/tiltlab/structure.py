@@ -1,15 +1,14 @@
 """Verifiers for the geometric facts behind the random-workload bounds.
 
-Covers the L1/L2 K-functional and its soft-threshold solver, exact and
-Monte Carlo Rademacher tails, column-sum concentration of random +-1
-matrices, the expanding/regular properties of tilted column distributions,
-and the exponential-reweighting shift bound.
+Covers the L1/L2 K-functional and its soft-threshold solver, exact
+Rademacher tails, column-sum concentration of random +-1 matrices, and the
+expanding/regular properties of tilted column distributions.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -147,46 +146,23 @@ def exact_sign_tail(a: np.ndarray, thresholds) -> np.ndarray:
 class TailReport:
     t_values: np.ndarray
     probabilities: np.ndarray
-    stderr: np.ndarray
     hoeffding_bound: np.ndarray
     hoeffding_ok: list
     good_vector: bool
     lower_checked: bool
     fitted_c: np.ndarray
-    mode: str
     notice: str = ""
 
 
-def rademacher_tail(
-    a: np.ndarray,
-    t_values,
-    mode: str = "exact",
-    samples: int = 0,
-    rng: Optional[np.random.Generator] = None,
-) -> TailReport:
-    """Tails Pr[<a, x> >= t ||a||_2] with the exp(-t^2/2) upper bound checked
-    and the lower-bound constant fitted when the vector is good."""
+def rademacher_tail(a: np.ndarray, t_values) -> TailReport:
+    """Exact tails Pr[<a, x> >= t ||a||_2] over uniform signs x (d <= 22),
+    with the exp(-t^2/2) upper bound checked and the lower-bound constant
+    fitted when the vector is good."""
     a = np.asarray(a, dtype=float)
     t_values = np.asarray(np.atleast_1d(t_values), dtype=float)
-    l2 = np.linalg.norm(a)
-    thresholds = t_values * l2
-    if mode == "exact":
-        probs = exact_sign_tail(a, thresholds)
-        stderr = np.zeros_like(probs)
-    elif mode == "mc":
-        if samples < 1 or rng is None:
-            raise ValueError("mc mode needs samples >= 1 and an rng")
-        signs = np.where(rng.random((samples, len(a))) < 0.5, 1.0, -1.0)
-        sums = signs @ a
-        probs = np.array([(sums >= t).mean() for t in thresholds])
-        stderr = np.sqrt(probs * (1 - probs) / samples)
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
+    probs = exact_sign_tail(a, t_values * np.linalg.norm(a))
     bound = np.exp(-(t_values ** 2) / 2)
-    hoeffding_ok = [
-        bool(p <= b + 4 * se + 1e-15)
-        for p, b, se in zip(probs, bound, stderr)
-    ]
+    hoeffding_ok = [bool(p <= b + 1e-15) for p, b in zip(probs, bound)]
     good = is_good_vector(a)
     with np.errstate(divide="ignore"):
         fitted = np.where(
@@ -198,48 +174,13 @@ def rademacher_tail(
     return TailReport(
         t_values=t_values,
         probabilities=probs,
-        stderr=stderr,
         hoeffding_bound=bound,
         hoeffding_ok=hoeffding_ok,
         good_vector=good,
         lower_checked=good,
         fitted_c=fitted,
-        mode=mode,
         notice=notice,
     )
-
-
-def fit_joint_tail_constant(vectors, t_values, hi: float = 64.0) -> float:
-    """Smallest c >= 1 with Pr[<x,a> >= K12(a, t||a||_2)/c] >= e^{-c t^2}/c
-    across every (vector, t) pair; +inf when even ``hi`` fails."""
-    t_values = list(t_values)
-    prepared = []
-    for a in vectors:
-        a = np.asarray(a, dtype=float)
-        l2 = np.linalg.norm(a)
-        kvals = np.array([k12(a, t * l2) for t in t_values])
-        prepared.append((a, kvals))
-
-    def ok(c):
-        for a, kvals in prepared:
-            probs = exact_sign_tail(a, kvals / c)
-            for t, p in zip(t_values, probs):
-                if p < math.exp(-c * t * t) / c:
-                    return False
-        return True
-
-    if not ok(hi):
-        return math.inf
-    lo_c, hi_c = 1.0, hi
-    if ok(lo_c):
-        return lo_c
-    for _ in range(50):
-        mid = 0.5 * (lo_c + hi_c)
-        if ok(mid):
-            hi_c = mid
-        else:
-            lo_c = mid
-    return hi_c
 
 
 # --------------------------------------------------------------------------
@@ -349,8 +290,6 @@ class ExpandingReport:
     trials: int
     values: np.ndarray
     fail_fraction: float
-    mc_values: Optional[np.ndarray] = None
-    mc_stderr: Optional[np.ndarray] = None
 
 
 def check_expanding(
@@ -359,7 +298,6 @@ def check_expanding(
     eta_probe: float,
     trials: int,
     rng: np.random.Generator,
-    mc_per_theta: int = 0,
     thetas: Optional[np.ndarray] = None,
 ) -> ExpandingReport:
     """Per theta on the radius-r sphere, compute E_{v ~ D_theta(A)}[<v, theta>]
@@ -381,24 +319,12 @@ def check_expanding(
     w = np.exp(z_shift)
     p = w / w.sum(axis=1, keepdims=True)
     values = (p * z).sum(axis=1)
-    mc_values = mc_stderr = None
-    if mc_per_theta > 0:
-        mc_values = np.empty(trials)
-        mc_stderr = np.empty(trials)
-        n_cols = a.shape[1]
-        for i in range(trials):
-            cols = rng.choice(n_cols, size=mc_per_theta, p=p[i])
-            draws = z[i, cols]
-            mc_values[i] = draws.mean()
-            mc_stderr[i] = draws.std(ddof=1) / math.sqrt(mc_per_theta)
     return ExpandingReport(
         r=r,
         eta_probe=eta_probe,
         trials=trials,
         values=values,
         fail_fraction=float(np.mean(values < eta_probe)),
-        mc_values=mc_values,
-        mc_stderr=mc_stderr,
     )
 
 
@@ -454,59 +380,4 @@ def check_regular(
         threshold=threshold,
         values=values,
         fraction_above=float(np.mean(values > threshold)),
-    )
-
-
-# --------------------------------------------------------------------------
-# exponential reweighting
-
-
-@dataclass
-class TiltShiftReport:
-    eta: float
-    delta_mass: float
-    premise_ok: bool
-    value: Optional[float]
-    bound: float
-    stderr: Optional[float]
-    passed: Optional[bool]
-    notice: str = ""
-
-
-def tilt_shift_check(samples, eta: float, delta_mass: float) -> TiltShiftReport:
-    """Exponentially reweight samples of X and test E[Y] >= eta - 2 ln(1/delta).
-
-    Requires the empirical premise Pr[X >= eta] >= delta_mass; when it fails
-    the check is skipped with a notice instead of passing or failing.
-    """
-    if not 0 < delta_mass < 1:
-        raise ValueError("delta_mass must be in (0, 1)")
-    x = np.asarray(samples, dtype=float).reshape(-1)
-    bound = eta - 2 * math.log(1 / delta_mass)
-    premise = float(np.mean(x >= eta))
-    if premise < delta_mass:
-        return TiltShiftReport(
-            eta=eta,
-            delta_mass=delta_mass,
-            premise_ok=False,
-            value=None,
-            bound=bound,
-            stderr=None,
-            passed=None,
-            notice=f"premise failed: Pr[X >= eta] = {premise:.4g} < {delta_mass}",
-        )
-    w = np.exp(x - x.max())
-    wsum = w.sum()
-    value = float((w @ x) / wsum)
-    ess = wsum ** 2 / float(w @ w)
-    wvar = float((w @ (x - value) ** 2) / wsum)
-    stderr = math.sqrt(wvar / ess) if ess > 1 else math.inf
-    return TiltShiftReport(
-        eta=eta,
-        delta_mass=delta_mass,
-        premise_ok=True,
-        value=value,
-        bound=bound,
-        stderr=stderr,
-        passed=bool(value >= bound - 4 * stderr),
     )

@@ -5,7 +5,8 @@ On the tensor family (the hypercube is its m = k = 1 case) the tilt is
 type-conditioned: the type (i, j) is uniform and only the v-bits are
 tilted.  Within a type the v-bits are independent with
 Pr[v_c = +1] = e^{t_c} / (e^{t_c} + e^{-t_c}) where t is the type's tilt
-block, so exact means are tanh(t) laws and never require enumeration.  Matrix-columns tilts are one softmax over the columns.
+block, so exact means are tanh(t) laws and never require enumeration.
+Matrix-columns tilts are one softmax over the columns.
 
 The score <x - mu_ref, q> measures the correlation between a point and a
 mechanism answer; under a fresh draw its mean is exactly zero. The divergence

@@ -207,7 +207,9 @@ class TestTiltStructureChecks:
     def test_expanding_and_regular_fail_fractions(self):
         # r = 0.3 sqrt(ln N): tilts of random matrices stay expanding at
         # the frozen probe level and spectrally regular (lambda_max <= 2)
-        # except on <= 1% of theta draws, on at least 19/20 matrices
+        # except on <= 1% of theta draws, on at least 19/20 matrices;
+        # controls: test_duplicated_rows_break_regular_bound and
+        # test_repeated_column_breaks_expanding_bound
         bad = 0
         for d, n_cols in ((64, 2048), (128, 4096)):
             r = 0.3 * math.sqrt(math.log(n_cols))
@@ -219,6 +221,32 @@ class TestTiltStructureChecks:
                 bad += (expanding.fail_fraction > 0.01
                         or regular.fraction_above > 0.01)
         assert bad <= 1
+
+    # negative controls: each bound above fails on a structured matrix at
+    # the same radius and probe level, so the check can see a bad tilt
+
+    def test_duplicated_rows_break_regular_bound(self):
+        # [B; B] has tilted covariance [[S, S], [S, S]], eigenvalues 2 eig(S),
+        # so lambda_max > 2 on every theta (2.50 at the least here) and the
+        # fraction_above <= 0.01 bound fails
+        d, n_cols = 64, 2048
+        family, rng = seeded_matrix_family(d // 2, n_cols, 0)
+        a = np.vstack([family.matrix, family.matrix])
+        r = 0.3 * math.sqrt(math.log(n_cols))
+        regular = check_regular(a, r, 50, rng)
+        assert regular.fraction_above == 1.0
+
+    def test_repeated_column_breaks_expanding_bound(self):
+        # N copies of one column c: the tilt is uniform over equal points,
+        # so each value is <c, theta>, symmetric about 0 and below the probe
+        # level on most thetas; fail_fraction > 0.01
+        d, n_cols = 64, 2048
+        family, rng = seeded_matrix_family(d, 1, 0)
+        a = np.repeat(family.matrix, n_cols, axis=1)
+        r = 0.3 * math.sqrt(math.log(n_cols))
+        probe = ETA_PROBE_SCALE * math.log(n_cols)
+        expanding = check_expanding(a, r, probe, 200, rng)
+        assert expanding.fail_fraction > 0.01
 
 
 class TestHypercubeScoreSeparation:
@@ -375,7 +403,7 @@ class TestTailAndKFunctional:
         vectors += [np.r_[3.0, np.ones(19)], np.r_[5.0, 2.0, np.ones(18)]]
         t_grid = np.linspace(0.25, 4.0, 16)
         for a in vectors:
-            report = rademacher_tail(a, t_grid, mode="exact")
+            report = rademacher_tail(a, t_grid)
             assert all(report.hoeffding_ok)
 
     def test_sandwich_constant_on_good_vectors(self):

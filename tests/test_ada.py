@@ -48,15 +48,6 @@ def named_sample(dist, rng, n, W):
 
 
 class TestObfuscation:
-    def test_identity_hook(self):
-        rng = np.random.default_rng(0)
-        v = rng.choice([-1, 1], size=(50, 8)).astype(np.int8)
-        obf = Obfuscation(seed=7, W=1000, identity=True)
-        names = rng.integers(0, 1000, 50)
-        ti = rng.integers(0, 3, 50)
-        tj = rng.integers(0, 4, 50)
-        assert np.array_equal(obfuscate_many(obf, names, ti, tj, v), v)
-
     def test_roundtrip_many_points(self):
         rng = np.random.default_rng(1)
         n = 10_000
@@ -544,7 +535,8 @@ class TestRunProtocol:
         basis = fam.basis.astype(float)
         n_queries = 2 ** m * k
         slack = math.sqrt(2.0 * math.log(2.0 * n_queries / 1e-3) / mc)
-        field = tr.score_field()  # slice s of c_hat is fixed after stage s
+        # slice s of c_hat is fixed after stage s
+        field = ScoreField(tr.c_hat, tr.ref_shift)
         for r, rec in enumerate(tr.stages):
             comp = walk_max_oracle(field, ti, tj, v, r) > tau
             assert rec.pop_compromised_frac == comp.mean()
@@ -604,7 +596,8 @@ class TestRunProtocol:
         alpha, C = 0.25, 2.0
         tr = run_ada_protocol(ExactMeanAnalyst(), fam, theta, n=64, seed=47,
                               alpha=alpha, C=C)
-        fq = FinalQuery(tr.score_field(), fam.m, fam.d, alpha, C)
+        field = ScoreField(tr.c_hat, tr.ref_shift)
+        fq = FinalQuery(field, fam.m, fam.d, alpha, C)
         dist = tilt(fam, theta)
         pop_refs = tilt_sample_many(dist, np.random.default_rng(48), 100_000)
         vals = fq(pop_refs)

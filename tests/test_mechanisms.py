@@ -7,7 +7,8 @@ Oracles:
     - sparse_histogram_many rows against sequential sparse_histogram calls.
     - Water-filling projection optimality against random feasible candidates.
     - reconstruct_slices_batch against exhaustive grid search for m <= 3.
-    - project_to_H exact mode against a brute-force lambda grid at k = 2.
+    - The L1-optimal projection onto H (a test-local LP) against a
+      brute-force lambda grid at k = 2, and project_to_H within sqrt(k) of it.
     - PaddedMechanism and GroupPrivacyWrapped closed-form behavior.
 """
 
@@ -16,6 +17,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.optimize import linprog
 
 from tiltlab.errors import CapacityError
 from tiltlab.families import make_family, predicate_matrix, support_matrix
@@ -388,6 +390,24 @@ class TestReconstructSlice:
         assert np.all(np.abs(out - mu_true).sum(axis=1) <= 2 * alpha + 1e-9)
 
 
+def l1_project_to_H(w, basis, box_scale):
+    """The L1-minimizing projection of w onto
+    {(s/k) sum_j lam_j u^j : lam in [-1,1]^k}, as a linear program in
+    (lam, slack).  Returns (projection, lam)."""
+    basis = np.asarray(basis, dtype=float)
+    k = basis.shape[0]
+    point_of_lam = (box_scale / k) * basis.T  # columns scale each lambda
+    eye = np.eye(k)
+    a_ub = np.block([[point_of_lam, -eye], [-point_of_lam, -eye]])
+    b_ub = np.concatenate([w, -w])
+    cost = np.concatenate([np.zeros(k), np.ones(k)])
+    bounds = [(-1.0, 1.0)] * k + [(0.0, None)] * k
+    res = linprog(cost, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs")
+    assert res.success, res.message
+    lam = res.x[:k]
+    return point_of_lam @ lam, lam
+
+
 class TestProjectToH:
     def test_exact_beats_grid_oracle(self):
         rng = np.random.default_rng(10)
@@ -399,7 +419,7 @@ class TestProjectToH:
         cand = (s / 2) * lam_all @ u  # rows: candidate points of H
         for _ in range(5):
             w = rng.normal(scale=0.8, size=2)
-            proj, lam = project_to_H(w, u, s, mode="exact")
+            proj, lam = l1_project_to_H(w, u, s)
             cost = np.abs(w - proj).sum()
             grid_cost = np.abs(w - cand).sum(axis=1).min()
             assert cost <= grid_cost + 1e-3
@@ -414,7 +434,7 @@ class TestProjectToH:
         u = hadamard_orthogonal_set(k).astype(float)
         s = 1 / 3
         w = rng.normal(size=k)
-        proj, lam = project_to_H(w, u, s, mode="fast")
+        proj, lam = project_to_H(w, u, s)
         want_lam = np.clip(u @ w / s, -1, 1)
         np.testing.assert_allclose(lam, want_lam, atol=1e-12)
         np.testing.assert_allclose(proj, (s / k) * (u.T @ lam), atol=1e-12)
@@ -428,8 +448,8 @@ class TestProjectToH:
         s = 0.25
         for _ in range(10):
             w = rng.normal(scale=0.5, size=k)
-            fast, _ = project_to_H(w, u, s, mode="fast")
-            exact, _ = project_to_H(w, u, s, mode="exact")
+            fast, _ = project_to_H(w, u, s)
+            exact, _ = l1_project_to_H(w, u, s)
             cost_fast = np.abs(w - fast).sum()
             cost_exact = np.abs(w - exact).sum()
             assert cost_fast <= math.sqrt(k) * cost_exact + 1e-9

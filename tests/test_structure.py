@@ -4,10 +4,16 @@ Oracles:
     - k12 against a per-segment stationary-point formula and a refined grid.
     - Exact sign-sum tails against binomial closed forms.
     - Column-sum second moment against its exact expectation kd.
+    - Expanding-check values against tilt_mean of the matrix-columns tilt.
     - Two-point closed form for the exponential-reweighting bound.
+
+The joint tail constant and the exponential-reweighting shift are lemma
+checks, not library features, so their helpers live here.
 """
 
 import math
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 import pytest
@@ -19,15 +25,15 @@ from tiltlab.structure import (
     check_expanding,
     check_regular,
     exact_sign_tail,
-    fit_joint_tail_constant,
     is_good_vector,
     k12,
     k12_sandwich_constant,
     rademacher_tail,
     sample_k_subsets,
-    tilt_shift_check,
     tilted_column_cov,
 )
+from tiltlab.families import make_family
+from tiltlab.tilt import tilt, tilt_mean
 
 
 def segment_k12(a, t):
@@ -130,7 +136,7 @@ class TestRademacherTail:
     def test_all_ones_exact_binomial(self):
         d = 20
         a = np.ones(d)
-        report = rademacher_tail(a, [1.0], mode="exact")
+        report = rademacher_tail(a, [1.0])
         # threshold sqrt(20): need at least 13 of 20 positive signs
         want = sum(math.comb(d, j) for j in range(13, d + 1)) / 2 ** d
         assert report.probabilities[0] == pytest.approx(want, abs=1e-15)
@@ -141,36 +147,27 @@ class TestRademacherTail:
         rng = np.random.default_rng(3)
         for _ in range(5):
             a = rng.normal(size=12)
-            report = rademacher_tail(a, [0.0], mode="exact")
+            report = rademacher_tail(a, [0.0])
             assert report.probabilities[0] >= 0.5
 
     def test_hoeffding_never_violated_on_good_vectors(self):
         rng = np.random.default_rng(4)
         for _ in range(100):
             a = rng.uniform(0.3, 1.0, size=16) * rng.choice([-1, 1], size=16)
-            report = rademacher_tail(a, [0.5, 1.0, 2.0], mode="exact")
+            report = rademacher_tail(a, [0.5, 1.0, 2.0])
             assert report.good_vector
             assert all(report.hoeffding_ok)
 
-    def test_mc_agrees_with_exact(self):
-        rng = np.random.default_rng(5)
-        a = rng.normal(size=14)
-        exact = rademacher_tail(a, [0.5, 1.5], mode="exact")
-        mc = rademacher_tail(a, [0.5, 1.5], mode="mc", samples=200_000,
-                             rng=np.random.default_rng(6))
-        for p, q, se in zip(exact.probabilities, mc.probabilities, mc.stderr):
-            assert abs(p - q) <= 4 * se + 1e-12
-
     def test_not_good_vector_skips_lower_fit(self):
         a = np.concatenate([[1.0], np.full(15, 1e-6)])
-        report = rademacher_tail(a, [1.0], mode="exact")
+        report = rademacher_tail(a, [1.0])
         assert not report.good_vector
         assert not report.lower_checked
         assert report.notice
 
     def test_exact_capacity(self):
         with pytest.raises(CapacityError):
-            rademacher_tail(np.ones(23), [1.0], mode="exact")
+            rademacher_tail(np.ones(23), [1.0])
 
     def test_exact_sign_tail_matches_brute_force(self):
         rng = np.random.default_rng(7)
@@ -184,6 +181,39 @@ class TestRademacherTail:
         sums = signs @ a
         want = [(sums >= t).mean() for t in thresholds]
         np.testing.assert_allclose(probs, want, atol=1e-15)
+
+
+def fit_joint_tail_constant(vectors, t_values, hi: float = 64.0) -> float:
+    """Smallest c >= 1 with Pr[<x,a> >= K12(a, t||a||_2)/c] >= e^{-c t^2}/c
+    across every (vector, t) pair; +inf when even ``hi`` fails."""
+    t_values = list(t_values)
+    prepared = []
+    for a in vectors:
+        a = np.asarray(a, dtype=float)
+        l2 = np.linalg.norm(a)
+        kvals = np.array([k12(a, t * l2) for t in t_values])
+        prepared.append((a, kvals))
+
+    def ok(c):
+        for a, kvals in prepared:
+            probs = exact_sign_tail(a, kvals / c)
+            for t, p in zip(t_values, probs):
+                if p < math.exp(-c * t * t) / c:
+                    return False
+        return True
+
+    if not ok(hi):
+        return math.inf
+    lo_c, hi_c = 1.0, hi
+    if ok(lo_c):
+        return lo_c
+    for _ in range(50):
+        mid = 0.5 * (lo_c + hi_c)
+        if ok(mid):
+            hi_c = mid
+        else:
+            lo_c = mid
+    return hi_c
 
 
 class TestJointTailFit:
@@ -294,14 +324,15 @@ class TestExpanding:
         report = check_expanding(a, r=r, eta_probe=eta, trials=300, rng=rng)
         assert report.fail_fraction <= 0.01
 
-    def test_mc_matches_exact(self):
-        rng = np.random.default_rng(17)
-        a = random_pm1_matrix(rng, 24, 200)
-        report = check_expanding(a, r=1.0, eta_probe=0.0, trials=10, rng=rng,
-                                 mc_per_theta=20_000)
-        for exact, est, se in zip(report.values, report.mc_values,
-                                  report.mc_stderr):
-            assert abs(exact - est) <= 5 * se
+    def test_values_match_tilt_mean(self):
+        # E_{v ~ D_theta}[<v, theta>] is <tilt_mean, theta>, and tilt_mean is
+        # a separate softmax over the same columns
+        fam = make_family("matrix-columns", d=24, n_columns=200, seed=17)
+        thetas = np.random.default_rng(17).normal(size=(10, 24))
+        report = check_expanding(fam.matrix, r=1.0, eta_probe=0.0, trials=10,
+                                 rng=np.random.default_rng(18), thetas=thetas)
+        want = [tilt_mean(tilt(fam, th)) @ th for th in thetas]
+        np.testing.assert_allclose(report.values, want, rtol=1e-12)
 
 
 class TestRegular:
@@ -353,6 +384,42 @@ class TestTiltedColumnCov:
             # each entry is a difference of two moments of size <= 1
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
             assert np.array_equal(got, got.T)
+
+
+@dataclass
+class TiltShiftReport:
+    premise_ok: bool
+    value: Optional[float]
+    bound: float
+    passed: Optional[bool]
+    notice: str = ""
+
+
+def tilt_shift_check(samples, eta: float,
+                     delta_mass: float) -> TiltShiftReport:
+    """Exponentially reweight samples of X and test
+    E[Y] >= eta - 2 ln(1/delta).
+
+    Requires the empirical premise Pr[X >= eta] >= delta_mass; when it fails
+    the check is skipped with a notice instead of passing or failing.
+    """
+    x = np.asarray(samples, dtype=float).reshape(-1)
+    bound = eta - 2 * math.log(1 / delta_mass)
+    premise = float(np.mean(x >= eta))
+    if premise < delta_mass:
+        return TiltShiftReport(
+            premise_ok=False, value=None, bound=bound, passed=None,
+            notice=f"premise failed: Pr[X >= eta] = {premise:.4g} "
+                   f"< {delta_mass}",
+        )
+    w = np.exp(x - x.max())
+    wsum = w.sum()
+    value = float((w @ x) / wsum)
+    ess = wsum ** 2 / float(w @ w)
+    wvar = float((w @ (x - value) ** 2) / wsum)
+    stderr = math.sqrt(wvar / ess) if ess > 1 else math.inf
+    return TiltShiftReport(premise_ok=True, value=value, bound=bound,
+                           passed=bool(value >= bound - 4 * stderr))
 
 
 class TestTiltShift:
