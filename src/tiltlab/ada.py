@@ -52,12 +52,17 @@ def _mix64(z: np.ndarray) -> np.ndarray:
     return z ^ (z >> _U64(31))
 
 
-def _prf_bit(seed: int, names, ti, tj, r: int, prefix) -> np.ndarray:
+def _prf_key(seed: int, names, ti, tj) -> np.ndarray:
+    """The slice-independent rounds of the mask PRF, one key per point."""
     h = _mix64(_U64(seed) ^ np.asarray(names, dtype=_U64))
     h = _mix64(h ^ np.asarray(ti, dtype=_U64))
-    h = _mix64(h ^ np.asarray(tj, dtype=_U64))
-    h = _mix64(h ^ _U64(r))
-    h = _mix64(h ^ np.asarray(prefix, dtype=_U64))
+    return _mix64(h ^ np.asarray(tj, dtype=_U64))
+
+
+def _prf_bit(key: np.ndarray, r: int, prefix: np.ndarray) -> np.ndarray:
+    """The mask bit of slice r from a point's key and its clear prefix."""
+    h = _mix64(key ^ _U64(r))
+    h = _mix64(h ^ prefix)
     return (h >> _U64(63)).astype(bool)
 
 
@@ -93,9 +98,10 @@ def _apply_masks(obf: Obfuscation, names, ti, tj, bits, decode: bool):
     names = _check_names(obf, names)
     bits = np.asarray(bits, dtype=np.int8)
     out = np.empty_like(bits)
+    key = _prf_key(obf.seed, names, ti, tj)
     prefix = np.zeros(len(bits), dtype=_U64)
     for r in range(bits.shape[1]):
-        flip = _prf_bit(obf.seed, names, ti, tj, r, prefix)
+        flip = _prf_bit(key, r, prefix)
         out[:, r] = np.where(flip, -bits[:, r], bits[:, r])
         clear = out[:, r] if decode else bits[:, r]
         prefix |= (clear == -1).astype(_U64) << _U64(r)
@@ -512,10 +518,9 @@ def run_ada_protocol(
         recon = reconstruct_slices_batch(per_p, alpha, m,
                                          iters=RECONSTRUCT_ITERS)  # (k, m)
         # recon[p, i] estimates mean coordinate (i, p) of the slice, so
-        # recon[:, i] is already the coordinate vector that projects onto H
-        for i in range(m):
-            _, lam = project_to_H(recon[:, i], basis, 1.0 / m)
-            c_hat[i, :, r] = lam / m
+        # column i of recon is the coordinate vector that projects onto H
+        _, lam = project_to_H(recon, basis, 1.0 / m)  # (k, m)
+        c_hat[:, :, r] = lam.T / m
 
         field.advance(wi, wj, wbits[:, r], r, psum, run_max)
         crossed = run_max[:n] > tau

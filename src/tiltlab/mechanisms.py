@@ -9,6 +9,7 @@ integer elements, with a fixed total mass) under L1 adjacency.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -364,6 +365,26 @@ def audit_frequency_ratio(
 # slice reconstruction and subspace projection
 
 RECONSTRUCT_CAP = 12
+# slack of the certified stop, in ulps of each row's largest |answer|
+RECONSTRUCT_STOP_ULPS = 18
+
+
+@functools.lru_cache(maxsize=None)
+def _predicate_table(m: int) -> np.ndarray:
+    """predicate_matrix(m) as one shared read-only float table."""
+    h = predicate_matrix(m).astype(float)
+    h.flags.writeable = False
+    return h
+
+
+def complement_floor(answers: np.ndarray) -> np.ndarray:
+    """Per-row lower bound max_j |a_j + a_{2^m-1-j}| / 2 on the Chebyshev fit.
+
+    Rows j and 2^m-1-j of predicate_matrix(m) are complements, h and -h, so
+    for every mu, |<mu,h> - a_h| + |<mu,-h> - a_{-h}| >= |a_h + a_{-h}|
+    and max_h |<mu,h> - a_h| is at least half of the largest such sum.
+    """
+    return np.max(np.abs(answers + answers[:, ::-1]), axis=1) / 2
 
 
 def reconstruct_slices_batch(
@@ -378,14 +399,18 @@ def reconstruct_slices_batch(
     row, finds mu minimizing max_h |<mu, h> - answers_h| over the box, by
     projected subgradient descent from the least-squares warm start
     (predicate rows are orthogonal as columns, so the warm start is the
-    unconstrained optimum of the squared residual).  All rows run at once;
-    a row stops moving once its worst violation is at most alpha, and
-    otherwise ends at its best iterate.
+    unconstrained optimum of the squared residual).  All rows run at once
+    and each ends at its best iterate.  A row stops moving once its worst
+    violation is at most alpha, or once it is certified optimal: its best
+    value is within tol of complement_floor, the weak-duality bound from
+    the complement pairs (h, -h), where tol is RECONSTRUCT_STOP_ULPS ulps
+    of the row's largest |answer|.  Answers affine in h, which is what
+    compromised points give an exact analyst, stop at the warm start.
     """
     if m > RECONSTRUCT_CAP:
         raise CapacityError(
             f"reconstruct_slices_batch supports m <= {RECONSTRUCT_CAP}")
-    h = predicate_matrix(m).astype(float)
+    h = _predicate_table(m)
     answers = np.asarray(answers, dtype=float)
     if answers.ndim != 2 or answers.shape[1] != 2 ** m:
         raise ValueError(f"expected (slices, {2 ** m}) answers")
@@ -393,13 +418,18 @@ def reconstruct_slices_batch(
     mu = np.clip(answers @ h / 2 ** m, -box, box)
     best_mu = mu.copy()
     best_f = np.max(np.abs(mu @ h.T - answers), axis=1)
+    if not (best_f > alpha).any():
+        return best_mu
+    tol = RECONSTRUCT_STOP_ULPS * np.finfo(float).eps \
+        * np.max(np.abs(answers), axis=1)
+    stop = np.maximum(alpha, complement_floor(answers) + tol)
+    rows = np.arange(len(mu))
     for t in range(1, iters + 1):
-        live = best_f > alpha
+        live = best_f > stop
         if not live.any():
             break
         resid = mu @ h.T - answers
         idx = np.argmax(np.abs(resid), axis=1)
-        rows = np.arange(len(mu))
         f = np.abs(resid[rows, idx])
         improved = f < best_f
         best_f = np.where(improved, f, best_f)
@@ -416,7 +446,9 @@ def project_to_H(w: np.ndarray, basis: np.ndarray, box_scale: float) -> tuple:
 
     ``basis`` rows are the orthogonal +-1 vectors u^j.  Clipping the exact
     basis coefficients to [-1, 1] gives the exact L2 projection, which is
-    within sqrt(k) of the optimal L1 movement.  Returns (projection, lam).
+    within sqrt(k) of the optimal L1 movement.  ``w`` is one (k,) vector or
+    a (k, cols) stack of them as columns; returns (projection, lam) of the
+    same shape.
     """
     basis = np.asarray(basis, dtype=float)
     k = basis.shape[0]
@@ -425,8 +457,8 @@ def project_to_H(w: np.ndarray, basis: np.ndarray, box_scale: float) -> tuple:
     if box_scale <= 0:
         raise ValueError("box_scale must be positive")
     w = np.asarray(w, dtype=float)
-    if w.shape != (k,):
-        raise ValueError("w must match the basis dimension")
+    if w.ndim not in (1, 2) or w.shape[0] != k:
+        raise ValueError("w must be (k,) or (k, cols) for a (k, k) basis")
     lam = np.clip(basis @ w / box_scale, -1.0, 1.0)
     return (box_scale / k) * (basis.T @ lam), lam
 

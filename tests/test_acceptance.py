@@ -33,7 +33,7 @@ import numpy as np
 import pytest
 
 import tiltlab
-from tiltlab.ada import ExactMeanAnalyst, run_ada_protocol
+from tiltlab.ada import ExactMeanAnalyst, default_tau, run_ada_protocol
 from tiltlab.attack import (
     FRESH_BLOCK,
     ThetaSampler,
@@ -327,7 +327,26 @@ class TestStagedProtocolDesk:
         over = np.array(over)
         assert (under >= self.ALPHA / 2).mean() >= 0.05
         assert (over <= 2 * self.ALPHA).mean() >= 0.95
+        # negative control: test_population_check_fails_at_eighth_tau
         assert max_pop <= 0.05
+
+    def test_population_check_fails_at_eighth_tau(self):
+        # at tau/8 points cross early and often, and the same population
+        # check that the desk test runs at tau must see more than 5%
+        # compromised at some stage of the first 20 thetas
+        family, sampler = desk_family_and_sampler()
+        n = family.m * family.k
+        tau = default_tau(family.d, self.ALPHA, 2.0, family.m) / 8
+        max_pop = 0.0
+        for t in range(20):
+            tr = run_ada_protocol(
+                ExactMeanAnalyst(), family, desk_theta(sampler, t), n=n,
+                tau=tau, seed=trial_seed_sequence(MASTER_SEED, t),
+                alpha=self.ALPHA,
+            )
+            max_pop = max(max_pop, max(
+                rec.pop_compromised_frac for rec in tr.stages))
+        assert max_pop > 0.05
 
     def test_fairness_replay_exact_at_desk(self):
         # resampling a compromised point's post-crossing slices leaves the

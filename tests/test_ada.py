@@ -120,6 +120,37 @@ class TestObfuscation:
         with pytest.raises(ValueError):
             Obfuscation(seed=0, W=0)
 
+    def test_masks_match_five_round_reference(self):
+        # the mask bit of slice r is five splitmix64 rounds over seed ^ name,
+        # type i, type j, r and the clear prefix; the masks must keep these
+        # bits however the rounds are scheduled
+        u64 = np.uint64
+
+        def mix(z):
+            z = z + u64(0x9E3779B97F4A7C15)
+            z = (z ^ (z >> u64(30))) * u64(0xBF58476D1CE4E5B9)
+            z = (z ^ (z >> u64(27))) * u64(0x94D049BB133111EB)
+            return z ^ (z >> u64(31))
+
+        rng = np.random.default_rng(12)
+        n, d, seed = 500, 20, 2 ** 61 + 12345
+        names = rng.integers(0, 10 ** 9, n)
+        ti, tj = rng.integers(0, 6, n), rng.integers(0, 64, n)
+        v = rng.choice([-1, 1], size=(n, d)).astype(np.int8)
+        want = np.empty_like(v)
+        prefix = np.zeros(n, dtype=u64)
+        for r in range(d):
+            h = mix(u64(seed) ^ names.astype(u64))
+            h = mix(h ^ ti.astype(u64))
+            h = mix(h ^ tj.astype(u64))
+            h = mix(h ^ u64(r))
+            h = mix(h ^ prefix)
+            flip = (h >> u64(63)).astype(bool)
+            want[:, r] = np.where(flip, -v[:, r], v[:, r])
+            prefix |= (v[:, r] == -1).astype(u64) << u64(r)
+        obf = Obfuscation(seed=seed, W=10 ** 9)
+        assert np.array_equal(obfuscate_many(obf, names, ti, tj, v), want)
+
 
 class TestFinalQuery:
     def test_zero_field_gives_zero(self):

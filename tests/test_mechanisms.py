@@ -6,7 +6,9 @@ Oracles:
       loop, and the sorted water level against a bisection.
     - sparse_histogram_many rows against sequential sparse_histogram calls.
     - Water-filling projection optimality against random feasible candidates.
-    - reconstruct_slices_batch against exhaustive grid search for m <= 3.
+    - reconstruct_slices_batch against exhaustive grid search for m <= 3,
+      and its certified stop against a test-local copy of the uncertified
+      400-step loop on heavy-compromise answers from the desk point.
     - The L1-optimal projection onto H (a test-local LP) against a
       brute-force lambda grid at k = 2, and project_to_H within sqrt(k) of it.
     - PaddedMechanism and GroupPrivacyWrapped closed-form behavior.
@@ -19,6 +21,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import linprog
 
+from tiltlab.ada import ExactMeanAnalyst, default_tau, run_ada_protocol
+from tiltlab.attack import ThetaSampler
 from tiltlab.errors import CapacityError
 from tiltlab.families import make_family, predicate_matrix, support_matrix
 from tiltlab.mechanisms import (
@@ -28,7 +32,9 @@ from tiltlab.mechanisms import (
     GroupPrivacyWrapped,
     HistogramVector,
     PaddedMechanism,
+    RECONSTRUCT_STOP_ULPS,
     audit_frequency_ratio,
+    complement_floor,
     group_shrink,
     histogram_query_release,
     project_to_H,
@@ -390,6 +396,119 @@ class TestReconstructSlice:
         assert np.all(np.abs(out - mu_true).sum(axis=1) <= 2 * alpha + 1e-9)
 
 
+def stop_tol(answers):
+    """The certified stop's slack: RECONSTRUCT_STOP_ULPS ulps of each row's
+    largest |answer|."""
+    return RECONSTRUCT_STOP_ULPS * np.finfo(float).eps \
+        * np.max(np.abs(answers), axis=1)
+
+
+def chebyshev_objective(mu, answers, m):
+    h = predicate_matrix(m).astype(float)
+    return np.max(np.abs(mu @ h.T - answers), axis=1)
+
+
+def uncertified_reconstruct(answers, alpha, m, iters):
+    """The projected-subgradient loop with no certified stop: rows run until
+    their worst violation is at most alpha or the steps run out."""
+    h = predicate_matrix(m).astype(float)
+    box = 1.0 / m
+    mu = np.clip(answers @ h / 2 ** m, -box, box)
+    best_mu = mu.copy()
+    best_f = np.max(np.abs(mu @ h.T - answers), axis=1)
+    rows = np.arange(len(mu))
+    for t in range(1, iters + 1):
+        live = best_f > alpha
+        if not live.any():
+            break
+        resid = mu @ h.T - answers
+        idx = np.argmax(np.abs(resid), axis=1)
+        f = np.abs(resid[rows, idx])
+        improved = f < best_f
+        best_f = np.where(improved, f, best_f)
+        best_mu[improved] = mu[improved]
+        target = np.maximum(alpha, best_f - 0.5 * box / math.sqrt(t))
+        step = np.where(live, np.maximum(f - target, 0.0) / m, 0.0)
+        g = np.sign(resid[rows, idx])[:, None] * h[idx]
+        mu = np.clip(mu - step[:, None] * g, -box, box)
+    return best_mu
+
+
+class RecordingAnalyst(ExactMeanAnalyst):
+    def __init__(self):
+        self.answers = []
+
+    def answer_stage(self, stage, batch):
+        ans = super().answer_stage(stage, batch)
+        self.answers.append(ans)
+        return ans
+
+
+class TestCertifiedStop:
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(st.data())
+    def test_floor_bounds_every_box_point(self, data):
+        # the complement-pair bound holds for every mu in the box; floats
+        # round each side by a few ulps, which the stop's slack absorbs
+        m = data.draw(st.integers(1, 6))
+        rows = data.draw(st.integers(1, 4))
+        unit = st.floats(-1.0, 1.0, allow_nan=False)
+        answers = np.array(data.draw(st.lists(
+            st.lists(unit, min_size=2 ** m, max_size=2 ** m),
+            min_size=rows, max_size=rows)))
+        mu = np.array(data.draw(st.lists(
+            st.floats(-1.0 / m, 1.0 / m, allow_nan=False),
+            min_size=m, max_size=m)))
+        objective = chebyshev_objective(np.tile(mu, (rows, 1)), answers, m)
+        assert np.all(complement_floor(answers)
+                      <= objective + stop_tol(answers))
+
+    @pytest.mark.parametrize("m", [1, 2, 4, 6])
+    def test_affine_answers_return_the_warm_start(self, m):
+        # a_h = <mu0, h> + f is what compromised points give an exact
+        # analyst: the warm start is optimal with value f, so no step runs
+        rng = np.random.default_rng(30 + m)
+        h = predicate_matrix(m).astype(float)
+        alpha = 1 / 8
+        mu0 = rng.uniform(-1 / m, 1 / m, size=(50, m)) * 0.5
+        f = rng.uniform(alpha + 0.01, 0.5, size=(50, 1))
+        answers = mu0 @ h.T + f
+        warm = np.clip(answers @ h / 2 ** m, -1 / m, 1 / m)
+        assert np.all(chebyshev_objective(warm, answers, m) > alpha)
+        for iters in (0, 1, 400, 5000):
+            out = reconstruct_slices_batch(answers, alpha, m, iters=iters)
+            assert np.array_equal(out, warm)
+
+    def test_matches_uncertified_loop_at_heavy_compromise(self):
+        # the desk point at tau/8, where compromise pushes the exact
+        # analyst's answers far above alpha; the uncertified loop runs all
+        # 400 steps on those rows and may only improve within the slack.
+        # A noised copy of the rows, where the floor is not tight, keeps
+        # the stop honest: there both loops must run to the same end.
+        family = make_family("tensor", m=6, k=64, d=32)
+        m, k, alpha = family.m, family.k, 1 / 8
+        theta = ThetaSampler("l1-surface", family.dim,
+                             family.dim / math.sqrt(k)).sample(
+            np.random.default_rng(40))
+        analyst = RecordingAnalyst()
+        run_ada_protocol(analyst, family, theta, n=m * k,
+                         tau=default_tau(family.d, alpha, 2.0, m) / 8,
+                         seed=41, alpha=alpha)
+        recorded = np.concatenate([a.reshape(k, 2 ** m)
+                                   for a in analyst.answers])
+        warm = np.clip(recorded @ predicate_matrix(m) / 2 ** m, -1 / m, 1 / m)
+        assert (chebyshev_objective(warm, recorded, m) > alpha).sum() >= 100
+        noised = np.clip(recorded + np.random.default_rng(42).uniform(
+            -0.1, 0.1, recorded.shape), -1.0, 1.0)
+        answers = np.concatenate([recorded, noised])
+        new = reconstruct_slices_batch(answers, alpha, m, iters=400)
+        old = uncertified_reconstruct(answers, alpha, m, iters=400)
+        new_obj = chebyshev_objective(new, answers, m)
+        old_obj = chebyshev_objective(old, answers, m)
+        assert np.all(np.abs(new_obj - old_obj) <= stop_tol(answers))
+        assert np.all(np.abs(new) <= 1 / m)
+
+
 def l1_project_to_H(w, basis, box_scale):
     """The L1-minimizing projection of w onto
     {(s/k) sum_j lam_j u^j : lam in [-1,1]^k}, as a linear program in
@@ -453,6 +572,25 @@ class TestProjectToH:
             cost_fast = np.abs(w - fast).sum()
             cost_exact = np.abs(w - exact).sum()
             assert cost_fast <= math.sqrt(k) * cost_exact + 1e-9
+
+
+    def test_column_stack_projects_each_column(self):
+        from tiltlab.families import hadamard_orthogonal_set
+
+        rng = np.random.default_rng(13)
+        k, cols, s = 16, 5, 0.2
+        u = hadamard_orthogonal_set(k).astype(float)
+        w = rng.normal(scale=0.3, size=(k, cols))
+        proj, lam = project_to_H(w, u, s)
+        assert proj.shape == lam.shape == (k, cols)
+        for c in range(cols):
+            proj_c, lam_c = project_to_H(w[:, c], u, s)
+            np.testing.assert_allclose(lam[:, c], lam_c, rtol=0, atol=1e-14)
+            np.testing.assert_allclose(proj[:, c], proj_c, rtol=0, atol=1e-14)
+        with pytest.raises(ValueError, match="cols"):
+            project_to_H(np.zeros((k, 2, 2)), u, s)
+        with pytest.raises(ValueError, match="cols"):
+            project_to_H(np.zeros((k + 1, 2)), u, s)
 
 
 class TestQueryRelease:
