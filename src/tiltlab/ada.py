@@ -29,12 +29,12 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import ProtocolAbort
 from .families import PointBatch, PointFamily, predicate_matrix
 from .mechanisms import project_to_H, reconstruct_slices_batch
-from .tilt import TiltedDistribution, sign_bits, tilt, tilt_sample_many
+from .tilt import TiltedDistribution, plus_prob, sign_bits, tilt, \
+    tilt_sample_many
 
 # --------------------------------------------------------------------------
 # seeded pseudorandom masks
@@ -442,8 +442,8 @@ def run_ada_protocol(
 
     dist = tilt(family, theta)
     ref_shift = np.tanh(dist.type_tilts).reshape(m, k, d)
-    # Pr[v_r = +1] per flat type id, as in tilt sampling
-    p_flat = expit(2.0 * dist.type_tilts)
+    # Pr[v_r = +1] per flat type id
+    p_flat = plus_prob(dist.type_tilts)
 
     if dataset_override is None:
         rng_data = np.random.default_rng(ss_data)

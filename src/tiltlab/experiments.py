@@ -12,7 +12,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-import multiprocessing
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -387,6 +386,7 @@ def run_experiment(cfg: ExperimentConfig, master_seed: int,
 
     args = [(cfg, master_seed, t) for t in range(cfg.trials)]
     if workers > 1 and cfg.trials > 1:
+        import multiprocessing  # only multi-worker runs pay for its import
         with multiprocessing.Pool(min(workers, cfg.trials)) as pool:
             results = pool.starmap(run_trial, args)
     else:

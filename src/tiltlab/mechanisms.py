@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.special import betaincinv
 
 from .errors import CapacityError
 from .families import PointBatch, PointFamily, predicate_matrix
@@ -326,6 +325,8 @@ def audit_frequency_ratio(
     honestly satisfies the bound is rejected with probability at most
     ``significance``.
     """
+    # imported here, so that no experiment run loads scipy
+    from scipy.special import betaincinv
     edges = np.asarray(bin_edges, dtype=float)
     a = np.asarray(mech_a(rng, runs), dtype=float)
     b = np.asarray(mech_b(rng, runs), dtype=float)

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import CapacityError
 from .families import ENUMERATION_CAP, PointBatch, PointFamily, \
@@ -45,8 +44,10 @@ class TiltedDistribution:
     column_logp: Optional[np.ndarray] = None
 
 
-def _log2cosh(t: np.ndarray) -> np.ndarray:
-    return np.logaddexp(t, -t)
+def plus_prob(t: np.ndarray) -> np.ndarray:
+    """Pr[v = +1] = e^t / (e^t + e^-t) for tilts t (0 where exp overflows)."""
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-2.0 * t))
 
 
 def tilt(family: PointFamily, theta) -> TiltedDistribution:
@@ -64,7 +65,7 @@ def tilt(family: PointFamily, theta) -> TiltedDistribution:
     th = theta.reshape(family.m, family.k, family.d)
     tilts = np.einsum("ibc,jb->ijc", th, family.basis).reshape(-1, family.d)
 
-    logz = _log2cosh(tilts).sum(axis=1)
+    logz = np.logaddexp(tilts, -tilts).sum(axis=1)  # log 2cosh(t) per bit
     logp = np.full(len(logz), -np.log(len(logz)))
     return TiltedDistribution(
         family, theta, type_tilts=tilts, type_logz=logz, type_logp=logp
@@ -93,9 +94,7 @@ def tilt_sample_blocks(dist: TiltedDistribution, rng: np.random.Generator,
     if fam.kind == "matrix-columns":
         cols = rng.choice(fam.n_columns, size=count, p=np.exp(dist.column_logp))
     else:
-        # Pr[v_c = +1] per (type, coordinate); indexing the table gives the
-        # same values as an expit over the indexed tilts
-        table = expit(2.0 * dist.type_tilts)
+        table = plus_prob(dist.type_tilts)  # per (type, coordinate)
         if len(table) > 1:
             types = rng.choice(len(table), size=count, p=np.exp(dist.type_logp))
     for s in range(0, max(count, 1), block):

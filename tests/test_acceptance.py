@@ -142,7 +142,9 @@ class TestSparseHistogramRelease:
     @pytest.mark.slow
     def test_two_element_frequency_audit_never_rejects(self):
         # mass-preserving adjacent pair at l1 distance 1 on a 2-element
-        # universe; 1e6 runs per side at significance 1e-3
+        # universe; 1e6 runs per side at significance 1e-3; control:
+        # tests/test_mechanisms.py::TestFrequencyAudit::
+        # test_broken_mechanism_rejected
         rng = np.random.default_rng(4321)
         hist_a = HistogramVector([0, 1], [6.0, 4.0], universe_size=2)
         hist_b = HistogramVector([0, 1], [6.5, 3.5], universe_size=2)
@@ -185,7 +187,11 @@ class TestColumnSumConcentration:
     def test_subset_sums_within_cap_and_mean(self):
         # d=256, N=1024, k=3 (under the 0.1 d/ln N cap): no subset-sum
         # norm above sqrt(2kd) on at least 19/20 matrices, and the pooled
-        # second moment stays within 4 stderr of its exact expectation kd
+        # second moment stays within 4 stderr of its exact expectation kd;
+        # control: test_identical_columns_break_subset_sum_bound.
+        # At k=1 neither check can fail on a +-1 matrix: every column has
+        # norm^2 exactly d <= 2d, and the stderr is 0. The verify-structure
+        # default and the benchmark's structure workload both run at k=1.
         d, n_cols, k, subsets = 256, 1024, 3, 100_000
         assert k <= 0.1 * d / math.log(n_cols)
         clean = 0
@@ -200,6 +206,17 @@ class TestColumnSumConcentration:
         pooled_mean = float(np.mean(means))
         pooled_se = float(np.sqrt(np.sum(np.square(stderrs)))) / len(means)
         assert abs(pooled_mean - k * d) <= 4 * pooled_se
+
+    def test_identical_columns_break_subset_sum_bound(self):
+        # N copies of one column c: every k-subset sums to k c, whose
+        # norm^2 k^2 d exceeds 2kd, so every subset violates sqrt(2kd) and
+        # the second moment sits at k^2 d with stderr 0
+        d, n_cols, k, subsets = 256, 1024, 3, 100_000
+        family, rng = seeded_matrix_family(d, 1, 0)
+        a = np.repeat(family.matrix, n_cols, axis=1)
+        report = check_column_sums(a, k, subsets, rng)
+        assert report.violations == subsets
+        assert abs(report.mean_sq - k * d) > 4 * report.stderr_sq
 
 
 class TestTiltStructureChecks:

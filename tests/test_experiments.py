@@ -32,11 +32,20 @@ from tiltlab.seeds import trial_seed_sequence
 
 
 def test_import_skips_unused_scipy_modules():
-    # scipy.stats and scipy.optimize cost most of the import time and no
-    # experiment kind needs them
-    code = ("import sys, tiltlab.experiments; "
-            "print(sorted(m for m in ('scipy.stats', 'scipy.optimize') "
-            "if m in sys.modules))")
+    # scipy.special alone would more than double the import time (its
+    # array-API shim pulls in numpy.f2py); only the frequency audit needs
+    # scipy, and only a multi-worker run needs multiprocessing
+    configs = ["\n".join([f"kind = {kind}"] + [
+        f"{key} = {value}" for key, value in TINY_SETTINGS[kind].items()])
+        for kind in sorted(CSV_HEADERS)]
+    code = ("import sys, tiltlab.experiments, tiltlab.cli\n"
+            "from tiltlab.config import parse_config\n"
+            "from tiltlab.experiments import run_trial\n"
+            f"for text in {configs!r}:\n"
+            "    row, _ = run_trial(parse_config(text), 5, 0)\n"
+            "    assert row['status'] == 'ok', row\n"
+            "print(sorted(m for m in sys.modules if m.partition('.')[0] in "
+            "('scipy', 'multiprocessing')))")
     src = os.path.dirname(os.path.dirname(tiltlab.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
@@ -326,19 +335,20 @@ class TestAdaTheta:
             _ada_theta(cfg, 3, 0, 24, 4)
 
 
+# per-kind toy-scale settings that finish in well under a second
+TINY_SETTINGS = {
+    "attack-hypercube": dict(d=8, n=2, fresh=50),
+    "attack-random": dict(d=16, n_columns=32, n=2, fresh=100),
+    "ada-run": dict(m=2, k=4, d=6, n=32, mc_accuracy=256, mc_gap=512),
+    "mech-bench": dict(support=8),
+    "verify-structure": dict(d=24, n_columns=512, n_theta=60,
+                             n_subsets=300, k_subset=2, cap_scale=1.0),
+    "divergence-check": {},
+}
+
+
 def tiny_config(kind, **overrides):
-    """Per-kind toy-scale settings that finish in well under a second."""
-    base = {
-        "attack-hypercube": dict(d=8, n=2, fresh=50),
-        "attack-random": dict(d=16, n_columns=32, n=2, fresh=100),
-        "ada-run": dict(m=2, k=4, d=6, n=32, mc_accuracy=256, mc_gap=512),
-        "mech-bench": dict(support=8),
-        "verify-structure": dict(d=24, n_columns=512, n_theta=60,
-                                 n_subsets=300, k_subset=2, cap_scale=1.0),
-        "divergence-check": {},
-    }[kind]
-    base.update(overrides)
-    return ExperimentConfig(kind=kind, **base)
+    return ExperimentConfig(kind=kind, **{**TINY_SETTINGS[kind], **overrides})
 
 
 class TestRunTrial:

@@ -13,9 +13,11 @@ Oracles:
       m = k = 1 fast path against a test-local copy of the general scatter.
     - Exact tilt means (overall and per type) on random small families
       against softmax-weighted enumeration, as a hypothesis property.
+    - The sampler's Pr[v = +1] table against scipy.special.expit(2 t).
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -29,6 +31,7 @@ from tiltlab.mechanisms import ClampedMean, Dataset, EmpiricalMean
 from tiltlab.tilt import (
     divergence_check,
     log_weights,
+    plus_prob,
     tilt,
     tilt_cov,
     tilt_mean,
@@ -80,6 +83,22 @@ class TestHypercubeClosedForm:
             tilt_mean(dist), brute_mean(fam, theta), atol=1e-12
         )
         np.testing.assert_allclose(tilt_mean(dist), np.tanh(theta), atol=1e-12)
+
+
+class TestPlusProb:
+    def test_within_four_ulps_of_expit(self):
+        # numpy's SIMD exp and libm's may differ in the last bits
+        t = np.linspace(-800.0, 800.0, 1_600_001)
+        got, want = plus_prob(t), expit(2.0 * t)
+        # both are >= 0, so the int64 views are ordered and differ by ulps
+        ulps = np.abs(got.view(np.int64) - want.view(np.int64))
+        assert int(ulps.max()) <= 4
+
+    def test_saturates_exactly_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            p = plus_prob(np.array([-1e3, 1e3]))
+        assert p[0] == 0.0 and p[1] == 1.0
 
 
 class TestTensorTilt:
