@@ -31,8 +31,8 @@ class ExperimentConfig:
     """Every knob for one experiment run.
 
     A run is fully determined by (config, master seed).  Fields that default
-    to None are derived from the others at run time (documented per kind in
-    the experiments module).
+    to None are derived from the others at run time; "Derived defaults" in
+    the README's config section lists each one.
     """
 
     kind: str
@@ -196,6 +196,11 @@ def check_ranges(cfg: ExperimentConfig, lines: Optional[dict] = None) -> None:
             if getattr(cfg, key) < low:
                 fail(key, f"{key} must be >= {low}, got {getattr(cfg, key)}")
 
+    def unset_or_positive(key):
+        value = getattr(cfg, key)
+        if value is not None and not 0 < value < math.inf:
+            fail(key, f"{key} must be unset or finite and > 0, got {value}")
+
     def privacy_budget():
         if not 0 < cfg.epsilon < math.inf:
             fail("epsilon",
@@ -212,9 +217,7 @@ def check_ranges(cfg: ExperimentConfig, lines: Optional[dict] = None) -> None:
         if cfg.region not in _REGIONS:
             fail("region", f"region must be one of {', '.join(_REGIONS)}, "
                            f"got {cfg.region!r}")
-        if cfg.radius is not None and not 0 < cfg.radius < math.inf:
-            fail("radius",
-                 f"radius must be unset or finite and > 0, got {cfg.radius}")
+        unset_or_positive("radius")
         if cfg.mechanism not in MECHANISMS:
             fail("mechanism", f"mechanism must be one of "
                               f"{', '.join(MECHANISMS)}, got {cfg.mechanism!r}")
@@ -230,6 +233,10 @@ def check_ranges(cfg: ExperimentConfig, lines: Optional[dict] = None) -> None:
                  f"k_subset must be in [1, {cap:.3f}] at d={cfg.d}, "
                  f"n_columns={cfg.n_columns}, cap_scale={cfg.cap_scale}; "
                  f"got {cfg.k_subset}")
+        unset_or_positive("radius")
+        if cfg.eta_probe is not None and not math.isfinite(cfg.eta_probe):
+            fail("eta_probe",
+                 f"eta_probe must be unset or finite, got {cfg.eta_probe}")
     elif cfg.kind == "ada-run":
         at_least(("d", 1), ("n", 1), ("mc_accuracy", 2), ("mc_gap", 2))
         if not 1 <= cfg.m <= RECONSTRUCT_CAP:
@@ -240,8 +247,8 @@ def check_ranges(cfg: ExperimentConfig, lines: Optional[dict] = None) -> None:
             fail("alpha", f"alpha must be in (0, 1), got {cfg.alpha}")
         if cfg.W is not None and cfg.W < cfg.n ** 2:
             fail("W", f"W must be >= n^2 = {cfg.n ** 2}, got {cfg.W}")
-        if cfg.tau is not None and not 0 < cfg.tau < math.inf:
-            fail("tau", f"tau must be unset or finite and > 0, got {cfg.tau}")
+        unset_or_positive("radius")
+        unset_or_positive("tau")
         if not 0 < cfg.C < math.inf:
             fail("C", f"C must be finite and > 0, got {cfg.C}")
         if cfg.theta_mode not in ("sampled", "frozen"):

@@ -13,6 +13,7 @@ import csv
 import json
 import math
 from dataclasses import asdict, dataclass
+from typing import Callable
 from pathlib import Path
 
 import numpy as np
@@ -30,34 +31,6 @@ from .structure import ETA_PROBE_SCALE, check_column_sums, check_expanding, \
     check_regular
 from .tilt import divergence_check
 
-CSV_HEADERS = {
-    "attack-hypercube": [
-        "trial", "seed", "region", "mechanism", "n", "stat",
-        "in_total", "in_mean", "fresh_mean", "fresh_se", "status",
-    ],
-    "attack-random": [
-        "trial", "seed", "region", "mechanism", "n", "stat", "in_total",
-        "fresh_second_moment", "moment_bound", "lambda_max", "status",
-    ],
-    "ada-run": [
-        "trial", "seed", "analyst", "n", "tau", "gap", "gap_stderr",
-        "dataset_mean", "population_mean", "max_compromised_frac",
-        "max_pop_compromised_frac", "inaccurate_stages", "status",
-    ],
-    "mech-bench": [
-        "trial", "seed", "support", "mass_in", "mass_out", "linf",
-        "bound", "status",
-    ],
-    "verify-structure": [
-        "trial", "seed", "d", "n_columns", "col_violations", "col_mean_sq",
-        "col_expected_sq", "col_stderr_sq", "expanding_fail_frac",
-        "regular_fail_frac", "status",
-    ],
-    "divergence-check": [
-        "trial", "seed", "family", "dims", "n", "abs_err", "status",
-    ],
-}
-
 STATUS_OK = "ok"
 STATUS_INVARIANT = "invariant-failed"
 
@@ -73,7 +46,7 @@ def _fmt(x) -> str:
 
 
 # --------------------------------------------------------------------------
-# per-kind trial workers: (config, master_seed, trial) -> (row, log_lines)
+# per-kind trial workers and manifest summaries (see ExperimentKind)
 
 
 def _trial_attack_hypercube(cfg: ExperimentConfig, master_seed: int,
@@ -99,17 +72,28 @@ def _trial_attack_hypercube(cfg: ExperimentConfig, master_seed: int,
         "in_mean": report.in_scores.mean(),
         "fresh_mean": fresh_mean,
         "fresh_se": fresh_se,
-        "status": STATUS_OK if ok else STATUS_INVARIANT,
     }
-    return row, []
+    return row, ok, []
 
 
-def _trial_attack_random(cfg: ExperimentConfig, master_seed: int, trial: int):
+def _separation_summary(data, rows):
+    if len(data) < 2:
+        return {}
+    return {"aggregate_separation": separation_of_totals(
+        [float(r["in_total"]) for r in data],
+        [float(r["fresh_mean"]) for r in data])}
+
+
+def _matrix_trial(cfg: ExperimentConfig, master_seed: int, trial: int):
     mat_seq, rng_seq = trial_seed_sequence(master_seed, trial).spawn(2)
-    rng = np.random.default_rng(rng_seq)
     matrix_seed = int(mat_seq.generate_state(1, dtype=np.uint64)[0])
     family = make_family("matrix-columns", d=cfg.d, n_columns=cfg.n_columns,
                          seed=matrix_seed)
+    return family, np.random.default_rng(rng_seq)
+
+
+def _trial_attack_random(cfg: ExperimentConfig, master_seed: int, trial: int):
+    family, rng = _matrix_trial(cfg, master_seed, trial)
     radius = cfg.radius if cfg.radius is not None \
         else 2.0 * math.sqrt(math.log(cfg.n_columns))
     sampler = ThetaSampler(cfg.region, family.dim, radius)
@@ -135,9 +119,15 @@ def _trial_attack_random(cfg: ExperimentConfig, master_seed: int, trial: int):
         "fresh_second_moment": second,
         "moment_bound": bound,
         "lambda_max": lam,
-        "status": STATUS_OK if ok else STATUS_INVARIANT,
     }
-    return row, []
+    return row, ok, []
+
+
+def _moment_summary(data, rows):
+    ratios = [float(r["fresh_second_moment"]) / float(r["moment_bound"])
+              for r in data if float(r["moment_bound"]) > 0]
+    return {"max_moment_ratio": max(ratios)} if len(data) >= 2 and ratios \
+        else {}
 
 
 # entropy tag of the ada-run theta stream, shared with the calibration
@@ -191,10 +181,16 @@ def _trial_ada(cfg: ExperimentConfig, master_seed: int, trial: int):
         "max_pop_compromised_frac": max_pop,
         "inaccurate_stages": ";".join(str(s) for s in
                                       transcript.inaccurate_stages),
-        "status": STATUS_OK,
     }
     logs = [f"trial={trial} {line}" for line in transcript.log_lines()]
-    return row, logs
+    return row, True, logs
+
+
+def _gap_summary(data, rows):
+    gaps = np.array([float(r["gap"]) for r in data])
+    return {"mean_gap": float(gaps.mean()), "max_gap": float(gaps.max()),
+            "max_pop_compromised_frac": max(
+                float(r["max_pop_compromised_frac"]) for r in data)}
 
 
 def _trial_mech_bench(cfg: ExperimentConfig, master_seed: int, trial: int):
@@ -216,18 +212,13 @@ def _trial_mech_bench(cfg: ExperimentConfig, master_seed: int, trial: int):
         "mass_out": mass_out,
         "linf": linf,
         "bound": bound,
-        "status": STATUS_OK if ok else STATUS_INVARIANT,
     }
-    return row, []
+    return row, ok, []
 
 
 def _trial_verify_structure(cfg: ExperimentConfig, master_seed: int,
                             trial: int):
-    mat_seq, rng_seq = trial_seed_sequence(master_seed, trial).spawn(2)
-    matrix_seed = int(mat_seq.generate_state(1, dtype=np.uint64)[0])
-    rng = np.random.default_rng(rng_seq)
-    family = make_family("matrix-columns", d=cfg.d, n_columns=cfg.n_columns,
-                         seed=matrix_seed)
+    family, rng = _matrix_trial(cfg, master_seed, trial)
     a = family.matrix
     radius = cfg.radius if cfg.radius is not None \
         else 0.3 * math.sqrt(math.log(cfg.n_columns))
@@ -251,9 +242,8 @@ def _trial_verify_structure(cfg: ExperimentConfig, master_seed: int,
         "col_stderr_sq": col.stderr_sq,
         "expanding_fail_frac": expanding.fail_fraction,
         "regular_fail_frac": regular.fraction_above,
-        "status": STATUS_OK if ok else STATUS_INVARIANT,
     }
-    return row, []
+    return row, ok, []
 
 
 # at least ten enumerable instances: single-type hypercubes and tensor
@@ -287,18 +277,58 @@ def _trial_divergence(cfg: ExperimentConfig, master_seed: int, trial: int):
         "dims": dims,
         "n": n,
         "abs_err": report.abs_err,
-        "status": STATUS_OK if ok else STATUS_INVARIANT,
     }
-    return row, []
+    return row, ok, []
 
 
-_TRIAL_FUNCS = {
-    "attack-hypercube": _trial_attack_hypercube,
-    "attack-random": _trial_attack_random,
-    "ada-run": _trial_ada,
-    "mech-bench": _trial_mech_bench,
-    "verify-structure": _trial_verify_structure,
-    "divergence-check": _trial_divergence,
+def _max_summary(column: str, key: str):
+    return lambda data, rows: {key: max(float(r[column]) for r in data)}
+
+
+@dataclass(frozen=True)
+class ExperimentKind:
+    """One experiment kind.  ``columns`` are its own CSV columns, framed by
+    trial and seed in front and status behind; ``trial`` returns (row keyed
+    by columns, ok, log lines); ``summary`` maps (ok rows, row count) to the
+    kind's manifest aggregate entries; ``allowed_failures`` is how many
+    invariant-failed rows per 20 rows a run tolerates."""
+
+    columns: tuple
+    trial: Callable
+    summary: Callable
+    allowed_failures: int = 0
+
+    @property
+    def header(self) -> list:
+        return ["trial", "seed", *self.columns, "status"]
+
+
+EXPERIMENT_KINDS = {
+    "attack-hypercube": ExperimentKind(
+        ("region", "mechanism", "n", "stat", "in_total", "in_mean",
+         "fresh_mean", "fresh_se"),
+        _trial_attack_hypercube, _separation_summary),
+    "attack-random": ExperimentKind(
+        ("region", "mechanism", "n", "stat", "in_total",
+         "fresh_second_moment", "moment_bound", "lambda_max"),
+        _trial_attack_random, _moment_summary),
+    "ada-run": ExperimentKind(
+        ("analyst", "n", "tau", "gap", "gap_stderr", "dataset_mean",
+         "population_mean", "max_compromised_frac",
+         "max_pop_compromised_frac", "inaccurate_stages"),
+        _trial_ada, _gap_summary),
+    "mech-bench": ExperimentKind(
+        ("support", "mass_in", "mass_out", "linf", "bound"),
+        _trial_mech_bench, _max_summary("linf", "max_linf")),
+    "verify-structure": ExperimentKind(
+        ("d", "n_columns", "col_violations", "col_mean_sq", "col_expected_sq",
+         "col_stderr_sq", "expanding_fail_frac", "regular_fail_frac"),
+        _trial_verify_structure,
+        lambda data, rows: {"ok_fraction": len(data) / rows},
+        allowed_failures=1),  # one bad random matrix in twenty
+    "divergence-check": ExperimentKind(
+        ("family", "dims", "n", "abs_err"),
+        _trial_divergence, _max_summary("abs_err", "max_abs_err")),
 }
 
 
@@ -307,15 +337,15 @@ def run_trial(cfg: ExperimentConfig, master_seed: int, trial: int):
 
     Any module error becomes an error row rather than killing the suite.
     """
-    header = CSV_HEADERS[cfg.kind]
+    kind = EXPERIMENT_KINDS[cfg.kind]
     base = {"trial": str(trial), "seed": str(master_seed)}
     try:
-        row, logs = _TRIAL_FUNCS[cfg.kind](cfg, master_seed, trial)
+        row, ok, logs = kind.trial(cfg, master_seed, trial)
     except Exception as exc:  # noqa: BLE001 - error rows must flush
-        row = {col: "" for col in header[2:-1]}
-        row["status"] = f"error:{type(exc).__name__}:{exc}"
-        return {**base, **row}, []
-    return {**base, **{k: _fmt(v) for k, v in row.items()}}, logs
+        return {**base, **dict.fromkeys(kind.columns, ""),
+                "status": f"error:{type(exc).__name__}:{exc}"}, []
+    return {**base, **{k: _fmt(v) for k, v in row.items()},
+            "status": STATUS_OK if ok else STATUS_INVARIANT}, logs
 
 
 @dataclass
@@ -329,58 +359,14 @@ class RunResult:
     aggregate: dict
 
 
-def _aggregate(kind: str, rows: list) -> dict:
-    data = [r for r in rows if r["status"] == STATUS_OK]
-    agg: dict = {
-        "rows": len(rows),
-        "ok_rows": len(data),
-        "error_rows": sum(1 for r in rows if r["status"].startswith("error")),
-    }
-    if not data:
-        return agg
-    if kind in ("attack-hypercube", "attack-random") and len(data) >= 2:
-        if kind == "attack-hypercube":
-            agg["aggregate_separation"] = separation_of_totals(
-                [float(r["in_total"]) for r in data],
-                [float(r["fresh_mean"]) for r in data])
-        else:
-            ratios = [float(r["fresh_second_moment"]) /
-                      float(r["moment_bound"]) for r in data
-                      if float(r["moment_bound"]) > 0]
-            if ratios:
-                agg["max_moment_ratio"] = max(ratios)
-    if kind == "ada-run":
-        gaps = np.array([float(r["gap"]) for r in data])
-        agg["mean_gap"] = float(gaps.mean())
-        agg["max_gap"] = float(gaps.max())
-        agg["max_pop_compromised_frac"] = max(
-            float(r["max_pop_compromised_frac"]) for r in data)
-    if kind == "mech-bench":
-        agg["max_linf"] = max(float(r["linf"]) for r in data)
-    if kind == "verify-structure":
-        agg["ok_fraction"] = len(data) / len(rows)
-    if kind == "divergence-check":
-        agg["max_abs_err"] = max(float(r["abs_err"]) for r in data)
-    return agg
-
-
-def _invariants_ok(kind: str, rows: list) -> bool:
-    if any(r["status"].startswith("error") for r in rows):
-        return False
-    bad = sum(1 for r in rows if r["status"] == STATUS_INVARIANT)
-    if kind == "verify-structure" and len(rows) >= 20:
-        # structural checks are allowed one bad matrix in twenty
-        return bad <= len(rows) // 20
-    return bad == 0
-
-
 def run_experiment(cfg: ExperimentConfig, master_seed: int,
                    out_dir=None, workers: int = 1) -> RunResult:
     """Run all trials, then write <kind>.csv, <kind>.log, manifest.json."""
-    if cfg.kind not in _TRIAL_FUNCS:
+    if cfg.kind not in EXPERIMENT_KINDS:
         raise ValueError(f"unknown experiment kind {cfg.kind!r}")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
+    kind = EXPERIMENT_KINDS[cfg.kind]
     out = Path(out_dir) if out_dir else Path(cfg.out or f"runs/{cfg.kind}")
     out.mkdir(parents=True, exist_ok=True)
 
@@ -392,7 +378,7 @@ def run_experiment(cfg: ExperimentConfig, master_seed: int,
     else:
         results = [run_trial(*a) for a in args]
 
-    header = CSV_HEADERS[cfg.kind]
+    header = kind.header
     rows = [row for row, _ in results]
     log_lines = [line for _, lines in results for line in lines]
 
@@ -407,8 +393,14 @@ def run_experiment(cfg: ExperimentConfig, master_seed: int,
     if log_lines:
         log_path.write_text("\n".join(log_lines) + "\n")
 
-    aggregate = _aggregate(cfg.kind, rows)
-    ok = _invariants_ok(cfg.kind, rows)
+    data = [r for r in rows if r["status"] == STATUS_OK]
+    errors = sum(1 for r in rows if r["status"].startswith("error"))
+    aggregate = {"rows": len(rows), "ok_rows": len(data),
+                 "error_rows": errors}
+    if data:
+        aggregate.update(kind.summary(data, len(rows)))
+    bad = sum(1 for r in rows if r["status"] == STATUS_INVARIANT)
+    ok = errors == 0 and bad <= kind.allowed_failures * (len(rows) // 20)
     manifest = {
         "kind": cfg.kind,
         "config": asdict(cfg),

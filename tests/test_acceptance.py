@@ -33,7 +33,8 @@ import numpy as np
 import pytest
 
 import tiltlab
-from tiltlab.ada import ExactMeanAnalyst, default_tau, run_ada_protocol
+from tiltlab.ada import ExactMeanAnalyst, SampleSplitAnalyst, default_tau, \
+    run_ada_protocol
 from tiltlab.attack import (
     FRESH_BLOCK,
     ThetaSampler,
@@ -342,6 +343,8 @@ class TestStagedProtocolDesk:
                     rec.pop_compromised_frac for rec in tr.stages))
         under = np.array(under)
         over = np.array(over)
+        # negative controls of both gap checks:
+        # test_gap_checks_fail_where_they_must
         assert (under >= self.ALPHA / 2).mean() >= 0.05
         assert (over <= 2 * self.ALPHA).mean() >= 0.95
         # negative control: test_population_check_fails_at_eighth_tau
@@ -364,6 +367,26 @@ class TestStagedProtocolDesk:
             max_pop = max(max_pop, max(
                 rec.pop_compromised_frac for rec in tr.stages))
         assert max_pop > 0.05
+
+    def test_gap_checks_fail_where_they_must(self):
+        # the desk test's gap checks on runs where each should fail: an
+        # analyst that answers each stage from one eighth of the data leaks
+        # about an eighth of the exact-mean gap, below alpha/2 on all 40
+        # thetas (largest 0.060), and exact-mean runs without the 10x data
+        # keep their gap above 2 alpha (smallest 0.279)
+        family, sampler = desk_family_and_sampler()
+        n = family.m * family.k
+
+        def gaps(analyst):
+            return np.array([run_ada_protocol(
+                analyst(), family, desk_theta(sampler, t), n=n,
+                seed=trial_seed_sequence(MASTER_SEED, t), alpha=self.ALPHA,
+            ).final_gap.value for t in range(40)])
+
+        split = gaps(lambda: SampleSplitAnalyst(8))
+        assert not (split >= self.ALPHA / 2).mean() >= 0.05
+        exact = gaps(ExactMeanAnalyst)
+        assert not (exact <= 2 * self.ALPHA).mean() >= 0.95
 
     def test_fairness_replay_exact_at_desk(self):
         # resampling a compromised point's post-crossing slices leaves the
@@ -570,6 +593,9 @@ class TestSuiteDeterminism:
         if log_name in golden:
             got = hashlib.sha256(result.log_path.read_bytes()).hexdigest()
             assert got == golden[log_name]
+        # the manifest pins the aggregate each kind's summary computes
+        got = hashlib.sha256(result.manifest_path.read_bytes()).hexdigest()
+        assert got == golden[f"{kind}/manifest.json"]
 
     def test_attack_csv_bytes_stable_across_blas_threads(self, tmp_path):
         # fresh scores are matrix-vector products over row blocks; OpenBLAS

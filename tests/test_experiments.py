@@ -6,6 +6,7 @@ counts, replayable rows, error rows that flush instead of killing the run,
 and exit codes.
 """
 
+import dataclasses
 import json
 import math
 import os
@@ -18,9 +19,9 @@ import pytest
 import tiltlab
 from tiltlab.attack import ThetaSampler, run_attack_trial, separation_of_totals
 from tiltlab.cli import main
-from tiltlab.config import ConfigError, ExperimentConfig, parse_config
+from tiltlab.config import KINDS, ConfigError, ExperimentConfig, parse_config
 from tiltlab.experiments import (
-    CSV_HEADERS,
+    EXPERIMENT_KINDS,
     _ada_theta,
     replay_row,
     run_experiment,
@@ -37,7 +38,7 @@ def test_import_skips_unused_scipy_modules():
     # scipy, and only a multi-worker run needs multiprocessing
     configs = ["\n".join([f"kind = {kind}"] + [
         f"{key} = {value}" for key, value in TINY_SETTINGS[kind].items()])
-        for kind in sorted(CSV_HEADERS)]
+        for kind in sorted(EXPERIMENT_KINDS)]
     code = ("import sys, tiltlab.experiments, tiltlab.cli\n"
             "from tiltlab.config import parse_config\n"
             "from tiltlab.experiments import run_trial\n"
@@ -164,6 +165,12 @@ class TestParseConfig:
         ("n_theta = 0", "line 2: n_theta must be >= 1"),
         ("k_subset = 0", r"line 2: k_subset must be in \[1, 1\.000\]"),
         ("k_subset = 2", r"line 2: k_subset must be in \[1, 1\.000\]"),
+        ("radius = 0", "line 2: radius must be unset or finite and > 0"),
+        ("radius = -1", "line 2: radius must be unset or finite and > 0"),
+        ("radius = nan", "line 2: radius must be unset or finite and > 0"),
+        ("eta_probe = nan", "line 2: eta_probe must be unset or finite"),
+        ("eta_probe = inf", "line 2: eta_probe must be unset or finite"),
+        ("eta_probe = -inf", "line 2: eta_probe must be unset or finite"),
     ])
     def test_structure_ranges(self, line, match):
         with pytest.raises(ConfigError, match=match):
@@ -176,8 +183,17 @@ class TestParseConfig:
             parse_config("kind = verify-structure\nk_subset = 2\n"
                          "cap_scale = 0.05\nn_columns = 16")
 
+    def test_structure_range_edges_accepted(self):
+        cfg = parse_config("kind = verify-structure\nradius = 1e-9\n"
+                           "eta_probe = -1")
+        assert (cfg.radius, cfg.eta_probe) == (1e-9, -1.0)
+
     def test_structure_ranges_only_for_structure(self):
         assert parse_config("kind = mech-bench\nn_theta = 0").n_theta == 0
+        # only the attack, ada-run and verify-structure kinds read radius
+        cfg = parse_config("kind = divergence-check\nradius = -1\n"
+                           "eta_probe = nan")
+        assert cfg.radius == -1.0 and math.isnan(cfg.eta_probe)
 
     @pytest.mark.parametrize("line,match", [
         ("d = 0", "line 2: d must be >= 1"),
@@ -197,6 +213,9 @@ class TestParseConfig:
         ("tau = 0", "line 2: tau must be unset or finite and > 0"),
         ("tau = inf", "line 2: tau must be unset or finite and > 0"),
         ("tau = nan", "line 2: tau must be unset or finite and > 0"),
+        ("radius = 0", "line 2: radius must be unset or finite and > 0"),
+        ("radius = -1", "line 2: radius must be unset or finite and > 0"),
+        ("radius = inf", "line 2: radius must be unset or finite and > 0"),
         ("C = 0", "line 2: C must be finite and > 0"),
         ("C = -2", "line 2: C must be finite and > 0"),
         ("theta_mode = bogus", "line 2: theta_mode must be sampled or frozen"),
@@ -351,31 +370,42 @@ def tiny_config(kind, **overrides):
     return ExperimentConfig(kind=kind, **{**TINY_SETTINGS[kind], **overrides})
 
 
+# per-kind (settings, master seed) that make every trial raise
+ERROR_CASES = {
+    "attack-hypercube": (dict(mechanism="nope"), 7),
+    "attack-random": (dict(n_columns=1), 7),
+    "ada-run": (dict(analyst="oracle"), 7),
+    "mech-bench": (dict(mass=-1.0), 7),
+    "verify-structure": (dict(d=0), 7),
+    # divergence-check reads no setting a config can break; a negative
+    # master seed cannot seed its trial stream
+    "divergence-check": ({}, -1),
+}
+
+
+def test_kind_table_matches_config_kinds():
+    # a kind added to one module only would parse but not run, or the reverse
+    assert tuple(EXPERIMENT_KINDS) == KINDS
+    assert set(TINY_SETTINGS) == set(ERROR_CASES) == set(KINDS)
+
+
 class TestRunTrial:
-    @pytest.mark.parametrize("kind", sorted(CSV_HEADERS))
+    @pytest.mark.parametrize("kind", sorted(EXPERIMENT_KINDS))
     def test_row_covers_header(self, kind):
         row, _ = run_trial(tiny_config(kind), 7, 0)
-        assert list(row) == CSV_HEADERS[kind]
+        assert list(row) == EXPERIMENT_KINDS[kind].header
         assert all(isinstance(v, str) for v in row.values())
         assert row["status"] == "ok"
 
-    @pytest.mark.parametrize("kind,overrides,seed", [
-        ("attack-hypercube", dict(mechanism="nope"), 7),
-        ("attack-random", dict(n_columns=1), 7),
-        ("ada-run", dict(analyst="oracle"), 7),
-        ("mech-bench", dict(mass=-1.0), 7),
-        ("verify-structure", dict(d=0), 7),
-        # divergence-check reads no setting a config can break; a negative
-        # master seed cannot seed its trial stream
-        ("divergence-check", {}, -1),
-    ])
-    def test_error_row_covers_header(self, kind, overrides, seed):
+    @pytest.mark.parametrize("kind", sorted(EXPERIMENT_KINDS))
+    def test_error_row_covers_header(self, kind):
         # configs built in code skip the parse-time range checks
+        overrides, seed = ERROR_CASES[kind]
         row, logs = run_trial(tiny_config(kind, **overrides), seed, 0)
-        assert list(row) == CSV_HEADERS[kind]
+        assert list(row) == EXPERIMENT_KINDS[kind].header
         assert all(isinstance(v, str) for v in row.values())
         assert row["status"].startswith("error:")
-        assert all(row[col] == "" for col in CSV_HEADERS[kind][2:-1])
+        assert all(row[col] == "" for col in EXPERIMENT_KINDS[kind].columns)
         assert logs == []
 
     def test_divergence_catalog_all_ok(self):
@@ -407,7 +437,8 @@ class TestRunExperiment:
         res = run_experiment(cfg, 3, out_dir=tmp_path)
         assert res.exit_code == 0
         content = res.csv_path.read_bytes()
-        assert content == (",".join(CSV_HEADERS["mech-bench"]) + "\r\n").encode()
+        header = EXPERIMENT_KINDS["mech-bench"].header
+        assert content == (",".join(header) + "\r\n").encode()
         assert not res.log_path.exists()
 
     def test_csv_crlf_endings(self, tmp_path):
@@ -451,7 +482,8 @@ class TestRunExperiment:
         assert manifest["kind"] == "attack-hypercube"
         assert manifest["master_seed"] == 5
         assert manifest["rows"] == 3
-        assert manifest["header"] == CSV_HEADERS["attack-hypercube"]
+        assert manifest["header"] == \
+            EXPERIMENT_KINDS["attack-hypercube"].header
         assert manifest["invariants_ok"] is True
         assert manifest["config"]["d"] == 8
         assert "aggregate_separation" in manifest["aggregate"]
@@ -492,6 +524,28 @@ class TestRunExperiment:
         assert res.aggregate["error_rows"] == 2
         # the CSV still has one line per trial
         assert res.csv_path.read_bytes().count(b"\r\n") == 3
+
+    @pytest.mark.parametrize("kind,trials,bad,ok", [
+        ("verify-structure", 19, 1, False),
+        ("verify-structure", 20, 1, True),
+        ("verify-structure", 40, 2, True),
+        ("verify-structure", 40, 3, False),
+        ("mech-bench", 20, 1, False),
+    ])
+    def test_failure_allowance(self, tmp_path, monkeypatch, kind, trials, bad,
+                               ok):
+        record = EXPERIMENT_KINDS[kind]
+
+        def trial(cfg, master_seed, t):
+            return dict.fromkeys(record.columns, 0), t >= bad, []
+
+        monkeypatch.setitem(EXPERIMENT_KINDS, kind,
+                            dataclasses.replace(record, trial=trial))
+        res = run_experiment(ExperimentConfig(kind=kind, trials=trials), 3,
+                             out_dir=tmp_path)
+        assert res.aggregate["ok_rows"] == trials - bad
+        assert res.invariants_ok is ok
+        assert res.exit_code == (0 if ok else 1)
 
     def test_replay_row_matches(self, tmp_path):
         cfg = tiny_config("attack-random", trials=3)
@@ -553,7 +607,8 @@ class TestCli:
 
     @pytest.mark.parametrize("line", [
         "d = 0", "n_columns = 1", "n_subsets = 0", "n_theta = 0",
-        "k_subset = 0", "k_subset = 2",
+        "k_subset = 0", "k_subset = 2", "radius = 0", "radius = -1",
+        "eta_probe = nan",
     ])
     def test_bad_structure_config_exit_code(self, tmp_path, capsys, line):
         cfg = write_config(tmp_path, f"kind = verify-structure\n{line}")
@@ -564,7 +619,8 @@ class TestCli:
 
     @pytest.mark.parametrize("line", [
         "k = 3", f"m = {RECONSTRUCT_CAP + 1}", "alpha = 0", "n = 0", "d = 0",
-        "mc_gap = 1", "tau = -1", "C = 0", "theta_mode = bogus",
+        "mc_gap = 1", "tau = -1", "radius = 0", "radius = -1", "C = 0",
+        "theta_mode = bogus",
         "analyst = oracle", "sigma = -1\nanalyst = gaussian-noised",
         "folds = 0\nanalyst = sample-split",
         "bound = 0\nanalyst = clamped-mean",
@@ -667,6 +723,10 @@ class TestCli:
         ("attack-hypercube", "mechanism", "nope"),
         ("attack-random", "n_columns", 1),
         ("attack-random", "radius", -1.0),
+        ("ada-run", "radius", 0.0),
+        ("ada-run", "radius", -1.0),
+        ("verify-structure", "radius", -1.0),
+        ("verify-structure", "eta_probe", math.nan),
     ])
     def test_replay_out_of_range_manifest_exit_code(self, tmp_path, capsys,
                                                     kind, key, value):
