@@ -22,8 +22,9 @@ import numpy as np
 
 from .families import PointFamily
 from .mechanisms import Dataset
-from .tilt import tilt, tilt_cov, tilt_mean, tilt_mean_typed, \
-    tilt_sample_blocks, tilt_sample_many
+from .structure import tilted_column_cov
+from .tilt import tilt, tilt_mean, tilt_mean_typed, tilt_sample_blocks, \
+    tilt_sample_many
 
 _REGIONS = ("l2-sphere", "l2-ball", "l1-surface", "l1-ball")
 FRESH_BLOCK = 4096  # fresh points drawn, densified and scored at a time
@@ -159,7 +160,8 @@ def run_shifted_attack_trial(
     fresh = tilt_sample_blocks(dist, rng, fresh_count, FRESH_BLOCK)
     fresh_scores = _scores(dist, ((b.types, b.densify()) for b in fresh),
                            target, mu)
-    lam = float(np.linalg.eigvalsh(tilt_cov(dist))[-1])
+    cov = tilted_column_cov(family.matrix, theta)
+    lam = float(np.linalg.eigvalsh(cov)[-1])
     return ScoreReport(
         region=sampler.region,
         n=n,
@@ -175,29 +177,18 @@ def run_shifted_attack_trial(
     )
 
 
-def separation_statistic(report: ScoreReport) -> float:
-    """(mean in-sample - mean fresh) / pooled stderr; +inf when degenerate."""
-    fresh = report.fresh_scores
-    ins = report.in_scores
+def separation(in_values, fresh_values) -> float:
+    """Welch two-sample statistic (mean in - mean fresh) / stderr: per-trial
+    scores of one report, or per-trial totals against fresh means across
+    reports.  One in-sample value adds no variance term; +inf when the
+    stderr is 0."""
+    ins = np.asarray(in_values, dtype=float)
+    fresh = np.asarray(fresh_values, dtype=float)
     if len(fresh) < 2:
-        raise ValueError("need at least 2 fresh scores")
+        raise ValueError("need at least 2 fresh values")
     se2 = fresh.var(ddof=1) / len(fresh)
     if len(ins) >= 2:
         se2 += ins.var(ddof=1) / len(ins)
     if se2 == 0:
         return math.inf
     return float((ins.mean() - fresh.mean()) / math.sqrt(se2))
-
-
-def separation_of_totals(totals, fresh_means) -> float:
-    """Two-sample statistic of per-trial total in-sample score against
-    per-trial mean fresh score, as the attack-hypercube CSV rows record
-    them; +inf when both sides are constant."""
-    totals = np.asarray(totals, dtype=float)
-    fresh = np.asarray(fresh_means, dtype=float)
-    if len(totals) < 2:
-        raise ValueError("need at least 2 reports")
-    se2 = totals.var(ddof=1) / len(totals) + fresh.var(ddof=1) / len(fresh)
-    if se2 == 0:
-        return math.inf
-    return float((totals.mean() - fresh.mean()) / math.sqrt(se2))

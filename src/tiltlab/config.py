@@ -3,8 +3,8 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
-from typing import Optional
+from dataclasses import dataclass
+from typing import Optional, get_args, get_type_hints
 
 from .ada import builtin_analysts
 from .attack import _REGIONS
@@ -84,27 +84,16 @@ def _to_int(text: str) -> int:
 
 _CONVERTERS = {int: _to_int, float: float, str: str}
 
-# Optional fields parse with the converter of their inner type
-_OPTIONAL_TYPES = {
-    "radius": float,
-    "tau": float,
-    "W": int,
-    "eta_probe": float,
-    "universe": int,
-}
+
+def _converter(hint):
+    """Converter of a field type; an Optional field parses as its inner
+    type."""
+    inner = [t for t in get_args(hint) if t is not type(None)]
+    return _CONVERTERS[inner[0] if inner else hint]
 
 
-_ANNOTATIONS = {"int": int, "float": float, "str": str}
-
-
-def _field_converter(name: str, annotation: str):
-    if name in _OPTIONAL_TYPES:
-        return _CONVERTERS[_OPTIONAL_TYPES[name]]
-    return _CONVERTERS[_ANNOTATIONS[annotation]]
-
-
-_SCHEMA = {f.name: _field_converter(f.name, f.type)
-           for f in fields(ExperimentConfig)}
+_SCHEMA = {name: _converter(hint) for name, hint
+           in get_type_hints(ExperimentConfig).items()}
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -227,6 +216,9 @@ def check_ranges(cfg: ExperimentConfig, lines: Optional[dict] = None) -> None:
             fail("bound", f"bound must be > 0, got {cfg.bound}")
     elif cfg.kind == "verify-structure":
         at_least(("d", 1), ("n_columns", 2), ("n_subsets", 1), ("n_theta", 1))
+        if not 0 < cfg.cap_scale < math.inf:
+            fail("cap_scale",
+                 f"cap_scale must be finite and > 0, got {cfg.cap_scale}")
         cap = column_sum_cap(cfg.d, cfg.n_columns, cfg.cap_scale)
         if not 1 <= cfg.k_subset <= cap:
             fail("k_subset",

@@ -21,7 +21,7 @@ import numpy as np
 from . import __version__
 from .ada import run_ada_protocol
 from .attack import run_attack_trial, run_shifted_attack_trial, \
-    separation_of_totals, separation_statistic, ThetaSampler
+    separation, ThetaSampler
 from .config import ConfigError, ExperimentConfig, analyst_from_config, \
     check_ranges, mechanism_from_config
 from .families import make_family
@@ -38,8 +38,6 @@ STATUS_INVARIANT = "invariant-failed"
 def _fmt(x) -> str:
     if isinstance(x, str):
         return x
-    if isinstance(x, (bool, np.bool_)):
-        return str(bool(x))
     if isinstance(x, (int, np.integer)):
         return str(int(x))
     return repr(float(x))
@@ -57,7 +55,7 @@ def _trial_attack_hypercube(cfg: ExperimentConfig, master_seed: int,
     sampler = ThetaSampler(cfg.region, family.dim, radius)
     report = run_attack_trial(family, sampler, mechanism_from_config(cfg),
                               cfg.n, cfg.fresh, rng)
-    stat = separation_statistic(report)
+    stat = separation(report.in_scores, report.fresh_scores)
     fresh_se = report.fresh_scores.std(ddof=1) / math.sqrt(cfg.fresh)
     fresh_mean = report.fresh_scores.mean()
     # fresh scores are exactly centered; 6 standard errors is a pure sanity
@@ -79,7 +77,7 @@ def _trial_attack_hypercube(cfg: ExperimentConfig, master_seed: int,
 def _separation_summary(data, rows):
     if len(data) < 2:
         return {}
-    return {"aggregate_separation": separation_of_totals(
+    return {"aggregate_separation": separation(
         [float(r["in_total"]) for r in data],
         [float(r["fresh_mean"]) for r in data])}
 
@@ -100,7 +98,7 @@ def _trial_attack_random(cfg: ExperimentConfig, master_seed: int, trial: int):
     report = run_shifted_attack_trial(family, sampler,
                                       mechanism_from_config(cfg), cfg.n,
                                       rng, fresh_count=cfg.fresh)
-    stat = separation_statistic(report)
+    stat = separation(report.in_scores, report.fresh_scores)
     second = float((report.fresh_scores ** 2).mean())
     lam = report.diagnostics["lambda_max"]
     bound = lam * float(((report.answer - report.shift) ** 2).sum())

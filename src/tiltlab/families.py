@@ -129,19 +129,6 @@ def support_batch(family: PointFamily) -> "PointBatch":
     return PointBatch(family, np.repeat(np.arange(family.n_types), block), v=v)
 
 
-def support_matrix(family: PointFamily) -> np.ndarray:
-    """Dense (size, dim) matrix of every point, canonical order, cap-checked.
-
-    For matrix-columns this is the transposed matrix in its own (Fortran)
-    layout, not a densified copy: covariance products summed over it keep
-    the float bits the attack-random results were recorded with.
-    """
-    batch = support_batch(family)
-    if family.kind == "matrix-columns":
-        return family.matrix.T.astype(np.float64)
-    return batch.densify()
-
-
 @dataclass(eq=False)
 class PointBatch:
     """Points of one family held as arrays.

@@ -200,9 +200,10 @@ def column_sum_cap(d: int, n_columns: int, cap_scale: float) -> float:
     """Largest subset size k that ``check_column_sums`` accepts.
 
     k = 1 is always legal; the log-capacity cap cap_scale d / ln N only
-    bites above that.
+    bites above that, and no subset is larger than the N columns.
     """
-    return max(1.0, cap_scale * d / math.log(n_columns))
+    return min(float(n_columns),
+               max(1.0, cap_scale * d / math.log(n_columns)))
 
 
 def sample_k_subsets(rng: np.random.Generator, n: int, k: int,

@@ -23,8 +23,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import CapacityError
-from .families import ENUMERATION_CAP, PointBatch, PointFamily, \
-    support_batch, support_matrix
+from .families import ENUMERATION_CAP, PointBatch, PointFamily, support_batch
 from .mechanisms import Dataset
 
 DATASET_PRODUCT_CAP = 10 ** 6
@@ -136,15 +135,6 @@ def tilt_mean_typed(dist: TiltedDistribution, type_id: int) -> np.ndarray:
     out = np.zeros((fam.m, fam.k, fam.d))
     out[i] = np.outer(fam.basis[j], tanh)
     return out.reshape(fam.dim)
-
-
-def tilt_cov(dist: TiltedDistribution) -> np.ndarray:
-    """Exact covariance of D_theta by enumerating the family; raises
-    CapacityError past ENUMERATION_CAP points."""
-    w = np.exp(log_weights(dist))
-    mat = support_matrix(dist.family)
-    centered = mat - w @ mat
-    return centered.T @ (centered * w[:, None])
 
 
 def log_weights(dist: TiltedDistribution) -> np.ndarray:

@@ -40,7 +40,7 @@ from tiltlab.attack import (
     ThetaSampler,
     run_attack_trial,
     run_shifted_attack_trial,
-    separation_of_totals,
+    separation,
 )
 from tiltlab.config import parse_config
 from tiltlab.experiments import THETA_STREAM_TAG, run_experiment
@@ -69,6 +69,7 @@ from tiltlab.structure import (
     k12,
     k12_sandwich_constant,
     rademacher_tail,
+    tilted_column_cov,
 )
 from tiltlab.tilt import divergence_check, tilt, tilt_sample_many
 
@@ -278,8 +279,8 @@ class TestHypercubeScoreSeparation:
             )
             for t in range(200)
         ]
-        return separation_of_totals([r.in_scores.sum() for r in reports],
-                                    [r.fresh_scores.mean() for r in reports])
+        return separation([r.in_scores.sum() for r in reports],
+                          [r.fresh_scores.mean() for r in reports])
 
     def test_exact_mean_separates_and_noise_suppresses(self):
         exact = self._aggregate(EmpiricalMean())
@@ -289,20 +290,38 @@ class TestHypercubeScoreSeparation:
 
 
 class TestShiftedScoreMoment:
-    def test_fresh_second_moment_bounded(self):
-        # every trial: the fresh-score second moment at 1e5 draws stays
-        # under 1.1 lambda_max ||answer - mu||^2
-        family = make_family("matrix-columns", d=64, n_columns=2048, seed=11)
+    # Negative control: test_smallest_eigenvalue_fails_the_bound.  The
+    # bound holds in expectation by the definition of lambda_max, so the
+    # control can only show that an understated eigenvalue fails it: the
+    # smallest one, on the same trials, leaves the second moment 289x over
+    # (smallest ratio over the 20 trials at MASTER_SEED).
+    FAMILY = make_family("matrix-columns", d=64, n_columns=2048, seed=11)
+
+    def _reports(self):
         sampler = ThetaSampler(
             "l2-sphere", 64, 2.0 * math.sqrt(math.log(2048)))
         for t in range(20):
             rng = np.random.default_rng(trial_seed_sequence(MASTER_SEED, t))
-            report = run_shifted_attack_trial(
-                family, sampler, EmpiricalMean(), 8, rng, fresh_count=100_000)
+            yield run_shifted_attack_trial(
+                self.FAMILY, sampler, EmpiricalMean(), 8, rng,
+                fresh_count=100_000)
+
+    def test_fresh_second_moment_bounded(self):
+        # every trial: the fresh-score second moment at 1e5 draws stays
+        # under 1.1 lambda_max ||answer - mu||^2
+        for report in self._reports():
             second = float((report.fresh_scores ** 2).mean())
             bound = report.diagnostics["lambda_max"] * float(
                 ((report.answer - report.shift) ** 2).sum())
             assert second <= 1.1 * bound
+
+    def test_smallest_eigenvalue_fails_the_bound(self):
+        for report in self._reports():
+            second = float((report.fresh_scores ** 2).mean())
+            cov = tilted_column_cov(self.FAMILY.matrix, report.theta)
+            bound = np.linalg.eigvalsh(cov)[0] * float(
+                ((report.answer - report.shift) ** 2).sum())
+            assert second > 1.1 * bound
 
 
 def desk_family_and_sampler():

@@ -19,12 +19,10 @@ from scipy import stats
 
 from tiltlab.attack import (
     FRESH_BLOCK,
-    ScoreReport,
     ThetaSampler,
     run_attack_trial,
     run_shifted_attack_trial,
-    separation_of_totals,
-    separation_statistic,
+    separation,
 )
 from tiltlab.families import make_family
 from tiltlab.mechanisms import (
@@ -35,11 +33,12 @@ from tiltlab.mechanisms import (
 )
 from tiltlab.tilt import (
     tilt,
-    tilt_cov,
     tilt_mean,
     tilt_mean_typed,
     tilt_sample_many,
 )
+
+from tilt_enumeration import brute_cov
 
 
 class ConstantAnswer:
@@ -153,7 +152,7 @@ class TestRunAttackTrial:
                              fresh_count=16, rng=rng)
             for _ in range(200)
         ]
-        assert separation_of_totals(
+        assert separation(
             [r.in_scores.sum() for r in reports],
             [r.fresh_scores.mean() for r in reports]) > 5
 
@@ -278,8 +277,7 @@ class TestShiftedAttack:
         second = float(np.mean(report.fresh_scores ** 2))
         assert second <= bound * 1.1
         # and the exact quadratic form is itself below the lambda_max bound
-        dist = tilt(fam, report.theta)
-        cov = tilt_cov(dist)
+        cov = brute_cov(fam, report.theta)
         assert w @ cov @ w <= bound * (1 + 1e-9)
 
     def test_exact_mean_random_queries_separate(self):
@@ -295,7 +293,7 @@ class TestShiftedAttack:
         ]
         totals = [r.in_scores.sum() for r in reports]
         assert min(totals) >= 0  # sum of <x_j - mu, mean - mu> = n ||mean - mu||^2
-        assert separation_of_totals(
+        assert separation(
             [r.in_scores.sum() for r in reports],
             [r.fresh_scores.mean() for r in reports]) > 5
 
@@ -385,13 +383,13 @@ class TestSeparationStatistic:
         sampler = ThetaSampler(region="l2-sphere", dimension=8, radius=2.0)
         mech = ConstantAnswer(np.full(8, 0.25))
         rng = np.random.default_rng(16)
-        stats_seen = [
-            separation_statistic(
-                run_attack_trial(fam, sampler, mech, n=20, fresh_count=20,
-                                 rng=rng)
-            )
+        reports = [
+            run_attack_trial(fam, sampler, mech, n=20, fresh_count=20,
+                             rng=rng)
             for _ in range(40)
         ]
+        stats_seen = [separation(r.in_scores, r.fresh_scores)
+                      for r in reports]
         assert np.all(np.abs(stats_seen) < 4)
 
     def test_degenerate_variance_sentinel(self):
@@ -401,13 +399,16 @@ class TestSeparationStatistic:
             fam, sampler, ConstantAnswer(np.zeros(6)), n=3, fresh_count=4,
             rng=np.random.default_rng(17),
         )
-        assert math.isinf(separation_statistic(report))
+        assert math.isinf(separation(report.in_scores, report.fresh_scores))
 
     def test_needs_two_fresh_scores(self):
-        report = ScoreReport(
-            region="l2-sphere", n=1, mechanism="m", theta=np.zeros(2),
-            answer=np.zeros(2), in_scores=np.array([1.0]),
-            fresh_scores=np.array([0.5]), epsilon=0.0, delta=0.0,
-        )
-        with pytest.raises(ValueError):
-            separation_statistic(report)
+        with pytest.raises(ValueError, match="2 fresh values"):
+            separation(np.array([1.0]), np.array([0.5]))
+        with pytest.raises(ValueError, match="2 fresh values"):
+            separation([1.0, 2.0, 3.0], [0.5])
+
+    def test_welch_terms(self):
+        # fresh [0, 2]: mean 1, sample variance 2; one in-sample value adds
+        # no variance term, two add theirs: in [3, 5] has variance 2 too
+        assert separation([3.0], [0.0, 2.0]) == 2.0
+        assert separation([3.0, 5.0], [0.0, 2.0]) == 3.0 / math.sqrt(2.0)

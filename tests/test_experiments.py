@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 import tiltlab
-from tiltlab.attack import ThetaSampler, run_attack_trial, separation_of_totals
+from tiltlab.attack import ThetaSampler, run_attack_trial, separation
 from tiltlab.cli import main
 from tiltlab.config import KINDS, ConfigError, ExperimentConfig, parse_config
 from tiltlab.experiments import (
@@ -171,6 +171,13 @@ class TestParseConfig:
         ("eta_probe = nan", "line 2: eta_probe must be unset or finite"),
         ("eta_probe = inf", "line 2: eta_probe must be unset or finite"),
         ("eta_probe = -inf", "line 2: eta_probe must be unset or finite"),
+        ("cap_scale = inf", "line 2: cap_scale must be finite and > 0"),
+        ("cap_scale = nan", "line 2: cap_scale must be finite and > 0"),
+        ("cap_scale = 0", "line 2: cap_scale must be finite and > 0"),
+        ("cap_scale = -1", "line 2: cap_scale must be finite and > 0"),
+        # no subset is larger than the n_columns = 2048 columns
+        ("k_subset = 5000\ncap_scale = 1e6",
+         r"line 2: k_subset must be in \[1, 2048\.000\]"),
     ])
     def test_structure_ranges(self, line, match):
         with pytest.raises(ConfigError, match=match):
@@ -497,8 +504,8 @@ class TestRunExperiment:
             for t in range(3)
         ]
         assert manifest["aggregate"]["aggregate_separation"] == \
-            separation_of_totals([r.in_scores.sum() for r in reports],
-                                 [r.fresh_scores.mean() for r in reports])
+            separation([r.in_scores.sum() for r in reports],
+                       [r.fresh_scores.mean() for r in reports])
 
     def test_ada_log_file(self, tmp_path):
         cfg = tiny_config("ada-run", trials=2)
@@ -608,7 +615,8 @@ class TestCli:
     @pytest.mark.parametrize("line", [
         "d = 0", "n_columns = 1", "n_subsets = 0", "n_theta = 0",
         "k_subset = 0", "k_subset = 2", "radius = 0", "radius = -1",
-        "eta_probe = nan",
+        "eta_probe = nan", "cap_scale = inf", "cap_scale = nan",
+        "cap_scale = 0", "cap_scale = -1", "k_subset = 5000\ncap_scale = 1e6",
     ])
     def test_bad_structure_config_exit_code(self, tmp_path, capsys, line):
         cfg = write_config(tmp_path, f"kind = verify-structure\n{line}")
@@ -727,6 +735,13 @@ class TestCli:
         ("ada-run", "radius", -1.0),
         ("verify-structure", "radius", -1.0),
         ("verify-structure", "eta_probe", math.nan),
+        ("verify-structure", "cap_scale", math.inf),
+        ("verify-structure", "cap_scale", math.nan),
+        ("verify-structure", "cap_scale", 0.0),
+        ("verify-structure", "cap_scale", -1.0),
+        # a dict value sets further keys: k_subset over the 512 columns
+        ("verify-structure", "k_subset", {"k_subset": 5000,
+                                          "cap_scale": 1e6}),
     ])
     def test_replay_out_of_range_manifest_exit_code(self, tmp_path, capsys,
                                                     kind, key, value):
@@ -735,7 +750,8 @@ class TestCli:
         run_experiment(cfg, 4, out_dir=out)
         manifest_path = out / "manifest.json"
         manifest = json.loads(manifest_path.read_text())
-        manifest["config"][key] = value
+        manifest["config"].update(value if isinstance(value, dict)
+                                  else {key: value})
         manifest_path.write_text(json.dumps(manifest))
         assert main(["replay", "--csv", str(out / f"{kind}.csv"),
                      "--row", "0"]) == 2

@@ -19,7 +19,6 @@ from tiltlab.families import (
     make_family,
     predicate_matrix,
     support_batch,
-    support_matrix,
 )
 
 
@@ -127,7 +126,7 @@ class TestMakeFamily:
 class TestEnumeration:
     def test_hypercube_points_are_sign_vectors(self):
         fam = make_family("hypercube", d=3)
-        mat = support_matrix(fam)
+        mat = support_batch(fam).densify()
         assert mat.shape == (8, 3)
         assert set(np.unique(mat)) == {-1.0, 1.0}
         # all points distinct
@@ -148,7 +147,7 @@ class TestEnumeration:
         # Within a fixed type the v-bits run over the full cube, so every
         # coordinate sums to zero across the type's points.
         fam = make_family("tensor", m=2, k=2, d=3)
-        mat = support_matrix(fam)
+        mat = support_batch(fam).densify()
         types = np.array([type_index(fam, x) for x in mat])
         for t in range(4):
             np.testing.assert_array_equal(
@@ -159,7 +158,7 @@ class TestEnumeration:
         fam = make_family("hypercube", d=25)
         assert fam.size > ENUMERATION_CAP
         with pytest.raises(CapacityError):
-            support_matrix(fam)
+            support_batch(fam).densify()
 
     def test_types_contiguous(self):
         fam = make_family("tensor", m=2, k=2, d=1)

@@ -24,7 +24,7 @@ from scipy.optimize import linprog
 from tiltlab.ada import ExactMeanAnalyst, default_tau, run_ada_protocol
 from tiltlab.attack import ThetaSampler
 from tiltlab.errors import CapacityError
-from tiltlab.families import make_family, predicate_matrix, support_matrix
+from tiltlab.families import make_family, predicate_matrix, support_batch
 from tiltlab.mechanisms import (
     Dataset,
     EmpiricalMean,
@@ -633,7 +633,7 @@ class TestQueryRelease:
 class TestReductions:
     def test_group_wrap_metadata_and_estimate(self):
         fam = make_family("hypercube", d=3)
-        ds = Dataset(support_matrix(fam)[:4])
+        ds = Dataset(support_batch(fam).densify()[:4])
         mech = GaussianMechanism(epsilon=0.5, delta=1e-5)
         wrapped = GroupPrivacyWrapped(mech, p=3)
         ans = wrapped(ds, np.random.default_rng(16))
@@ -647,14 +647,14 @@ class TestReductions:
 
     def test_group_wrap_identity_at_p_one(self):
         fam = make_family("hypercube", d=2)
-        ds = Dataset(support_matrix(fam)[:2])
+        ds = Dataset(support_batch(fam).densify()[:2])
         ans = GroupPrivacyWrapped(EmpiricalMean(), p=1)(ds)
         np.testing.assert_array_equal(ans.estimate, ds.points.mean(axis=0))
         assert ans.delta == 0.0
 
     def test_group_shrink_discards_remainder(self):
         fam = make_family("hypercube", d=2)
-        ds = Dataset(support_matrix(fam))  # 4 points
+        ds = Dataset(support_batch(fam).densify())  # 4 points
         small = group_shrink(ds, p=3)
         assert small.n == 1
         with pytest.raises(ValueError):
@@ -662,7 +662,7 @@ class TestReductions:
 
     def test_pad_reduction_recovers_small_mean(self):
         fam = make_family("hypercube", d=4)
-        support = support_matrix(fam)
+        support = support_batch(fam).densify()
         rng = np.random.default_rng(17)
         for _ in range(20):
             anchor = support[rng.integers(len(support))]

@@ -337,10 +337,10 @@ class TestExpanding:
 
 class TestRegular:
     def test_full_hypercube_identity_cov(self):
-        from tiltlab.families import make_family, support_matrix
+        from tiltlab.families import make_family, support_batch
 
         fam = make_family("hypercube", d=8)
-        cols = support_matrix(fam).T.astype(np.int8)  # (8, 256)
+        cols = support_batch(fam).densify().T.astype(np.int8)  # (8, 256)
         report = check_regular(cols, r=0.0, trials=1,
                                rng=np.random.default_rng(18))
         assert report.values[0] == pytest.approx(1.0, abs=1e-9)

@@ -3,8 +3,9 @@
 Oracles:
     - Hypercube closed forms at theta_i = ln(3)/2: Pr[+1] = 3/4, mean 1/2,
       variance 3/4.
-    - Exact means and covariances against brute-force enumeration with
-      softmax weights (independent route, no tanh shortcut).
+    - Exact means, and the column covariance of structure.tilted_column_cov,
+      against brute-force enumeration with softmax weights (independent
+      route, no tanh shortcut; tests/tilt_enumeration.py).
     - Divergence check against closed-form divergences for the exact-mean
       mechanism: sum_i sech^2(theta_i) on the hypercube and
       (1/m) sum_{i,j,r} sech^2(T[i,j,r]) for the type-conditioned tensor tilt.
@@ -25,26 +26,20 @@ from hypothesis import given, settings, strategies as st
 from scipy.special import expit
 
 from tiltlab.errors import CapacityError
-from tiltlab.families import PointBatch, make_family, support_batch, \
-    support_matrix
+from tiltlab.families import PointBatch, make_family, support_batch
 from tiltlab.mechanisms import ClampedMean, Dataset, EmpiricalMean
+from tiltlab.structure import tilted_column_cov
 from tiltlab.tilt import (
     divergence_check,
     log_weights,
     plus_prob,
     tilt,
-    tilt_cov,
     tilt_mean,
     tilt_mean_typed,
     tilt_sample_many,
 )
 
-
-def brute_mean(family, theta):
-    dist = tilt(family, theta)
-    w = np.exp(log_weights(dist))
-    mat = support_matrix(family)
-    return w @ mat
+from tilt_enumeration import brute_cov, brute_mean
 
 
 def resolve(fam, batch, idx):
@@ -65,7 +60,7 @@ class TestHypercubeClosedForm:
         dist = tilt(fam, theta)
         mu = tilt_mean(dist)
         np.testing.assert_allclose(mu, 0.5)
-        cov = tilt_cov(dist)
+        cov = brute_cov(fam, theta)
         np.testing.assert_allclose(np.diag(cov), 0.75)
         assert np.allclose(cov - np.diag(np.diag(cov)), 0.0)
         # plus-probability via sampling the closed-form law
@@ -170,12 +165,8 @@ class TestMatrixColumns:
     def test_cov_matches_enumeration(self):
         fam = make_family("matrix-columns", d=5, n_columns=20, seed=12)
         theta = np.random.default_rng(13).normal(scale=0.4, size=5)
-        dist = tilt(fam, theta)
-        w = np.exp(log_weights(dist))
-        mat = support_matrix(fam)
-        mu = w @ mat
-        brute = (mat - mu).T @ ((mat - mu) * w[:, None])
-        np.testing.assert_allclose(tilt_cov(dist), brute, atol=1e-12)
+        np.testing.assert_allclose(tilted_column_cov(fam.matrix, theta),
+                                   brute_cov(fam, theta), atol=1e-12)
 
 
 class TestScore:
