@@ -22,7 +22,7 @@ import numpy as np
 
 from .families import PointFamily
 from .mechanisms import Dataset
-from .structure import tilted_column_cov
+from .structure import tilt_weights, tilted_column_cov
 from .tilt import tilt, tilt_mean, tilt_mean_typed, tilt_sample_blocks, \
     tilt_sample_many
 
@@ -160,7 +160,8 @@ def run_shifted_attack_trial(
     fresh = tilt_sample_blocks(dist, rng, fresh_count, FRESH_BLOCK)
     fresh_scores = _scores(dist, ((b.types, b.densify()) for b in fresh),
                            target, mu)
-    cov = tilted_column_cov(family.matrix, theta)
+    (weights,), (col_mean,) = tilt_weights(family.matrix, theta[None])
+    cov = tilted_column_cov(family.matrix, weights, col_mean)
     lam = float(np.linalg.eigvalsh(cov)[-1])
     return ScoreReport(
         region=sampler.region,

@@ -315,11 +315,8 @@ def check_expanding(
         if thetas.ndim != 2 or thetas.shape[1] != d:
             raise ValueError("thetas must be (trials, d)")
         trials = len(thetas)
-    z = thetas @ a  # (trials, N) inner products with columns
-    z_shift = z - z.max(axis=1, keepdims=True)
-    w = np.exp(z_shift)
-    p = w / w.sum(axis=1, keepdims=True)
-    values = (p * z).sum(axis=1)
+    _, mu = tilt_weights(a, thetas)
+    values = (mu * thetas).sum(axis=1)
     return ExpandingReport(
         r=r,
         eta_probe=eta_probe,
@@ -329,14 +326,20 @@ def check_expanding(
     )
 
 
-def tilted_column_cov(a: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    """Exact covariance of the exponential tilt over the matrix columns."""
+def tilt_weights(a: np.ndarray, thetas: np.ndarray) -> tuple:
+    """Tilt weights over the columns of ``a`` and tilt means, one row each per
+    row of ``thetas``: two GEMMs per block; one theta is a 1-row block."""
     a = np.asarray(a, dtype=float)
-    z = a.T @ np.asarray(theta, dtype=float)
-    z -= z.max()
-    p = np.exp(z)
-    p /= p.sum()
-    mu = a @ p
+    p = thetas @ a  # (trials, N) inner products with columns
+    p -= p.max(axis=1, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=1, keepdims=True)
+    return p, p @ a.T
+
+
+def tilted_column_cov(a: np.ndarray, p: np.ndarray,
+                      mu: np.ndarray) -> np.ndarray:
+    """Exact covariance of the tilt with one row ``p, mu`` of tilt_weights."""
     # a product with its own transpose goes to BLAS syrk: half the flops
     b = a * np.sqrt(p)
     cov = b @ b.T
@@ -346,10 +349,7 @@ def tilted_column_cov(a: np.ndarray, theta: np.ndarray) -> np.ndarray:
 
 @dataclass
 class RegularReport:
-    r: float
-    trials: int
     threshold: float
-    values: np.ndarray
     fraction_above: float
 
 
@@ -360,9 +360,10 @@ def check_regular(
     rng: np.random.Generator,
     threshold: float = 2.0,
 ) -> RegularReport:
-    """Per theta in the radius-r ball, exact column covariance and its top
-    eigenvalue; reports the fraction exceeding the threshold."""
-    a = _validate_pm1(a)
+    """Fraction of thetas in the radius-r ball whose exact column covariance
+    C has lambda_max(C) >= threshold, up to rounding; no eigenvalue is taken,
+    as threshold * I - C has a Cholesky factor iff lambda_max(C) < threshold."""
+    a = _validate_pm1(a).astype(float)
     d, _ = a.shape
     if r == 0:
         thetas = np.zeros((trials, d))
@@ -370,15 +371,11 @@ def check_regular(
         unit = _sphere_thetas(rng, trials, d, 1.0)
         radii = r * rng.random(trials) ** (1.0 / d)
         thetas = unit * radii[:, None]
-    af = a.astype(float)
-    # one matrix at a time: a stack of 2000 128 x 128 covariances would hold
-    # 0.5 GB for the same eigenvalue bits
-    values = np.array([np.linalg.eigvalsh(tilted_column_cov(af, th))[-1]
-                       for th in thetas])
-    return RegularReport(
-        r=r,
-        trials=trials,
-        threshold=threshold,
-        values=values,
-        fraction_above=float(np.mean(values > threshold)),
-    )
+    ceiling = threshold * np.eye(d)
+    above = 0
+    for p, mu in zip(*tilt_weights(a, thetas)):
+        try:
+            np.linalg.cholesky(ceiling - tilted_column_cov(a, p, mu))
+        except np.linalg.LinAlgError:
+            above += 1
+    return RegularReport(threshold=threshold, fraction_above=above / trials)

@@ -69,6 +69,7 @@ from tiltlab.structure import (
     k12,
     k12_sandwich_constant,
     rademacher_tail,
+    tilt_weights,
     tilted_column_cov,
 )
 from tiltlab.tilt import divergence_check, tilt, tilt_sample_many
@@ -160,13 +161,15 @@ class TestSparseHistogramRelease:
 
 
 class TestQueryReleaseAccuracy:
-    def test_l2_error_within_budget(self):
-        # d=512, N=4096, alpha=0.5, eps=1, delta=1e-6 at the frozen mass
-        # constant: l2 error <= alpha sqrt(d) in at least 99/100 trials
+    # Negative control: test_release_at_a_fraction_of_mass_misses_budget.
+    # Released at a fraction of required_mass, the same trials keep the l2
+    # budget in 1 of 100 at 1/400, 15 at 1/200 and all 100 at 1/50
+    # (measured at MASTER_SEED), so the budget can see too little mass.
+    def _passes(self, cprime):
         d, n_cols, alpha, eps, delta = 512, 4096, 0.5, 1.0, 1e-6
         support = 64
         budget = alpha * math.sqrt(d)
-        n_req = required_mass(eps, delta, alpha, QUERY_RELEASE_CPRIME)
+        n_req = required_mass(eps, delta, alpha, cprime)
         passes = 0
         for t in range(100):
             family, rng = seeded_matrix_family(d, n_cols, t)
@@ -176,12 +179,21 @@ class TestQueryReleaseAccuracy:
             hist = HistogramVector(ids, raw, universe_size=n_cols)
             yhat, _ = histogram_query_release(
                 family, hist, epsilon=eps, delta=delta, alpha=alpha, rng=rng,
+                cprime=cprime,
             )
             dense = np.zeros(n_cols)
             dense[hist.elements] = hist.weights
             truth = family.matrix.astype(float) @ dense / hist.total
             passes += float(np.linalg.norm(yhat - truth)) <= budget
-        assert passes >= 99
+        return passes
+
+    def test_l2_error_within_budget(self):
+        # d=512, N=4096, alpha=0.5, eps=1, delta=1e-6 at the frozen mass
+        # constant: l2 error <= alpha sqrt(d) in at least 99/100 trials
+        assert self._passes(QUERY_RELEASE_CPRIME) >= 99
+
+    def test_release_at_a_fraction_of_mass_misses_budget(self):
+        assert self._passes(QUERY_RELEASE_CPRIME / 400) < 50
 
 
 class TestColumnSumConcentration:
@@ -269,12 +281,17 @@ class TestTiltStructureChecks:
 
 
 class TestHypercubeScoreSeparation:
-    def _aggregate(self, mechanism):
+    # Negative control: test_large_sample_does_not_separate.  The noised
+    # side bounds the exact side only from below (exact > 2 noised); the
+    # control shows exact > 5 failing where the exact mean leaks little:
+    # n = 4096 points against 400 fresh leave a separation of 1.71 (9.40
+    # at n = 64, 3.67 at n = 1024; measured at MASTER_SEED).
+    def _aggregate(self, mechanism, n=4):
         family = make_family("hypercube", d=64)
         sampler = ThetaSampler("l2-sphere", family.dim, 5.0 * math.sqrt(64))
         reports = [
             run_attack_trial(
-                family, sampler, mechanism, 4, 400,
+                family, sampler, mechanism, n, 400,
                 np.random.default_rng(trial_seed_sequence(MASTER_SEED, t)),
             )
             for t in range(200)
@@ -287,6 +304,9 @@ class TestHypercubeScoreSeparation:
         noised = self._aggregate(GaussianMechanism(0.1, 1e-6))
         assert exact > 5.0
         assert noised < exact / 2
+
+    def test_large_sample_does_not_separate(self):
+        assert self._aggregate(EmpiricalMean(), n=4096) <= 5.0
 
 
 class TestShiftedScoreMoment:
@@ -318,7 +338,8 @@ class TestShiftedScoreMoment:
     def test_smallest_eigenvalue_fails_the_bound(self):
         for report in self._reports():
             second = float((report.fresh_scores ** 2).mean())
-            cov = tilted_column_cov(self.FAMILY.matrix, report.theta)
+            (p,), (mu,) = tilt_weights(self.FAMILY.matrix, report.theta[None])
+            cov = tilted_column_cov(self.FAMILY.matrix, p, mu)
             bound = np.linalg.eigvalsh(cov)[0] * float(
                 ((report.answer - report.shift) ** 2).sum())
             assert second > 1.1 * bound

@@ -5,12 +5,14 @@ Oracles:
     - Exact sign-sum tails against binomial closed forms.
     - Column-sum second moment against its exact expectation kd.
     - Expanding-check values against tilt_mean of the matrix-columns tilt.
+    - Regular-check verdicts against eigvalsh of the same covariances.
     - Two-point closed form for the exponential-reweighting bound.
 
 The joint tail constant and the exponential-reweighting shift are lemma
 checks, not library features, so their helpers live here.
 """
 
+import copy
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -30,6 +32,7 @@ from tiltlab.structure import (
     k12_sandwich_constant,
     rademacher_tail,
     sample_k_subsets,
+    tilt_weights,
     tilted_column_cov,
 )
 from tiltlab.families import make_family
@@ -335,6 +338,26 @@ class TestExpanding:
         np.testing.assert_allclose(report.values, want, rtol=1e-12)
 
 
+def cov_at(a, theta):
+    """The tilted column covariance at one theta, passed as a 1-row block."""
+    (p,), (mu,) = tilt_weights(a, np.asarray(theta, dtype=float)[None])
+    return tilted_column_cov(a, p, mu)
+
+
+def regular_thetas(r, trials, rng, d):
+    """The thetas ``check_regular(a, r, trials, rng)`` draws, from a copy of
+    its generator: eigenvalues are taken here, not by the check."""
+    if r == 0:
+        return np.zeros((trials, d))
+    g = rng.normal(size=(trials, d))
+    unit = g / np.linalg.norm(g, axis=1, keepdims=True)
+    return unit * (r * rng.random(trials) ** (1.0 / d))[:, None]
+
+
+def lambda_max(a, theta):
+    return np.linalg.eigvalsh(cov_at(a, theta))[-1]
+
+
 class TestRegular:
     def test_full_hypercube_identity_cov(self):
         from tiltlab.families import make_family, support_batch
@@ -343,22 +366,41 @@ class TestRegular:
         cols = support_batch(fam).densify().T.astype(np.int8)  # (8, 256)
         report = check_regular(cols, r=0.0, trials=1,
                                rng=np.random.default_rng(18))
-        assert report.values[0] == pytest.approx(1.0, abs=1e-9)
+        assert lambda_max(cols, np.zeros(8)) == pytest.approx(1.0, abs=1e-9)
         assert report.fraction_above == 0.0
 
     def test_lambda_max_dominates_diagonal(self):
         rng = np.random.default_rng(19)
         a = random_pm1_matrix(rng, 20, 150)
         theta = rng.normal(size=20) * 0.2
-        cov = tilted_column_cov(a, theta)
-        report = check_regular(a, r=0.6, trials=30, rng=rng)
+        cov = cov_at(a, theta)
+        drawn = regular_thetas(0.6, 30, rng, 20)
         lam = np.linalg.eigvalsh(cov)[-1]
         assert lam >= np.max(np.diag(cov)) - 1e-9
-        assert np.all(np.asarray(report.values) > 0)
-        # the report's top eigenvalue dominates its covariance diagonal too
-        flat = check_regular(a, r=0.0, trials=1, rng=rng)
-        flat_cov = tilted_column_cov(a, np.zeros(20))
-        assert flat.values[0] >= np.max(np.diag(flat_cov)) - 1e-9
+        assert np.all(np.asarray([lambda_max(a, th) for th in drawn]) > 0)
+        # the top eigenvalue dominates its covariance diagonal at flat theta
+        flat_cov = cov_at(a, np.zeros(20))
+        assert lambda_max(a, np.zeros(20)) >= np.max(np.diag(flat_cov)) - 1e-9
+
+    def test_verdict_matches_eigvalsh(self):
+        # threshold at the median top eigenvalue, so both verdicts occur:
+        # the Cholesky certificate must agree with eigvalsh on every theta
+        rng = np.random.default_rng(21)
+        d, n_cols, trials = 64, 2048, 200
+        a = random_pm1_matrix(rng, d, n_cols)
+        r = 0.3 * math.sqrt(math.log(n_cols))
+        thetas = regular_thetas(r, trials, copy.deepcopy(rng), d)
+        lams = np.array([lambda_max(a, th) for th in thetas])
+        threshold = float(np.median(lams))
+        report = check_regular(a, r=r, trials=trials, rng=rng,
+                               threshold=threshold)
+        assert 0.0 < report.fraction_above < 1.0
+        assert report.fraction_above == np.mean(lams >= threshold)
+        # the batched weights give each theta's single-row covariance
+        p, mu = tilt_weights(a, thetas)
+        for i, theta in enumerate(thetas):
+            np.testing.assert_allclose(tilted_column_cov(a, p[i], mu[i]),
+                                       cov_at(a, theta), rtol=0, atol=1e-14)
 
     def test_desk_scale_fraction(self):
         rng = np.random.default_rng(20)
@@ -380,7 +422,7 @@ class TestTiltedColumnCov:
             p /= p.sum()
             mu = a @ p
             want = (a * p) @ a.T - np.outer(mu, mu)
-            got = tilted_column_cov(a, theta)
+            got = cov_at(a, theta)
             # each entry is a difference of two moments of size <= 1
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
             assert np.array_equal(got, got.T)

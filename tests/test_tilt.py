@@ -28,7 +28,7 @@ from scipy.special import expit
 from tiltlab.errors import CapacityError
 from tiltlab.families import PointBatch, make_family, support_batch
 from tiltlab.mechanisms import ClampedMean, Dataset, EmpiricalMean
-from tiltlab.structure import tilted_column_cov
+from tiltlab.structure import tilt_weights, tilted_column_cov
 from tiltlab.tilt import (
     divergence_check,
     log_weights,
@@ -165,7 +165,8 @@ class TestMatrixColumns:
     def test_cov_matches_enumeration(self):
         fam = make_family("matrix-columns", d=5, n_columns=20, seed=12)
         theta = np.random.default_rng(13).normal(scale=0.4, size=5)
-        np.testing.assert_allclose(tilted_column_cov(fam.matrix, theta),
+        (p,), (mu,) = tilt_weights(fam.matrix, theta[None])
+        np.testing.assert_allclose(tilted_column_cov(fam.matrix, p, mu),
                                    brute_cov(fam, theta), atol=1e-12)
 
 
