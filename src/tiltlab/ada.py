@@ -33,8 +33,7 @@ import numpy as np
 from .errors import ProtocolAbort
 from .families import PointBatch, PointFamily, predicate_matrix
 from .mechanisms import project_to_H, reconstruct_slices_batch
-from .tilt import TiltedDistribution, plus_prob, sign_bits, tilt, \
-    tilt_sample_many
+from .tilt import TiltedDistribution, tilt, tilt_sample_many
 
 # --------------------------------------------------------------------------
 # seeded pseudorandom masks
@@ -84,37 +83,21 @@ class Obfuscation:
             raise ValueError("name space must be positive")
 
 
-def _check_names(obf: Obfuscation, names) -> np.ndarray:
+def obfuscate_many(obf: Obfuscation, names, ti, tj, v: np.ndarray) -> np.ndarray:
+    """Mask the sign matrix v (rows are points, columns are slices); the
+    prefix keying slice r is read from the clear bits of v."""
     names = np.asarray(names)
     if names.size and (names.min() < 0 or names.max() >= obf.W):
         raise ValueError(f"names must lie in [0, {obf.W})")
-    return names
-
-
-def _apply_masks(obf: Obfuscation, names, ti, tj, bits, decode: bool):
-    """Flip bits by the masks; the prefix keying slice r is read from the
-    clear bits, which are the input when encoding and the output when
-    decoding."""
-    names = _check_names(obf, names)
-    bits = np.asarray(bits, dtype=np.int8)
+    bits = np.asarray(v, dtype=np.int8)
     out = np.empty_like(bits)
     key = _prf_key(obf.seed, names, ti, tj)
     prefix = np.zeros(len(bits), dtype=_U64)
     for r in range(bits.shape[1]):
         flip = _prf_bit(key, r, prefix)
         out[:, r] = np.where(flip, -bits[:, r], bits[:, r])
-        clear = out[:, r] if decode else bits[:, r]
-        prefix |= (clear == -1).astype(_U64) << _U64(r)
+        prefix |= (bits[:, r] == -1).astype(_U64) << _U64(r)
     return out
-
-
-def obfuscate_many(obf: Obfuscation, names, ti, tj, v: np.ndarray) -> np.ndarray:
-    """Mask the sign matrix v (rows are points, columns are slices)."""
-    return _apply_masks(obf, names, ti, tj, v, decode=False)
-
-
-def deobfuscate_many(obf: Obfuscation, names, ti, tj, masked: np.ndarray) -> np.ndarray:
-    return _apply_masks(obf, names, ti, tj, masked, decode=True)
 
 
 # --------------------------------------------------------------------------
@@ -442,8 +425,6 @@ def run_ada_protocol(
 
     dist = tilt(family, theta)
     ref_shift = np.tanh(dist.type_tilts).reshape(m, k, d)
-    # Pr[v_r = +1] per flat type id
-    p_flat = plus_prob(dist.type_tilts)
 
     if dataset_override is None:
         rng_data = np.random.default_rng(ss_data)
@@ -478,11 +459,9 @@ def run_ada_protocol(
     # one population per run, walked with the dataset (rows first) as one
     # stacked state; it is independent of all the analyst sees and each
     # stage's slack bounds that stage alone, so stages may share it
-    rng_acc = np.random.default_rng(ss_acc)
-    pop_types = rng_acc.integers(0, m * k, size=mc_accuracy)
-    pop_bits = sign_bits(rng_acc.random((mc_accuracy, d)) < p_flat[pop_types])
-    wi, wj = np.divmod(np.concatenate([points.types, pop_types]), k)
-    wbits = np.concatenate([bits, pop_bits])
+    pop = tilt_sample_many(dist, np.random.default_rng(ss_acc), mc_accuracy)
+    wi, wj = np.divmod(np.concatenate([points.types, pop.types]), k)
+    wbits = np.concatenate([bits, pop.v])
     psum = np.zeros(n + mc_accuracy)
     run_max = np.zeros(n + mc_accuracy)
 
@@ -505,7 +484,7 @@ def run_ada_protocol(
 
         # population accuracy check under the same masked-query rule
         pop_comp = run_max[n:] > tau
-        pop_vals = StageQueryBatch(wi[n:], wj[n:], pop_bits[:, r], pop_comp,
+        pop_vals = StageQueryBatch(wi[n:], wj[n:], pop.v[:, r], pop_comp,
                                    hmat, basis).eval_mean()
         max_dev = float(np.abs(answers - pop_vals).max())
         accuracy_ok = max_dev <= alpha + acc_slack

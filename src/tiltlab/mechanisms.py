@@ -12,7 +12,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -222,11 +222,14 @@ def _water_fill_surplus(values: np.ndarray, target: float) -> np.ndarray:
 
 def _release_rows(hist: HistogramVector, epsilon: float, delta: float,
                   rng: np.random.Generator, runs: int) -> tuple:
-    """The releases behind sparse_histogram_many.
+    """``runs`` independent sparse_histogram releases of hist.
 
     Returns (block, level): the (runs, support) released weights, columns in
     element order, and the (runs,) deficit level each row spread over the
-    universe (zero where there was none).
+    universe (zero where there was none).  The noise for all runs is one
+    array draw, run-major, so row r equals the weights of the r-th of
+    ``runs`` sequential sparse_histogram calls on rng, and rng ends in the
+    same state.
     """
     if epsilon <= 0 or not 0 < delta < 1:
         raise ValueError("need epsilon > 0 and delta in (0, 1)")
@@ -248,23 +251,6 @@ def _release_rows(hist: HistogramVector, epsilon: float, delta: float,
         level[deficit] = (target - current[deficit]) / (s + extra)
         block[deficit] += level[deficit, None]
     return block, level
-
-
-def sparse_histogram_many(
-    hist: HistogramVector,
-    epsilon: float,
-    delta: float,
-    rng: np.random.Generator,
-    runs: int,
-) -> np.ndarray:
-    """``runs`` independent sparse_histogram releases of hist.
-
-    Returns a (runs, support) float64 block whose columns follow
-    ``hist.elements``.  The noise for all runs is one array draw, run-major,
-    so row r equals the weights of the r-th of ``runs`` sequential
-    sparse_histogram calls on rng, and rng ends in the same state.
-    """
-    return _release_rows(hist, epsilon, delta, rng, runs)[0]
 
 
 def sparse_histogram(
@@ -291,75 +277,6 @@ def sparse_histogram(
         and hist.universe_size > len(hist.elements)
     return HistogramVector(hist.elements, block[0], hist.universe_size,
                            float(level[0]) if spread else 0.0)
-
-
-@dataclass
-class AuditReport:
-    rejected: bool
-    runs: int
-    epsilon: float
-    delta: float
-    significance: float
-    worst_margin: float
-    n_cells: int
-
-
-def audit_frequency_ratio(
-    mech_a: Callable[[np.random.Generator, int], np.ndarray],
-    mech_b: Callable[[np.random.Generator, int], np.ndarray],
-    *,
-    epsilon: float,
-    delta: float,
-    runs: int,
-    bin_edges: np.ndarray,
-    significance: float = 1e-3,
-    rng: np.random.Generator,
-) -> AuditReport:
-    """Frequency test of the (epsilon, delta) bound on two output samplers.
-
-    Each sampler maps (rng, runs) to a (runs,) array of scalar outputs;
-    side a draws first, then side b.  Bins both samples (with underflow
-    and overflow cells) and rejects when a Clopper-Pearson lower bound on
-    one cell mass exceeds e^eps times the upper bound on the other plus
-    delta, in either direction, Bonferroni-corrected so a mechanism that
-    honestly satisfies the bound is rejected with probability at most
-    ``significance``.
-    """
-    # imported here, so that no experiment run loads scipy
-    from scipy.special import betaincinv
-    edges = np.asarray(bin_edges, dtype=float)
-    a = np.asarray(mech_a(rng, runs), dtype=float)
-    b = np.asarray(mech_b(rng, runs), dtype=float)
-    if a.shape != (runs,) or b.shape != (runs,):
-        raise ValueError(f"samplers must return ({runs},) arrays, got "
-                         f"{a.shape} and {b.shape}")
-    n_cells = len(edges) + 1
-    counts_a = np.bincount(np.searchsorted(edges, a, side="right"),
-                           minlength=n_cells)
-    counts_b = np.bincount(np.searchsorted(edges, b, side="right"),
-                           minlength=n_cells)
-    alpha_each = significance / (2 * n_cells)
-
-    def lcb(k):
-        return np.where(k > 0, betaincinv(k, runs - k + 1, alpha_each), 0.0)
-
-    def ucb(k):
-        return np.where(k < runs, betaincinv(k + 1, np.maximum(runs - k, 1),
-                                             1 - alpha_each), 1.0)
-
-    grow = math.exp(epsilon)
-    margin_ab = lcb(counts_a) - (grow * ucb(counts_b) + delta)
-    margin_ba = lcb(counts_b) - (grow * ucb(counts_a) + delta)
-    worst = float(max(margin_ab.max(), margin_ba.max()))
-    return AuditReport(
-        rejected=worst > 0,
-        runs=runs,
-        epsilon=epsilon,
-        delta=delta,
-        significance=significance,
-        worst_margin=worst,
-        n_cells=n_cells,
-    )
 
 
 # --------------------------------------------------------------------------
@@ -518,96 +435,3 @@ def histogram_query_release(
     yhat = family.matrix.astype(float) @ dense / released.total
     return yhat, released
 
-
-# --------------------------------------------------------------------------
-# black-box reductions
-
-
-class GroupPrivacyWrapped:
-    """Replicates each point p times before calling the base mechanism.
-
-    A replace-one change in the small dataset moves p points of the big
-    one, so an (eps, delta) base guarantee becomes
-    (p eps, delta (e^{p eps} - 1) / (e^eps - 1)); the delta factor tends
-    to p as eps tends to zero.
-    """
-
-    def __init__(self, mech, p: int):
-        if not isinstance(p, int) or p < 1:
-            raise ValueError("group size p must be a positive integer")
-        self.mech = mech
-        self.p = p
-
-    @property
-    def name(self) -> str:
-        return f"group-{self.p}x-{self.mech.name}"
-
-    def __call__(self, ds: Dataset, rng=None) -> MechanismAnswer:
-        p = self.p
-        ans = self.mech(Dataset(np.repeat(ds.points, p, axis=0)), rng)
-        eps, delta = ans.epsilon, ans.delta
-        if p == 1 or math.isinf(eps):
-            new_eps, new_delta = eps, delta
-        elif eps == 0:
-            new_eps, new_delta = 0.0, p * delta
-        else:
-            new_eps = p * eps
-            new_delta = delta * math.expm1(p * eps) / math.expm1(eps)
-        diags = dict(ans.diagnostics)
-        diags["group_size"] = p
-        return MechanismAnswer(
-            estimate=ans.estimate,
-            epsilon=new_eps,
-            delta=new_delta,
-            adjacency=ans.adjacency,
-            diagnostics=diags,
-        )
-
-
-def group_shrink(ds: Dataset, p: int) -> Dataset:
-    """Keep one representative per block of p points; remainder discarded."""
-    if not isinstance(p, int) or p < 1:
-        raise ValueError("group size p must be a positive integer")
-    q = ds.n // p
-    if q == 0:
-        raise ValueError("dataset smaller than the group size")
-    keep = slice(0, q * p, p)
-    return Dataset(ds.points[keep].copy())
-
-
-class PaddedMechanism:
-    """Pads a dataset with copies of an anchor point before answering.
-
-    On m real points, runs the base mechanism on n = k m points (the extra
-    n - m are the anchor z) and returns (n/m) (q - ((n-m)/n) z), which
-    undoes the padding exactly for mean answers.
-    """
-
-    def __init__(self, mech, k: int, anchor: np.ndarray):
-        if not isinstance(k, int) or k < 1:
-            raise ValueError("pad factor k must be a positive integer")
-        self.anchor = np.asarray(anchor, dtype=np.float64)
-        if self.anchor.ndim != 1:
-            raise ValueError("the anchor must be one dense (dim,) point")
-        self.mech = mech
-        self.k = k
-
-    @property
-    def name(self) -> str:
-        return f"pad-{self.k}x-{self.mech.name}"
-
-    def __call__(self, ds: Dataset, rng=None) -> MechanismAnswer:
-        m = ds.n
-        n = self.k * m
-        pad = np.tile(self.anchor, (n - m, 1))
-        ans = self.mech(Dataset(np.vstack([ds.points, pad])), rng)
-        est = (n / m) * (ans.estimate - ((n - m) / n) * self.anchor)
-        diags = dict(ans.diagnostics)
-        diags["pad_factor"] = self.k
-        return MechanismAnswer(
-            estimate=est,
-            epsilon=ans.epsilon,
-            delta=ans.delta,
-            adjacency=ans.adjacency,
-            diagnostics=diags,
-        )

@@ -95,7 +95,8 @@ def tilt_sample_blocks(dist: TiltedDistribution, rng: np.random.Generator,
     else:
         table = plus_prob(dist.type_tilts)  # per (type, coordinate)
         if len(table) > 1:
-            types = rng.choice(len(table), size=count, p=np.exp(dist.type_logp))
+            # tilt makes every tensor type equally likely
+            types = rng.integers(0, len(table), size=count)
     for s in range(0, max(count, 1), block):
         t = types[s:s + block]
         if fam.kind == "matrix-columns":

@@ -10,6 +10,7 @@ every seed fixed so reruns are bitwise-stable:
     - score separation for exact and noised mean mechanisms
     - staged-protocol gap behavior at the desk point (m=6, k=64, d=32)
     - exact Rademacher tails, the K-functional sandwich, and reductions
+      (these lemma helpers and the privacy audit live in tests/lemmas.py)
     - bitwise CSV determinism across worker counts, across BLAS thread
       counts, and against the golden digests in tests/golden/
 
@@ -50,14 +51,11 @@ from tiltlab.mechanisms import (
     Dataset,
     EmpiricalMean,
     GaussianMechanism,
-    GroupPrivacyWrapped,
     HistogramVector,
-    PaddedMechanism,
-    audit_frequency_ratio,
+    _release_rows,
     histogram_query_release,
     required_mass,
     sparse_histogram,
-    sparse_histogram_many,
 )
 from tiltlab.seeds import trial_seed_sequence
 from tiltlab.structure import (
@@ -65,14 +63,21 @@ from tiltlab.structure import (
     check_column_sums,
     check_expanding,
     check_regular,
-    is_good_vector,
-    k12,
-    k12_sandwich_constant,
-    rademacher_tail,
     tilt_weights,
     tilted_column_cov,
 )
 from tiltlab.tilt import divergence_check, tilt, tilt_sample_many
+
+from lemmas import (
+    GroupPrivacyWrapped,
+    PaddedMechanism,
+    audit_frequency_ratio,
+    grid_k12,
+    is_good_vector,
+    k12,
+    k12_sandwich_constant,
+    rademacher_tail,
+)
 
 MASTER_SEED = 1234
 GOLDEN_DIGESTS = Path(__file__).parent / "golden" / "csv_sha256.txt"
@@ -152,8 +157,8 @@ class TestSparseHistogramRelease:
         hist_a = HistogramVector([0, 1], [6.0, 4.0], universe_size=2)
         hist_b = HistogramVector([0, 1], [6.5, 3.5], universe_size=2)
         report = audit_frequency_ratio(
-            lambda r, n: sparse_histogram_many(hist_a, 1.0, 1e-4, r, n)[:, 0],
-            lambda r, n: sparse_histogram_many(hist_b, 1.0, 1e-4, r, n)[:, 0],
+            lambda r, n: _release_rows(hist_a, 1.0, 1e-4, r, n)[0][:, 0],
+            lambda r, n: _release_rows(hist_b, 1.0, 1e-4, r, n)[0][:, 0],
             epsilon=1.0, delta=1e-4, runs=1_000_000,
             bin_edges=np.linspace(0.0, 10.0, 21), rng=rng,
         )
@@ -469,27 +474,6 @@ class TestStagedProtocolDesk:
         assert np.array_equal(tr_a.c_hat, tr_b.c_hat)
         assert tr_a.final_scale == tr_b.final_scale
         assert tr_a.final_gap.population_mean == tr_b.final_gap.population_mean
-
-
-def grid_k12(a, t, levels=4, res=41):
-    """Refined-grid oracle over the componentwise split, d <= 3."""
-    a = np.abs(np.asarray(a, dtype=float))
-    d = len(a)
-    lo, hi = np.zeros(d), a.copy()
-    best = math.inf
-    for _ in range(levels):
-        axes = [np.linspace(lo[i], hi[i], res) for i in range(d)]
-        grids = np.meshgrid(*axes, indexing="ij")
-        part = np.stack([g.ravel() for g in grids], axis=1)
-        obj = part.sum(axis=1) + t * np.sqrt(
-            ((a[None, :] - part) ** 2).sum(axis=1)
-        )
-        j = int(np.argmin(obj))
-        best = min(best, float(obj[j]))
-        span = (hi - lo) / (res - 1)
-        lo = np.maximum(0, part[j] - 2 * span)
-        hi = np.minimum(a, part[j] + 2 * span)
-    return best
 
 
 class TestTailAndKFunctional:

@@ -1,4 +1,9 @@
-"""Staged-protocol tests: obfuscation, evaluators, analysts, transcripts."""
+"""Staged-protocol tests: obfuscation, evaluators, analysts, transcripts.
+
+The obfuscation round trip decodes with a test-local inverse built on the
+mask PRF (``_prf_key``, ``_prf_bit``), which keys slice r by the prefix of
+bits it has already decoded: an independent route back to the clear bits.
+"""
 
 import hashlib
 import math
@@ -20,9 +25,10 @@ from tiltlab.ada import (
     StageQueryBatch,
     builtin_analysts,
     default_tau,
-    deobfuscate_many,
     gap,
     obfuscate_many,
+    _prf_bit,
+    _prf_key,
     run_ada_protocol,
 )
 from tiltlab.attack import ThetaSampler
@@ -45,6 +51,19 @@ def named_sample(dist, rng, n, W):
     points = tilt_sample_many(dist, rng, n)
     points.names = rng.choice(W, size=n, replace=False)
     return points
+
+
+def deobfuscate_many(obf, names, ti, tj, masked):
+    """Decode slice by slice: the prefix keying slice r is the clear bits
+    decoded so far."""
+    key = _prf_key(obf.seed, names, ti, tj)
+    out = np.empty_like(masked)
+    prefix = np.zeros(len(masked), dtype=np.uint64)
+    for r in range(masked.shape[1]):
+        flip = _prf_bit(key, r, prefix)
+        out[:, r] = np.where(flip, -masked[:, r], masked[:, r])
+        prefix |= (out[:, r] == -1).astype(np.uint64) << np.uint64(r)
+    return out
 
 
 class TestObfuscation:

@@ -6,12 +6,15 @@ counts, replayable rows, error rows that flush instead of killing the run,
 and exit codes.
 """
 
+import ast
 import dataclasses
 import json
 import math
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,10 +35,35 @@ from tiltlab.mechanisms import RECONSTRUCT_CAP, EmpiricalMean
 from tiltlab.seeds import trial_seed_sequence
 
 
+def test_src_imports_only_stdlib_and_numpy():
+    # every import in src/tiltlab, including those inside functions, is
+    # from the standard library, numpy or tiltlab itself, and numpy is the
+    # one runtime dependency; scipy serves the tests alone
+    root = Path(__file__).resolve().parent.parent
+    foreign = []
+    for path in sorted((root / "src" / "tiltlab").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules = [node.module]
+            else:
+                continue
+            foreign += [f"{path.name}:{node.lineno} {name}" for name in modules
+                        if name.partition(".")[0] not in
+                        sys.stdlib_module_names | {"numpy"}]
+    assert foreign == []
+    tomllib = pytest.importorskip("tomllib")
+    with open(root / "pyproject.toml", "rb") as fh:
+        project = tomllib.load(fh)["project"]
+    assert [re.match(r"[A-Za-z0-9_.-]+", dep).group()
+            for dep in project["dependencies"]] == ["numpy"]
+
+
 def test_import_skips_unused_scipy_modules():
     # scipy.special alone would more than double the import time (its
-    # array-API shim pulls in numpy.f2py); only the frequency audit needs
-    # scipy, and only a multi-worker run needs multiprocessing
+    # array-API shim pulls in numpy.f2py); no experiment kind, the CLI or
+    # replay needs scipy, and only a multi-worker run needs multiprocessing
     configs = ["\n".join([f"kind = {kind}"] + [
         f"{key} = {value}" for key, value in TINY_SETTINGS[kind].items()])
         for kind in sorted(EXPERIMENT_KINDS)]

@@ -4,7 +4,8 @@ Oracles:
     - Truncated Laplace empirical CDF against the closed-form truncated CDF.
     - The array truncated-Laplace draw against a one-at-a-time rejection
       loop, and the sorted water level against a bisection.
-    - sparse_histogram_many rows against sequential sparse_histogram calls.
+    - The rows of one batched release (_release_rows) against sequential
+      sparse_histogram calls.
     - Water-filling projection optimality against random feasible candidates.
     - reconstruct_slices_batch against exhaustive grid search for m <= 3,
       and its certified stop against a test-local copy of the uncertified
@@ -12,6 +13,9 @@ Oracles:
     - The L1-optimal projection onto H (a test-local LP) against a
       brute-force lambda grid at k = 2, and project_to_H within sqrt(k) of it.
     - PaddedMechanism and GroupPrivacyWrapped closed-form behavior.
+
+The reductions and the frequency audit are lemma checks, not library
+features: they live in tests/lemmas.py, and group_shrink lives here.
 """
 
 import math
@@ -29,22 +33,20 @@ from tiltlab.mechanisms import (
     Dataset,
     EmpiricalMean,
     GaussianMechanism,
-    GroupPrivacyWrapped,
     HistogramVector,
-    PaddedMechanism,
     RECONSTRUCT_STOP_ULPS,
-    audit_frequency_ratio,
+    _release_rows,
     complement_floor,
-    group_shrink,
     histogram_query_release,
     project_to_H,
     reconstruct_slices_batch,
     required_mass,
     _water_fill_surplus,
     sparse_histogram,
-    sparse_histogram_many,
     trunc_laplace,
 )
+
+from lemmas import GroupPrivacyWrapped, PaddedMechanism, audit_frequency_ratio
 
 
 def scalar_trunc_laplace(rng, scale, bound, size):
@@ -247,7 +249,7 @@ class TestSparseHistogramMany:
 
         r1 = np.random.default_rng(7)
         r2 = np.random.default_rng(7)
-        block = sparse_histogram_many(hist, eps, delta, r1, runs)
+        block = _release_rows(hist, eps, delta, r1, runs)[0]
         seq = [sparse_histogram(hist, eps, delta, r2) for _ in range(runs)]
         assert block.dtype == np.float64 and block.shape == (runs, support)
         assert all(np.array_equal(out.elements, ids) for out in seq)
@@ -281,8 +283,8 @@ class TestSparseHistogramMany:
     def test_zero_mass_rows_release_zero(self):
         # a zero target floors every row to zero, whatever the noise
         hist = HistogramVector([0, 1, 2], np.zeros(3))
-        block = sparse_histogram_many(hist, 1.0, 1e-6,
-                                      np.random.default_rng(3), 50)
+        block = _release_rows(hist, 1.0, 1e-6, np.random.default_rng(3),
+                              50)[0]
         assert not block.any()
 
 
@@ -628,6 +630,17 @@ class TestQueryRelease:
         truth = fam.matrix.astype(float) @ dense / hist.total
         assert np.linalg.norm(yhat - truth) <= 0.5 * math.sqrt(16)
         assert released.total == pytest.approx(n_req, abs=1e-6)
+
+
+def group_shrink(ds: Dataset, p: int) -> Dataset:
+    """Keep one representative per block of p points; remainder discarded."""
+    if not isinstance(p, int) or p < 1:
+        raise ValueError("group size p must be a positive integer")
+    q = ds.n // p
+    if q == 0:
+        raise ValueError("dataset smaller than the group size")
+    keep = slice(0, q * p, p)
+    return Dataset(ds.points[keep].copy())
 
 
 class TestReductions:

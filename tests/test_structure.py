@@ -1,15 +1,20 @@
 """K-functional, Rademacher tails, and random-matrix structure checks.
 
 Oracles:
-    - k12 against a per-segment stationary-point formula and a refined grid.
-    - Exact sign-sum tails against binomial closed forms.
+    - k12 (tests/lemmas.py) against a per-segment stationary-point formula
+      and a refined grid.
+    - Exact sign-sum tails (tests/lemmas.py) against binomial closed forms.
     - Column-sum second moment against its exact expectation kd.
-    - Expanding-check values against tilt_mean of the matrix-columns tilt.
+    - Expanding-check values against tilt_mean of the matrix-columns tilt,
+      and against the plain inner product for one column, at the thetas
+      the check draws, redrawn from a copy of its generator.
     - Regular-check verdicts against eigvalsh of the same covariances.
     - Two-point closed form for the exponential-reweighting bound.
 
-The joint tail constant and the exponential-reweighting shift are lemma
-checks, not library features, so their helpers live here.
+The K-functional, the exact tails, the joint tail constant and the
+exponential-reweighting shift are lemma checks, not library features, so
+their helpers live in the tests: here, or in tests/lemmas.py where another
+test file needs them too.
 """
 
 import copy
@@ -26,17 +31,21 @@ from tiltlab.structure import (
     check_column_sums,
     check_expanding,
     check_regular,
-    exact_sign_tail,
-    is_good_vector,
-    k12,
-    k12_sandwich_constant,
-    rademacher_tail,
     sample_k_subsets,
     tilt_weights,
     tilted_column_cov,
 )
 from tiltlab.families import make_family
 from tiltlab.tilt import tilt, tilt_mean
+
+from lemmas import (
+    exact_sign_tail,
+    grid_k12,
+    is_good_vector,
+    k12,
+    k12_sandwich_constant,
+    rademacher_tail,
+)
 
 
 def segment_k12(a, t):
@@ -63,27 +72,6 @@ def segment_k12(a, t):
             if lo < c_star < hi:
                 candidates.append(c_star)
     return min(g(c) for c in candidates)
-
-
-def grid_k12(a, t, levels=4, res=41):
-    """Refined-grid oracle over the componentwise split, d <= 3."""
-    a = np.abs(np.asarray(a, dtype=float))
-    d = len(a)
-    lo, hi = np.zeros(d), a.copy()
-    best = math.inf
-    for _ in range(levels):
-        axes = [np.linspace(lo[i], hi[i], res) for i in range(d)]
-        grids = np.meshgrid(*axes, indexing="ij")
-        part = np.stack([g.ravel() for g in grids], axis=1)
-        obj = part.sum(axis=1) + t * np.sqrt(
-            ((a[None, :] - part) ** 2).sum(axis=1)
-        )
-        j = int(np.argmin(obj))
-        best = min(best, float(obj[j]))
-        span = (hi - lo) / (res - 1)
-        lo = np.maximum(0, part[j] - 2 * span)
-        hi = np.minimum(a, part[j] + 2 * span)
-    return best
 
 
 class TestK12:
@@ -301,14 +289,20 @@ class TestSampleKSubsets:
         assert np.all(np.abs(counts / draws - p) <= 5 * sd)
 
 
+def expanding_thetas(r, trials, rng, d):
+    """The thetas ``check_expanding(a, r, eta, trials, rng)`` draws, from a
+    copy of its generator."""
+    g = rng.normal(size=(trials, d))
+    return g / np.linalg.norm(g, axis=1, keepdims=True) * r
+
+
 class TestExpanding:
     def test_single_column_value_is_plain_inner_product(self):
         rng = np.random.default_rng(13)
         a = random_pm1_matrix(rng, 16, 1)
-        thetas = np.random.default_rng(14).normal(size=(40, 16))
-        thetas /= np.linalg.norm(thetas, axis=1, keepdims=True)
+        thetas = expanding_thetas(1.0, 40, copy.deepcopy(rng), 16)
         report = check_expanding(a, r=1.0, eta_probe=-10.0, trials=40,
-                                 rng=rng, thetas=thetas)
+                                 rng=rng)
         want = thetas @ a[:, 0].astype(float)
         np.testing.assert_allclose(report.values, want, atol=1e-12)
 
@@ -331,9 +325,10 @@ class TestExpanding:
         # E_{v ~ D_theta}[<v, theta>] is <tilt_mean, theta>, and tilt_mean is
         # a separate softmax over the same columns
         fam = make_family("matrix-columns", d=24, n_columns=200, seed=17)
-        thetas = np.random.default_rng(17).normal(size=(10, 24))
+        rng = np.random.default_rng(18)
+        thetas = expanding_thetas(1.0, 10, copy.deepcopy(rng), 24)
         report = check_expanding(fam.matrix, r=1.0, eta_probe=0.0, trials=10,
-                                 rng=np.random.default_rng(18), thetas=thetas)
+                                 rng=rng)
         want = [tilt_mean(tilt(fam, th)) @ th for th in thetas]
         np.testing.assert_allclose(report.values, want, rtol=1e-12)
 
@@ -347,8 +342,6 @@ def cov_at(a, theta):
 def regular_thetas(r, trials, rng, d):
     """The thetas ``check_regular(a, r, trials, rng)`` draws, from a copy of
     its generator: eigenvalues are taken here, not by the check."""
-    if r == 0:
-        return np.zeros((trials, d))
     g = rng.normal(size=(trials, d))
     unit = g / np.linalg.norm(g, axis=1, keepdims=True)
     return unit * (r * rng.random(trials) ** (1.0 / d))[:, None]

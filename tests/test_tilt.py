@@ -9,7 +9,8 @@ Oracles:
     - Divergence check against closed-form divergences for the exact-mean
       mechanism: sum_i sech^2(theta_i) on the hypercube and
       (1/m) sum_{i,j,r} sech^2(T[i,j,r]) for the type-conditioned tensor tilt.
-    - Batched sampling against a per-point copy of the sampling recipe, and
+    - Batched sampling against a per-point copy of the sampling recipe
+      (uniform tensor types by rng.integers, then the v-bits), and
       PointBatch.densify against a test-local per-point resolve; its
       m = k = 1 fast path against a test-local copy of the general scatter.
     - Exact tilt means (overall and per type) on random small families
@@ -303,7 +304,8 @@ def per_point_sample(dist, rng, count):
     if n_types == 1:
         types = np.zeros(count, dtype=np.int64)
     else:
-        types = rng.choice(n_types, size=count, p=np.exp(dist.type_logp))
+        # tensor types are uniform by construction (type_logp is flat)
+        types = rng.integers(0, n_types, size=count)
     p_plus = expit(2.0 * dist.type_tilts[types])
     v = np.where(rng.random((count, fam.d)) < p_plus, 1, -1).astype(np.int8)
     return types, v
