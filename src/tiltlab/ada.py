@@ -14,7 +14,10 @@ distinguishing query, and the sample-vs-population gap is measured.
 Universe points are never enumerated: a point's partial score depends only
 on its type, its revealed bits, and the reconstructed field, so dataset
 points and one Monte Carlo population per run are tracked by the same
-running walk, advanced one slice per stage.
+running walk, advanced one slice per stage.  Per-type tables are read by
+the flat type id i * k + j that PointBatch.types already holds.  The gap's
+population is streamed in tilt.SAMPLE_BLOCK rows, so the final query is
+called once on the dataset and then once per population block.
 
 Seeding is split into fixed, independent branches (dataset, obfuscation,
 accuracy checks, gap estimation, analyst noise), so replaying a run with
@@ -33,7 +36,8 @@ import numpy as np
 from .errors import ProtocolAbort
 from .families import PointBatch, PointFamily, predicate_matrix
 from .mechanisms import project_to_H, reconstruct_slices_batch
-from .tilt import TiltedDistribution, tilt, tilt_sample_many
+from .tilt import SAMPLE_BLOCK, TiltedDistribution, tilt, \
+    tilt_sample_blocks, tilt_sample_many
 
 # --------------------------------------------------------------------------
 # seeded pseudorandom masks
@@ -58,8 +62,9 @@ def _prf_key(seed: int, names, ti, tj) -> np.ndarray:
     return _mix64(h ^ np.asarray(tj, dtype=_U64))
 
 
-def _prf_bit(key: np.ndarray, r: int, prefix: np.ndarray) -> np.ndarray:
-    """The mask bit of slice r from a point's key and its clear prefix."""
+def _prf_bit(key: np.ndarray, r, prefix: np.ndarray) -> np.ndarray:
+    """The mask bit of slice r from a point's key and its clear prefix;
+    arrays of slices broadcast against the keys."""
     h = _mix64(key ^ _U64(r))
     h = _mix64(h ^ prefix)
     return (h >> _U64(63)).astype(bool)
@@ -90,14 +95,14 @@ def obfuscate_many(obf: Obfuscation, names, ti, tj, v: np.ndarray) -> np.ndarray
     if names.size and (names.min() < 0 or names.max() >= obf.W):
         raise ValueError(f"names must lie in [0, {obf.W})")
     bits = np.asarray(v, dtype=np.int8)
-    out = np.empty_like(bits)
+    slices = np.arange(bits.shape[1], dtype=_U64)
+    # the prefix of slice r ORs bit s < r of each -1 in slice s; the bits
+    # are distinct, so the exclusive running sum is that OR
+    neg = (bits == -1).astype(_U64) << slices
+    prefix = np.cumsum(neg, axis=1, dtype=_U64) - neg
     key = _prf_key(obf.seed, names, ti, tj)
-    prefix = np.zeros(len(bits), dtype=_U64)
-    for r in range(bits.shape[1]):
-        flip = _prf_bit(key, r, prefix)
-        out[:, r] = np.where(flip, -bits[:, r], bits[:, r])
-        prefix |= (bits[:, r] == -1).astype(_U64) << _U64(r)
-    return out
+    flip = _prf_bit(key[:, None], slices, prefix)
+    return np.where(flip, -bits, bits)
 
 
 # --------------------------------------------------------------------------
@@ -110,18 +115,25 @@ class ScoreField:
 
     ``c_hat[i, j, r]`` multiplies (v_r - ref_shift[i, j, r]) in the score of
     a type-(i, j) point, so scores of whole batches reduce to table lookups.
+    The methods take flat type ids t = i * k + j and read the tables as
+    (m * k, d) views.
     """
 
     c_hat: np.ndarray  # (m, k, d)
     ref_shift: np.ndarray  # (m, k, d)
 
-    def increments(self, ti, tj, v: np.ndarray) -> np.ndarray:
-        return (v - self.ref_shift[ti, tj, :]) * self.c_hat[ti, tj, :]
+    def _rows(self):
+        d = self.c_hat.shape[2]
+        return self.ref_shift.reshape(-1, d), self.c_hat.reshape(-1, d)
 
-    def score(self, ti, tj, v: np.ndarray) -> np.ndarray:
-        return self.increments(ti, tj, v).sum(axis=1)
+    def increments(self, t, v: np.ndarray) -> np.ndarray:
+        shift, coef = self._rows()
+        return (v - shift[t]) * coef[t]
 
-    def advance(self, ti, tj, v_r: np.ndarray, r: int, psum: np.ndarray,
+    def score(self, t, v: np.ndarray) -> np.ndarray:
+        return self.increments(t, v).sum(axis=1)
+
+    def advance(self, t, v_r: np.ndarray, r: int, psum: np.ndarray,
                 run_max: np.ndarray) -> None:
         """Add slice r's increments to psum and raise run_max to it, in place.
 
@@ -130,7 +142,8 @@ class ScoreField:
         The empty prefix counts, so it differs from the largest non-empty
         prefix only below zero, which no threshold tau > 0 tells apart.
         """
-        psum += (v_r - self.ref_shift[ti, tj, r]) * self.c_hat[ti, tj, r]
+        shift, coef = self._rows()
+        psum += (v_r - shift[:, r][t]) * coef[:, r][t]
         np.maximum(run_max, psum, out=run_max)
 
 
@@ -142,12 +155,11 @@ class FinalQuery:
         self.field = score_field
         self.scale = m / (2.0 * C * math.sqrt(d * math.log(1.0 / alpha)))
 
-    def evaluate_bits(self, ti, tj, v: np.ndarray) -> np.ndarray:
-        return np.clip(self.field.score(ti, tj, v) * self.scale, -1.0, 1.0)
+    def evaluate_bits(self, t, v: np.ndarray) -> np.ndarray:
+        return np.clip(self.field.score(t, v) * self.scale, -1.0, 1.0)
 
     def __call__(self, points: PointBatch) -> np.ndarray:
-        ti, tj = np.divmod(points.types, self.field.c_hat.shape[1])
-        return self.evaluate_bits(ti, tj, points.v)
+        return self.evaluate_bits(points.types, points.v)
 
 
 @dataclass
@@ -163,10 +175,16 @@ def gap(query: Callable, points: PointBatch, dist: TiltedDistribution,
     """|dataset mean - Monte Carlo population mean| of a [-1,1] query.
 
     ``query`` is called with a PointBatch and must return one value per
-    point."""
+    point.  It is called once on the dataset and then once per block of at
+    most SAMPLE_BLOCK population points, drawn by tilt_sample_blocks, so the
+    population never exists as one dense batch.  A query whose value on a
+    point depends only on that point gives the same result, and leaves rng in
+    the same state, for any block size."""
     ds_vals = np.asarray(query(points), dtype=float)
-    pop_vals = np.asarray(query(tilt_sample_many(dist, rng, mc_count)),
-                          dtype=float)
+    pop_vals = np.concatenate([
+        np.asarray(query(block), dtype=float)
+        for block in tilt_sample_blocks(dist, rng, mc_count, SAMPLE_BLOCK)
+    ])
     pop_mean = float(pop_vals.mean())
     stderr = float(pop_vals.std(ddof=1) / math.sqrt(mc_count))
     ds_mean = float(ds_vals.mean())
@@ -193,7 +211,7 @@ class StageQueryBatch:
     def __init__(self, ti, tj, v_r, compromised, hmat, basis):
         self._ti = ti
         self._tj = tj
-        self._vr = v_r.astype(float)
+        self._vr = v_r
         self._comp = compromised
         self._hmat = hmat
         self._basis = basis
@@ -212,13 +230,13 @@ class StageQueryBatch:
             vr, comp = self._vr[idx], self._comp[idx]
         m = self._hmat.shape[1]
         k = self._basis.shape[0]
-        live = ~comp
-        # per-type sums of +-1 bits: exact integers in any order
-        sums = np.bincount(ti[live] * k + tj[live], weights=vr[live],
+        # per-type sums of the live +-1 bits: exact integers in any order
+        sums = np.bincount(ti * k + tj, weights=np.where(comp, 0.0, vr),
                            minlength=m * k).reshape(m, k)
-        vals = self._hmat @ sums @ self._basis.T  # (2^m, k)
-        flat = vals.T.reshape(-1)
-        return (flat + float(comp.sum())) / len(ti)
+        vals = self._basis @ (sums.T @ self._hmat.T)  # (k, 2^m)
+        vals += float(comp.sum())
+        vals /= len(ti)
+        return vals.reshape(-1)
 
 
 # --------------------------------------------------------------------------
@@ -460,7 +478,8 @@ def run_ada_protocol(
     # stacked state; it is independent of all the analyst sees and each
     # stage's slack bounds that stage alone, so stages may share it
     pop = tilt_sample_many(dist, np.random.default_rng(ss_acc), mc_accuracy)
-    wi, wj = np.divmod(np.concatenate([points.types, pop.types]), k)
+    pi, pj = np.divmod(pop.types, k)
+    wtypes = np.concatenate([points.types, pop.types])
     wbits = np.concatenate([bits, pop.v])
     psum = np.zeros(n + mc_accuracy)
     run_max = np.zeros(n + mc_accuracy)
@@ -484,7 +503,7 @@ def run_ada_protocol(
 
         # population accuracy check under the same masked-query rule
         pop_comp = run_max[n:] > tau
-        pop_vals = StageQueryBatch(wi[n:], wj[n:], pop.v[:, r], pop_comp,
+        pop_vals = StageQueryBatch(pi, pj, pop.v[:, r], pop_comp,
                                    hmat, basis).eval_mean()
         max_dev = float(np.abs(answers - pop_vals).max())
         accuracy_ok = max_dev <= alpha + acc_slack
@@ -501,7 +520,7 @@ def run_ada_protocol(
         _, lam = project_to_H(recon, basis, 1.0 / m)  # (k, m)
         c_hat[:, :, r] = lam.T / m
 
-        field.advance(wi, wj, wbits[:, r], r, psum, run_max)
+        field.advance(wtypes, wbits[:, r], r, psum, run_max)
         crossed = run_max[:n] > tau
         newly = crossed & ~comp
         crossing_stage[newly] = r

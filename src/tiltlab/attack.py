@@ -8,8 +8,8 @@ separation certifies that the answer leaks its inputs.
 
 RNG order within a trial is fixed (theta, dataset, mechanism, fresh draws)
 so a trial is replayable from its seed.  Fresh points are drawn and scored
-FRESH_BLOCK rows at a time, on the stream of one tilt_sample_many call, so
-memory does not grow with the fresh count.
+tilt.SAMPLE_BLOCK rows at a time, on the stream of one tilt_sample_many
+call, so memory does not grow with the fresh count.
 """
 
 from __future__ import annotations
@@ -23,11 +23,10 @@ import numpy as np
 from .families import PointFamily
 from .mechanisms import Dataset
 from .structure import tilt_weights, tilted_column_cov
-from .tilt import tilt, tilt_mean, tilt_mean_typed, tilt_sample_blocks, \
-    tilt_sample_many
+from .tilt import SAMPLE_BLOCK, tilt, tilt_mean, tilt_mean_typed, \
+    tilt_sample_blocks, tilt_sample_many
 
 _REGIONS = ("l2-sphere", "l2-ball", "l1-surface", "l1-ball")
-FRESH_BLOCK = 4096  # fresh points drawn, densified and scored at a time
 
 
 @dataclass(frozen=True)
@@ -112,7 +111,7 @@ def run_attack_trial(
     ans = mechanism(ds, rng)
     answer = np.asarray(ans.estimate, dtype=float).reshape(-1)
     in_scores = _scores(dist, [(batch.types, ds.points)], answer)
-    fresh = tilt_sample_blocks(dist, rng, fresh_count, FRESH_BLOCK)
+    fresh = tilt_sample_blocks(dist, rng, fresh_count, SAMPLE_BLOCK)
     fresh_scores = _scores(dist, ((b.types, b.densify()) for b in fresh),
                            answer)
     return ScoreReport(
@@ -157,7 +156,7 @@ def run_shifted_attack_trial(
     answer = np.asarray(ans.estimate, dtype=float).reshape(-1)
     target = answer - mu
     in_scores = (ds.points - mu) @ target
-    fresh = tilt_sample_blocks(dist, rng, fresh_count, FRESH_BLOCK)
+    fresh = tilt_sample_blocks(dist, rng, fresh_count, SAMPLE_BLOCK)
     fresh_scores = _scores(dist, ((b.types, b.densify()) for b in fresh),
                            target, mu)
     (weights,), (col_mean,) = tilt_weights(family.matrix, theta[None])

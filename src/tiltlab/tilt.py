@@ -37,8 +37,6 @@ class TiltedDistribution:
     type_tilts: Optional[np.ndarray] = None
     # log partition per type (tensor families) or None
     type_logz: Optional[np.ndarray] = None
-    # log probability of each type
-    type_logp: Optional[np.ndarray] = None
     # matrix-columns: softmax log-probabilities per column
     column_logp: Optional[np.ndarray] = None
 
@@ -60,20 +58,21 @@ def tilt(family: PointFamily, theta) -> TiltedDistribution:
         return TiltedDistribution(family, theta, column_logp=logp)
 
     # theta viewed as (m, k, d); the (i, j) type tilts the v-bits with
-    # t_c = sum_b theta[i, b, c] * u_j[b]
+    # t_c = sum_b u_j[b] * theta[i, b, c], one GEMM per i; the +-1 products
+    # are exact, so the bits rest only on summing b in order, which it does
     th = theta.reshape(family.m, family.k, family.d)
-    tilts = np.einsum("ibc,jb->ijc", th, family.basis).reshape(-1, family.d)
+    tilts = np.matmul(family.basis.astype(np.float64), th).reshape(-1, family.d)
 
     logz = np.logaddexp(tilts, -tilts).sum(axis=1)  # log 2cosh(t) per bit
-    logp = np.full(len(logz), -np.log(len(logz)))
-    return TiltedDistribution(
-        family, theta, type_tilts=tilts, type_logz=logz, type_logp=logp
-    )
+    return TiltedDistribution(family, theta, type_tilts=tilts, type_logz=logz)
 
 
 def _logsumexp(x: np.ndarray) -> float:
     m = np.max(x)
     return float(m + np.log(np.exp(x - m).sum()))
+
+
+SAMPLE_BLOCK = 1024  # rows per tilt_sample_blocks batch of streamed draws
 
 
 def tilt_sample_many(dist: TiltedDistribution, rng: np.random.Generator,
@@ -121,7 +120,8 @@ def tilt_mean(dist: TiltedDistribution) -> np.ndarray:
     if fam.kind == "matrix-columns":
         return np.exp(dist.column_logp) @ fam.matrix.T.astype(np.float64)
     t3 = np.tanh(dist.type_tilts).reshape(fam.m, fam.k, fam.d)
-    p2 = np.exp(dist.type_logp).reshape(fam.m, fam.k)
+    # every tensor type is equally likely
+    p2 = np.full((fam.m, fam.k), np.exp(-np.log(fam.n_types)))
     mu = np.einsum("ij,jp,ijr->ipr", p2, fam.basis.astype(np.float64), t3)
     return mu.reshape(fam.dim)
 
@@ -147,11 +147,12 @@ def log_weights(dist: TiltedDistribution) -> np.ndarray:
         return dist.column_logp.copy()
     block = 2 ** fam.d
     signs = support_batch(fam).v[:block].astype(np.float64)  # type-0 bits
+    type_logp = -np.log(fam.n_types)  # every tensor type is equally likely
     out = np.empty(fam.size)
     for t in range(fam.n_types):
         scores = signs @ dist.type_tilts[t]
         out[t * block : (t + 1) * block] = (
-            dist.type_logp[t] - dist.type_logz[t] + scores
+            type_logp - dist.type_logz[t] + scores
         )
     return out
 

@@ -37,7 +37,6 @@ import tiltlab
 from tiltlab.ada import ExactMeanAnalyst, SampleSplitAnalyst, default_tau, \
     run_ada_protocol
 from tiltlab.attack import (
-    FRESH_BLOCK,
     ThetaSampler,
     run_attack_trial,
     run_shifted_attack_trial,
@@ -66,7 +65,8 @@ from tiltlab.structure import (
     tilt_weights,
     tilted_column_cov,
 )
-from tiltlab.tilt import divergence_check, tilt, tilt_sample_many
+from tiltlab.tilt import SAMPLE_BLOCK, divergence_check, tilt, \
+    tilt_sample_many
 
 from lemmas import (
     GroupPrivacyWrapped,
@@ -566,6 +566,20 @@ DETERMINISM_CONFIGS = {
         mc_accuracy = 256
         mc_gap = 512
     """,
+    # tau = 0.5 compromises 33-50% of each dataset and 16-33% of the
+    # accuracy population, so the crossing and compromised paths reach the
+    # pinned bytes, which the default-tau config above never does
+    "ada-run-compromising": """
+        kind = ada-run
+        trials = 4
+        m = 2
+        k = 4
+        d = 8
+        n = 64
+        mc_accuracy = 256
+        mc_gap = 1024
+        tau = 0.5
+    """,
     "mech-bench": """
         kind = mech-bench
         trials = 3
@@ -589,42 +603,42 @@ DETERMINISM_CONFIGS = {
 
 
 class TestSuiteDeterminism:
-    @pytest.mark.parametrize("kind", sorted(DETERMINISM_CONFIGS))
-    def test_csv_bytes_stable_across_workers(self, kind, tmp_path):
-        cfg = parse_config(DETERMINISM_CONFIGS[kind])
+    @pytest.mark.parametrize("label", sorted(DETERMINISM_CONFIGS))
+    def test_csv_bytes_stable_across_workers(self, label, tmp_path):
+        cfg = parse_config(DETERMINISM_CONFIGS[label])
         outputs = []
-        for label, workers in (("a", 1), ("b", 3), ("c", 3)):
-            result = run_experiment(cfg, 99, tmp_path / label, workers=workers)
+        for run, workers in (("a", 1), ("b", 3), ("c", 3)):
+            result = run_experiment(cfg, 99, tmp_path / run, workers=workers)
             assert result.exit_code == 0
             outputs.append(result.csv_path.read_bytes())
         assert outputs[0] == outputs[1] == outputs[2]
 
-    @pytest.mark.parametrize("kind", sorted(DETERMINISM_CONFIGS))
-    def test_csv_bytes_match_golden_digest(self, kind, tmp_path):
+    @pytest.mark.parametrize("label", sorted(DETERMINISM_CONFIGS))
+    def test_csv_bytes_match_golden_digest(self, label, tmp_path):
         # pins the bytes across code changes, not only across worker counts
         golden = {}
         for line in GOLDEN_DIGESTS.read_text().splitlines():
             digest, name = line.split()
             golden[name] = digest
-        result = run_experiment(parse_config(DETERMINISM_CONFIGS[kind]), 99,
+        result = run_experiment(parse_config(DETERMINISM_CONFIGS[label]), 99,
                                 tmp_path)
         assert result.exit_code == 0
         got = hashlib.sha256(result.csv_path.read_bytes()).hexdigest()
-        assert got == golden[f"{kind}.csv"]
+        assert got == golden[f"{label}.csv"]
         # kinds that write a log (ada-run) pin its bytes too
-        log_name = f"{kind}.log"
+        log_name = f"{label}.log"
         assert result.log_path.exists() == (log_name in golden)
         if log_name in golden:
             got = hashlib.sha256(result.log_path.read_bytes()).hexdigest()
             assert got == golden[log_name]
         # the manifest pins the aggregate each kind's summary computes
         got = hashlib.sha256(result.manifest_path.read_bytes()).hexdigest()
-        assert got == golden[f"{kind}/manifest.json"]
+        assert got == golden[f"{label}/manifest.json"]
 
     def test_attack_csv_bytes_stable_across_blas_threads(self, tmp_path):
         # fresh scores are matrix-vector products over row blocks; OpenBLAS
         # splits each product across its threads, which must move no bit
-        fresh = 2 * FRESH_BLOCK + 100
+        fresh = 2 * SAMPLE_BLOCK + 100
         configs = [
             f"kind = attack-hypercube\ntrials = 2\nd = 64\nn = 4\n"
             f"fresh = {fresh}",

@@ -14,10 +14,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.special import expit
 
+from tiltlab import ada
 from tiltlab.ada import (
     ClampedMeanAnalyst,
     ExactMeanAnalyst,
     FinalQuery,
+    GapResult,
     GaussianNoisedAnalyst,
     Obfuscation,
     SampleSplitAnalyst,
@@ -35,7 +37,7 @@ from tiltlab.attack import ThetaSampler
 from tiltlab.errors import ProtocolAbort
 from tiltlab.families import PointBatch, make_family, predicate_matrix, \
     support_batch
-from tiltlab.tilt import log_weights, tilt, tilt_sample_many
+from tiltlab.tilt import SAMPLE_BLOCK, log_weights, tilt, tilt_sample_many
 
 
 def small_family():
@@ -152,30 +154,35 @@ class TestObfuscation:
             return z ^ (z >> u64(31))
 
         rng = np.random.default_rng(12)
-        n, d, seed = 500, 20, 2 ** 61 + 12345
-        names = rng.integers(0, 10 ** 9, n)
-        ti, tj = rng.integers(0, 6, n), rng.integers(0, 64, n)
-        v = rng.choice([-1, 1], size=(n, d)).astype(np.int8)
-        want = np.empty_like(v)
-        prefix = np.zeros(n, dtype=u64)
-        for r in range(d):
-            h = mix(u64(seed) ^ names.astype(u64))
-            h = mix(h ^ ti.astype(u64))
-            h = mix(h ^ tj.astype(u64))
-            h = mix(h ^ u64(r))
-            h = mix(h ^ prefix)
-            flip = (h >> u64(63)).astype(bool)
-            want[:, r] = np.where(flip, -v[:, r], v[:, r])
-            prefix |= (v[:, r] == -1).astype(u64) << u64(r)
-        obf = Obfuscation(seed=seed, W=10 ** 9)
-        assert np.array_equal(obfuscate_many(obf, names, ti, tj, v), want)
+        n, seed = 500, 2 ** 61 + 12345
+        # past 64 slices the prefix stops growing: numpy shifts a uint64
+        # by 64 or more to 0
+        for d in (20, 70):
+            names = rng.integers(0, 10 ** 9, n)
+            ti, tj = rng.integers(0, 6, n), rng.integers(0, 64, n)
+            v = rng.choice([-1, 1], size=(n, d)).astype(np.int8)
+            want = np.empty_like(v)
+            prefix = np.zeros(n, dtype=u64)
+            for r in range(d):
+                h = mix(u64(seed) ^ names.astype(u64))
+                h = mix(h ^ ti.astype(u64))
+                h = mix(h ^ tj.astype(u64))
+                h = mix(h ^ u64(r))
+                h = mix(h ^ prefix)
+                flip = (h >> u64(63)).astype(bool)
+                want[:, r] = np.where(flip, -v[:, r], v[:, r])
+                prefix |= (v[:, r] == -1).astype(u64) << u64(r)
+            obf = Obfuscation(seed=seed, W=10 ** 9)
+            assert np.array_equal(obfuscate_many(obf, names, ti, tj, v),
+                                  want)
 
 
 class TestFinalQuery:
     def test_zero_field_gives_zero(self):
         fld = ScoreField(c_hat=np.zeros((2, 4, 6)), ref_shift=np.zeros((2, 4, 6)))
         fq = FinalQuery(fld, m=2, d=6, alpha=0.25, C=2.0)
-        vals = fq.evaluate_bits(np.array([0, 1]), np.array([1, 2]),
+        # flat type ids of the types (0, 1) and (1, 2) at k = 4
+        vals = fq.evaluate_bits(np.array([1, 6]),
                                 np.ones((2, 6), dtype=np.int8))
         assert np.array_equal(vals, np.zeros(2))
 
@@ -186,13 +193,13 @@ class TestFinalQuery:
         fld = ScoreField(c_hat=c_hat, ref_shift=np.zeros((m, 1, d)))
         fq = FinalQuery(fld, m=m, d=d, alpha=alpha, C=C)
         v = np.ones((1, d), dtype=np.int8)
-        at = fq.evaluate_bits(np.array([0]), np.array([0]), v)[0]
+        at = fq.evaluate_bits(np.array([0]), v)[0]
         assert at == pytest.approx(1.0, abs=1e-12)
         # doubling the field saturates the clamp exactly
         fld2 = ScoreField(c_hat=2 * c_hat, ref_shift=np.zeros((m, 1, d)))
         fq2 = FinalQuery(fld2, m=m, d=d, alpha=alpha, C=C)
-        assert fq2.evaluate_bits(np.array([0]), np.array([0]), v)[0] == 1.0
-        assert fq2.evaluate_bits(np.array([0]), np.array([0]), -v)[0] == -1.0
+        assert fq2.evaluate_bits(np.array([0]), v)[0] == 1.0
+        assert fq2.evaluate_bits(np.array([0]), -v)[0] == -1.0
 
     def test_scale_formula(self):
         fld = ScoreField(c_hat=np.zeros((6, 2, 32)), ref_shift=np.zeros((6, 2, 32)))
@@ -254,6 +261,44 @@ class TestGap:
 
         res = gap(hash_sign, refs, dist, 20_000, np.random.default_rng(14))
         assert res.value <= 4 / math.sqrt(n) + 4 * res.stderr
+
+    @pytest.mark.parametrize("mc_count",
+                             [3 * SAMPLE_BLOCK, 2 * SAMPLE_BLOCK + 77])
+    @pytest.mark.parametrize("block", [1, 7, SAMPLE_BLOCK, 4 * SAMPLE_BLOCK])
+    def test_streamed_population_matches_one_block(self, monkeypatch,
+                                                   mc_count, block):
+        # the final query of a real run, on a population drawn in blocks,
+        # against the same population drawn as one batch
+        fam = small_family()
+        theta = surface_theta(fam, np.random.default_rng(15))
+        tr = run_ada_protocol(ExactMeanAnalyst(), fam, theta, n=64, seed=16,
+                              tau=0.05, alpha=0.25)
+        fq = FinalQuery(ScoreField(tr.c_hat, tr.ref_shift), fam.m, fam.d,
+                        0.25, 2.0)
+        dist = tilt(fam, theta)
+        refs = tilt_sample_many(dist, np.random.default_rng(17), 64)
+
+        want_rng = np.random.default_rng(18)
+        pop = fq(tilt_sample_many(dist, want_rng, mc_count))
+        ds_mean, pop_mean = float(fq(refs).mean()), float(pop.mean())
+        want = GapResult(
+            value=abs(ds_mean - pop_mean), dataset_mean=ds_mean,
+            population_mean=pop_mean,
+            stderr=float(pop.std(ddof=1) / math.sqrt(mc_count)))
+
+        calls = []
+
+        def query(batch):
+            calls.append(len(batch))
+            return fq(batch)
+
+        monkeypatch.setattr(ada, "SAMPLE_BLOCK", block)
+        rng = np.random.default_rng(18)
+        assert gap(query, refs, dist, mc_count, rng) == want
+        assert np.array_equal(rng.random(3), want_rng.random(3))
+        # once on the dataset, then once per population block
+        assert calls[0] == 64 and sum(calls[1:]) == mc_count
+        assert len(calls) == 1 + -(-mc_count // block)
 
 
 def eval_query(fam, h, p, q, ti, tj, v):
@@ -380,8 +425,9 @@ def advanced_state(field, ti, tj, v, upto, check=None):
     """psum and run_max after advancing a zero state over slices 0..upto-1;
     ``check(r, psum, run_max)`` runs after each slice."""
     psum, run_max = np.zeros(len(v)), np.zeros(len(v))
+    t = ti * field.c_hat.shape[1] + tj
     for r in range(upto):
-        field.advance(ti, tj, v[:, r], r, psum, run_max)
+        field.advance(t, v[:, r], r, psum, run_max)
         if check:
             check(r, psum, run_max)
     return psum, run_max
@@ -406,7 +452,7 @@ class TestWalkMax:
     @pytest.mark.parametrize("upto", [0, 1, 2, 5, 9])
     def test_matches_per_point_oracle(self, upto):
         field, ti, tj, v = self._field(40)
-        inc = field.increments(ti, tj, v)
+        inc = field.increments(ti * field.c_hat.shape[1] + tj, v)
 
         def check(r, psum, run_max):
             want = walk_max_oracle(field, ti, tj, v, r + 1)

@@ -18,7 +18,6 @@ import pytest
 from scipy import stats
 
 from tiltlab.attack import (
-    FRESH_BLOCK,
     ThetaSampler,
     run_attack_trial,
     run_shifted_attack_trial,
@@ -32,6 +31,7 @@ from tiltlab.mechanisms import (
     MechanismAnswer,
 )
 from tiltlab.tilt import (
+    SAMPLE_BLOCK,
     tilt,
     tilt_mean,
     tilt_mean_typed,
@@ -204,7 +204,7 @@ class TestRunAttackTrial:
     @pytest.mark.parametrize("kind,shape,fresh", [
         pytest.param("hypercube", dict(d=16), 3000, id="hypercube-shape0"),
         pytest.param("tensor", dict(m=2, k=4, d=5), 3000, id="tensor-shape1"),
-        pytest.param("tensor", dict(m=2, k=4, d=5), 2 * FRESH_BLOCK + 5,
+        pytest.param("tensor", dict(m=2, k=4, d=5), 2 * SAMPLE_BLOCK + 5,
                      id="tensor-multiblock"),
     ])
     def test_scores_match_per_point_oracle(self, kind, shape, fresh):
@@ -306,7 +306,7 @@ class TestShiftedAttack:
 
 
 # three full fresh blocks and a ragged fourth
-MULTI_BLOCK = 3 * FRESH_BLOCK + 17
+MULTI_BLOCK = 3 * SAMPLE_BLOCK + 17
 
 BLOCK_FAMILIES = {
     "hypercube": dict(kind="hypercube", d=16),
@@ -317,7 +317,7 @@ BLOCK_FAMILIES = {
 
 
 class TestFreshBlocks:
-    """Fresh scores are streamed FRESH_BLOCK rows at a time; past one block
+    """Fresh scores are streamed SAMPLE_BLOCK rows at a time; past one block
     they must still be the bits of one dense draw, scored in one product."""
 
     @staticmethod

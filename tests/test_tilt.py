@@ -16,6 +16,8 @@ Oracles:
     - Exact tilt means (overall and per type) on random small families
       against softmax-weighted enumeration, as a hypothesis property.
     - The sampler's Pr[v = +1] table against scipy.special.expit(2 t).
+    - Tensor type tilts, bitwise, against a test-local einsum over the
+      integer basis, on random thetas of mixed scales.
 """
 
 import math
@@ -144,6 +146,20 @@ class TestTensorTilt:
                 np.testing.assert_allclose(
                     tilt_mean_typed(dist, tid), cond, atol=1e-12
                 )
+
+    @pytest.mark.parametrize("m,k,d", [(6, 64, 32), (3, 8, 7), (2, 4, 5),
+                                       (1, 1, 64)])
+    def test_type_tilts_match_einsum_bitwise(self, m, k, d):
+        # the +-1 products are exact, so summing b in order must give the
+        # einsum's bits; entries of mixed sizes make any reordering round
+        fam = make_family("tensor", m=m, k=k, d=d)
+        rng = np.random.default_rng(8)
+        for _ in range(200):
+            theta = rng.normal(size=fam.dim) * 10.0 ** rng.uniform(
+                -4, 2, size=fam.dim)
+            th = theta.reshape(m, k, d)
+            want = np.einsum("ibc,jb->ijc", th, fam.basis).reshape(-1, d)
+            assert np.array_equal(tilt(fam, theta).type_tilts, want)
 
     def test_sampling_matches_mean(self):
         fam = make_family("tensor", m=2, k=2, d=4)
@@ -304,7 +320,7 @@ def per_point_sample(dist, rng, count):
     if n_types == 1:
         types = np.zeros(count, dtype=np.int64)
     else:
-        # tensor types are uniform by construction (type_logp is flat)
+        # tensor types are uniform by construction
         types = rng.integers(0, n_types, size=count)
     p_plus = expit(2.0 * dist.type_tilts[types])
     v = np.where(rng.random((count, fam.d)) < p_plus, 1, -1).astype(np.int8)
