@@ -16,8 +16,9 @@ on its type, its revealed bits, and the reconstructed field, so dataset
 points and one Monte Carlo population per run are tracked by the same
 running walk, advanced one slice per stage.  Per-type tables are read by
 the flat type id i * k + j that PointBatch.types already holds.  The gap's
-population is streamed in tilt.SAMPLE_BLOCK rows, so the final query is
-called once on the dataset and then once per population block.
+population is streamed in tilt.SAMPLE_BLOCK rows by tilt.tilt_map_blocks,
+so the final query is called once on the dataset and then once per
+population block.
 
 Seeding is split into fixed, independent branches (dataset, obfuscation,
 accuracy checks, gap estimation, analyst noise), so replaying a run with
@@ -36,8 +37,8 @@ import numpy as np
 from .errors import ProtocolAbort
 from .families import PointBatch, PointFamily, predicate_matrix
 from .mechanisms import project_to_H, reconstruct_slices_batch
-from .tilt import SAMPLE_BLOCK, TiltedDistribution, tilt, \
-    tilt_sample_blocks, tilt_sample_many
+from .tilt import SAMPLE_BLOCK, TiltedDistribution, tilt, tilt_map_blocks, \
+    tilt_sample_many
 
 # --------------------------------------------------------------------------
 # seeded pseudorandom masks
@@ -176,15 +177,15 @@ def gap(query: Callable, points: PointBatch, dist: TiltedDistribution,
 
     ``query`` is called with a PointBatch and must return one value per
     point.  It is called once on the dataset and then once per block of at
-    most SAMPLE_BLOCK population points, drawn by tilt_sample_blocks, so the
-    population never exists as one dense batch.  A query whose value on a
-    point depends only on that point gives the same result, and leaves rng in
-    the same state, for any block size."""
+    most SAMPLE_BLOCK population points, drawn by tilt_map_blocks, so the
+    population never exists as one dense batch; a large population may call
+    it from several threads at once.  A query whose value on a point depends
+    only on that point gives the same result, and leaves rng in the same
+    state, for any block size and lane count."""
     ds_vals = np.asarray(query(points), dtype=float)
-    pop_vals = np.concatenate([
-        np.asarray(query(block), dtype=float)
-        for block in tilt_sample_blocks(dist, rng, mc_count, SAMPLE_BLOCK)
-    ])
+    pop_vals = np.concatenate(tilt_map_blocks(
+        dist, rng, mc_count, SAMPLE_BLOCK,
+        lambda block: np.asarray(query(block), dtype=float)))
     pop_mean = float(pop_vals.mean())
     stderr = float(pop_vals.std(ddof=1) / math.sqrt(mc_count))
     ds_mean = float(ds_vals.mean())

@@ -8,8 +8,10 @@ separation certifies that the answer leaks its inputs.
 
 RNG order within a trial is fixed (theta, dataset, mechanism, fresh draws)
 so a trial is replayable from its seed.  Fresh points are drawn and scored
-tilt.SAMPLE_BLOCK rows at a time, on the stream of one tilt_sample_many
-call, so memory does not grow with the fresh count.
+tilt.SAMPLE_BLOCK rows at a time by tilt.tilt_map_blocks, on the stream of
+one tilt_sample_many call, so memory does not grow with the fresh count;
+past tilt.LANE_DRAWS uniforms the blocks are scored in lanes on every CPU,
+with the same bits.
 """
 
 from __future__ import annotations
@@ -23,8 +25,8 @@ import numpy as np
 from .families import PointFamily
 from .mechanisms import Dataset
 from .structure import tilt_weights, tilted_column_cov
-from .tilt import SAMPLE_BLOCK, tilt, tilt_mean, tilt_mean_typed, \
-    tilt_sample_blocks, tilt_sample_many
+from .tilt import SAMPLE_BLOCK, tilt, tilt_map_blocks, tilt_mean, \
+    tilt_mean_typed, tilt_sample_many
 
 _REGIONS = ("l2-sphere", "l2-ball", "l1-surface", "l1-ball")
 
@@ -74,20 +76,29 @@ class ScoreReport:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _scores(dist, blocks, target: np.ndarray, center=None) -> np.ndarray:
-    """<x - c, target> over (types, dense points) blocks, c the center or,
-    when it is None, the mean of the point's type, one block at a time."""
-    types, scores = [], []
-    for t, x in blocks:
-        types.append(t)
-        scores.append((x if center is None else x - center) @ target)
+def _type_shift(dist, types: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """<mu_t, target> at each point, mu_t the mean of its type t, computed
+    once for each type that occurs."""
+    shift = np.zeros(dist.family.n_types)
+    for t in np.flatnonzero(np.bincount(types, minlength=len(shift))):
+        shift[t] = tilt_mean_typed(dist, int(t)) @ target
+    return shift[types]
+
+
+def _fresh_scores(dist, rng, count: int, target: np.ndarray,
+                  center=None) -> np.ndarray:
+    """<x - c, target> over count fresh points, drawn and scored
+    SAMPLE_BLOCK rows at a time; c is the center or, when it is None, the
+    mean of the point's type."""
+    def score(batch):
+        x = batch.densify()
+        return batch.types, (x if center is None else x - center) @ target
+
+    types, scores = zip(*tilt_map_blocks(dist, rng, count, SAMPLE_BLOCK,
+                                         score))
     scores = np.concatenate(scores)
     if center is None:
-        types = np.concatenate(types)
-        shift = np.zeros(dist.family.n_types)
-        for t in np.unique(types):
-            shift[t] = tilt_mean_typed(dist, int(t)) @ target
-        scores -= shift[types]
+        scores -= _type_shift(dist, np.concatenate(types), target)
     return scores
 
 
@@ -110,10 +121,8 @@ def run_attack_trial(
     ds = Dataset.from_refs(batch)
     ans = mechanism(ds, rng)
     answer = np.asarray(ans.estimate, dtype=float).reshape(-1)
-    in_scores = _scores(dist, [(batch.types, ds.points)], answer)
-    fresh = tilt_sample_blocks(dist, rng, fresh_count, SAMPLE_BLOCK)
-    fresh_scores = _scores(dist, ((b.types, b.densify()) for b in fresh),
-                           answer)
+    in_scores = ds.points @ answer - _type_shift(dist, batch.types, answer)
+    fresh_scores = _fresh_scores(dist, rng, fresh_count, answer)
     return ScoreReport(
         region=sampler.region,
         n=n,
@@ -156,9 +165,7 @@ def run_shifted_attack_trial(
     answer = np.asarray(ans.estimate, dtype=float).reshape(-1)
     target = answer - mu
     in_scores = (ds.points - mu) @ target
-    fresh = tilt_sample_blocks(dist, rng, fresh_count, SAMPLE_BLOCK)
-    fresh_scores = _scores(dist, ((b.types, b.densify()) for b in fresh),
-                           target, mu)
+    fresh_scores = _fresh_scores(dist, rng, fresh_count, target, mu)
     (weights,), (col_mean,) = tilt_weights(family.matrix, theta[None])
     cov = tilted_column_cov(family.matrix, weights, col_mean)
     lam = float(np.linalg.eigvalsh(cov)[-1])

@@ -8,6 +8,11 @@ Pr[v_c = +1] = e^{t_c} / (e^{t_c} + e^{-t_c}) where t is the type's tilt
 block, so exact means are tanh(t) laws and never require enumeration.
 Matrix-columns tilts are one softmax over the columns.
 
+Sampling draws all types (or columns) first and then the v-bits, row block
+by row block: tilt_map_blocks maps a function over the blocks, and
+tilt_sample_many is its one-block case.  A large draw is split into lanes
+at PCG64 jump-ahead points and runs on every CPU with the same bits.
+
 The score <x - mu_ref, q> measures the correlation between a point and a
 mechanism answer; under a fresh draw its mean is exactly zero. The divergence
 identity ties the sum of in-sample scores to the divergence of the mechanism's
@@ -17,6 +22,7 @@ numerically with central finite differences against exact enumeration.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -72,38 +78,90 @@ def _logsumexp(x: np.ndarray) -> float:
     return float(m + np.log(np.exp(x - m).sum()))
 
 
-SAMPLE_BLOCK = 1024  # rows per tilt_sample_blocks batch of streamed draws
+SAMPLE_BLOCK = 1024  # rows per tilt_map_blocks batch of streamed draws
+# a lane is worth a thread only with at least this many uniforms to draw
+LANE_DRAWS = 2 ** 20
 
 
 def tilt_sample_many(dist: TiltedDistribution, rng: np.random.Generator,
                      count: int) -> PointBatch:
-    """Draw count points as one batch (tilt_sample_blocks in one block)."""
-    return next(tilt_sample_blocks(dist, rng, count, max(count, 1)))
+    """Draw count points as one batch (tilt_map_blocks in one block)."""
+    return tilt_map_blocks(dist, rng, count, max(count, 1), lambda b: b)[0]
 
 
-def tilt_sample_blocks(dist: TiltedDistribution, rng: np.random.Generator,
-                       count: int, block: int):
-    """Yield count points in batches of at most block rows: all types (or
-    columns) first, then the v-bits block by block.  Uniforms come out the
-    same in blocks as in one call, so every block size gives the same rows
-    and leaves rng in the same state."""
+def _cpus_available() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on this platform
+        return os.cpu_count() or 1
+
+
+def tilt_map_blocks(dist: TiltedDistribution, rng: np.random.Generator,
+                    count: int, block: int, fn: Callable) -> list:
+    """fn of each batch of at most block rows of count points, in block order.
+
+    All types (or columns) are drawn first on rng, then the v-bits block by
+    block, so every block size gives the same rows and leaves rng in the
+    same state.  Contiguous runs of blocks go to lanes that run at once,
+    one per CPU while each has LANE_DRAWS uniforms to draw: lane 0 on rng in
+    the calling thread, lane l > 0 on a copy of rng's PCG64 advanced past the
+    uniforms of the rows before it (one 64-bit step per float64).  The rows,
+    fn's inputs and rng's end state are those of one lane, whatever the lane
+    count; a lane's exception reaches the caller once every lane has
+    stopped."""
     fam = dist.family
     types = np.zeros(count, dtype=np.int64)
     if fam.kind == "matrix-columns":
         cols = rng.choice(fam.n_columns, size=count, p=np.exp(dist.column_logp))
+        draws = 0  # uniforms per row after the columns
     else:
         table = plus_prob(dist.type_tilts)  # per (type, coordinate)
         if len(table) > 1:
             # tilt makes every tensor type equally likely
             types = rng.integers(0, len(table), size=count)
-    for s in range(0, max(count, 1), block):
-        t = types[s:s + block]
-        if fam.kind == "matrix-columns":
-            yield PointBatch(fam, t, cols=cols[s:s + block])
-        else:
-            p_plus = table[0] if len(table) == 1 else table[t]
-            v = sign_bits(rng.random((len(t), fam.d)) < p_plus)
-            yield PointBatch(fam, t, v=v)
+        draws = fam.d
+
+    def run(gen, lo, hi):
+        out = []
+        for s in range(lo, hi, block):
+            t = types[s:s + block]
+            if fam.kind == "matrix-columns":
+                out.append(fn(PointBatch(fam, t, cols=cols[s:s + block])))
+            else:
+                p_plus = table[0] if len(table) == 1 else table[t]
+                v = sign_bits(gen.random((len(t), fam.d)) < p_plus)
+                out.append(fn(PointBatch(fam, t, v=v)))
+        return out
+
+    n_blocks = max(-(-count // block), 1)
+    lanes = 1
+    if type(rng.bit_generator) is np.random.PCG64:
+        # Philox advances in 4-word blocks; MT19937 and SFC64 cannot advance
+        lanes = max(1, min(_cpus_available(), n_blocks,
+                           count * fam.d // LANE_DRAWS))
+    if lanes == 1:
+        return run(rng, 0, max(count, 1))
+
+    from concurrent.futures import ThreadPoolExecutor  # multi-lane runs only
+
+    firsts = [n_blocks * lane // lanes * block for lane in range(lanes)]
+    gens = []
+    for first in firsts[1:]:
+        bits = np.random.PCG64()
+        bits.state = rng.bit_generator.state
+        bits.advance(first * draws)
+        gens.append(np.random.Generator(bits))
+    with ThreadPoolExecutor(lanes - 1) as pool:
+        helpers = [pool.submit(run, gen, lo, hi) for gen, lo, hi
+                   in zip(gens, firsts[1:], firsts[2:] + [count])]
+        out = run(rng, 0, firsts[1])
+        for lane in helpers:
+            out += lane.result()
+    # the type draw may leave half a word buffered, which doubles never touch
+    end = rng.bit_generator.state
+    end["state"] = gens[-1].bit_generator.state["state"]
+    rng.bit_generator.state = end
+    return out
 
 
 def sign_bits(plus: np.ndarray) -> np.ndarray:

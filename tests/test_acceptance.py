@@ -34,6 +34,7 @@ import numpy as np
 import pytest
 
 import tiltlab
+from tiltlab import ada, attack, tilt as tilt_module
 from tiltlab.ada import ExactMeanAnalyst, SampleSplitAnalyst, default_tau, \
     run_ada_protocol
 from tiltlab.attack import (
@@ -96,7 +97,9 @@ def seeded_matrix_family(d, n_columns, trial):
 
 class TestDivergenceIdentity:
     # every enumerable instance: finite-difference divergence of the mean
-    # map equals the exact expected total score
+    # map equals the exact expected total score.  No negative control: both
+    # sides are computed by exact enumeration with no sampling, so this is a
+    # deterministic check, not a statistical one
     INSTANCES = (
         ("hypercube", {"d": 2}, 1),
         ("hypercube", {"d": 2}, 2),
@@ -126,7 +129,9 @@ class TestSparseHistogramRelease:
     def test_mass_and_sup_norm_on_random_inputs(self):
         # 1e4 random sparse inputs across finite and unbounded universes:
         # mass preserved at float-sum resolution (measured <= 2 ulp) and
-        # ||x - xhat||_inf <= 2v = 10 ln(1/delta)/eps on every run
+        # ||x - xhat||_inf <= 2v = 10 ln(1/delta)/eps on every run.  No
+        # negative control: the sup-norm bound holds with probability one
+        # (see the sparse_histogram docstring), so no draw can fail it
         rng = np.random.default_rng(5678)
         for _ in range(10_000):
             support = int(rng.integers(1, 24))
@@ -616,6 +621,22 @@ class TestSuiteDeterminism:
     @pytest.mark.parametrize("label", sorted(DETERMINISM_CONFIGS))
     def test_csv_bytes_match_golden_digest(self, label, tmp_path):
         # pins the bytes across code changes, not only across worker counts
+        self.check_golden_digests(label, tmp_path)
+
+    @pytest.mark.parametrize("label", sorted(DETERMINISM_CONFIGS))
+    def test_csv_bytes_match_golden_digest_in_lanes(self, label, tmp_path,
+                                                    monkeypatch):
+        # every golden config draws fewer than LANE_DRAWS uniforms in one
+        # block; in 16-row blocks forced to three lanes, each pinned digest
+        # runs the multi-lane path
+        monkeypatch.setattr(tilt_module, "LANE_DRAWS", 1)
+        monkeypatch.setattr(tilt_module, "_cpus_available", lambda: 3)
+        for module in (attack, ada):
+            monkeypatch.setattr(module, "SAMPLE_BLOCK", 16)
+        self.check_golden_digests(label, tmp_path)
+
+    @staticmethod
+    def check_golden_digests(label, tmp_path):
         golden = {}
         for line in GOLDEN_DIGESTS.read_text().splitlines():
             digest, name = line.split()

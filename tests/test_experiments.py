@@ -63,7 +63,8 @@ def test_src_imports_only_stdlib_and_numpy():
 def test_import_skips_unused_scipy_modules():
     # scipy.special alone would more than double the import time (its
     # array-API shim pulls in numpy.f2py); no experiment kind, the CLI or
-    # replay needs scipy, and only a multi-worker run needs multiprocessing
+    # replay needs scipy, only a multi-worker run needs multiprocessing, and
+    # only a draw split into lanes (tilt.LANE_DRAWS) needs concurrent
     configs = ["\n".join([f"kind = {kind}"] + [
         f"{key} = {value}" for key, value in TINY_SETTINGS[kind].items()])
         for kind in sorted(EXPERIMENT_KINDS)]
@@ -74,7 +75,7 @@ def test_import_skips_unused_scipy_modules():
             "    row, _ = run_trial(parse_config(text), 5, 0)\n"
             "    assert row['status'] == 'ok', row\n"
             "print(sorted(m for m in sys.modules if m.partition('.')[0] in "
-            "('scipy', 'multiprocessing')))")
+            "('scipy', 'multiprocessing', 'concurrent')))")
     src = os.path.dirname(os.path.dirname(tiltlab.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,

@@ -18,9 +18,12 @@ Oracles:
     - The sampler's Pr[v = +1] table against scipy.special.expit(2 t).
     - Tensor type tilts, bitwise, against a test-local einsum over the
       integer basis, on random thetas of mixed scales.
+    - Blocks mapped in 1, 2 or 3 lanes (and the gap Monte Carlo built on
+      them) against one one-block draw: same rows, same generator state.
 """
 
 import math
+import threading
 import warnings
 
 import numpy as np
@@ -28,6 +31,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.special import expit
 
+from tiltlab import tilt as tilt_module
+from tiltlab.ada import gap
 from tiltlab.errors import CapacityError
 from tiltlab.families import PointBatch, make_family, support_batch
 from tiltlab.mechanisms import ClampedMean, Dataset, EmpiricalMean
@@ -38,6 +43,7 @@ from tiltlab.tilt import (
     plus_prob,
     tilt,
     tilt_mean,
+    tilt_map_blocks,
     tilt_mean_typed,
     tilt_sample_many,
 )
@@ -371,6 +377,107 @@ class TestPointBatch:
         dense = batch.densify()
         assert dense.dtype == scatter.dtype == np.float64
         assert dense.tobytes() == scatter.tobytes()
+
+
+LANE_FAMILIES = {
+    "hypercube": dict(kind="hypercube", d=16),
+    "tensor": dict(kind="tensor", m=2, k=4, d=5),
+    "matrix-columns": dict(kind="matrix-columns", d=12, n_columns=40,
+                           seed=10),
+}
+LANE_BLOCK = 64
+LANE_COUNT = 3 * LANE_BLOCK + 17  # three full blocks and a ragged fourth
+
+
+def force_lanes(monkeypatch, cpus):
+    """One lane per CPU on any draw, with cpus CPUs."""
+    monkeypatch.setattr(tilt_module, "LANE_DRAWS", 1)
+    monkeypatch.setattr(tilt_module, "_cpus_available", lambda: cpus)
+
+
+def lane_draw(name, rng):
+    """The family's tilt, LANE_COUNT points mapped in LANE_BLOCK blocks,
+    and how many blocks ran on the calling thread."""
+    fam = make_family(**LANE_FAMILIES[name])
+    dist = tilt(fam, np.random.default_rng(40).normal(size=fam.dim))
+    caller = threading.get_ident()
+    out = tilt_map_blocks(dist, rng, LANE_COUNT, LANE_BLOCK,
+                          lambda b: (b, threading.get_ident() == caller))
+    blocks, on_caller = zip(*out)
+    return dist, blocks, sum(on_caller)
+
+
+class TestLanes:
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    @pytest.mark.parametrize("name", sorted(LANE_FAMILIES))
+    def test_blocks_match_one_block_draw(self, monkeypatch, name, cpus):
+        force_lanes(monkeypatch, cpus)
+        rng = np.random.default_rng(41)
+        dist, blocks, on_caller = lane_draw(name, rng)
+        # lane 0 of cpus holds the first 4 // cpus of the 4 blocks
+        assert on_caller == 4 // cpus
+        assert [len(b) for b in blocks] == [LANE_BLOCK] * 3 + [17]
+        want_rng = np.random.default_rng(41)
+        want = tilt_sample_many(dist, want_rng, LANE_COUNT)
+        assert np.array_equal(np.concatenate([b.types for b in blocks]),
+                              want.types)
+        if name == "matrix-columns":
+            assert np.array_equal(np.concatenate([b.cols for b in blocks]),
+                                  want.cols)
+        else:
+            assert np.array_equal(np.concatenate([b.v for b in blocks]),
+                                  want.v)
+        if name == "tensor":
+            # the type draw leaves half a word buffered, which must survive
+            assert want_rng.bit_generator.state["has_uint32"] == 1
+        assert rng.bit_generator.state == want_rng.bit_generator.state
+
+    def test_philox_runs_one_lane(self, monkeypatch):
+        force_lanes(monkeypatch, 3)
+        rng = np.random.Generator(np.random.Philox(41))
+        dist, blocks, on_caller = lane_draw("hypercube", rng)
+        assert on_caller == 4
+        want_rng = np.random.Generator(np.random.Philox(41))
+        want = tilt_sample_many(dist, want_rng, LANE_COUNT)
+        assert np.array_equal(np.concatenate([b.v for b in blocks]), want.v)
+        # Philox state holds arrays, which assert_equal compares in dicts
+        np.testing.assert_equal(rng.bit_generator.state,
+                                want_rng.bit_generator.state)
+
+    def test_helper_lane_failure_reaches_caller(self, monkeypatch):
+        force_lanes(monkeypatch, 3)
+        fam = make_family("hypercube", d=16)
+        dist = tilt(fam, np.zeros(fam.dim))
+        caller = threading.get_ident()
+
+        def fn(batch):
+            if threading.get_ident() != caller:
+                raise RuntimeError("helper lane")
+            return batch
+
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="helper lane"):
+            tilt_map_blocks(dist, np.random.default_rng(0), LANE_COUNT,
+                            LANE_BLOCK, fn)
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("cpus", [2, 3])
+    def test_gap_matches_one_lane(self, monkeypatch, cpus):
+        fam = make_family(**LANE_FAMILIES["tensor"])
+        dist = tilt(fam, np.random.default_rng(42).normal(size=fam.dim))
+        refs = tilt_sample_many(dist, np.random.default_rng(43), 64)
+        w = np.random.default_rng(44).normal(size=fam.d)
+
+        def query(batch):
+            return np.tanh(batch.v @ w + batch.types)
+
+        mc_count = 3 * tilt_module.SAMPLE_BLOCK + 17
+        want_rng = np.random.default_rng(45)
+        want = gap(query, refs, dist, mc_count, want_rng)
+        force_lanes(monkeypatch, cpus)
+        rng = np.random.default_rng(45)
+        assert gap(query, refs, dist, mc_count, rng) == want
+        assert rng.bit_generator.state == want_rng.bit_generator.state
 
 
 class TestDatasetPlumbing:
