@@ -209,34 +209,31 @@ class StageQueryBatch:
     exposed; the underlying clear bits stay private to the protocol.
     """
 
-    def __init__(self, ti, tj, v_r, compromised, hmat, basis):
-        self._ti = ti
-        self._tj = tj
+    def __init__(self, types, v_r, compromised, hmat, basis):
+        self._types = types  # flat type ids i * k + j
         self._vr = v_r
         self._comp = compromised
         self._hmat = hmat
         self._basis = basis
-        self.n_points = len(ti)
         self.n_queries = hmat.shape[0] * basis.shape[0]
 
     def eval_mean(self, indices=None) -> np.ndarray:
         """Mean of every query over the dataset (or a subset of indices)."""
         if indices is None:
-            ti, tj, vr, comp = self._ti, self._tj, self._vr, self._comp
+            types, vr, comp = self._types, self._vr, self._comp
         else:
             idx = np.asarray(indices)
             if idx.size == 0:
                 raise ValueError("empty index subset")
-            ti, tj = self._ti[idx], self._tj[idx]
-            vr, comp = self._vr[idx], self._comp[idx]
+            types, vr, comp = self._types[idx], self._vr[idx], self._comp[idx]
         m = self._hmat.shape[1]
         k = self._basis.shape[0]
         # per-type sums of the live +-1 bits: exact integers in any order
-        sums = np.bincount(ti * k + tj, weights=np.where(comp, 0.0, vr),
+        sums = np.bincount(types, weights=np.where(comp, 0.0, vr),
                            minlength=m * k).reshape(m, k)
         vals = self._basis @ (sums.T @ self._hmat.T)  # (k, 2^m)
         vals += float(comp.sum())
-        vals /= len(ti)
+        vals /= len(types)
         return vals.reshape(-1)
 
 
@@ -479,7 +476,6 @@ def run_ada_protocol(
     # stacked state; it is independent of all the analyst sees and each
     # stage's slack bounds that stage alone, so stages may share it
     pop = tilt_sample_many(dist, np.random.default_rng(ss_acc), mc_accuracy)
-    pi, pj = np.divmod(pop.types, k)
     wtypes = np.concatenate([points.types, pop.types])
     wbits = np.concatenate([bits, pop.v])
     psum = np.zeros(n + mc_accuracy)
@@ -494,7 +490,7 @@ def run_ada_protocol(
     inaccurate = []
 
     for r in range(d):
-        batch = StageQueryBatch(ti, tj, bits[:, r], comp, hmat, basis)
+        batch = StageQueryBatch(points.types, bits[:, r], comp, hmat, basis)
         answers = np.asarray(analyst.answer_stage(r, batch), dtype=float)
         if answers.shape != (n_queries,):
             raise ProtocolAbort(r, f"expected {n_queries} answers, "
@@ -504,7 +500,7 @@ def run_ada_protocol(
 
         # population accuracy check under the same masked-query rule
         pop_comp = run_max[n:] > tau
-        pop_vals = StageQueryBatch(pi, pj, pop.v[:, r], pop_comp,
+        pop_vals = StageQueryBatch(pop.types, pop.v[:, r], pop_comp,
                                    hmat, basis).eval_mean()
         max_dev = float(np.abs(answers - pop_vals).max())
         accuracy_ok = max_dev <= alpha + acc_slack

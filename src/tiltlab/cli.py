@@ -43,9 +43,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_run(args) -> int:
     try:
-        with open(args.config) as fh:
+        with open(args.config, encoding="utf-8") as fh:
             cfg = parse_config(fh.read())
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"cannot read config: {exc}", file=sys.stderr)
         return 2
     except ConfigError as exc:

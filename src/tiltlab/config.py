@@ -85,15 +85,16 @@ def _to_int(text: str) -> int:
 _CONVERTERS = {int: _to_int, float: float, str: str}
 
 
-def _converter(hint):
-    """Converter of a field type; an Optional field parses as its inner
-    type."""
+def _field_type(hint):
+    """(type, optional) of a field; an Optional field holds its inner type
+    or None."""
     inner = [t for t in get_args(hint) if t is not type(None)]
-    return _CONVERTERS[inner[0] if inner else hint]
+    return (inner[0], True) if inner else (hint, False)
 
 
-_SCHEMA = {name: _converter(hint) for name, hint
+_FIELDS = {name: _field_type(hint) for name, hint
            in get_type_hints(ExperimentConfig).items()}
+_SCHEMA = {name: _CONVERTERS[typ] for name, (typ, _) in _FIELDS.items()}
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -126,15 +127,36 @@ def parse_config(text: str) -> ExperimentConfig:
                 f"line {lineno}: invalid {want} for {key!r}: {val!r}"
             ) from None
         lines[key] = lineno
+    cfg = config_from_values(values)
+    check_ranges(cfg, lines)
+    return cfg
+
+
+def config_from_values(values) -> ExperimentConfig:
+    """Build a config from typed values, such as a manifest's JSON config.
+
+    Unknown keys, a value whose type is not its field's (a bool is no
+    number, an int is a float, None fits only an Optional field), and a
+    missing or unknown kind raise ConfigError; ranges are not checked.
+    """
+    if not isinstance(values, dict):
+        raise ConfigError(f"expected a mapping of keys, got {values!r}")
+    for key, value in values.items():
+        if key not in _FIELDS:
+            raise ConfigError(f"unknown key {key!r}")
+        typ, optional = _FIELDS[key]
+        allowed = (int, float) if typ is float else typ
+        if not ((value is None and optional) or (
+                isinstance(value, allowed) and not isinstance(value, bool))):
+            want = typ.__name__ + (" or None" if optional else "")
+            raise ConfigError(f"{key} must be {want}, got {value!r}")
     if "kind" not in values:
         raise ConfigError("kind is required")
     if values["kind"] not in KINDS:
         raise ConfigError(
             f"unknown kind {values['kind']!r}; expected one of {', '.join(KINDS)}"
         )
-    cfg = ExperimentConfig(**values)
-    check_ranges(cfg, lines)
-    return cfg
+    return ExperimentConfig(**values)
 
 
 # the config key whose value each built-in analyst's constructor takes

@@ -20,15 +20,14 @@ import numpy as np
 
 from . import __version__
 from .ada import run_ada_protocol
-from .attack import run_attack_trial, run_shifted_attack_trial, \
-    separation, ThetaSampler
+from .attack import run_attack_trial, separation, ThetaSampler
 from .config import ConfigError, ExperimentConfig, analyst_from_config, \
-    check_ranges, mechanism_from_config
+    check_ranges, config_from_values, mechanism_from_config
 from .families import make_family
 from .mechanisms import EmpiricalMean, HistogramVector, sparse_histogram
 from .seeds import trial_seed_sequence
 from .structure import ETA_PROBE_SCALE, check_column_sums, check_expanding, \
-    check_regular
+    check_regular, tilt_weights, tilted_column_cov
 from .tilt import divergence_check
 
 STATUS_OK = "ok"
@@ -95,12 +94,13 @@ def _trial_attack_random(cfg: ExperimentConfig, master_seed: int, trial: int):
     radius = cfg.radius if cfg.radius is not None \
         else 2.0 * math.sqrt(math.log(cfg.n_columns))
     sampler = ThetaSampler(cfg.region, family.dim, radius)
-    report = run_shifted_attack_trial(family, sampler,
-                                      mechanism_from_config(cfg), cfg.n,
-                                      rng, fresh_count=cfg.fresh)
+    report = run_attack_trial(family, sampler, mechanism_from_config(cfg),
+                              cfg.n, cfg.fresh, rng, recenter=True)
     stat = separation(report.in_scores, report.fresh_scores)
     second = float((report.fresh_scores ** 2).mean())
-    lam = report.diagnostics["lambda_max"]
+    (weights,), (col_mean,) = tilt_weights(family.matrix, report.theta[None])
+    lam = float(np.linalg.eigvalsh(
+        tilted_column_cov(family.matrix, weights, col_mean))[-1])
     bound = lam * float(((report.answer - report.shift) ** 2).sum())
     in_total = report.in_scores.sum()
     ok = True
@@ -428,9 +428,10 @@ def replay_row(csv_path, row_index: int):
     """Recompute one CSV data row from its recorded trial and seed.
 
     Returns (stored_row, recomputed_row, match); the config comes from the
-    manifest.json written next to the CSV and must pass the same range
-    checks as a parsed config.  A manifest written by another tiltlab
-    version is refused, since its rows need not be reproducible here.
+    manifest.json written next to the CSV, must hold a known kind and values
+    of each field's type, and must pass the same range checks as a parsed
+    config.  A manifest written by another tiltlab version is refused,
+    since its rows need not be reproducible here.
     """
     csv_path = Path(csv_path)
     manifest = json.loads((csv_path.parent / "manifest.json").read_text())
@@ -439,9 +440,9 @@ def replay_row(csv_path, row_index: int):
         raise ValueError(f"manifest written by tiltlab {version!r}, "
                          f"this is tiltlab {__version__!r}")
     try:
-        cfg = ExperimentConfig(**manifest["config"])
-    except TypeError as exc:  # unknown or missing config keys
-        raise ValueError(f"manifest config does not match: {exc}") from None
+        cfg = config_from_values(manifest["config"])
+    except ConfigError as exc:
+        raise ConfigError(f"manifest config does not match: {exc}") from None
     try:
         check_ranges(cfg)
     except ConfigError as exc:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -41,8 +41,6 @@ class MechanismAnswer:
     estimate: np.ndarray
     epsilon: float
     delta: float
-    adjacency: str
-    diagnostics: dict = field(default_factory=dict)
 
 
 class EmpiricalMean:
@@ -51,12 +49,8 @@ class EmpiricalMean:
     name = "exact-mean"
 
     def __call__(self, ds: Dataset, rng=None) -> MechanismAnswer:
-        return MechanismAnswer(
-            estimate=ds.points.mean(axis=0),
-            epsilon=math.inf,
-            delta=0.0,
-            adjacency="replace-one",
-        )
+        return MechanismAnswer(estimate=ds.points.mean(axis=0),
+                               epsilon=math.inf, delta=0.0)
 
 
 class ClampedMean:
@@ -71,13 +65,7 @@ class ClampedMean:
 
     def __call__(self, ds: Dataset, rng=None) -> MechanismAnswer:
         est = np.clip(ds.points.mean(axis=0), -self.bound, self.bound)
-        return MechanismAnswer(
-            estimate=est,
-            epsilon=math.inf,
-            delta=0.0,
-            adjacency="replace-one",
-            diagnostics={"bound": self.bound},
-        )
+        return MechanismAnswer(estimate=est, epsilon=math.inf, delta=0.0)
 
 
 class GaussianMechanism:
@@ -101,13 +89,8 @@ class GaussianMechanism:
             raise ValueError("gaussian mechanism needs an rng")
         sigma = self.sigma(ds.n, ds.points.shape[1])
         est = ds.points.mean(axis=0) + rng.normal(scale=sigma, size=ds.points.shape[1])
-        return MechanismAnswer(
-            estimate=est,
-            epsilon=self.epsilon,
-            delta=self.delta,
-            adjacency="replace-one",
-            diagnostics={"sigma": sigma},
-        )
+        return MechanismAnswer(estimate=est, epsilon=self.epsilon,
+                               delta=self.delta)
 
 
 # --------------------------------------------------------------------------

@@ -235,14 +235,10 @@ class GroupPrivacyWrapped:
         else:
             new_eps = p * eps
             new_delta = delta * math.expm1(p * eps) / math.expm1(eps)
-        diags = dict(ans.diagnostics)
-        diags["group_size"] = p
         return MechanismAnswer(
             estimate=ans.estimate,
             epsilon=new_eps,
             delta=new_delta,
-            adjacency=ans.adjacency,
-            diagnostics=diags,
         )
 
 
@@ -273,14 +269,10 @@ class PaddedMechanism:
         pad = np.tile(self.anchor, (n - m, 1))
         ans = self.mech(Dataset(np.vstack([ds.points, pad])), rng)
         est = (n / m) * (ans.estimate - ((n - m) / n) * self.anchor)
-        diags = dict(ans.diagnostics)
-        diags["pad_factor"] = self.k
         return MechanismAnswer(
             estimate=est,
             epsilon=ans.epsilon,
             delta=ans.delta,
-            adjacency=ans.adjacency,
-            diagnostics=diags,
         )
 
 

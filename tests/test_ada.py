@@ -314,8 +314,8 @@ def eval_point(batch, idx):
     u_j[p] * h(i) * v_r at index p * 2^m + h."""
     if batch._comp[idx]:
         return np.ones(batch.n_queries)
-    col = np.outer(batch._basis[:, batch._tj[idx]],
-                   batch._hmat[:, batch._ti[idx]]) * batch._vr[idx]
+    ti, tj = divmod(int(batch._types[idx]), batch._basis.shape[0])
+    col = np.outer(batch._basis[:, tj], batch._hmat[:, ti]) * batch._vr[idx]
     return col.reshape(-1)
 
 
@@ -323,12 +323,10 @@ class TestStageQueryBatch:
     def _make(self, rng, fam, n, comp_idx=()):
         dist = tilt(fam, surface_theta(fam, rng))
         refs = tilt_sample_many(dist, rng, n)
-        ti, tj = np.divmod(refs.types, fam.k)
-        bits = refs.v
         comp = np.zeros(n, dtype=bool)
         comp[list(comp_idx)] = True
         r = 1
-        batch = StageQueryBatch(ti, tj, bits[:, r],
+        batch = StageQueryBatch(refs.types, refs.v[:, r],
                                 comp, predicate_matrix(fam.m).astype(float),
                                 fam.basis.astype(float))
         return batch, refs, r
@@ -389,7 +387,7 @@ class TestEvalMeanOracle:
         comp = rng.random(n) < 0.3
         hmat = predicate_matrix(fam.m).astype(float)
         basis = fam.basis.astype(float)
-        batch = StageQueryBatch(ti, tj, vr, comp, hmat, basis)
+        batch = StageQueryBatch(types, vr, comp, hmat, basis)
         assert np.array_equal(batch.eval_mean(),
                               eval_mean_add_at(ti, tj, vr, comp, hmat, basis))
         idx = rng.choice(n, size=77, replace=False)
@@ -399,9 +397,8 @@ class TestEvalMeanOracle:
 
     def test_all_compromised(self):
         fam = small_family()
-        ti = np.array([0, 1, 1])
-        tj = np.array([3, 0, 2])
-        batch = StageQueryBatch(ti, tj, np.array([1, -1, 1], dtype=np.int8),
+        types = np.array([0, 1, 1]) * fam.k + np.array([3, 0, 2])
+        batch = StageQueryBatch(types, np.array([1, -1, 1], dtype=np.int8),
                                 np.ones(3, dtype=bool),
                                 predicate_matrix(fam.m).astype(float),
                                 fam.basis.astype(float))
@@ -787,8 +784,7 @@ class TestAnalysts:
         rng = np.random.default_rng(66)
         dist = tilt(fam, surface_theta(fam, rng))
         refs = tilt_sample_many(dist, rng, 10)
-        ti, tj = np.divmod(refs.types, fam.k)
-        batch = StageQueryBatch(ti, tj, refs.v[:, 0], np.zeros(10, bool),
+        batch = StageQueryBatch(refs.types, refs.v[:, 0], np.zeros(10, bool),
                                 predicate_matrix(fam.m).astype(float),
                                 fam.basis.astype(float))
         analyst = ClampedMeanAnalyst(bound=0.05)

@@ -8,6 +8,8 @@ Oracles:
     - Trial scores against a per-point <x - tilt_mean_typed, answer> loop.
     - Fresh scores streamed in blocks against one dense tilt_sample_many
       path, bitwise, rng state included; the peak memory of a large trial.
+    - Recentered trials: exact-shift zeros, the lambda_max bound on the
+      fresh second moment, fresh scores centered on any family.
 """
 
 import math
@@ -17,12 +19,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from tiltlab.attack import (
-    ThetaSampler,
-    run_attack_trial,
-    run_shifted_attack_trial,
-    separation,
-)
+from tiltlab.attack import ThetaSampler, run_attack_trial, separation
 from tiltlab.families import make_family
 from tiltlab.mechanisms import (
     Dataset,
@@ -30,6 +27,7 @@ from tiltlab.mechanisms import (
     GaussianMechanism,
     MechanismAnswer,
 )
+from tiltlab.structure import tilt_weights, tilted_column_cov
 from tiltlab.tilt import (
     SAMPLE_BLOCK,
     tilt,
@@ -54,7 +52,6 @@ class ConstantAnswer:
             estimate=self.value.copy(),
             epsilon=0.0,
             delta=0.0,
-            adjacency="replace-one",
         )
 
 
@@ -251,17 +248,16 @@ class TestShiftedAttack:
 
             def __call__(self, ds, rng=None):
                 mu = tilt_mean(self._dist)
-                return MechanismAnswer(estimate=mu, epsilon=0.0, delta=0.0,
-                                       adjacency="replace-one")
+                return MechanismAnswer(estimate=mu, epsilon=0.0, delta=0.0)
 
         mech = ShiftEcho()
         # bind the same tilt the harness will build, via the sampler seed
         theta = ThetaSampler(region="l2-sphere", dimension=12,
                              radius=2.0).sample(np.random.default_rng(11))
         mech._dist = tilt(fam, theta)
-        report = run_shifted_attack_trial(fam, sampler, mech, n=6,
-                                          rng=np.random.default_rng(11),
-                                          fresh_count=6)
+        report = run_attack_trial(fam, sampler, mech, n=6, fresh_count=6,
+                                  rng=np.random.default_rng(11),
+                                  recenter=True)
         assert np.max(np.abs(report.in_scores)) < 1e-12
         assert np.max(np.abs(report.fresh_scores)) < 1e-12
 
@@ -269,10 +265,12 @@ class TestShiftedAttack:
         fam = make_family("matrix-columns", d=24, n_columns=100, seed=12)
         sampler = ThetaSampler(region="l2-sphere", dimension=24, radius=2.0)
         rng = np.random.default_rng(13)
-        report = run_shifted_attack_trial(fam, sampler, EmpiricalMean(), n=20,
-                                          rng=rng, fresh_count=30_000)
+        report = run_attack_trial(fam, sampler, EmpiricalMean(), n=20,
+                                  fresh_count=30_000, rng=rng, recenter=True)
         w = report.answer - report.shift
-        lam = report.diagnostics["lambda_max"]
+        (p,), (col_mean,) = tilt_weights(fam.matrix, report.theta[None])
+        lam = np.linalg.eigvalsh(
+            tilted_column_cov(fam.matrix, p, col_mean))[-1]
         bound = lam * float(w @ w)
         second = float(np.mean(report.fresh_scores ** 2))
         assert second <= bound * 1.1
@@ -287,8 +285,8 @@ class TestShiftedAttack:
                                radius=2 * math.sqrt(math.log(n_cols)))
         rng = np.random.default_rng(15)
         reports = [
-            run_shifted_attack_trial(fam, sampler, EmpiricalMean(), n=32,
-                                     rng=rng, fresh_count=16)
+            run_attack_trial(fam, sampler, EmpiricalMean(), n=32,
+                             fresh_count=16, rng=rng, recenter=True)
             for _ in range(50)
         ]
         totals = [r.in_scores.sum() for r in reports]
@@ -297,12 +295,19 @@ class TestShiftedAttack:
             [r.in_scores.sum() for r in reports],
             [r.fresh_scores.mean() for r in reports]) > 5
 
-    def test_requires_matrix_family(self):
-        fam = make_family("hypercube", d=4)
-        sampler = ThetaSampler(region="l2-sphere", dimension=4, radius=1.0)
-        with pytest.raises(ValueError):
-            run_shifted_attack_trial(fam, sampler, EmpiricalMean(), n=2,
-                                     rng=np.random.default_rng(0))
+    def test_tensor_family_recentered_fresh_centers_on_zero(self):
+        # recentering needs only the tilt mean, which every family has
+        fam = make_family("tensor", m=2, k=4, d=5)
+        sampler = ThetaSampler(region="l2-sphere", dimension=fam.dim,
+                               radius=3.0)
+        report = run_attack_trial(fam, sampler, EmpiricalMean(), n=8,
+                                  fresh_count=20_000,
+                                  rng=np.random.default_rng(18),
+                                  recenter=True)
+        fresh = report.fresh_scores
+        se = fresh.std(ddof=1) / math.sqrt(len(fresh))
+        assert se > 0
+        assert abs(fresh.mean()) <= 6 * se
 
 
 # three full fresh blocks and a ragged fourth
@@ -352,8 +357,8 @@ class TestFreshBlocks:
         fam = make_family(**BLOCK_FAMILIES["matrix-columns"])
         sampler = ThetaSampler("l2-sphere", fam.dim, 2.0)
         rng = np.random.default_rng(73)
-        report = run_shifted_attack_trial(fam, sampler, EmpiricalMean(), 6,
-                                          rng, MULTI_BLOCK)
+        report = run_attack_trial(fam, sampler, EmpiricalMean(), 6,
+                                  MULTI_BLOCK, rng, recenter=True)
         ref_rng, dist, answer, in_pts, fresh_pts = self._replay(
             fam, sampler, 6, 73)
         mu = tilt_mean(dist)

@@ -724,6 +724,16 @@ class TestCli:
         assert main(["run", "--config", str(tmp_path / "absent.txt")]) == 2
         assert "cannot read config" in capsys.readouterr().err
 
+    def test_undecodable_config_exit_code(self, tmp_path, capsys):
+        path = tmp_path / "cfg.txt"
+        path.write_bytes(b"kind = mech-bench\n\xff\xfe = 1\n")
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("cannot read config:")
+        assert "Traceback" not in err and len(err.splitlines()) == 1
+        assert not out.exists()
+
     def test_replay_missing_csv_exit_code(self, tmp_path, capsys):
         assert main(["replay", "--csv", str(tmp_path / "absent.csv"),
                      "--row", "0"]) == 2
@@ -788,6 +798,45 @@ class TestCli:
         assert "replay failed: manifest config out of range" in captured.err
         assert key in captured.err
         assert "MISMATCH" not in captured.out
+
+    @pytest.mark.parametrize("key,value,message", [
+        ("support", "4", "support must be int, got '4'"),
+        ("mass", None, "mass must be float, got None"),
+        ("trials", True, "trials must be int, got True"),
+        ("epsilon", False, "epsilon must be float, got False"),
+        ("n", 4.0, "n must be int, got 4.0"),
+        ("out", 3, "out must be str, got 3"),
+        ("universe", "8", "universe must be int or None, got '8'"),
+        ("kind", "bogus", "unknown kind 'bogus'"),
+        ("kind", None, "kind must be str, got None"),
+    ])
+    def test_replay_wrongly_typed_manifest_exit_code(self, tmp_path, capsys,
+                                                     key, value, message):
+        cfg = write_config(tmp_path, "kind = mech-bench\ntrials = 1")
+        out = tmp_path / "out"
+        main(["run", "--config", cfg, "--out", str(out)])
+        capsys.readouterr()
+        manifest_path = out / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["config"][key] = value
+        manifest_path.write_text(json.dumps(manifest))
+        assert main(["replay", "--csv", str(out / "mech-bench.csv"),
+                     "--row", "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("replay failed: manifest config "
+                                       f"does not match: {message}")
+        assert captured.err.count("\n") == 1
+        assert "MISMATCH" not in captured.out
+
+    def test_replay_accepts_int_for_float_and_none_for_optional(self,
+                                                                tmp_path):
+        res = run_experiment(tiny_config("mech-bench"), 4, out_dir=tmp_path)
+        manifest_path = tmp_path / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        assert manifest["config"]["universe"] is None
+        manifest["config"]["mass"] = int(manifest["config"]["mass"])
+        manifest_path.write_text(json.dumps(manifest))
+        assert replay_row(res.csv_path, 0)[2]
 
     def test_replay_other_version_manifest_exit_code(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "kind = mech-bench\ntrials = 1")
