@@ -13,7 +13,9 @@ reproduce.  The frozen record below is the output of the default invocation
 (master seed 1234) that fixed the constants.  The ada-desk gap lines were
 re-run when the tilt sampler began drawing tensor types with
 rng.integers: that moved the protocol's dataset stream, the gaps moved by
-under 0.004, and every verdict held.
+under 0.004, and every verdict held.  They were re-run again when the
+sampler began drawing four v-bits per 64-bit word: that moved every tensor
+draw, the gaps moved by under 0.01, and every verdict held.
 
     $ python3 scripts/calibration.py
     == query-release calibration (d=512, N=4096, alpha=0.5, eps=1.0, delta=1e-06) ==
@@ -26,8 +28,8 @@ under 0.004, and every verdict held.
     d=128 N=4096: probe=0.06lnN fail 0.0000-0.0000 | 0.2lnN fail 1.0000-1.0000 | regular>2 fail 0.0050-0.0095
     frozen ETA_PROBE_SCALE=0.06: worst matrix fail fraction 0.0000 (<= 0.01)
     == ada-desk calibration (m=6, k=64, d=32, alpha=0.125, C=2.0, tau=2.7191) ==
-    under n=384:  gap>=alpha/2 in 60/60  gaps 0.2796/0.2989/0.3209 (min/med/max)
-    over  n=3840: gap<=2alpha  in 60/60  gaps 0.0397/0.0428/0.0465 (min/med/max)
+    under n=384:  gap>=alpha/2 in 60/60  gaps 0.2827/0.2971/0.3114 (min/med/max)
+    over  n=3840: gap<=2alpha  in 60/60  gaps 0.0404/0.0429/0.0464 (min/med/max)
     max population compromised fraction over all runs/stages: 0.0000
     desk point holds: under-gaps clear alpha/2, over-gaps stay below 2alpha
 """

@@ -1,3 +1,3 @@
 """tiltlab: exponential-tilt score attacks and private query release."""
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"

@@ -12,7 +12,7 @@ RNG order within a trial is fixed (theta, dataset, mechanism, fresh draws)
 so a trial is replayable from its seed.  Fresh points are drawn and scored
 tilt.SAMPLE_BLOCK rows at a time by tilt.tilt_map_blocks, so memory does
 not grow with the fresh count, and in lanes on every CPU past
-tilt.LANE_DRAWS uniforms, with the same bits.
+tilt.LANE_DRAWS v-bits, with the same bits.
 """
 
 from __future__ import annotations

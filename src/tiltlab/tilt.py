@@ -10,8 +10,14 @@ Matrix-columns tilts are one softmax over the columns.
 
 Sampling draws all types (or columns) first and then the v-bits, row block
 by row block: tilt_map_blocks maps a function over the blocks, and
-tilt_sample_many is its one-block case.  A large draw is split into lanes
-at PCG64 jump-ahead points and runs on every CPU with the same bits.
+tilt_sample_many is its one-block case.  A v-bit is one 16-bit chunk of a
+64-bit generator word, four bits per word, compared against the top 16 bits
+of T = ceil(Pr[v = +1] * 2^53); a chunk that ties them (probability 2^-16)
+compares 37 more bits, from Philox keyed by one word of the stream at a
+counter of the bit's index, against the rest of T.  So Pr[v = +1] is
+exactly T / 2^53, the law of a float64 uniform below Pr[v = +1].  A large
+draw is split into lanes at PCG64 jump-ahead points and runs on every CPU
+with the same bits.
 
 The score <x - mu_ref, q> measures the correlation between a point and a
 mechanism answer; under a fresh draw its mean is exactly zero. The divergence
@@ -43,6 +49,10 @@ class TiltedDistribution:
     type_tilts: Optional[np.ndarray] = None
     # log partition per type (tensor families) or None
     type_logz: Optional[np.ndarray] = None
+    # the sampler's Pr[v = +1] thresholds per type and coordinate, split by
+    # chunk_thresholds (tensor families) or None
+    chunk_hi: Optional[np.ndarray] = None
+    chunk_lo: Optional[np.ndarray] = None
     # matrix-columns: softmax log-probabilities per column
     column_logp: Optional[np.ndarray] = None
 
@@ -70,7 +80,9 @@ def tilt(family: PointFamily, theta) -> TiltedDistribution:
     tilts = np.matmul(family.basis.astype(np.float64), th).reshape(-1, family.d)
 
     logz = np.logaddexp(tilts, -tilts).sum(axis=1)  # log 2cosh(t) per bit
-    return TiltedDistribution(family, theta, type_tilts=tilts, type_logz=logz)
+    hi, lo = chunk_thresholds(plus_prob(tilts))
+    return TiltedDistribution(family, theta, type_tilts=tilts, type_logz=logz,
+                              chunk_hi=hi, chunk_lo=lo)
 
 
 def _logsumexp(x: np.ndarray) -> float:
@@ -79,8 +91,11 @@ def _logsumexp(x: np.ndarray) -> float:
 
 
 SAMPLE_BLOCK = 1024  # rows per tilt_map_blocks batch of streamed draws
-# a lane is worth a thread only with at least this many uniforms to draw
+# a lane is worth a thread only with at least this many v-bits to draw
+# (a quarter as many 64-bit words)
 LANE_DRAWS = 2 ** 20
+CHUNK_BITS = 16  # v-bits are 16-bit chunks of 64-bit words, four per word
+TIE_BITS = 53 - CHUNK_BITS  # keyed bits that decide a chunk tie
 
 
 def tilt_sample_many(dist: TiltedDistribution, rng: np.random.Generator,
@@ -100,36 +115,46 @@ def tilt_map_blocks(dist: TiltedDistribution, rng: np.random.Generator,
                     count: int, block: int, fn: Callable) -> list:
     """fn of each batch of at most block rows of count points, in block order.
 
-    All types (or columns) are drawn first on rng, then the v-bits block by
-    block, so every block size gives the same rows and leaves rng in the
-    same state.  Contiguous runs of blocks go to lanes that run at once,
-    one per CPU while each has LANE_DRAWS uniforms to draw: lane 0 on rng in
-    the calling thread, lane l > 0 on a copy of rng's PCG64 advanced past the
-    uniforms of the rows before it (one 64-bit step per float64).  The rows,
-    fn's inputs and rng's end state are those of one lane, whatever the lane
-    count; a lane's exception reaches the caller once every lane has
-    stopped."""
+    All types (or columns) are drawn first on rng, then one tie key word,
+    then the v-bits block by block, ceil(d / 4) words per row by
+    random_raw (see chunk_signs), so every block size gives the same rows
+    and leaves rng in the same state.  Contiguous runs of blocks go to lanes
+    that run at once, one per CPU while each has LANE_DRAWS v-bits to draw:
+    lane 0 on rng in the calling thread, lane l > 0 on a copy of rng's PCG64
+    advanced past the words of the rows before it.  The rows, fn's inputs
+    and rng's end state are those of one lane, whatever the lane count; a
+    lane's exception reaches the caller once every lane has stopped."""
     fam = dist.family
     types = np.zeros(count, dtype=np.int64)
     if fam.kind == "matrix-columns":
         cols = rng.choice(fam.n_columns, size=count, p=np.exp(dist.column_logp))
-        draws = 0  # uniforms per row after the columns
+        words = 0  # words per row after the columns
     else:
-        table = plus_prob(dist.type_tilts)  # per (type, coordinate)
-        if len(table) > 1:
+        hi, lo = dist.chunk_hi, dist.chunk_lo
+        if len(hi) > 1:
             # tilt makes every tensor type equally likely
-            types = rng.integers(0, len(table), size=count)
-        draws = fam.d
+            types = rng.integers(0, len(hi), size=count)
+        else:
+            # one type: hi tiled to a block of rows, since full-shape
+            # compares run twice as fast as broadcast ones
+            hi = np.tile(hi, (min(block, max(count, 1)), 1))
+        key = int(rng.bit_generator.random_raw())
+        words = -(-fam.d // 4)
 
-    def run(gen, lo, hi):
+    def run(gen, first, last):
         out = []
-        for s in range(lo, hi, block):
+        if fam.kind != "matrix-columns":
+            raw, philox = gen.bit_generator.random_raw, np.random.Philox(key=key)
+        for s in range(first, last, block):
             t = types[s:s + block]
             if fam.kind == "matrix-columns":
                 out.append(fn(PointBatch(fam, t, cols=cols[s:s + block])))
             else:
-                p_plus = table[0] if len(table) == 1 else table[t]
-                v = sign_bits(gen.random((len(t), fam.d)) < p_plus)
+                # fixed little-endian chunk order, whatever the host's
+                chunks = raw(len(t) * words).astype("<u8", copy=False) \
+                    .view("<u2").reshape(len(t), 4 * words)[:, :fam.d]
+                rows_hi = hi[t] if len(lo) > 1 else hi[:len(t)]
+                v = chunk_signs(chunks, rows_hi, lo, t, s * fam.d, philox)
                 out.append(fn(PointBatch(fam, t, v=v)))
         return out
 
@@ -149,19 +174,55 @@ def tilt_map_blocks(dist: TiltedDistribution, rng: np.random.Generator,
     for first in firsts[1:]:
         bits = np.random.PCG64()
         bits.state = rng.bit_generator.state
-        bits.advance(first * draws)
+        bits.advance(first * words)
         gens.append(np.random.Generator(bits))
     with ThreadPoolExecutor(lanes - 1) as pool:
-        helpers = [pool.submit(run, gen, lo, hi) for gen, lo, hi
+        helpers = [pool.submit(run, gen, first, last) for gen, first, last
                    in zip(gens, firsts[1:], firsts[2:] + [count])]
         out = run(rng, 0, firsts[1])
         for lane in helpers:
             out += lane.result()
-    # the type draw may leave half a word buffered, which doubles never touch
+    # the type draw may leave half a word buffered, which random_raw never
+    # touches
     end = rng.bit_generator.state
     end["state"] = gens[-1].bit_generator.state["state"]
     rng.bit_generator.state = end
     return out
+
+
+def chunk_thresholds(p_plus: np.ndarray) -> tuple:
+    """(hi, lo) with T = hi * 2^37 + lo = ceil(p_plus * 2^53), exact since
+    p_plus * 2^53 is: hi the uint16 top of T, lo the uint64 rest.  T = 2^53
+    (p_plus = 1) has no 16-bit top, so it is split as hi = 2^16 - 1 and
+    lo = 2^37, which every tie's 37 bits fall below; p_plus = 0 gives
+    hi = lo = 0, which no chunk falls below and no tie's bits do."""
+    t = np.ceil(p_plus * 2.0 ** 53).astype(np.uint64)
+    hi = np.minimum(t >> np.uint64(TIE_BITS), np.uint64(2 ** CHUNK_BITS - 1))
+    return hi.astype(np.uint16), t - (hi << np.uint64(TIE_BITS))
+
+
+def chunk_signs(chunks: np.ndarray, hi: np.ndarray, lo: np.ndarray,
+                types: np.ndarray, first: int,
+                philox: np.random.Philox) -> np.ndarray:
+    """int8 v-bits of one (rows, d) block of 16-bit chunks: +1 below hi,
+    -1 above it.  A chunk equal to hi ties; the tie at flat index i, bit
+    first + i of the draw, takes the top 37 bits U of philox's first word at
+    counter first + i (a fresh Philox(key, counter=first + i)) and gives +1
+    iff U < lo[types[i // d], i % d].  So v = +1 iff chunk * 2^37 + U < T,
+    and a tie's bits depend on its index alone, not on lane or block."""
+    plus = chunks < hi
+    tied = np.flatnonzero(chunks == hi)
+    if len(tied):
+        d = chunks.shape[1]
+        state = philox.state
+        keyed = np.empty(len(tied), dtype=np.uint64)
+        for i, at in enumerate(tied):
+            state["state"]["counter"][0] = first + at
+            state["buffer_pos"] = 4  # the next word comes from the counter
+            philox.state = state
+            keyed[i] = philox.random_raw() >> (64 - TIE_BITS)
+        plus.flat[tied] = keyed < lo[types[tied // d], tied % d]
+    return sign_bits(plus)
 
 
 def sign_bits(plus: np.ndarray) -> np.ndarray:

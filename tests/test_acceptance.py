@@ -463,10 +463,9 @@ class TestStagedProtocolDesk:
         idx = int(early[0])
         stage = int(tr_a.dataset_crossing_stage[idx])
 
+        # flip every post-crossing slice, so the new bits always differ
         refs_b = replace(refs, v=refs.v.copy())
-        suffix = np.random.default_rng(778).choice(
-            [-1, 1], size=family.d - stage - 1).astype(np.int8)
-        refs_b.v[idx, stage + 1:] = suffix
+        refs_b.v[idx, stage + 1:] *= -1
         assert not np.array_equal(refs_b.v[idx], refs.v[idx])
 
         tr_b = run(refs_b)
@@ -625,7 +624,7 @@ class TestSuiteDeterminism:
     @pytest.mark.parametrize("label", sorted(DETERMINISM_CONFIGS))
     def test_csv_bytes_match_golden_digest_in_lanes(self, label, tmp_path,
                                                     monkeypatch):
-        # every golden config draws fewer than LANE_DRAWS uniforms in one
+        # every golden config draws fewer than LANE_DRAWS v-bits in one
         # block; in 16-row blocks forced to three lanes, each pinned digest
         # runs the multi-lane path
         monkeypatch.setattr(tilt_module, "LANE_DRAWS", 1)

@@ -39,6 +39,8 @@ from tiltlab.families import PointBatch, make_family, predicate_matrix, \
     support_batch
 from tiltlab.tilt import SAMPLE_BLOCK, log_weights, tilt, tilt_sample_many
 
+from tilt_enumeration import recipe_bits
+
 
 def small_family():
     return make_family("tensor", m=2, k=4, d=6)
@@ -608,7 +610,7 @@ class TestRunProtocol:
 
     def test_population_check_matches_oracle(self):
         # the accuracy branch draws one population per run (types, then all
-        # d slices as uniforms below Pr[v = +1]); stage r reads slice r on
+        # d slices by the v-bit recipe); stage r reads slice r on
         # the points whose walk over slices 0..r-1 stays at or below tau
         fam = small_family()
         m, k, d = fam.m, fam.k, fam.d
@@ -622,7 +624,7 @@ class TestRunProtocol:
         rng = np.random.default_rng(ss_acc)
         types = rng.integers(0, m * k, size=mc)
         p_plus = expit(2.0 * tilt(fam, theta).type_tilts)
-        v = np.where(rng.random((mc, d)) < p_plus[types], 1, -1)
+        v = recipe_bits(rng, p_plus[types])
         ti, tj = np.divmod(types, k)
         hmat = predicate_matrix(m).astype(float)
         basis = fam.basis.astype(float)

@@ -10,7 +10,8 @@ Oracles:
       mechanism: sum_i sech^2(theta_i) on the hypercube and
       (1/m) sum_{i,j,r} sech^2(T[i,j,r]) for the type-conditioned tensor tilt.
     - Batched sampling against a per-point copy of the sampling recipe
-      (uniform tensor types by rng.integers, then the v-bits), and
+      (uniform tensor types by rng.integers, then a key word and the v-bits,
+      each decided as a 53-bit comparison in Python integers), and
       PointBatch.densify against a test-local per-point resolve; its
       m = k = 1 fast path against a test-local copy of the general scatter.
     - Exact tilt means (overall and per type) on random small families
@@ -18,13 +19,18 @@ Oracles:
     - The sampler's Pr[v = +1] table against scipy.special.expit(2 t).
     - Tensor type tilts, bitwise, against a test-local einsum over the
       integer basis, on random thetas of mixed scales.
+    - The chunk sampler's law: +1 frequencies over 1e8 bits against
+      ceil(p 2^53) / 2^53 within 6 standard deviations, and a block of
+      forced chunk ties against a direct 53-bit comparison of keyed bits.
     - Blocks mapped in 1, 2 or 3 lanes (and the gap Monte Carlo built on
-      them) against one one-block draw: same rows, same generator state.
+      them) against one one-block draw and the recipe: same rows, same
+      generator state, chunk ties in helper lanes included.
 """
 
 import math
 import threading
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -48,7 +54,7 @@ from tiltlab.tilt import (
     tilt_sample_many,
 )
 
-from tilt_enumeration import brute_cov, brute_mean
+from tilt_enumeration import brute_cov, brute_mean, recipe_bits
 
 
 def resolve(fam, batch, idx):
@@ -328,9 +334,7 @@ def per_point_sample(dist, rng, count):
     else:
         # tensor types are uniform by construction
         types = rng.integers(0, n_types, size=count)
-    p_plus = expit(2.0 * dist.type_tilts[types])
-    v = np.where(rng.random((count, fam.d)) < p_plus, 1, -1).astype(np.int8)
-    return types, v
+    return types, recipe_bits(rng, expit(2.0 * dist.type_tilts[types]))
 
 
 class TestPointBatch:
@@ -377,6 +381,100 @@ class TestPointBatch:
         dense = batch.densify()
         assert dense.dtype == scatter.dtype == np.float64
         assert dense.tobytes() == scatter.tobytes()
+
+
+def p_at(p):
+    """(tilt, exact Pr[v = +1]) with the tilt's Pr[v = +1] near p."""
+    t = float(np.arctanh(2.0 * p - 1.0)) if 0.0 < p < 1.0 else \
+        math.copysign(1e3, p - 0.5)
+    return t, float(plus_prob(np.array(t)))
+
+
+# Pr[v = +1] grid of the law test: 0 and 1; just below 2^-16 and at 2^-17,
+# where every +1 comes from a tie (hi = 0); just above chunk boundaries
+# 1, 12345 and 65535 and just below them; and values across (0, 1)
+LAW_GRID = ([0.0, 1.0, 0.5] + [2.0 ** -16 * (1 - 1e-6)] * 8
+            + [2.0 ** -17] * 4
+            + [b / 65536 * (1 + s * 1e-6) for b in (1, 12345, 65535)
+               for s in (-1, 1)]
+            + [0.3, 0.7, 0.01, 0.99, 1e-3, 0.999, 0.123, 0.25, 0.75,
+               2.0 ** -20, 0.5 + 1e-12])
+LAW_ROWS = 3_125_000  # 32 coordinates: 1e8 bits
+
+
+class TestChunkSampler:
+    def test_thresholds_split_ceil_exactly(self):
+        p = np.array([0.0, 1.0, 0.5, 2.0 ** -16, 2.0 ** -16 * (1 - 1e-9),
+                      5e-324, 1e-300, 1 - 2.0 ** -53, 1 - 2.0 ** -16, 0.3])
+        hi, lo = tilt_module.chunk_thresholds(p)
+        assert hi.dtype == np.uint16 and lo.dtype == np.uint64
+        for q, h, l in zip(p, hi.tolist(), lo.tolist()):
+            assert h * 2 ** 37 + l == math.ceil(Fraction(q) * 2 ** 53)
+            # lo is a 37-bit rest except at p = 1, whose T = 2^53 has no
+            # 16-bit top
+            assert l < 2 ** 37 or (q == 1.0 and (h, l) == (65535, 2 ** 37))
+
+    def test_law_over_1e8_bits(self):
+        # each coordinate's +1 count is Binomial(LAW_ROWS, T / 2^53); it
+        # must lie within 6 standard deviations, and the coordinates whose
+        # every +1 is a tie's must do so pooled too (a tie decided wrongly
+        # shifts them by up to 2^-16, which one coordinate cannot see)
+        assert len(LAW_GRID) * LAW_ROWS >= 10 ** 8
+        tilts, p = zip(*(p_at(q) for q in LAW_GRID))
+        fam = make_family("hypercube", d=len(LAW_GRID))
+        counts = sum(tilt_map_blocks(
+            tilt(fam, np.array(tilts)), np.random.default_rng(50), LAW_ROWS,
+            tilt_module.SAMPLE_BLOCK,
+            lambda b: np.count_nonzero(b.v > 0, axis=0)))
+        q = np.array([math.ceil(Fraction(x) * 2 ** 53) / 2 ** 53 for x in p])
+        assert counts[q == 0].sum() == 0
+        assert np.all(counts[q == 1] == LAW_ROWS)
+        mid = (q > 0) & (q < 1)
+        sd = np.sqrt(LAW_ROWS * q * (1 - q))
+        z = (counts - LAW_ROWS * q)[mid] / sd[mid]
+        assert np.abs(z).max() <= 6.0
+        tie_only = mid & (q < 2.0 ** -16)
+        assert tie_only.sum() == 14  # 8 + 4 + 2^-20 + the boundary-1 one
+        pooled = (counts[tie_only].sum() - LAW_ROWS * q[tie_only].sum()) \
+            / math.sqrt((sd[tie_only] ** 2).sum())
+        assert abs(pooled) <= 6.0
+
+    def test_forced_ties_are_a_53_bit_comparison(self):
+        # every chunk equals its hi, so every bit is decided by the keyed
+        # bits: each must equal U < T for U = chunk * 2^37 + the top 37
+        # bits of Philox(key, counter=first + i)
+        rng = np.random.default_rng(51)
+        rows, d, n_types, first, key = 40, 7, 3, 12345, 2 ** 63 + 17
+        lo = rng.integers(0, 2 ** 37 + 1, size=(n_types, d), dtype=np.uint64)
+        lo[0, :3] = [0, 2 ** 37, 2 ** 36]
+        types = rng.integers(0, n_types, size=rows)
+        hi = rng.integers(0, 2 ** 16, size=(n_types, d)).astype(np.uint16)
+        hi[0, 1] = 65535  # the p = 1 split
+        # bit 3 of row 0 ties at U = T exactly, which must give -1
+        lo[types[0], 3] = np.random.Philox(
+            key=key, counter=first + 3).random_raw() >> 27
+        chunks = hi[types]
+        v = tilt_module.chunk_signs(chunks, hi[types], lo, types, first,
+                                    np.random.Philox(key=key))
+        for i in range(rows * d):
+            r, c = divmod(i, d)
+            low = np.random.Philox(key=key, counter=first + i).random_raw() >> 27
+            u = int(chunks[r, c]) * 2 ** 37 + low
+            t = int(hi[types[r], c]) * 2 ** 37 + int(lo[types[r], c])
+            assert v[r, c] == (1 if u < t else -1)
+        assert v[0, 3] == -1
+        # a tie never falls below lo = 0 and always below lo = 2^37 (p = 1)
+        assert np.all(v[types == 0, 0] == -1) and np.all(v[types == 0, 1] == 1)
+
+    def test_forced_ties_follow_lo(self):
+        # 20000 ties at lo = 2^37 / 4: the keyed bits fall below it with
+        # probability 1/4, within 6 standard deviations
+        n = 20000
+        chunks = np.zeros((n, 1), dtype=np.uint16)
+        lo = np.array([[2 ** 35]], dtype=np.uint64)
+        v = tilt_module.chunk_signs(chunks, chunks, lo, np.zeros(n, np.int64),
+                                    0, np.random.Philox(key=52))
+        assert abs(np.count_nonzero(v > 0) - n / 4) <= 6 * math.sqrt(n * 3 / 16)
 
 
 LANE_FAMILIES = {
@@ -430,6 +528,41 @@ class TestLanes:
         if name == "tensor":
             # the type draw leaves half a word buffered, which must survive
             assert want_rng.bit_generator.state["has_uint32"] == 1
+        assert rng.bit_generator.state == want_rng.bit_generator.state
+        if name != "matrix-columns":
+            # the one-lane draw is the recipe: the types, a key word, then
+            # ceil(d / 4) words a row, which is what each lane advances by
+            recipe_rng = np.random.default_rng(41)
+            types, v = per_point_sample(dist, recipe_rng, LANE_COUNT)
+            assert np.array_equal(want.types, types)
+            assert np.array_equal(want.v, v)
+            assert rng.bit_generator.state == recipe_rng.bit_generator.state
+
+    @pytest.mark.parametrize("cpus", [2, 3])
+    def test_ties_in_helper_lanes_match_one_lane(self, monkeypatch, cpus):
+        # a tie's keyed bits are indexed by the bit's place in the whole
+        # draw, so a helper lane decides its ties as one lane does
+        fam = make_family("hypercube", d=64)
+        dist = tilt(fam, np.random.default_rng(46).normal(size=fam.dim))
+        count = 8 * tilt_module.SAMPLE_BLOCK + 17  # about 8 ties
+        want_rng = np.random.default_rng(47)
+        want = tilt_sample_many(dist, want_rng, count)
+        caller = threading.get_ident()
+        helper_ties = []
+        decide = tilt_module.chunk_signs
+
+        def spy(chunks, hi, *rest):
+            if threading.get_ident() != caller:
+                helper_ties.append(np.count_nonzero(chunks == hi))
+            return decide(chunks, hi, *rest)
+
+        force_lanes(monkeypatch, cpus)
+        monkeypatch.setattr(tilt_module, "chunk_signs", spy)
+        rng = np.random.default_rng(47)
+        v = np.concatenate(tilt_map_blocks(
+            dist, rng, count, tilt_module.SAMPLE_BLOCK, lambda b: b.v))
+        assert sum(helper_ties) > 0
+        assert np.array_equal(v, want.v)
         assert rng.bit_generator.state == want_rng.bit_generator.state
 
     def test_philox_runs_one_lane(self, monkeypatch):
