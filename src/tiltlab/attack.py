@@ -25,10 +25,13 @@ import numpy as np
 
 from .families import PointFamily
 from .mechanisms import Dataset
-from .tilt import SAMPLE_BLOCK, tilt, tilt_map_blocks, tilt_mean, \
-    tilt_mean_typed, tilt_sample_many
+from .tilt import SAMPLE_BLOCK, TiltedDistribution, tilt, tilt_map_blocks, \
+    tilt_mean, tilt_sample_many, typed_means
 
 _REGIONS = ("l2-sphere", "l2-ball", "l1-surface", "l1-ball")
+# scores this many ulps apart or closer are equal for separation: a GEMV
+# over blocks of different sizes moves a score by an ulp
+EQUAL_ULPS = 4
 
 
 @dataclass(frozen=True)
@@ -64,7 +67,7 @@ class ThetaSampler:
 @dataclass
 class ScoreReport:
     mechanism: str
-    theta: np.ndarray
+    dist: TiltedDistribution  # the trial's tilt, theta included
     answer: np.ndarray
     in_scores: np.ndarray
     fresh_scores: np.ndarray
@@ -105,8 +108,7 @@ def run_attack_trial(
         def score(x, types):
             return (x - mu) @ target
     else:
-        shift = np.array([tilt_mean_typed(dist, t) @ answer
-                          for t in range(family.n_types)])
+        shift = typed_means(dist) @ answer
 
         def score(x, types):
             return x @ answer - shift[types]
@@ -115,7 +117,7 @@ def run_attack_trial(
                             lambda b: score(b.densify(), b.types))
     return ScoreReport(
         mechanism=getattr(mechanism, "name", type(mechanism).__name__),
-        theta=theta,
+        dist=dist,
         answer=answer,
         in_scores=score(ds.points, batch.types),
         fresh_scores=np.concatenate(fresh),
@@ -126,15 +128,24 @@ def run_attack_trial(
 def separation(in_values, fresh_values) -> float:
     """Welch two-sample statistic (mean in - mean fresh) / stderr: per-trial
     scores of one report, or per-trial totals against fresh means across
-    reports.  One in-sample value adds no variance term; +inf when the
-    stderr is 0."""
+    reports.  One in-sample value adds no variance term.
+
+    Scores that differ only by rounding carry no signal: when the largest
+    and smallest of all in-sample and fresh values are at most EQUAL_ULPS
+    units in the last place (of the largest magnitude) apart, the answer
+    is 0.0, whatever ulps the stderr and the difference of means hold.
+    Otherwise a zero stderr gives inf with the sign of the difference."""
     ins = np.asarray(in_values, dtype=float)
     fresh = np.asarray(fresh_values, dtype=float)
     if len(fresh) < 2:
         raise ValueError("need at least 2 fresh values")
+    lo, hi = min(ins.min(), fresh.min()), max(ins.max(), fresh.max())
+    if hi - lo <= EQUAL_ULPS * np.spacing(max(-lo, hi)):
+        return 0.0
     se2 = fresh.var(ddof=1) / len(fresh)
     if len(ins) >= 2:
         se2 += ins.var(ddof=1) / len(ins)
+    diff = ins.mean() - fresh.mean()
     if se2 == 0:
-        return math.inf
-    return float((ins.mean() - fresh.mean()) / math.sqrt(se2))
+        return math.copysign(math.inf, diff)
+    return float(diff / math.sqrt(se2))

@@ -159,6 +159,11 @@ def config_from_values(values) -> ExperimentConfig:
     return ExperimentConfig(**values)
 
 
+# the column softmax's logits <a_c, theta> are at most sqrt(d) * radius in
+# size, and its shift to the largest doubles that: radius * d at most this
+# keeps every one of them finite, with room to spare
+RADIUS_DIM_CAP = 1e300
+
 # the config key whose value each built-in analyst's constructor takes
 ANALYST_SETTINGS = {"gaussian-noised": "sigma", "sample-split": "folds",
                     "clamped-mean": "bound"}
@@ -212,6 +217,12 @@ def check_ranges(cfg: ExperimentConfig, lines: Optional[dict] = None) -> None:
         if value is not None and not 0 < value < math.inf:
             fail(key, f"{key} must be unset or finite and > 0, got {value}")
 
+    def column_softmax_radius():
+        if cfg.radius is not None and cfg.radius * cfg.d > RADIUS_DIM_CAP:
+            fail("radius", f"radius * d must be <= {RADIUS_DIM_CAP:g} for "
+                           f"the column softmax, got radius = {cfg.radius} "
+                           f"at d = {cfg.d}")
+
     def privacy_budget():
         if not 0 < cfg.epsilon < math.inf:
             fail("epsilon",
@@ -229,6 +240,8 @@ def check_ranges(cfg: ExperimentConfig, lines: Optional[dict] = None) -> None:
             fail("region", f"region must be one of {', '.join(_REGIONS)}, "
                            f"got {cfg.region!r}")
         unset_or_positive("radius")
+        if cfg.kind == "attack-random":
+            column_softmax_radius()
         if cfg.mechanism not in MECHANISMS:
             fail("mechanism", f"mechanism must be one of "
                               f"{', '.join(MECHANISMS)}, got {cfg.mechanism!r}")
@@ -248,6 +261,7 @@ def check_ranges(cfg: ExperimentConfig, lines: Optional[dict] = None) -> None:
                  f"n_columns={cfg.n_columns}, cap_scale={cfg.cap_scale}; "
                  f"got {cfg.k_subset}")
         unset_or_positive("radius")
+        column_softmax_radius()
         if cfg.eta_probe is not None and not math.isfinite(cfg.eta_probe):
             fail("eta_probe",
                  f"eta_probe must be unset or finite, got {cfg.eta_probe}")
@@ -268,6 +282,10 @@ def check_ranges(cfg: ExperimentConfig, lines: Optional[dict] = None) -> None:
         if cfg.theta_mode not in ("sampled", "frozen"):
             fail("theta_mode", f"theta_mode must be sampled or frozen, "
                                f"got {cfg.theta_mode!r}")
+        if cfg.analyst == "sample-split" and cfg.folds > cfg.n:
+            # a fold with no points has no mean to answer a stage from
+            fail("folds", f"folds must be <= n = {cfg.n} for sample-split, "
+                          f"got {cfg.folds}")
         try:
             analyst_from_config(cfg)
         except ValueError as err:

@@ -27,7 +27,7 @@ from .families import make_family
 from .mechanisms import EmpiricalMean, HistogramVector, sparse_histogram
 from .seeds import trial_seed_sequence
 from .structure import ETA_PROBE_SCALE, check_column_sums, check_expanding, \
-    check_regular, tilt_weights, tilted_column_cov
+    check_regular, tilted_column_cov
 from .tilt import divergence_check
 
 STATUS_OK = "ok"
@@ -98,9 +98,9 @@ def _trial_attack_random(cfg: ExperimentConfig, master_seed: int, trial: int):
                               cfg.n, cfg.fresh, rng, recenter=True)
     stat = separation(report.in_scores, report.fresh_scores)
     second = float((report.fresh_scores ** 2).mean())
-    (weights,), (col_mean,) = tilt_weights(family.matrix, report.theta[None])
-    lam = float(np.linalg.eigvalsh(
-        tilted_column_cov(family.matrix, weights, col_mean))[-1])
+    dist = report.dist
+    lam = float(np.linalg.eigvalsh(tilted_column_cov(
+        family.matrix, dist.column_p, dist.column_mean))[-1])
     bound = lam * float(((report.answer - report.shift) ** 2).sum())
     in_total = report.in_scores.sum()
     ok = True

@@ -2,7 +2,7 @@
 
 Covers column-sum concentration of random +-1 matrices over uniform
 k-subsets, and the expanding/regular properties of tilted column
-distributions.
+distributions, whose weights are tilt.tilt_weights batched over thetas.
 """
 
 from __future__ import annotations
@@ -11,6 +11,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .tilt import tilt_weights
 
 ETA_PROBE_SCALE = 0.06
 
@@ -137,17 +139,6 @@ def check_expanding(
     values = (mu * thetas).sum(axis=1)
     return ExpandingReport(values=values,
                            fail_fraction=float(np.mean(values < eta_probe)))
-
-
-def tilt_weights(a: np.ndarray, thetas: np.ndarray) -> tuple:
-    """Tilt weights over the columns of ``a`` and tilt means, one row each per
-    row of ``thetas``: two GEMMs per block; one theta is a 1-row block."""
-    a = np.asarray(a, dtype=float)
-    p = thetas @ a  # (trials, N) inner products with columns
-    p -= p.max(axis=1, keepdims=True)
-    np.exp(p, out=p)
-    p /= p.sum(axis=1, keepdims=True)
-    return p, p @ a.T
 
 
 def tilted_column_cov(a: np.ndarray, p: np.ndarray,

@@ -6,7 +6,10 @@ type-conditioned: the type (i, j) is uniform and only the v-bits are
 tilted.  Within a type the v-bits are independent with
 Pr[v_c = +1] = e^{t_c} / (e^{t_c} + e^{-t_c}) where t is the type's tilt
 block, so exact means are tanh(t) laws and never require enumeration.
-Matrix-columns tilts are one softmax over the columns.
+Matrix-columns tilts are one softmax over the columns, tilt_weights, which
+the structure checks batch over many thetas; tilt() keeps one row of it,
+the column probabilities and the mean.  typed_means is the one table of
+per-type means E[x | type], and tilt_mean averages its rows.
 
 Sampling draws all types (or columns) first and then the v-bits, row block
 by row block: tilt_map_blocks maps a function over the blocks, and
@@ -39,6 +42,7 @@ from .families import ENUMERATION_CAP, PointBatch, PointFamily, support_batch
 from .mechanisms import Dataset
 
 DATASET_PRODUCT_CAP = 10 ** 6
+DIVERGENCE_STEP = 1e-4  # divergence_check's central-difference step
 
 
 @dataclass
@@ -53,8 +57,10 @@ class TiltedDistribution:
     # chunk_thresholds (tensor families) or None
     chunk_hi: Optional[np.ndarray] = None
     chunk_lo: Optional[np.ndarray] = None
-    # matrix-columns: softmax log-probabilities per column
-    column_logp: Optional[np.ndarray] = None
+    # matrix-columns: one row of tilt_weights, the column probabilities and
+    # the tilt mean
+    column_p: Optional[np.ndarray] = None
+    column_mean: Optional[np.ndarray] = None
 
 
 def plus_prob(t: np.ndarray) -> np.ndarray:
@@ -69,9 +75,8 @@ def tilt(family: PointFamily, theta) -> TiltedDistribution:
         raise ValueError(f"theta must have shape ({family.dim},)")
 
     if family.kind == "matrix-columns":
-        logits = family.matrix.T.astype(np.float64) @ theta
-        logp = logits - _logsumexp(logits)
-        return TiltedDistribution(family, theta, column_logp=logp)
+        (p,), (mu,) = tilt_weights(family.matrix, theta[None])
+        return TiltedDistribution(family, theta, column_p=p, column_mean=mu)
 
     # theta viewed as (m, k, d); the (i, j) type tilts the v-bits with
     # t_c = sum_b u_j[b] * theta[i, b, c], one GEMM per i; the +-1 products
@@ -85,9 +90,15 @@ def tilt(family: PointFamily, theta) -> TiltedDistribution:
                               chunk_hi=hi, chunk_lo=lo)
 
 
-def _logsumexp(x: np.ndarray) -> float:
-    m = np.max(x)
-    return float(m + np.log(np.exp(x - m).sum()))
+def tilt_weights(a: np.ndarray, thetas: np.ndarray) -> tuple:
+    """Tilt weights over the columns of ``a`` and tilt means, one row each per
+    row of ``thetas``: two GEMMs per block; one theta is a 1-row block."""
+    a = np.asarray(a, dtype=float)
+    p = thetas @ a  # (trials, N) inner products with columns
+    p -= p.max(axis=1, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=1, keepdims=True)
+    return p, p @ a.T
 
 
 SAMPLE_BLOCK = 1024  # rows per tilt_map_blocks batch of streamed draws
@@ -127,7 +138,7 @@ def tilt_map_blocks(dist: TiltedDistribution, rng: np.random.Generator,
     fam = dist.family
     types = np.zeros(count, dtype=np.int64)
     if fam.kind == "matrix-columns":
-        cols = rng.choice(fam.n_columns, size=count, p=np.exp(dist.column_logp))
+        cols = rng.choice(fam.n_columns, size=count, p=dist.column_p)
         words = 0  # words per row after the columns
     else:
         hi, lo = dist.chunk_hi, dist.chunk_lo
@@ -233,28 +244,22 @@ def sign_bits(plus: np.ndarray) -> np.ndarray:
     return v
 
 
+def typed_means(dist: TiltedDistribution) -> np.ndarray:
+    """(n_types, dim) table of the exact means E[x | type], in closed form:
+    the tilt mean for matrix-columns, the type's point with its v-bits
+    replaced by their tanh means for tensor families (products by +-1 and 0
+    only, so exact)."""
+    fam = dist.family
+    if fam.kind == "matrix-columns":
+        return dist.column_mean[None]
+    return PointBatch(fam, np.arange(fam.n_types),
+                      v=np.tanh(dist.type_tilts)).densify()
+
+
 def tilt_mean(dist: TiltedDistribution) -> np.ndarray:
-    """Exact mean of D_theta in closed form (tanh laws / softmax)."""
-    fam = dist.family
-    if fam.kind == "matrix-columns":
-        return np.exp(dist.column_logp) @ fam.matrix.T.astype(np.float64)
-    t3 = np.tanh(dist.type_tilts).reshape(fam.m, fam.k, fam.d)
-    # every tensor type is equally likely
-    p2 = np.full((fam.m, fam.k), np.exp(-np.log(fam.n_types)))
-    mu = np.einsum("ij,jp,ijr->ipr", p2, fam.basis.astype(np.float64), t3)
-    return mu.reshape(fam.dim)
-
-
-def tilt_mean_typed(dist: TiltedDistribution, type_id: int) -> np.ndarray:
-    """Dense conditional mean E[x | type] (the mean, for matrix-columns)."""
-    fam = dist.family
-    if fam.kind == "matrix-columns":
-        return tilt_mean(dist)
-    tanh = np.tanh(dist.type_tilts[type_id])
-    i, j = divmod(type_id, fam.k)
-    out = np.zeros((fam.m, fam.k, fam.d))
-    out[i] = np.outer(fam.basis[j], tanh)
-    return out.reshape(fam.dim)
+    """Exact mean of D_theta: the average of the typed means, as every
+    tensor type is equally likely."""
+    return typed_means(dist).mean(axis=0)
 
 
 def log_weights(dist: TiltedDistribution) -> np.ndarray:
@@ -263,7 +268,8 @@ def log_weights(dist: TiltedDistribution) -> np.ndarray:
     if fam.size > ENUMERATION_CAP:
         raise CapacityError("log_weights requires an enumerable family")
     if fam.kind == "matrix-columns":
-        return dist.column_logp.copy()
+        with np.errstate(divide="ignore"):  # a column of mass 0 has log -inf
+            return np.log(dist.column_p)
     block = 2 ** fam.d
     signs = support_batch(fam).v[:block].astype(np.float64)  # type-0 bits
     type_logp = -np.log(fam.n_types)  # every tensor type is equally likely
@@ -290,14 +296,14 @@ def divergence_check(
     theta,
     mechanism: Callable,
     n: int,
-    h: float = 1e-4,
 ) -> DivergenceReport:
     """Verify div g(theta) = E[sum_j <x^j - mu_j, A(x)>] by exact enumeration.
 
     g(theta) = E_{x ~ D_theta^n}[A(x)]; the left side sums central finite
-    differences of g_i in theta_i at step h, the right side is the exact
-    expectation of the summed scores. The mechanism must be deterministic
-    (pass an exactly averaged version of a randomized mechanism).
+    differences of g_i in theta_i at step DIVERGENCE_STEP, the right side is
+    the exact expectation of the summed scores, centred on typed_means. The
+    mechanism must be deterministic (pass an exactly averaged version of a
+    randomized mechanism).
     """
     theta = np.asarray(theta, dtype=np.float64)
     if n < 1:
@@ -324,14 +330,12 @@ def divergence_check(
     lhs = 0.0
     for i in range(family.dim):
         bump = np.zeros(family.dim)
-        bump[i] = h
+        bump[i] = DIVERGENCE_STEP
         w_hi = dataset_weights(tilt(family, theta + bump))
         w_lo = dataset_weights(tilt(family, theta - bump))
-        lhs += float((w_hi - w_lo) @ outputs[:, i]) / (2.0 * h)
+        lhs += float((w_hi - w_lo) @ outputs[:, i]) / (2.0 * DIVERGENCE_STEP)
 
-    typed_means = np.stack([tilt_mean_typed(dist0, t)
-                            for t in range(family.n_types)])
-    centered = mat - typed_means[support.types]
+    centered = mat - typed_means(dist0)[support.types]
     summed = centered[tuples].sum(axis=1)  # (size^n, dim)
     w0 = dataset_weights(dist0)
     rhs = float(np.einsum("t,td,td->", w0, summed, outputs))

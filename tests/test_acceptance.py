@@ -342,14 +342,14 @@ class TestShiftedScoreMoment:
         # under 1.1 lambda_max ||answer - mu||^2
         for report in self._reports():
             second = float((report.fresh_scores ** 2).mean())
-            bound = self._eigvals(report.theta)[-1] * float(
+            bound = self._eigvals(report.dist.theta)[-1] * float(
                 ((report.answer - report.shift) ** 2).sum())
             assert second <= 1.1 * bound
 
     def test_smallest_eigenvalue_fails_the_bound(self):
         for report in self._reports():
             second = float((report.fresh_scores ** 2).mean())
-            bound = self._eigvals(report.theta)[0] * float(
+            bound = self._eigvals(report.dist.theta)[0] * float(
                 ((report.answer - report.shift) ** 2).sum())
             assert second > 1.1 * bound
 

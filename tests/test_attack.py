@@ -5,7 +5,7 @@ Oracles:
       exact norm constraints.
     - Constant mechanisms give identically zero scores.
     - Exact-mean separations are pre-registered two-sample statistics.
-    - Trial scores against a per-point <x - tilt_mean_typed, answer> loop.
+    - Trial scores against a per-point <x - typed_means[t], answer> loop.
     - Fresh scores streamed in blocks against one dense tilt_sample_many
       path, bitwise, rng state included; the peak memory of a large trial.
     - Recentered trials: exact-shift zeros, the lambda_max bound on the
@@ -32,8 +32,8 @@ from tiltlab.tilt import (
     SAMPLE_BLOCK,
     tilt,
     tilt_mean,
-    tilt_mean_typed,
     tilt_sample_many,
+    typed_means,
 )
 
 from tilt_enumeration import brute_cov
@@ -226,7 +226,7 @@ class TestRunAttackTrial:
         def oracle(points):
             out = []
             for idx in range(len(points)):
-                mu = tilt_mean_typed(dist, int(points.types[idx]))
+                mu = typed_means(dist)[int(points.types[idx])]
                 out.append((resolve(points, idx) - mu) @ report.answer)
             return np.array(out)
 
@@ -268,14 +268,15 @@ class TestShiftedAttack:
         report = run_attack_trial(fam, sampler, EmpiricalMean(), n=20,
                                   fresh_count=30_000, rng=rng, recenter=True)
         w = report.answer - report.shift
-        (p,), (col_mean,) = tilt_weights(fam.matrix, report.theta[None])
+        (p,), (col_mean,) = tilt_weights(fam.matrix,
+                                         report.dist.theta[None])
         lam = np.linalg.eigvalsh(
             tilted_column_cov(fam.matrix, p, col_mean))[-1]
         bound = lam * float(w @ w)
         second = float(np.mean(report.fresh_scores ** 2))
         assert second <= bound * 1.1
         # and the exact quadratic form is itself below the lambda_max bound
-        cov = brute_cov(fam, report.theta)
+        cov = brute_cov(fam, report.dist.theta)
         assert w @ cov @ w <= bound * (1 + 1e-9)
 
     def test_exact_mean_random_queries_separate(self):
@@ -345,8 +346,7 @@ class TestFreshBlocks:
                                   MULTI_BLOCK, rng)
         ref_rng, dist, answer, in_pts, fresh_pts = self._replay(
             fam, sampler, 6, 71)
-        shift = np.array([tilt_mean_typed(dist, t) @ answer
-                          for t in range(fam.n_types)])
+        shift = typed_means(dist) @ answer
         for got, pts in ((report.in_scores, in_pts),
                          (report.fresh_scores, fresh_pts)):
             want = pts.densify() @ answer - shift[pts.types]
@@ -398,13 +398,43 @@ class TestSeparationStatistic:
         assert np.all(np.abs(stats_seen) < 4)
 
     def test_degenerate_variance_sentinel(self):
+        # all-zero scores do not vary at all: the stated answer is 0.0
         fam = make_family("hypercube", d=6)
         sampler = ThetaSampler(region="l2-sphere", dimension=6, radius=1.0)
         report = run_attack_trial(
             fam, sampler, ConstantAnswer(np.zeros(6)), n=3, fresh_count=4,
             rng=np.random.default_rng(17),
         )
-        assert math.isinf(separation(report.in_scores, report.fresh_scores))
+        assert separation(report.in_scores, report.fresh_scores) == 0.0
+
+    @pytest.mark.parametrize("value", [0.0017886061, -3.25, 1e300, 0.0])
+    def test_scores_equal_up_to_rounding(self, value):
+        # one score rounded up to two ulps either way, as GEMVs over blocks
+        # of different sizes give it: whatever the ulps, no separation
+        def ulps(k):
+            x = value
+            for _ in range(abs(k)):
+                x = np.nextafter(x, math.copysign(math.inf, k))
+            return x
+
+        assert separation([ulps(1)] * 2, [value] * 100) == 0.0
+        assert separation([value], [ulps(-1)] * 100) == 0.0
+        rng = np.random.default_rng(23)
+        for _ in range(20):
+            steps = rng.integers(-2, 3, size=102)
+            steps[:2] = -2, 2  # the widest spread allowed
+            rng.shuffle(steps)
+            values = [ulps(int(k)) for k in steps]
+            assert separation(values[:2], values[2:]) == 0.0
+
+    def test_zero_spread_keeps_the_sign(self):
+        # constant scores that differ by more than rounding
+        assert separation([1.0, 1.0], [0.0, 0.0, 0.0]) == math.inf
+        assert separation([-1.0], [0.0, 0.0]) == -math.inf
+        assert separation([1.0], [1.0 + 1e-12, 1.0 + 1e-12]) == -math.inf
+        # five ulps apart is more than rounding
+        far = 1.0 + 5 * np.spacing(1.0)
+        assert separation([far, far], [1.0, 1.0]) == math.inf
 
     def test_needs_two_fresh_scores(self):
         with pytest.raises(ValueError, match="2 fresh values"):

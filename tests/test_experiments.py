@@ -280,6 +280,20 @@ class TestParseConfig:
             parse_config(f"kind = ada-run\nanalyst = {analyst}\nsigma = 0\n"
                          "folds = 1\nbound = 1e-9")
 
+    def test_sample_split_folds_at_most_n(self):
+        # a fold with no points cannot answer its stages
+        with pytest.raises(ConfigError,
+                           match="line 6: folds must be <= n = 3 for "
+                                 "sample-split, got 5"):
+            parse_config("kind = ada-run\nm = 2\nk = 2\nd = 5\nn = 3\n"
+                         "folds = 5\nanalyst = sample-split")
+        cfg = parse_config("kind = ada-run\nm = 2\nk = 2\nd = 5\nn = 3\n"
+                           "folds = 3\nanalyst = sample-split\n"
+                           "mc_accuracy = 64\nmc_gap = 64")
+        assert run_trial(cfg, 1, 0)[0]["status"] == "ok"
+        # other analysts do not read folds
+        parse_config("kind = ada-run\nn = 3\nfolds = 5")
+
     def test_ada_range_edges_accepted(self):
         cfg = parse_config(f"kind = ada-run\nd = 1\nn = 1\n"
                            f"m = {RECONSTRUCT_CAP}\nk = 1\nalpha = 0.999\n"
@@ -339,6 +353,22 @@ class TestParseConfig:
         assert (cfg.d, cfg.n, cfg.fresh, cfg.n_columns) == (1, 1, 2, 2)
         res = run_experiment(cfg, 3, out_dir=tmp_path)
         assert res.aggregate["error_rows"] == 0
+
+    @pytest.mark.parametrize("kind", ["attack-random", "verify-structure"])
+    def test_column_softmax_radius_cap(self, kind, tmp_path):
+        # radius * d past 1e300 could overflow the column softmax's logits;
+        # at the cap every trial runs to its end
+        with pytest.raises(ConfigError, match="line 2: radius \\* d must be "
+                                              "<= 1e\\+300"):
+            parse_config(f"kind = {kind}\nradius = 1e308\nd = 64")
+        with pytest.raises(ConfigError, match="radius \\* d"):
+            parse_config(f"kind = {kind}\nradius = 1e299\nd = 11")
+        cfg = parse_config(f"kind = {kind}\nradius = 4e298\n" + "\n".join(
+            f"{key} = {value}" for key, value in TINY_SETTINGS[kind].items()))
+        res = run_experiment(cfg, 3, out_dir=tmp_path)
+        assert res.aggregate["error_rows"] == 0
+        # the tensor tilt has no softmax to overflow
+        parse_config("kind = attack-hypercube\nradius = 1e308\nd = 64")
 
     def test_attack_mechanism_settings_checked_only_for_their_mechanism(self):
         cfg = parse_config("kind = attack-hypercube\nepsilon = 0\n"
@@ -688,6 +718,18 @@ class TestCli:
         assert "config error: line 2:" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("text", [
+        "kind = attack-random\nd = 64\nn_columns = 2048\nradius = 1e308",
+        "kind = ada-run\nm = 2\nk = 2\nd = 5\nn = 3\n"
+        "analyst = sample-split\nfolds = 5",
+    ], ids=["radius-overflow", "folds-over-n"])
+    def test_unrunnable_config_exit_code(self, tmp_path, capsys, text):
+        cfg = write_config(tmp_path, text)
+        out = tmp_path / "out"
+        assert main(["run", "--config", cfg, "--out", str(out)]) == 2
+        assert "config error: line " in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_attack_random_columns_exit_code(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "kind = attack-random\nn_columns = 1")
         out = tmp_path / "out"
@@ -773,6 +815,9 @@ class TestCli:
         ("ada-run", "radius", 0.0),
         ("ada-run", "radius", -1.0),
         ("verify-structure", "radius", -1.0),
+        ("attack-random", "radius", 1e308),
+        ("verify-structure", "radius", 1e308),
+        ("ada-run", "folds", {"analyst": "sample-split", "folds": 33}),
         ("verify-structure", "eta_probe", math.nan),
         ("verify-structure", "cap_scale", math.inf),
         ("verify-structure", "cap_scale", math.nan),

@@ -16,6 +16,8 @@ Oracles:
       m = k = 1 fast path against a test-local copy of the general scatter.
     - Exact tilt means (overall and per type) on random small families
       against softmax-weighted enumeration, as a hypothesis property.
+    - The matrix-columns tilt against its one softmax, tilt_weights, bitwise,
+      and its column mass against 1 at radii up to 1e300.
     - The sampler's Pr[v = +1] table against scipy.special.expit(2 t).
     - Tensor type tilts, bitwise, against a test-local einsum over the
       integer basis, on random thetas of mixed scales.
@@ -42,7 +44,7 @@ from tiltlab.ada import gap
 from tiltlab.errors import CapacityError
 from tiltlab.families import PointBatch, make_family, support_batch
 from tiltlab.mechanisms import ClampedMean, Dataset, EmpiricalMean
-from tiltlab.structure import tilt_weights, tilted_column_cov
+from tiltlab.structure import tilted_column_cov
 from tiltlab.tilt import (
     divergence_check,
     log_weights,
@@ -50,8 +52,9 @@ from tiltlab.tilt import (
     tilt,
     tilt_mean,
     tilt_map_blocks,
-    tilt_mean_typed,
     tilt_sample_many,
+    tilt_weights,
+    typed_means,
 )
 
 from tilt_enumeration import brute_cov, brute_mean, recipe_bits
@@ -156,7 +159,7 @@ class TestTensorTilt:
                 cond = (w[sel] / w[sel].sum()) @ mat[sel]
                 tid = i * fam.k + j
                 np.testing.assert_allclose(
-                    tilt_mean_typed(dist, tid), cond, atol=1e-12
+                    typed_means(dist)[tid], cond, atol=1e-12
                 )
 
     @pytest.mark.parametrize("m,k,d", [(6, 64, 32), (3, 8, 7), (2, 4, 5),
@@ -198,6 +201,31 @@ class TestMatrixColumns:
         np.testing.assert_allclose(tilted_column_cov(fam.matrix, p, mu),
                                    brute_cov(fam, theta), atol=1e-12)
 
+    def test_one_softmax(self):
+        # tilt() keeps a row of tilt_weights, the one column softmax, as it
+        # is: the structure checks and the attack see the same bits
+        fam = make_family("matrix-columns", d=16, n_columns=64, seed=20)
+        rng = np.random.default_rng(21)
+        for scale in (0.1, 1.0, 10.0, 1e3):
+            theta = rng.normal(scale=scale, size=fam.dim)
+            dist = tilt(fam, theta)
+            (p,), (mu,) = tilt_weights(fam.matrix, theta[None])
+            assert np.array_equal(dist.column_p, p)
+            assert np.array_equal(dist.column_mean, mu)
+            assert np.array_equal(typed_means(dist), mu[None])
+            assert np.array_equal(tilt_mean(dist), mu)
+
+    @pytest.mark.parametrize("radius", [1e3, 1e15, 1e17, 1e300])
+    def test_mass_sums_to_one_at_any_radius(self, radius):
+        # the d = 1 logits are +-radius; a log-partition added to radius
+        # itself loses its low digits past about 1e15
+        fam = make_family("matrix-columns", d=1, n_columns=7, seed=3)
+        dist = tilt(fam, np.array([radius]))
+        assert dist.column_p.sum() == pytest.approx(1.0, rel=0, abs=1e-15)
+        batch = tilt_sample_many(dist, np.random.default_rng(22), 200)
+        # all the mass sits on the +1 columns
+        assert np.all(fam.matrix[0, batch.cols] == 1)
+
 
 class TestScore:
     def test_fresh_score_mean_zero(self):
@@ -209,7 +237,7 @@ class TestScore:
         w = np.exp(log_weights(dist))
         total = 0.0
         for idx, (wt, tid) in enumerate(zip(w, batch.types)):
-            mu = tilt_mean_typed(dist, int(tid))
+            mu = typed_means(dist)[int(tid)]
             total += wt * float((resolve(fam, batch, idx) - mu) @ q)
         assert abs(total) < 1e-12
 
@@ -253,7 +281,7 @@ class TestExactMeanProperty:
         mean, typed = enumerated_means(fam, theta)
         np.testing.assert_allclose(tilt_mean(dist), mean, rtol=0, atol=1e-12)
         for t in range(fam.n_types):
-            np.testing.assert_allclose(tilt_mean_typed(dist, t), typed[t],
+            np.testing.assert_allclose(typed_means(dist)[t], typed[t],
                                        rtol=0, atol=1e-12)
 
 
@@ -327,7 +355,7 @@ def per_point_sample(dist, rng, count):
     """The sampling recipe point by point: (types, bits) or column ids."""
     fam = dist.family
     if fam.kind == "matrix-columns":
-        return rng.choice(fam.n_columns, size=count, p=np.exp(dist.column_logp))
+        return rng.choice(fam.n_columns, size=count, p=dist.column_p)
     n_types = dist.type_tilts.shape[0]
     if n_types == 1:
         types = np.zeros(count, dtype=np.int64)
