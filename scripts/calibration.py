@@ -85,7 +85,7 @@ def query_release_section(master_seed: int, trials: int) -> None:
             )
             dense = np.zeros(n_cols)
             dense[hist.elements] = hist.weights
-            truth = fam.matrix.astype(float) @ dense / hist.total
+            truth = fam.matrix @ dense / hist.total
             ratio = float(np.linalg.norm(yhat - truth)) / budget
             worst = max(worst, ratio)
             passes += ratio <= 1.0

@@ -27,6 +27,7 @@ the same seed and a dataset override keeps every non-dataset draw coupled.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 from dataclasses import dataclass
@@ -88,13 +89,17 @@ class Obfuscation:
         if self.W < 1:
             raise ValueError("name space must be positive")
 
+    def check_names(self, names) -> None:
+        names = np.asarray(names)
+        if names.size and (names.min() < 0 or names.max() >= self.W):
+            raise ValueError(f"names must lie in [0, {self.W})")
+
 
 def obfuscate_many(obf: Obfuscation, names, ti, tj, v: np.ndarray) -> np.ndarray:
     """Mask the sign matrix v (rows are points, columns are slices); the
     prefix keying slice r is read from the clear bits of v."""
     names = np.asarray(names)
-    if names.size and (names.min() < 0 or names.max() >= obf.W):
-        raise ValueError(f"names must lie in [0, {obf.W})")
+    obf.check_names(names)
     bits = np.asarray(v, dtype=np.int8)
     slices = np.arange(bits.shape[1], dtype=_U64)
     # the prefix of slice r ORs bit s < r of each -1 in slice s; the bits
@@ -114,25 +119,17 @@ def obfuscate_many(obf: Obfuscation, names, ti, tj, v: np.ndarray) -> np.ndarray
 class ScoreField:
     """Reconstructed per-type slice coefficients plus the reference means.
 
-    ``c_hat[i, j, r]`` multiplies (v_r - ref_shift[i, j, r]) in the score of
-    a type-(i, j) point, so scores of whole batches reduce to table lookups.
-    The methods take flat type ids t = i * k + j and read the tables as
-    (m * k, d) views.
+    Rows are flat type ids t = i * k + j, the layout of the tilt's
+    type_tilts and of PointBatch.types: ``c_hat[t, r]`` multiplies
+    (v_r - ref_shift[t, r]) in the score of a type-t point, so scores of
+    whole batches reduce to table lookups.
     """
 
-    c_hat: np.ndarray  # (m, k, d)
-    ref_shift: np.ndarray  # (m, k, d)
-
-    def _rows(self):
-        d = self.c_hat.shape[2]
-        return self.ref_shift.reshape(-1, d), self.c_hat.reshape(-1, d)
-
-    def increments(self, t, v: np.ndarray) -> np.ndarray:
-        shift, coef = self._rows()
-        return (v - shift[t]) * coef[t]
+    c_hat: np.ndarray  # (m * k, d)
+    ref_shift: np.ndarray  # (m * k, d)
 
     def score(self, t, v: np.ndarray) -> np.ndarray:
-        return self.increments(t, v).sum(axis=1)
+        return ((v - self.ref_shift[t]) * self.c_hat[t]).sum(axis=1)
 
     def advance(self, t, v_r: np.ndarray, r: int, psum: np.ndarray,
                 run_max: np.ndarray) -> None:
@@ -143,8 +140,7 @@ class ScoreField:
         The empty prefix counts, so it differs from the largest non-empty
         prefix only below zero, which no threshold tau > 0 tells apart.
         """
-        shift, coef = self._rows()
-        psum += (v_r - shift[:, r][t]) * coef[:, r][t]
+        psum += (v_r - self.ref_shift[:, r][t]) * self.c_hat[:, r][t]
         np.maximum(run_max, psum, out=run_max)
 
 
@@ -322,16 +318,23 @@ def builtin_analysts() -> dict:
 
 @dataclass(frozen=True)
 class ObfDataset:
-    """What the analyst sees: names, types, and masked bits only."""
+    """What the analyst sees: names, types, and masked bits only.  The masks
+    are computed from the clear bits on first read of ``masked_bits``."""
 
     names: np.ndarray
     types_i: np.ndarray
     types_j: np.ndarray
-    masked_bits: np.ndarray
+    _obf: Obfuscation
+    _bits: np.ndarray
 
     @property
     def n(self) -> int:
         return len(self.names)
+
+    @functools.cached_property
+    def masked_bits(self) -> np.ndarray:
+        return obfuscate_many(self._obf, self.names, self.types_i,
+                              self.types_j, self._bits)
 
 
 @dataclass
@@ -440,7 +443,7 @@ def run_ada_protocol(
     ss_data, ss_obf, ss_acc, ss_gap, ss_analyst = ss.spawn(5)
 
     dist = tilt(family, theta)
-    ref_shift = np.tanh(dist.type_tilts).reshape(m, k, d)
+    ref_shift = np.tanh(dist.type_tilts)
 
     if dataset_override is None:
         rng_data = np.random.default_rng(ss_data)
@@ -453,21 +456,18 @@ def run_ada_protocol(
         if points.names is None:
             raise ValueError("override points must carry names")
     names = points.names
-    ti, tj = np.divmod(points.types, k)
     bits = points.v
     collisions = int(n - len(np.unique(names)))
 
     obf_seed = int(ss_obf.generate_state(1, dtype=np.uint64)[0])
     obf = Obfuscation(seed=obf_seed, W=W)
-    masked = obfuscate_many(obf, names, ti, tj, bits)
-    analyst.begin(
-        ObfDataset(names=names.copy(), types_i=ti.copy(), types_j=tj.copy(),
-                   masked_bits=masked),
-        np.random.default_rng(ss_analyst),
-    )
+    obf.check_names(names)
+    ti, tj = np.divmod(points.types, k)
+    analyst.begin(ObfDataset(names.copy(), ti, tj, _obf=obf, _bits=bits),
+                  np.random.default_rng(ss_analyst))
 
-    hmat = predicate_matrix(m).astype(float)
-    basis = family.basis.astype(float)
+    hmat = predicate_matrix(m)
+    basis = family.basis
     n_queries = 2 ** m * k
     acc_slack = math.sqrt(
         2.0 * math.log(2.0 * n_queries / ACCURACY_SIGNIFICANCE) / mc_accuracy
@@ -481,7 +481,7 @@ def run_ada_protocol(
     psum = np.zeros(n + mc_accuracy)
     run_max = np.zeros(n + mc_accuracy)
 
-    c_hat = np.zeros((m, k, d))
+    c_hat = np.zeros((m * k, d))
     field = ScoreField(c_hat, ref_shift)
     comp = np.zeros(n, dtype=bool)
     crossing_stage = np.full(n, -1, dtype=np.int64)
@@ -515,7 +515,7 @@ def run_ada_protocol(
         # recon[p, i] estimates mean coordinate (i, p) of the slice, so
         # column i of recon is the coordinate vector that projects onto H
         _, lam = project_to_H(recon, basis, 1.0 / m)  # (k, m)
-        c_hat[:, :, r] = lam.T / m
+        c_hat[:, r] = (lam.T / m).reshape(-1)
 
         field.advance(wtypes, wbits[:, r], r, psum, run_max)
         crossed = run_max[:n] > tau

@@ -70,8 +70,9 @@ def _cmd_run(args) -> int:
     result = run_experiment(cfg, seed, out_dir=out, workers=args.workers)
     print(f"wrote {result.csv_path} ({len(result.rows)} rows)")
     print(f"wrote {result.manifest_path}")
-    if result.log_path.exists():
-        print(f"wrote {result.log_path}")
+    for path in (result.log_path, result.errors_path):
+        if path.exists():
+            print(f"wrote {path}")
     for key, val in sorted(result.aggregate.items()):
         print(f"  {key} = {val}")
     print("invariants ok" if result.invariants_ok else "INVARIANTS FAILED")

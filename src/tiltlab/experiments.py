@@ -331,7 +331,8 @@ EXPERIMENT_KINDS = {
 
 
 def run_trial(cfg: ExperimentConfig, master_seed: int, trial: int):
-    """Compute one trial's formatted CSV row (plus its log lines).
+    """Compute one trial's formatted CSV row, its log lines and, for an
+    error row, the formatted traceback (else None).
 
     Any module error becomes an error row rather than killing the suite.
     """
@@ -340,10 +341,13 @@ def run_trial(cfg: ExperimentConfig, master_seed: int, trial: int):
     try:
         row, ok, logs = kind.trial(cfg, master_seed, trial)
     except Exception as exc:  # noqa: BLE001 - error rows must flush
-        return {**base, **dict.fromkeys(kind.columns, ""),
-                "status": f"error:{type(exc).__name__}:{exc}"}, []
+        import traceback  # only failed trials pay for its import
+
+        row = {**base, **dict.fromkeys(kind.columns, ""),
+               "status": f"error:{type(exc).__name__}:{exc}"}
+        return row, [], traceback.format_exc()
     return {**base, **{k: _fmt(v) for k, v in row.items()},
-            "status": STATUS_OK if ok else STATUS_INVARIANT}, logs
+            "status": STATUS_OK if ok else STATUS_INVARIANT}, logs, None
 
 
 @dataclass
@@ -352,6 +356,7 @@ class RunResult:
     csv_path: Path
     manifest_path: Path
     log_path: Path
+    errors_path: Path
     rows: list
     invariants_ok: bool
     aggregate: dict
@@ -359,7 +364,9 @@ class RunResult:
 
 def run_experiment(cfg: ExperimentConfig, master_seed: int,
                    out_dir=None, workers: int = 1) -> RunResult:
-    """Run all trials, then write <kind>.csv, <kind>.log, manifest.json."""
+    """Run all trials, then write <kind>.csv, <kind>.log, manifest.json, and
+    <kind>.errors.log with the traceback of each error row when there is
+    one."""
     if cfg.kind not in EXPERIMENT_KINDS:
         raise ValueError(f"unknown experiment kind {cfg.kind!r}")
     if workers < 1:
@@ -377,8 +384,8 @@ def run_experiment(cfg: ExperimentConfig, master_seed: int,
         results = [run_trial(*a) for a in args]
 
     header = kind.header
-    rows = [row for row, _ in results]
-    log_lines = [line for _, lines in results for line in lines]
+    rows = [row for row, _, _ in results]
+    log_lines = [line for _, lines, _ in results for line in lines]
 
     csv_path = out / f"{cfg.kind}.csv"
     with open(csv_path, "w", newline="") as fh:
@@ -390,6 +397,14 @@ def run_experiment(cfg: ExperimentConfig, master_seed: int,
     log_path = out / f"{cfg.kind}.log"
     if log_lines:
         log_path.write_text("\n".join(log_lines) + "\n")
+
+    errors_path = out / f"{cfg.kind}.errors.log"
+    failures = [f"trial={row['trial']} seed={row['seed']}\n{tb}"
+                for row, _, tb in results if tb is not None]
+    if failures:
+        errors_path.write_text("".join(failures))
+    else:
+        errors_path.unlink(missing_ok=True)  # a stale one from an older run
 
     data = [r for r in rows if r["status"] == STATUS_OK]
     errors = sum(1 for r in rows if r["status"].startswith("error"))
@@ -418,6 +433,7 @@ def run_experiment(cfg: ExperimentConfig, master_seed: int,
         csv_path=csv_path,
         manifest_path=manifest_path,
         log_path=log_path,
+        errors_path=errors_path,
         rows=rows,
         invariants_ok=ok,
         aggregate=aggregate,
@@ -455,5 +471,5 @@ def replay_row(csv_path, row_index: int):
     stored = dict(stored_rows[row_index])
     trial = int(stored["trial"])
     seed = int(stored["seed"])
-    recomputed, _ = run_trial(cfg, seed, trial)
+    recomputed = run_trial(cfg, seed, trial)[0]
     return stored, recomputed, recomputed == stored

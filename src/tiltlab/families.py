@@ -12,11 +12,13 @@ Points are stored structurally (type indices plus v-bits, or a column index)
 because the dense dimension m*k*d is mostly zeros for tensor points; dense
 resolution is an explicit call.  Points travel as a PointBatch of arrays
 (flat type ids, int8 v-bits or column ids, optional names) that densifies in
-one vectorised step.
+one vectorised step.  The +-1 tables (basis, predicate rows, matrix-columns
+matrix) are float64 from construction: their products are exact, uncast.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -32,20 +34,22 @@ _KINDS = ("tensor", "matrix-columns", *_TENSOR_ALIASES)
 
 
 def hadamard_orthogonal_set(k: int) -> np.ndarray:
-    """Return k pairwise-orthogonal vectors in {+-1}^k as rows.
+    """Return k pairwise-orthogonal vectors in {+-1}^k as float64 rows.
 
     Sylvester construction, unscaled entries. Requires k a power of two.
     """
     if k < 1 or (k & (k - 1)) != 0:
         raise ValueError(f"k must be a positive power of two, got {k}")
-    h = np.ones((1, 1), dtype=np.int64)
+    h = np.ones((1, 1))
     while h.shape[0] < k:
         h = np.block([[h, h], [h, -h]])
     return h
 
 
+@functools.lru_cache(maxsize=None)
 def predicate_matrix(m: int) -> np.ndarray:
-    """All 2^m predicates [m] -> {+-1} as rows; mask bit i set means h(i) = -1.
+    """All 2^m predicates [m] -> {+-1} as float64 rows; mask bit i set means
+    h(i) = -1.  One cached read-only table per m.
 
     Coordinate columns are orthogonal: sum_h h(i) h(j) = 2^m [i == j].
     """
@@ -55,7 +59,9 @@ def predicate_matrix(m: int) -> np.ndarray:
         raise CapacityError(f"predicate grid 2^{m} exceeds enumeration limits")
     masks = np.arange(2 ** m, dtype=np.int64)
     bits = (masks[:, None] >> np.arange(m)) & 1
-    return (1 - 2 * bits).astype(np.int64)
+    h = 1.0 - 2.0 * bits
+    h.flags.writeable = False
+    return h
 
 
 @dataclass
@@ -105,7 +111,7 @@ def make_family(
     if seed is None:
         raise ValueError("matrix-columns requires a seed to draw the matrix")
     rng = np.random.default_rng(seed)
-    matrix = (2 * rng.integers(0, 2, size=(d, n_columns)) - 1).astype(np.int64)
+    matrix = 2.0 * rng.integers(0, 2, size=(d, n_columns)) - 1.0
     return PointFamily(
         kind=kind, dim=d, d=d, n_columns=n_columns, seed=seed, matrix=matrix
     )
@@ -152,7 +158,7 @@ class PointBatch:
         """Dense (n, dim) float64 matrix, one row per point."""
         fam = self.family
         if fam.kind == "matrix-columns":
-            return fam.matrix.T[self.cols].astype(np.float64)
+            return fam.matrix.T[self.cols]
         if fam.n_types == 1:
             # basis [[1]]: a point is its v-bits; a cast beats the scatter
             return self.v.astype(np.float64)

@@ -9,7 +9,6 @@ integer elements, with a fixed total mass) under L1 adjacency.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -270,14 +269,6 @@ RECONSTRUCT_CAP = 12
 RECONSTRUCT_STOP_ULPS = 18
 
 
-@functools.lru_cache(maxsize=None)
-def _predicate_table(m: int) -> np.ndarray:
-    """predicate_matrix(m) as one shared read-only float table."""
-    h = predicate_matrix(m).astype(float)
-    h.flags.writeable = False
-    return h
-
-
 def complement_floor(answers: np.ndarray) -> np.ndarray:
     """Per-row lower bound max_j |a_j + a_{2^m-1-j}| / 2 on the Chebyshev fit.
 
@@ -311,7 +302,7 @@ def reconstruct_slices_batch(
     if m > RECONSTRUCT_CAP:
         raise CapacityError(
             f"reconstruct_slices_batch supports m <= {RECONSTRUCT_CAP}")
-    h = _predicate_table(m)
+    h = predicate_matrix(m)
     answers = np.asarray(answers, dtype=float)
     if answers.ndim != 2 or answers.shape[1] != 2 ** m:
         raise ValueError(f"expected (slices, {2 ** m}) answers")
@@ -415,6 +406,6 @@ def histogram_query_release(
     released = sparse_histogram(scaled, epsilon / 2, delta / 2, rng)
     dense = np.full(n_cols, released.background)
     dense[released.elements] = released.weights
-    yhat = family.matrix.astype(float) @ dense / released.total
+    yhat = family.matrix @ dense / released.total
     return yhat, released
 

@@ -18,7 +18,7 @@ ETA_PROBE_SCALE = 0.06
 
 
 def _validate_pm1(a: np.ndarray) -> np.ndarray:
-    a = np.asarray(a)
+    a = np.asarray(a, dtype=float)
     if a.ndim != 2:
         raise ValueError("matrix must be 2-D (columns are points)")
     if not np.all(np.abs(a) == 1):
@@ -130,7 +130,7 @@ def check_expanding(
     """Per theta on the radius-r sphere, compute E_{v ~ D_theta(A)}[<v, theta>]
     exactly by enumerating the columns, and report the fraction below
     eta_probe."""
-    a = _validate_pm1(a).astype(float)
+    a = _validate_pm1(a)
     d, _ = a.shape
     if r <= 0:
         raise ValueError("need r > 0 to draw boundary thetas")
@@ -167,7 +167,7 @@ def check_regular(
     """Fraction of thetas in the radius-r ball whose exact column covariance
     C has lambda_max(C) >= threshold, up to rounding; no eigenvalue is taken,
     as threshold * I - C has a Cholesky factor iff lambda_max(C) < threshold."""
-    a = _validate_pm1(a).astype(float)
+    a = _validate_pm1(a)
     d, _ = a.shape
     unit = _sphere_thetas(rng, trials, d, 1.0)
     radii = r * rng.random(trials) ** (1.0 / d)

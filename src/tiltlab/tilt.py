@@ -5,7 +5,10 @@ On the tensor family (the hypercube is its m = k = 1 case) the tilt is
 type-conditioned: the type (i, j) is uniform and only the v-bits are
 tilted.  Within a type the v-bits are independent with
 Pr[v_c = +1] = e^{t_c} / (e^{t_c} + e^{-t_c}) where t is the type's tilt
-block, so exact means are tanh(t) laws and never require enumeration.
+block, so exact means are tanh(t) laws and never require enumeration.  A
+tensor tilt keeps flat (n_types, d) rows, type (i, j) at row i * k + j, and
+no log-partition: log_weights, its one reader, sums the log 2cosh terms
+itself, so building a tilt at a large radius has no such sum to overflow.
 Matrix-columns tilts are one softmax over the columns, tilt_weights, which
 the structure checks batch over many thetas; tilt() keeps one row of it,
 the column probabilities and the mean.  typed_means is the one table of
@@ -51,8 +54,6 @@ class TiltedDistribution:
     theta: np.ndarray
     # per-type coordinate tilts: (n_types, d) for tensor families, else None
     type_tilts: Optional[np.ndarray] = None
-    # log partition per type (tensor families) or None
-    type_logz: Optional[np.ndarray] = None
     # the sampler's Pr[v = +1] thresholds per type and coordinate, split by
     # chunk_thresholds (tensor families) or None
     chunk_hi: Optional[np.ndarray] = None
@@ -82,11 +83,9 @@ def tilt(family: PointFamily, theta) -> TiltedDistribution:
     # t_c = sum_b u_j[b] * theta[i, b, c], one GEMM per i; the +-1 products
     # are exact, so the bits rest only on summing b in order, which it does
     th = theta.reshape(family.m, family.k, family.d)
-    tilts = np.matmul(family.basis.astype(np.float64), th).reshape(-1, family.d)
-
-    logz = np.logaddexp(tilts, -tilts).sum(axis=1)  # log 2cosh(t) per bit
+    tilts = np.matmul(family.basis, th).reshape(-1, family.d)
     hi, lo = chunk_thresholds(plus_prob(tilts))
-    return TiltedDistribution(family, theta, type_tilts=tilts, type_logz=logz,
+    return TiltedDistribution(family, theta, type_tilts=tilts,
                               chunk_hi=hi, chunk_lo=lo)
 
 
@@ -273,12 +272,12 @@ def log_weights(dist: TiltedDistribution) -> np.ndarray:
     block = 2 ** fam.d
     signs = support_batch(fam).v[:block].astype(np.float64)  # type-0 bits
     type_logp = -np.log(fam.n_types)  # every tensor type is equally likely
+    tilts = dist.type_tilts
+    logz = np.logaddexp(tilts, -tilts).sum(axis=1)  # log 2cosh(t) per bit
     out = np.empty(fam.size)
     for t in range(fam.n_types):
-        scores = signs @ dist.type_tilts[t]
-        out[t * block : (t + 1) * block] = (
-            type_logp - dist.type_logz[t] + scores
-        )
+        scores = signs @ tilts[t]
+        out[t * block : (t + 1) * block] = type_logp - logz[t] + scores
     return out
 
 

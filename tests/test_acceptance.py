@@ -188,7 +188,7 @@ class TestQueryReleaseAccuracy:
             )
             dense = np.zeros(n_cols)
             dense[hist.elements] = hist.weights
-            truth = family.matrix.astype(float) @ dense / hist.total
+            truth = family.matrix @ dense / hist.total
             passes += float(np.linalg.norm(yhat - truth)) <= budget
         return passes
 

@@ -181,7 +181,8 @@ class TestObfuscation:
 
 class TestFinalQuery:
     def test_zero_field_gives_zero(self):
-        fld = ScoreField(c_hat=np.zeros((2, 4, 6)), ref_shift=np.zeros((2, 4, 6)))
+        # flat per-type rows: m * k = 2 * 4 types of d = 6 slices
+        fld = ScoreField(c_hat=np.zeros((8, 6)), ref_shift=np.zeros((8, 6)))
         fq = FinalQuery(fld, m=2, d=6, alpha=0.25, C=2.0)
         # flat type ids of the types (0, 1) and (1, 2) at k = 4
         vals = fq.evaluate_bits(np.array([1, 6]),
@@ -191,20 +192,21 @@ class TestFinalQuery:
     def test_clamp_hits_boundary(self):
         m, d, alpha, C = 2, 6, 0.25, 2.0
         target = 2.0 * C * math.sqrt(d * math.log(1.0 / alpha)) / m
-        c_hat = np.full((m, 1, d), target / d)
-        fld = ScoreField(c_hat=c_hat, ref_shift=np.zeros((m, 1, d)))
+        # flat per-type rows of the m types at k = 1
+        c_hat = np.full((m, d), target / d)
+        fld = ScoreField(c_hat=c_hat, ref_shift=np.zeros((m, d)))
         fq = FinalQuery(fld, m=m, d=d, alpha=alpha, C=C)
         v = np.ones((1, d), dtype=np.int8)
         at = fq.evaluate_bits(np.array([0]), v)[0]
         assert at == pytest.approx(1.0, abs=1e-12)
         # doubling the field saturates the clamp exactly
-        fld2 = ScoreField(c_hat=2 * c_hat, ref_shift=np.zeros((m, 1, d)))
+        fld2 = ScoreField(c_hat=2 * c_hat, ref_shift=np.zeros((m, d)))
         fq2 = FinalQuery(fld2, m=m, d=d, alpha=alpha, C=C)
         assert fq2.evaluate_bits(np.array([0]), v)[0] == 1.0
         assert fq2.evaluate_bits(np.array([0]), -v)[0] == -1.0
 
     def test_scale_formula(self):
-        fld = ScoreField(c_hat=np.zeros((6, 2, 32)), ref_shift=np.zeros((6, 2, 32)))
+        fld = ScoreField(c_hat=np.zeros((12, 32)), ref_shift=np.zeros((12, 32)))
         fq = FinalQuery(fld, m=6, d=32, alpha=1 / 8, C=2.0)
         assert fq.scale == pytest.approx(6 / (4 * math.sqrt(32 * math.log(8))))
 
@@ -329,8 +331,8 @@ class TestStageQueryBatch:
         comp[list(comp_idx)] = True
         r = 1
         batch = StageQueryBatch(refs.types, refs.v[:, r],
-                                comp, predicate_matrix(fam.m).astype(float),
-                                fam.basis.astype(float))
+                                comp, predicate_matrix(fam.m),
+                                fam.basis)
         return batch, refs, r
 
     def test_point_values_match_family_queries(self):
@@ -387,8 +389,8 @@ class TestEvalMeanOracle:
         ti, tj = np.divmod(types, fam.k)
         vr = rng.choice(np.array([-1, 1], dtype=np.int8), size=n)
         comp = rng.random(n) < 0.3
-        hmat = predicate_matrix(fam.m).astype(float)
-        basis = fam.basis.astype(float)
+        hmat = predicate_matrix(fam.m)
+        basis = fam.basis
         batch = StageQueryBatch(types, vr, comp, hmat, basis)
         assert np.array_equal(batch.eval_mean(),
                               eval_mean_add_at(ti, tj, vr, comp, hmat, basis))
@@ -402,29 +404,29 @@ class TestEvalMeanOracle:
         types = np.array([0, 1, 1]) * fam.k + np.array([3, 0, 2])
         batch = StageQueryBatch(types, np.array([1, -1, 1], dtype=np.int8),
                                 np.ones(3, dtype=bool),
-                                predicate_matrix(fam.m).astype(float),
-                                fam.basis.astype(float))
+                                predicate_matrix(fam.m),
+                                fam.basis)
         assert np.array_equal(batch.eval_mean(), np.ones(batch.n_queries))
 
 
-def walk_max_oracle(field, ti, tj, v, upto):
-    """Largest prefix sum of lengths 1..upto, point by point in Python."""
+def walk_max_oracle(field, t, v, upto):
+    """Largest prefix sum of lengths 1..upto, point by point in Python;
+    ``t`` holds the points' flat type ids."""
     out = np.zeros(len(v))
     for p in range(len(v)):
         psum, best = 0.0, -math.inf
         for c in range(upto):
-            psum += ((float(v[p, c]) - field.ref_shift[ti[p], tj[p], c])
-                     * field.c_hat[ti[p], tj[p], c])
+            psum += ((float(v[p, c]) - field.ref_shift[t[p], c])
+                     * field.c_hat[t[p], c])
             best = max(best, psum)
         out[p] = best if upto else 0.0
     return out
 
 
-def advanced_state(field, ti, tj, v, upto, check=None):
+def advanced_state(field, t, v, upto, check=None):
     """psum and run_max after advancing a zero state over slices 0..upto-1;
     ``check(r, psum, run_max)`` runs after each slice."""
     psum, run_max = np.zeros(len(v)), np.zeros(len(v))
-    t = ti * field.c_hat.shape[1] + tj
     for r in range(upto):
         field.advance(t, v[:, r], r, psum, run_max)
         if check:
@@ -441,44 +443,46 @@ class TestWalkMax:
         # order rounds differently on some points
         scale = 10.0 ** rng.integers(-3, 2, size=(m, k, d))
         c_hat = rng.normal(size=(m, k, d)) * scale
-        field = ScoreField(c_hat=c_hat,
-                           ref_shift=np.tanh(rng.normal(size=(m, k, d))))
+        ref_shift = np.tanh(rng.normal(size=(m, k, d)))
+        # flat per-type rows: type (i, j) is row i * k + j
+        field = ScoreField(c_hat=c_hat.reshape(m * k, d),
+                           ref_shift=ref_shift.reshape(m * k, d))
         ti = rng.integers(0, m, size=n)
         tj = rng.integers(0, k, size=n)
         v = rng.choice(np.array([-1, 1], dtype=np.int8), size=(n, d))
-        return field, ti, tj, v
+        return field, ti * k + tj, v
 
     @pytest.mark.parametrize("upto", [0, 1, 2, 5, 9])
     def test_matches_per_point_oracle(self, upto):
-        field, ti, tj, v = self._field(40)
-        inc = field.increments(ti * field.c_hat.shape[1] + tj, v)
+        field, t, v = self._field(40)
+        inc = (v - field.ref_shift[t]) * field.c_hat[t]
 
         def check(r, psum, run_max):
-            want = walk_max_oracle(field, ti, tj, v, r + 1)
+            want = walk_max_oracle(field, t, v, r + 1)
             # the state starts at 0 and the oracle at -inf: points whose
             # prefix sums are all negative sit at 0, and no tau > 0 sees it
             assert (want < 0).any()
             assert np.array_equal(run_max, np.maximum(want, 0.0))
             assert np.array_equal(psum, np.cumsum(inc[:, :r + 1], axis=1)[:, -1])
 
-        psum, run_max = advanced_state(field, ti, tj, v, upto, check)
+        psum, run_max = advanced_state(field, t, v, upto, check)
         if upto == 0:
             assert not psum.any() and not run_max.any()
 
     def test_reads_only_columns_below_upto(self):
-        field, ti, tj, v = self._field(41)
+        field, t, v = self._field(41)
         upto = 4
-        want = advanced_state(field, ti, tj, v, upto)
+        want = advanced_state(field, t, v, upto)
         flipped = v.copy()
         flipped[:, upto:] *= -1
         for bits in (v[:, :upto], flipped):
-            got = advanced_state(field, ti, tj, bits, upto)
+            got = advanced_state(field, t, bits, upto)
             assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
     def test_crossing_points_match_oracle(self):
-        field, ti, tj, v = self._field(42, d=12)
-        _, run_max = advanced_state(field, ti, tj, v, 12)
-        want = walk_max_oracle(field, ti, tj, v, 12)
+        field, t, v = self._field(42, d=12)
+        _, run_max = advanced_state(field, t, v, 12)
+        want = walk_max_oracle(field, t, v, 12)
         assert np.array_equal(run_max, np.maximum(want, 0.0))
         # a point whose running max equals tau exactly is not compromised
         tau = float(np.sort(want[want > 0])[(want > 0).sum() // 2])
@@ -555,6 +559,17 @@ class TestRunProtocol:
         assert lines[0].startswith("stage=0 ")
         assert "gap=" in lines[-1]
 
+    def test_ref_shift_is_the_tilts_typed_means(self):
+        # flat per-type rows, in the tilt's own layout and bits
+        fam = small_family()
+        theta = surface_theta(fam, np.random.default_rng(30))
+        tr = run_ada_protocol(ExactMeanAnalyst(), fam, theta, n=48, seed=31,
+                              alpha=0.25)
+        want = np.tanh(tilt(fam, theta).type_tilts)
+        assert tr.c_hat.shape == tr.ref_shift.shape == (fam.m * fam.k, fam.d)
+        assert tr.ref_shift.dtype == want.dtype
+        assert tr.ref_shift.tobytes() == want.tobytes()
+
     def test_determinism(self):
         fam = small_family()
         theta = surface_theta(fam, np.random.default_rng(32))
@@ -626,14 +641,14 @@ class TestRunProtocol:
         p_plus = expit(2.0 * tilt(fam, theta).type_tilts)
         v = recipe_bits(rng, p_plus[types])
         ti, tj = np.divmod(types, k)
-        hmat = predicate_matrix(m).astype(float)
-        basis = fam.basis.astype(float)
+        hmat = predicate_matrix(m)
+        basis = fam.basis
         n_queries = 2 ** m * k
         slack = math.sqrt(2.0 * math.log(2.0 * n_queries / 1e-3) / mc)
         # slice s of c_hat is fixed after stage s
         field = ScoreField(tr.c_hat, tr.ref_shift)
         for r, rec in enumerate(tr.stages):
-            comp = walk_max_oracle(field, ti, tj, v, r) > tau
+            comp = walk_max_oracle(field, types, v, r) > tau
             assert rec.pop_compromised_frac == comp.mean()
             pop_vals = eval_mean_add_at(ti, tj, v[:, r], comp, hmat, basis)
             dev = float(np.abs(analyst.answers[r] - pop_vals).max())
@@ -742,6 +757,67 @@ class TestRunProtocol:
         assert tr_a.final_gap.population_mean == tr_b.final_gap.population_mean
 
 
+class MaskReadingAnalyst(ExactMeanAnalyst):
+    """The exact-mean analyst that also reads its masked bits."""
+
+    def begin(self, obf_dataset, rng):
+        self.seen = obf_dataset
+        self.masked = obf_dataset.masked_bits
+
+
+class TestLazyMasks:
+    def _run(self, analyst, names=None, seed=90):
+        fam = small_family()
+        rng = np.random.default_rng(seed)
+        theta = surface_theta(fam, rng)
+        n, W = 24, 24 ** 3
+        refs = named_sample(tilt(fam, theta), rng, n, W)
+        if names is not None:
+            refs.names = names
+        run_ada_protocol(analyst, fam, theta, n=n, W=W, seed=seed + 1,
+                         alpha=0.25, dataset_override=refs)
+        return fam, refs, W
+
+    def test_masked_bits_equal_obfuscate_many(self):
+        analyst = MaskReadingAnalyst()
+        fam, refs, W = self._run(analyst)
+        ss_obf = np.random.SeedSequence(91).spawn(5)[1]
+        obf = Obfuscation(seed=int(ss_obf.generate_state(1, np.uint64)[0]),
+                          W=W)
+        ti, tj = np.divmod(refs.types, fam.k)
+        seen = analyst.seen
+        assert seen.n == len(refs)
+        assert np.array_equal(seen.names, refs.names)
+        assert np.array_equal(seen.types_i, ti)
+        assert np.array_equal(seen.types_j, tj)
+        want = obfuscate_many(obf, refs.names, ti, tj, refs.v)
+        assert np.array_equal(analyst.masked, want)
+        assert seen.masked_bits is analyst.masked  # computed once
+
+    def test_exact_mean_run_builds_no_masks(self, monkeypatch):
+        calls = []
+
+        def counting(*args):
+            calls.append(1)
+            return obfuscate_many(*args)
+
+        monkeypatch.setattr(ada, "obfuscate_many", counting)
+        self._run(ExactMeanAnalyst())
+        assert calls == []
+        self._run(MaskReadingAnalyst())
+        assert calls == [1]
+
+    def test_name_out_of_range_still_raises(self):
+        n, W = 24, 24 ** 3
+        names = np.arange(n)
+        names[5] = W
+        with pytest.raises(ValueError, match=r"names must lie in \[0, "):
+            self._run(ExactMeanAnalyst(), names=names)
+        names[5] = -1
+        with pytest.raises(ValueError, match="names must lie"):
+            self._run(ExactMeanAnalyst(), names=names)
+
+
 class TestAnalysts:
     def test_gaussian_sigma_zero_matches_exact_mean(self):
         fam = small_family()
@@ -787,8 +863,8 @@ class TestAnalysts:
         dist = tilt(fam, surface_theta(fam, rng))
         refs = tilt_sample_many(dist, rng, 10)
         batch = StageQueryBatch(refs.types, refs.v[:, 0], np.zeros(10, bool),
-                                predicate_matrix(fam.m).astype(float),
-                                fam.basis.astype(float))
+                                predicate_matrix(fam.m),
+                                fam.basis)
         analyst = ClampedMeanAnalyst(bound=0.05)
         ans = analyst.answer_stage(0, batch)
         assert np.abs(ans).max() <= 0.05

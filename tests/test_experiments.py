@@ -14,6 +14,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -72,7 +73,7 @@ def test_import_skips_unused_scipy_modules():
             "from tiltlab.config import parse_config\n"
             "from tiltlab.experiments import run_trial\n"
             f"for text in {configs!r}:\n"
-            "    row, _ = run_trial(parse_config(text), 5, 0)\n"
+            "    row = run_trial(parse_config(text), 5, 0)[0]\n"
             "    assert row['status'] == 'ok', row\n"
             "print(sorted(m for m in sys.modules if m.partition('.')[0] in "
             "('scipy', 'multiprocessing', 'concurrent')))")
@@ -458,7 +459,7 @@ def test_kind_table_matches_config_kinds():
 class TestRunTrial:
     @pytest.mark.parametrize("kind", sorted(EXPERIMENT_KINDS))
     def test_row_covers_header(self, kind):
-        row, _ = run_trial(tiny_config(kind), 7, 0)
+        row = run_trial(tiny_config(kind), 7, 0)[0]
         assert list(row) == EXPERIMENT_KINDS[kind].header
         assert all(isinstance(v, str) for v in row.values())
         assert row["status"] == "ok"
@@ -467,30 +468,32 @@ class TestRunTrial:
     def test_error_row_covers_header(self, kind):
         # configs built in code skip the parse-time range checks
         overrides, seed = ERROR_CASES[kind]
-        row, logs = run_trial(tiny_config(kind, **overrides), seed, 0)
+        row, logs, tb = run_trial(tiny_config(kind, **overrides), seed, 0)
         assert list(row) == EXPERIMENT_KINDS[kind].header
         assert all(isinstance(v, str) for v in row.values())
         assert row["status"].startswith("error:")
         assert all(row[col] == "" for col in EXPERIMENT_KINDS[kind].columns)
         assert logs == []
+        assert tb.startswith("Traceback (most recent call last):")
 
     def test_divergence_catalog_all_ok(self):
         cfg = tiny_config("divergence-check")
         for trial in range(12):
-            row, _ = run_trial(cfg, 7, trial)
+            row = run_trial(cfg, 7, trial)[0]
             assert row["status"] == "ok"
             assert float(row["abs_err"]) <= 1e-6
 
     def test_error_becomes_row(self):
         # a config built in code skips the parse-time range checks
-        row, logs = run_trial(tiny_config("mech-bench", mass=-1.0), 7, 0)
+        row, logs, tb = run_trial(tiny_config("mech-bench", mass=-1.0), 7, 0)
         assert row["status"].startswith("error:ValueError:")
         assert row["linf"] == ""
         assert logs == []
+        assert tb.rstrip().splitlines()[-1].startswith("ValueError: ")
 
     def test_ada_emits_logs(self):
-        row, logs = run_trial(tiny_config("ada-run"), 7, 0)
-        assert row["status"] == "ok"
+        row, logs, tb = run_trial(tiny_config("ada-run"), 7, 0)
+        assert row["status"] == "ok" and tb is None
         # one line per stage plus the final summary
         assert len(logs) == 6 + 1
         assert all(line.startswith("trial=0 ") for line in logs)
@@ -582,6 +585,54 @@ class TestRunExperiment:
             assert float(row["expanding_fail_frac"]) <= 0.01
             assert float(row["regular_fail_frac"]) <= 0.01
 
+    def test_huge_radius_writes_only_ok_rows(self, tmp_path):
+        # warnings as errors: an overflow warning would make an error row
+        cfg = tiny_config("attack-hypercube", d=64, n=8, fresh=1000,
+                          trials=2, radius=1e308)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = run_experiment(cfg, 1, out_dir=tmp_path)
+        assert [row["status"] for row in res.rows] == ["ok", "ok"]
+        assert not res.errors_path.exists()
+
+    def test_errors_log_holds_each_traceback(self, tmp_path, monkeypatch):
+        kind = "mech-bench"
+        cfg = tiny_config(kind, trials=5)
+        clean = run_experiment(cfg, 3, out_dir=tmp_path / "clean")
+        assert not clean.errors_path.exists()
+        record = EXPERIMENT_KINDS[kind]
+
+        def trial(cfg, master_seed, t):
+            if t % 2:
+                raise RuntimeError(f"odd trial {t}")
+            return record.trial(cfg, master_seed, t)
+
+        monkeypatch.setitem(EXPERIMENT_KINDS, kind,
+                            dataclasses.replace(record, trial=trial))
+        res = run_experiment(cfg, 3, out_dir=tmp_path / "failed")
+        statuses = [row["status"] for row in res.rows]
+        assert statuses == [
+            f"error:RuntimeError:odd trial {t}" if t % 2 else row["status"]
+            for t, row in enumerate(clean.rows)]
+        csv_statuses = [line.rsplit(",", 1)[1] for line in
+                        res.csv_path.read_text().splitlines()[1:]]
+        assert csv_statuses == statuses
+        assert res.errors_path == tmp_path / "failed" / f"{kind}.errors.log"
+        text = res.errors_path.read_text()
+        heads = [line for line in text.splitlines()
+                 if line.startswith("trial=")]
+        assert heads == ["trial=1 seed=3", "trial=3 seed=3"]
+        assert text.count("Traceback (most recent call last):") == 2
+        assert text.index("RuntimeError: odd trial 1") \
+            < text.index("trial=3 seed=3") \
+            < text.index("RuntimeError: odd trial 3")
+        assert "in trial" in text  # the frame that raised
+        # a clean rerun into the same directory leaves no errors log
+        monkeypatch.setitem(EXPERIMENT_KINDS, kind, record)
+        rerun = run_experiment(cfg, 3, out_dir=tmp_path / "failed")
+        assert not rerun.errors_path.exists()
+        assert rerun.csv_path.read_bytes() == clean.csv_path.read_bytes()
+
     def test_error_row_fails_invariants(self, tmp_path):
         cfg = tiny_config("mech-bench", trials=2, support=0)
         res = run_experiment(cfg, 3, out_dir=tmp_path)
@@ -653,6 +704,19 @@ class TestCli:
         assert main(["replay", "--csv", str(out / "mech-bench.csv"),
                      "--row", "1"]) == 0
         assert "match" in capsys.readouterr().out
+
+    def test_run_reports_errors_log(self, tmp_path, capsys, monkeypatch):
+        def trial(cfg, master_seed, t):
+            raise RuntimeError("no trial")
+
+        monkeypatch.setitem(EXPERIMENT_KINDS, "mech-bench", dataclasses.replace(
+            EXPERIMENT_KINDS["mech-bench"], trial=trial))
+        cfg = write_config(tmp_path, "kind = mech-bench\ntrials = 2")
+        out = tmp_path / "out"
+        assert main(["run", "--config", cfg, "--out", str(out)]) == 1
+        captured = capsys.readouterr().out
+        assert f"wrote {out / 'mech-bench.errors.log'}" in captured
+        assert "INVARIANTS FAILED" in captured
 
     def test_run_invariant_failure_exit_code(self, tmp_path, capsys):
         # parses, then genuinely fails the regular check: at d = 16 the

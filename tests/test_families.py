@@ -80,6 +80,15 @@ class TestPredicateMatrix:
         h = predicate_matrix(3)
         assert np.array_equal(h[0], np.ones(3, dtype=int))
 
+    @pytest.mark.parametrize("m", [1, 3, 6])
+    def test_one_cached_read_only_float_table(self, m):
+        h = predicate_matrix(m)
+        assert predicate_matrix(m) is h
+        assert h.dtype == np.float64
+        assert not h.flags.writeable
+        with pytest.raises(ValueError):
+            h[0, 0] = 0.0
+
 
 class TestMakeFamily:
     def test_hypercube_shape(self):
@@ -104,6 +113,20 @@ class TestMakeFamily:
         assert fam.size == 40
         assert fam.matrix.shape == (16, 40)
         assert set(np.unique(fam.matrix)) == {-1, 1}
+
+    @pytest.mark.parametrize("kind,kw", [
+        ("hypercube", {"d": 3}),
+        ("tensor", {"m": 2, "k": 4, "d": 3}),
+    ])
+    def test_basis_is_float64(self, kind, kw):
+        fam = make_family(kind, **kw)
+        assert fam.basis.dtype == np.float64
+        assert np.array_equal(fam.basis, hadamard_orthogonal_set(fam.k))
+
+    def test_matrix_is_float64(self):
+        fam = make_family("matrix-columns", d=8, n_columns=12, seed=3)
+        assert fam.matrix.dtype == np.float64
+        assert support_batch(fam).densify().dtype == np.float64
 
     def test_matrix_columns_seed_reproducible(self):
         a = make_family("matrix-columns", d=8, n_columns=12, seed=3).matrix

@@ -345,7 +345,7 @@ def grid_chebyshev(answers, m, resolution):
     axes = [np.linspace(-1 / m, 1 / m, resolution)] * m
     grids = np.meshgrid(*axes, indexing="ij")
     mu = np.stack([g.ravel() for g in grids], axis=1)
-    h = predicate_matrix(m).astype(float)
+    h = predicate_matrix(m)
     viol = np.max(np.abs(mu @ h.T - answers), axis=1)
     best = np.argmin(viol)
     return mu[best], float(viol[best])
@@ -355,7 +355,7 @@ class TestReconstructSlice:
     @pytest.mark.parametrize("m,resolution", [(2, 201), (3, 61)])
     def test_matches_exhaustive_grid(self, m, resolution):
         rng = np.random.default_rng(8)
-        h = predicate_matrix(m).astype(float)
+        h = predicate_matrix(m)
         for _ in range(5):
             mu_true = rng.uniform(-1 / m, 1 / m, size=m)
             alpha = 0.05
@@ -371,7 +371,7 @@ class TestReconstructSlice:
     def test_recovery_within_two_alpha(self):
         rng = np.random.default_rng(9)
         m = 4
-        h = predicate_matrix(m).astype(float)
+        h = predicate_matrix(m)
         for _ in range(10):
             mu_true = rng.uniform(-1 / m, 1 / m, size=m)
             alpha = 0.1
@@ -387,7 +387,7 @@ class TestReconstructSlice:
     def test_batch_matches_contract(self):
         rng = np.random.default_rng(20)
         m, slices = 6, 40
-        h = predicate_matrix(m).astype(float)
+        h = predicate_matrix(m)
         mu_true = rng.uniform(-1 / m, 1 / m, size=(slices, m))
         alpha = 1 / 8
         answers = mu_true @ h.T + rng.uniform(-0.7, 0.7, (slices, 2 ** m)) * alpha
@@ -406,14 +406,14 @@ def stop_tol(answers):
 
 
 def chebyshev_objective(mu, answers, m):
-    h = predicate_matrix(m).astype(float)
+    h = predicate_matrix(m)
     return np.max(np.abs(mu @ h.T - answers), axis=1)
 
 
 def uncertified_reconstruct(answers, alpha, m, iters):
     """The projected-subgradient loop with no certified stop: rows run until
     their worst violation is at most alpha or the steps run out."""
-    h = predicate_matrix(m).astype(float)
+    h = predicate_matrix(m)
     box = 1.0 / m
     mu = np.clip(answers @ h / 2 ** m, -box, box)
     best_mu = mu.copy()
@@ -470,7 +470,7 @@ class TestCertifiedStop:
         # a_h = <mu0, h> + f is what compromised points give an exact
         # analyst: the warm start is optimal with value f, so no step runs
         rng = np.random.default_rng(30 + m)
-        h = predicate_matrix(m).astype(float)
+        h = predicate_matrix(m)
         alpha = 1 / 8
         mu0 = rng.uniform(-1 / m, 1 / m, size=(50, m)) * 0.5
         f = rng.uniform(alpha + 0.01, 0.5, size=(50, 1))
@@ -549,10 +549,10 @@ class TestProjectToH:
     def test_fast_mode_is_clipped_l2_projection(self):
         rng = np.random.default_rng(11)
         k = 8
-        u = predicate_matrix(3).astype(float).T  # not orthogonal; use hadamard
+        u = predicate_matrix(3).T  # not orthogonal; use hadamard
         from tiltlab.families import hadamard_orthogonal_set
 
-        u = hadamard_orthogonal_set(k).astype(float)
+        u = hadamard_orthogonal_set(k)
         s = 1 / 3
         w = rng.normal(size=k)
         proj, lam = project_to_H(w, u, s)
@@ -565,7 +565,7 @@ class TestProjectToH:
 
         rng = np.random.default_rng(12)
         k = 4
-        u = hadamard_orthogonal_set(k).astype(float)
+        u = hadamard_orthogonal_set(k)
         s = 0.25
         for _ in range(10):
             w = rng.normal(scale=0.5, size=k)
@@ -581,7 +581,7 @@ class TestProjectToH:
 
         rng = np.random.default_rng(13)
         k, cols, s = 16, 5, 0.2
-        u = hadamard_orthogonal_set(k).astype(float)
+        u = hadamard_orthogonal_set(k)
         w = rng.normal(scale=0.3, size=(k, cols))
         proj, lam = project_to_H(w, u, s)
         assert proj.shape == lam.shape == (k, cols)
@@ -627,7 +627,7 @@ class TestQueryRelease:
         )
         dense = np.zeros(64)
         dense[hist.elements] = hist.weights
-        truth = fam.matrix.astype(float) @ dense / hist.total
+        truth = fam.matrix @ dense / hist.total
         assert np.linalg.norm(yhat - truth) <= 0.5 * math.sqrt(16)
         assert released.total == pytest.approx(n_req, abs=1e-6)
 

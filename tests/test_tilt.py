@@ -64,7 +64,7 @@ def resolve(fam, batch, idx):
     """Dense vector of point idx of batch, built from the family definition
     one point at a time."""
     if fam.kind == "matrix-columns":
-        return fam.matrix[:, batch.cols[idx]].astype(np.float64)
+        return fam.matrix[:, batch.cols[idx]]
     i, j = divmod(int(batch.types[idx]), fam.k)
     x = np.zeros((fam.m, fam.k, fam.d))
     x[i] = np.outer(fam.basis[j], batch.v[idx])
@@ -112,6 +112,15 @@ class TestPlusProb:
             warnings.simplefilter("error", RuntimeWarning)
             p = plus_prob(np.array([-1e3, 1e3]))
         assert p[0] == 0.0 and p[1] == 1.0
+
+    def test_huge_radius_tilt_warns_nothing(self):
+        # a tilt builds no log-partition, so no sum of log 2cosh overflows
+        fam = make_family("hypercube", d=64)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            dist = tilt(fam, np.full(64, 1e308 / 8))
+            batch = tilt_sample_many(dist, np.random.default_rng(0), 50)
+        assert np.all(batch.v == 1)
 
 
 class TestTensorTilt:
