@@ -28,7 +28,7 @@ from .mechanisms import EmpiricalMean, HistogramVector, sparse_histogram
 from .seeds import trial_seed_sequence
 from .structure import ETA_PROBE_SCALE, check_column_sums, check_expanding, \
     check_regular, tilted_column_cov
-from .tilt import divergence_check
+from .tilt import divergence_check, share_cpus
 
 STATUS_OK = "ok"
 STATUS_INVARIANT = "invariant-failed"
@@ -364,9 +364,11 @@ class RunResult:
 
 def run_experiment(cfg: ExperimentConfig, master_seed: int,
                    out_dir=None, workers: int = 1) -> RunResult:
-    """Run all trials, then write <kind>.csv, <kind>.log, manifest.json, and
-    <kind>.errors.log with the traceback of each error row when there is
-    one."""
+    """Run all trials, then write <kind>.csv, manifest.json, <kind>.log when
+    a trial logged lines, and <kind>.errors.log with the traceback of each
+    error row when there is one; a log or errors log this run does not
+    write is removed.  A pool of workers processes gives each one an equal
+    share of the CPUs (tilt.share_cpus) for its lanes and threads."""
     if cfg.kind not in EXPERIMENT_KINDS:
         raise ValueError(f"unknown experiment kind {cfg.kind!r}")
     if workers < 1:
@@ -378,7 +380,9 @@ def run_experiment(cfg: ExperimentConfig, master_seed: int,
     args = [(cfg, master_seed, t) for t in range(cfg.trials)]
     if workers > 1 and cfg.trials > 1:
         import multiprocessing  # only multi-worker runs pay for its import
-        with multiprocessing.Pool(min(workers, cfg.trials)) as pool:
+        processes = min(workers, cfg.trials)
+        with multiprocessing.Pool(processes, initializer=share_cpus,
+                                  initargs=(processes,)) as pool:
             results = pool.starmap(run_trial, args)
     else:
         results = [run_trial(*a) for a in args]
@@ -397,6 +401,8 @@ def run_experiment(cfg: ExperimentConfig, master_seed: int,
     log_path = out / f"{cfg.kind}.log"
     if log_lines:
         log_path.write_text("\n".join(log_lines) + "\n")
+    else:
+        log_path.unlink(missing_ok=True)  # a stale one from an older run
 
     errors_path = out / f"{cfg.kind}.errors.log"
     failures = [f"trial={row['trial']} seed={row['seed']}\n{tb}"

@@ -2,7 +2,9 @@
 
 Covers column-sum concentration of random +-1 matrices over uniform
 k-subsets, and the expanding/regular properties of tilted column
-distributions, whose weights are tilt.tilt_weights batched over thetas.
+distributions, whose weights are tilt.tilt_weights batched over thetas;
+the regular check certifies its thetas in threads when the host has CPUs to
+spare.
 """
 
 from __future__ import annotations
@@ -12,9 +14,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tilt import tilt_weights
+from .tilt import _blas_threads, _cpus_available, tilt_weights
 
 ETA_PROBE_SCALE = 0.06
+# a theta thread is worth starting only with at least this many
+# multiply-adds (d^2 N per theta) of tilted covariances to compute
+THREAD_WORK = 2 ** 26
 
 
 def _validate_pm1(a: np.ndarray) -> np.ndarray:
@@ -93,8 +98,10 @@ def check_column_sums(
     for start in range(0, subset_trials, chunk):
         count = min(chunk, subset_trials - start)
         idx = sample_k_subsets(rng, n, k, count)
-        sums = a8[:, idx].sum(axis=2)  # (d, count)
-        norms_sq[start:start + count] = (sums.astype(float) ** 2).sum(axis=0)
+        # (d, count) integer sums, exact in float64; einsum squares and sums
+        # them without (d, count) temporaries
+        sums = a8[:, idx].sum(axis=2, dtype=float)
+        norms_sq[start:start + count] = np.einsum("ij,ij->j", sums, sums)
     violations = int(np.sum(norms_sq > 2 * k * d))
     return ColumnSumReport(
         k=k,
@@ -166,17 +173,45 @@ def check_regular(
 ) -> RegularReport:
     """Fraction of thetas in the radius-r ball whose exact column covariance
     C has lambda_max(C) >= threshold, up to rounding; no eigenvalue is taken,
-    as threshold * I - C has a Cholesky factor iff lambda_max(C) < threshold."""
+    as threshold * I - C has a Cholesky factor iff lambda_max(C) < threshold.
+
+    The thetas and all their tilt weights come first, in one block; then
+    contiguous theta ranges are certified at once, one per CPU that BLAS
+    leaves free while each has THREAD_WORK multiply-adds: the first range
+    in the calling thread, the others in helper threads (numpy's BLAS and
+    Cholesky release the GIL).  The count is the same whatever the thread
+    count; a range's exception reaches the caller once every range has
+    stopped."""
     a = _validate_pm1(a)
-    d, _ = a.shape
+    d, n = a.shape
     unit = _sphere_thetas(rng, trials, d, 1.0)
     radii = r * rng.random(trials) ** (1.0 / d)
     thetas = unit * radii[:, None]
     ceiling = threshold * np.eye(d)
-    above = 0
-    for p, mu in zip(*tilt_weights(a, thetas)):
-        try:
-            np.linalg.cholesky(ceiling - tilted_column_cov(a, p, mu))
-        except np.linalg.LinAlgError:
-            above += 1
+    p, mu = tilt_weights(a, thetas)
+
+    def count_above(first, last):
+        above = 0
+        for p_row, mu_row in zip(p[first:last], mu[first:last]):
+            try:
+                np.linalg.cholesky(ceiling - tilted_column_cov(a, p_row,
+                                                               mu_row))
+            except np.linalg.LinAlgError:
+                above += 1
+        return above
+
+    # python threads on top of BLAS threads run slower than one thread
+    threads = max(1, min(_cpus_available() // _blas_threads(), trials,
+                         trials * d * d * n // THREAD_WORK))
+    if threads == 1:
+        above = count_above(0, trials)
+    else:
+        from concurrent.futures import ThreadPoolExecutor  # threaded only
+
+        firsts = [trials * i // threads for i in range(threads + 1)]
+        with ThreadPoolExecutor(threads - 1) as pool:
+            helpers = [pool.submit(count_above, first, last)
+                       for first, last in zip(firsts[1:-1], firsts[2:])]
+            above = count_above(0, firsts[1])
+            above += sum(helper.result() for helper in helpers)
     return RegularReport(threshold=threshold, fraction_above=above / trials)

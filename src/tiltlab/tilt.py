@@ -23,7 +23,8 @@ compares 37 more bits, from Philox keyed by one word of the stream at a
 counter of the bit's index, against the rest of T.  So Pr[v = +1] is
 exactly T / 2^53, the law of a float64 uniform below Pr[v = +1].  A large
 draw is split into lanes at PCG64 jump-ahead points and runs on every CPU
-with the same bits.
+with the same bits; in a pool worker of run_experiment, every CPU means the
+worker's share (share_cpus).
 
 The score <x - mu_ref, q> measures the correlation between a point and a
 mechanism answer; under a fresh draw its mean is exactly zero. The divergence
@@ -114,11 +115,42 @@ def tilt_sample_many(dist: TiltedDistribution, rng: np.random.Generator,
     return tilt_map_blocks(dist, rng, count, max(count, 1), lambda b: b)[0]
 
 
-def _cpus_available() -> int:
+def _cpu_count() -> int:
+    """CPUs this process may run on."""
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no sched_getaffinity on this platform
         return os.cpu_count() or 1
+
+
+_cpu_share = None  # set in each pool worker by share_cpus
+
+
+def share_cpus(workers: int) -> None:
+    """Pool initializer: this worker's trials keep max(1, cpus // workers)
+    CPUs busy, so the lanes and threads of all workers together fit the
+    host's CPUs."""
+    global _cpu_share
+    _cpu_share = max(1, _cpu_count() // workers)
+
+
+def _blas_threads() -> int:
+    """Threads OpenBLAS starts with: the first positive of the variables it
+    reads at load, else one per CPU."""
+    for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+        try:
+            threads = int(os.environ.get(var, ""))
+        except ValueError:
+            continue
+        if threads > 0:
+            return threads
+    return _cpu_count()
+
+
+def _cpus_available() -> int:
+    """CPUs one trial may keep busy: the worker's share in a pool, else every
+    CPU this process may run on."""
+    return _cpu_share or _cpu_count()
 
 
 def tilt_map_blocks(dist: TiltedDistribution, rng: np.random.Generator,

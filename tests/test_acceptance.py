@@ -34,7 +34,7 @@ import numpy as np
 import pytest
 
 import tiltlab
-from tiltlab import ada, attack, tilt as tilt_module
+from tiltlab import ada, attack, structure, tilt as tilt_module
 from tiltlab.ada import ExactMeanAnalyst, SampleSplitAnalyst, default_tau, \
     run_ada_protocol
 from tiltlab.attack import ThetaSampler, run_attack_trial, separation
@@ -625,10 +625,15 @@ class TestSuiteDeterminism:
     def test_csv_bytes_match_golden_digest_in_lanes(self, label, tmp_path,
                                                     monkeypatch):
         # every golden config draws fewer than LANE_DRAWS v-bits in one
-        # block; in 16-row blocks forced to three lanes, each pinned digest
-        # runs the multi-lane path
+        # block and certifies fewer than THREAD_WORK multiply-adds of
+        # regular-check thetas; in 16-row blocks forced to three lanes, and
+        # with thetas forced to three threads over one BLAS thread, each
+        # pinned digest runs the multi-lane and the threaded path
         monkeypatch.setattr(tilt_module, "LANE_DRAWS", 1)
         monkeypatch.setattr(tilt_module, "_cpus_available", lambda: 3)
+        monkeypatch.setattr(structure, "THREAD_WORK", 1)
+        monkeypatch.setattr(structure, "_cpus_available", lambda: 3)
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
         for module in (attack, ada):
             monkeypatch.setattr(module, "SAMPLE_BLOCK", 16)
         self.check_golden_digests(label, tmp_path)

@@ -10,6 +10,7 @@ import ast
 import dataclasses
 import json
 import math
+import multiprocessing
 import os
 import re
 import subprocess
@@ -21,6 +22,7 @@ import numpy as np
 import pytest
 
 import tiltlab
+from tiltlab import tilt as tilt_module
 from tiltlab.attack import ThetaSampler, run_attack_trial, separation
 from tiltlab.cli import main
 from tiltlab.config import KINDS, ConfigError, ExperimentConfig, parse_config
@@ -65,7 +67,9 @@ def test_import_skips_unused_scipy_modules():
     # scipy.special alone would more than double the import time (its
     # array-API shim pulls in numpy.f2py); no experiment kind, the CLI or
     # replay needs scipy, only a multi-worker run needs multiprocessing, and
-    # only a draw split into lanes (tilt.LANE_DRAWS) needs concurrent
+    # only a draw split into lanes (tilt.LANE_DRAWS) or a regular check in
+    # theta threads (structure.THREAD_WORK) needs concurrent; one BLAS
+    # thread leaves every CPU to theta threads, so both BLAS settings run
     configs = ["\n".join([f"kind = {kind}"] + [
         f"{key} = {value}" for key, value in TINY_SETTINGS[kind].items()])
         for kind in sorted(EXPERIMENT_KINDS)]
@@ -78,10 +82,12 @@ def test_import_skips_unused_scipy_modules():
             "print(sorted(m for m in sys.modules if m.partition('.')[0] in "
             "('scipy', 'multiprocessing', 'concurrent')))")
     src = os.path.dirname(os.path.dirname(tiltlab.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, check=True, env=env, timeout=120).stdout
-    assert out.strip() == "[]"
+    for blas in ({}, {"OPENBLAS_NUM_THREADS": "1"}):
+        env = dict(os.environ, PYTHONPATH=src, **blas)
+        out = subprocess.run([sys.executable, "-c", code],
+                             capture_output=True, text=True, check=True,
+                             env=env, timeout=120).stdout
+        assert out.strip() == "[]"
 
 
 @pytest.mark.parametrize("section,prefixes", [
@@ -633,6 +639,36 @@ class TestRunExperiment:
         assert not rerun.errors_path.exists()
         assert rerun.csv_path.read_bytes() == clean.csv_path.read_bytes()
 
+    def test_rerun_without_log_lines_removes_stale_log(self, tmp_path):
+        # every ada-run trial logs its stages, an error row logs nothing
+        cfg = tiny_config("ada-run", trials=1)
+        first = run_experiment(cfg, 5, out_dir=tmp_path)
+        assert first.log_path.exists()
+        rerun = run_experiment(dataclasses.replace(cfg, analyst="oracle"), 5,
+                               out_dir=tmp_path)
+        assert rerun.rows[0]["status"].startswith("error:ValueError:analyst")
+        assert rerun.log_path == first.log_path
+        assert not rerun.log_path.exists()
+
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                        reason="workers see the patched kind only by fork")
+    def test_pool_workers_share_cpus(self, tmp_path, monkeypatch):
+        # each of W pool workers gets max(1, cpus // W) for lanes and threads
+        monkeypatch.setattr(tilt_module, "_cpu_count", lambda: 7)
+        record = EXPERIMENT_KINDS["mech-bench"]
+
+        def trial(cfg, master_seed, t):
+            return {**dict.fromkeys(record.columns, 0),
+                    "support": tilt_module._cpus_available()}, True, []
+
+        monkeypatch.setitem(EXPERIMENT_KINDS, "mech-bench",
+                            dataclasses.replace(record, trial=trial))
+        cfg = ExperimentConfig(kind="mech-bench", trials=4)
+        for workers, share in ((1, 7), (2, 3), (3, 2), (4, 1), (9, 1)):
+            res = run_experiment(cfg, 3, out_dir=tmp_path, workers=workers)
+            assert [row["support"] for row in res.rows] == [str(share)] * 4
+        assert tilt_module._cpus_available() == 7
+
     def test_error_row_fails_invariants(self, tmp_path):
         cfg = tiny_config("mech-bench", trials=2, support=0)
         res = run_experiment(cfg, 3, out_dir=tmp_path)
@@ -717,6 +753,24 @@ class TestCli:
         captured = capsys.readouterr().out
         assert f"wrote {out / 'mech-bench.errors.log'}" in captured
         assert "INVARIANTS FAILED" in captured
+
+    def test_run_names_only_logs_it_wrote(self, tmp_path, capsys,
+                                          monkeypatch):
+        settings = "".join(f"{key} = {value}\n"
+                           for key, value in TINY_SETTINGS["ada-run"].items())
+        cfg = write_config(tmp_path, f"kind = ada-run\ntrials = 1\n{settings}")
+        out = tmp_path / "out"
+        assert main(["run", "--config", cfg, "--out", str(out)]) == 0
+        assert f"wrote {out / 'ada-run.log'}" in capsys.readouterr().out
+
+        def trial(cfg, master_seed, t):
+            raise RuntimeError("no trial")
+
+        monkeypatch.setitem(EXPERIMENT_KINDS, "ada-run", dataclasses.replace(
+            EXPERIMENT_KINDS["ada-run"], trial=trial))
+        assert main(["run", "--config", cfg, "--out", str(out)]) == 1
+        assert "ada-run.log" not in capsys.readouterr().out
+        assert not (out / "ada-run.log").exists()
 
     def test_run_invariant_failure_exit_code(self, tmp_path, capsys):
         # parses, then genuinely fails the regular check: at d = 16 the

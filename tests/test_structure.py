@@ -19,12 +19,15 @@ test file needs them too.
 
 import copy
 import math
+import threading
+from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 import pytest
 
+from tiltlab import structure as structure_module, tilt as tilt_module
 from tiltlab.errors import CapacityError
 from tiltlab.structure import (
     ETA_PROBE_SCALE,
@@ -402,6 +405,90 @@ class TestRegular:
         r = 0.3 * math.sqrt(math.log(n_cols))
         report = check_regular(a, r=r, trials=200, rng=rng)
         assert report.fraction_above <= 0.01
+
+
+def force_threads(monkeypatch, cpus=3):
+    """One theta thread per CPU on any regular check, with cpus CPUs and
+    one BLAS thread."""
+    monkeypatch.setattr(structure_module, "_cpus_available", lambda: cpus)
+    monkeypatch.setattr(structure_module, "THREAD_WORK", 1)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+
+
+def record_threads(monkeypatch, fail_off_caller=False):
+    """Counter of tilted covariances computed on (True) and off (False) the
+    calling thread; with fail_off_caller, each call off it raises."""
+    caller, calls = threading.get_ident(), Counter()
+
+    def cov(a, p, mu):
+        on_caller = threading.get_ident() == caller
+        calls[on_caller] += 1
+        if fail_off_caller and not on_caller:
+            raise RuntimeError("helper range failed")
+        return tilted_column_cov(a, p, mu)
+
+    monkeypatch.setattr(structure_module, "tilted_column_cov", cov)
+    return calls
+
+
+def duplicated_row_matrix():
+    # row 15 repeats row 0, which puts lambda_max near 2: at r = 1, 35 of
+    # 60 thetas are above the threshold
+    a = make_family("matrix-columns", d=16, n_columns=256, seed=0).matrix
+    return np.vstack([a[:15], a[:1]])
+
+
+class TestRegularThreads:
+    def test_threads_match_serial(self, monkeypatch):
+        a = duplicated_row_matrix()
+        serial = check_regular(a, 1.0, 60, np.random.default_rng(1))
+        assert 0.0 < serial.fraction_above < 1.0
+        force_threads(monkeypatch)
+        calls = record_threads(monkeypatch)
+        threaded = check_regular(a, 1.0, 60, np.random.default_rng(1))
+        # the caller takes the first of three ranges, helpers the others
+        assert calls == {True: 20, False: 40}
+        assert threaded.fraction_above == serial.fraction_above
+
+    def test_serial_below_work_floor_or_with_blas_threads(self, monkeypatch):
+        a = duplicated_row_matrix()
+        force_threads(monkeypatch)
+        calls = record_threads(monkeypatch)
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+        check_regular(a, 1.0, 60, np.random.default_rng(1))
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.setattr(structure_module, "THREAD_WORK",
+                            60 * 16 * 16 * 256)
+        check_regular(a, 1.0, 60, np.random.default_rng(1))
+        assert calls == {True: 120}
+
+    @pytest.mark.parametrize("env,threads", [
+        ({}, 5),
+        ({"OMP_NUM_THREADS": "4"}, 4),
+        ({"GOTO_NUM_THREADS": "2", "OMP_NUM_THREADS": "4"}, 2),
+        ({"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "4"}, 4),
+        ({"OPENBLAS_NUM_THREADS": "x", "GOTO_NUM_THREADS": "3"}, 3),
+        ({"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "4"}, 1),
+    ])
+    def test_blas_threads_as_openblas_reads_them(self, monkeypatch, env,
+                                                 threads):
+        # the first positive variable in OpenBLAS's order, else every CPU
+        monkeypatch.setattr(tilt_module, "_cpu_count", lambda: 5)
+        for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
+                    "OMP_NUM_THREADS"):
+            monkeypatch.delenv(var, raising=False)
+        for var, value in env.items():
+            monkeypatch.setenv(var, value)
+        assert tilt_module._blas_threads() == threads
+
+    def test_helper_exception_reaches_caller(self, monkeypatch):
+        force_threads(monkeypatch)
+        calls = record_threads(monkeypatch, fail_off_caller=True)
+        with pytest.raises(RuntimeError, match="helper range failed"):
+            check_regular(duplicated_row_matrix(), 1.0, 60,
+                          np.random.default_rng(1))
+        # the caller finished its own range first
+        assert calls[True] == 20 and calls[False] >= 1
 
 
 class TestTiltedColumnCov:
