@@ -28,7 +28,7 @@ from .mechanisms import EmpiricalMean, HistogramVector, sparse_histogram
 from .seeds import trial_seed_sequence
 from .structure import ETA_PROBE_SCALE, check_column_sums, check_expanding, \
     check_regular, tilted_column_cov
-from .tilt import divergence_check, share_cpus
+from .tilt import divergence_check
 
 STATUS_OK = "ok"
 STATUS_INVARIANT = "invariant-failed"
@@ -367,8 +367,7 @@ def run_experiment(cfg: ExperimentConfig, master_seed: int,
     """Run all trials, then write <kind>.csv, manifest.json, <kind>.log when
     a trial logged lines, and <kind>.errors.log with the traceback of each
     error row when there is one; a log or errors log this run does not
-    write is removed.  A pool of workers processes gives each one an equal
-    share of the CPUs (tilt.share_cpus) for its lanes and threads."""
+    write is removed."""
     if cfg.kind not in EXPERIMENT_KINDS:
         raise ValueError(f"unknown experiment kind {cfg.kind!r}")
     if workers < 1:
@@ -380,9 +379,7 @@ def run_experiment(cfg: ExperimentConfig, master_seed: int,
     args = [(cfg, master_seed, t) for t in range(cfg.trials)]
     if workers > 1 and cfg.trials > 1:
         import multiprocessing  # only multi-worker runs pay for its import
-        processes = min(workers, cfg.trials)
-        with multiprocessing.Pool(processes, initializer=share_cpus,
-                                  initargs=(processes,)) as pool:
+        with multiprocessing.Pool(min(workers, cfg.trials)) as pool:
             results = pool.starmap(run_trial, args)
     else:
         results = [run_trial(*a) for a in args]

@@ -14,12 +14,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tilt import _blas_threads, _cpus_available, tilt_weights
+from .tilt import _BLAS_THREADS, _cpus_available, _in_ranges, \
+    tilt_weights
 
 ETA_PROBE_SCALE = 0.06
-# a theta thread is worth starting only with at least this many
-# multiply-adds (d^2 N per theta) of tilted covariances to compute
-THREAD_WORK = 2 ** 26
+# theta threads start only when one theta's tilted covariance costs at least
+# this many multiply-adds, d^2 N: with one BLAS thread on 2 vCPUs, two
+# threads ran 0.4-0.9x the serial speed at d^2 N <= 2^20, about 1.0-1.6x at
+# 2^21 and 1.14-1.9x from 2^22 on, for 10 to 160 thetas and d = 16 to 96
+THETA_WORK = 2 ** 22
 
 
 def _validate_pm1(a: np.ndarray) -> np.ndarray:
@@ -175,13 +178,11 @@ def check_regular(
     C has lambda_max(C) >= threshold, up to rounding; no eigenvalue is taken,
     as threshold * I - C has a Cholesky factor iff lambda_max(C) < threshold.
 
-    The thetas and all their tilt weights come first, in one block; then
-    contiguous theta ranges are certified at once, one per CPU that BLAS
-    leaves free while each has THREAD_WORK multiply-adds: the first range
-    in the calling thread, the others in helper threads (numpy's BLAS and
-    Cholesky release the GIL).  The count is the same whatever the thread
-    count; a range's exception reaches the caller once every range has
-    stopped."""
+    The thetas and all their tilt weights come first, in one block; then,
+    when a theta costs THETA_WORK multiply-adds, contiguous theta ranges are
+    certified at once by tilt._in_ranges, one per CPU that BLAS leaves free
+    (numpy's BLAS and Cholesky release the GIL).  The count is the same
+    whatever the thread count."""
     a = _validate_pm1(a)
     d, n = a.shape
     unit = _sphere_thetas(rng, trials, d, 1.0)
@@ -200,18 +201,9 @@ def check_regular(
                 above += 1
         return above
 
-    # python threads on top of BLAS threads run slower than one thread
-    threads = max(1, min(_cpus_available() // _blas_threads(), trials,
-                         trials * d * d * n // THREAD_WORK))
-    if threads == 1:
-        above = count_above(0, trials)
-    else:
-        from concurrent.futures import ThreadPoolExecutor  # threaded only
-
-        firsts = [trials * i // threads for i in range(threads + 1)]
-        with ThreadPoolExecutor(threads - 1) as pool:
-            helpers = [pool.submit(count_above, first, last)
-                       for first, last in zip(firsts[1:-1], firsts[2:])]
-            above = count_above(0, firsts[1])
-            above += sum(helper.result() for helper in helpers)
+    threads = 1
+    if d * d * n >= THETA_WORK:
+        # python threads on top of BLAS threads run slower than one thread
+        threads = max(1, min(_cpus_available() // _BLAS_THREADS, trials))
+    above = sum(_in_ranges(trials, threads, count_above))
     return RegularReport(threshold=threshold, fraction_above=above / trials)

@@ -23,8 +23,7 @@ compares 37 more bits, from Philox keyed by one word of the stream at a
 counter of the bit's index, against the rest of T.  So Pr[v = +1] is
 exactly T / 2^53, the law of a float64 uniform below Pr[v = +1].  A large
 draw is split into lanes at PCG64 jump-ahead points and runs on every CPU
-with the same bits; in a pool worker of run_experiment, every CPU means the
-worker's share (share_cpus).
+with the same bits.
 
 The score <x - mu_ref, q> measures the correlation between a point and a
 mechanism answer; under a fresh draw its mean is exactly zero. The divergence
@@ -115,23 +114,11 @@ def tilt_sample_many(dist: TiltedDistribution, rng: np.random.Generator,
     return tilt_map_blocks(dist, rng, count, max(count, 1), lambda b: b)[0]
 
 
-def _cpu_count() -> int:
-    """CPUs this process may run on."""
+def _cpus_available() -> int:
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no sched_getaffinity on this platform
         return os.cpu_count() or 1
-
-
-_cpu_share = None  # set in each pool worker by share_cpus
-
-
-def share_cpus(workers: int) -> None:
-    """Pool initializer: this worker's trials keep max(1, cpus // workers)
-    CPUs busy, so the lanes and threads of all workers together fit the
-    host's CPUs."""
-    global _cpu_share
-    _cpu_share = max(1, _cpu_count() // workers)
 
 
 def _blas_threads() -> int:
@@ -144,13 +131,28 @@ def _blas_threads() -> int:
             continue
         if threads > 0:
             return threads
-    return _cpu_count()
+    return _cpus_available()
 
 
-def _cpus_available() -> int:
-    """CPUs one trial may keep busy: the worker's share in a pool, else every
-    CPU this process may run on."""
-    return _cpu_share or _cpu_count()
+# read once, as OpenBLAS did when numpy loaded it: a later change to these
+# variables does not reach BLAS
+_BLAS_THREADS = _blas_threads()
+
+
+def _in_ranges(n: int, parts: int, fn: Callable) -> list:
+    """[fn(first, last) for the parts contiguous ranges that split
+    range(n)], run at once: the first range in the calling thread, the
+    others in helper threads.  A range's exception reaches the caller once
+    every range has stopped."""
+    if parts == 1:
+        return [fn(0, n)]
+    from concurrent.futures import ThreadPoolExecutor  # threaded runs only
+
+    firsts = [n * part // parts for part in range(parts + 1)]
+    with ThreadPoolExecutor(parts - 1) as pool:
+        helpers = [pool.submit(fn, first, last)
+                   for first, last in zip(firsts[1:-1], firsts[2:])]
+        return [fn(0, firsts[1])] + [helper.result() for helper in helpers]
 
 
 def tilt_map_blocks(dist: TiltedDistribution, rng: np.random.Generator,
@@ -161,11 +163,12 @@ def tilt_map_blocks(dist: TiltedDistribution, rng: np.random.Generator,
     then the v-bits block by block, ceil(d / 4) words per row by
     random_raw (see chunk_signs), so every block size gives the same rows
     and leaves rng in the same state.  Contiguous runs of blocks go to lanes
-    that run at once, one per CPU while each has LANE_DRAWS v-bits to draw:
-    lane 0 on rng in the calling thread, lane l > 0 on a copy of rng's PCG64
-    advanced past the words of the rows before it.  The rows, fn's inputs
-    and rng's end state are those of one lane, whatever the lane count; a
-    lane's exception reaches the caller once every lane has stopped."""
+    that run at once (_in_ranges), one per CPU while each has LANE_DRAWS
+    v-bits to draw: lane 0 on rng in the calling thread, lane l > 0 on a
+    copy of rng's PCG64 advanced past the words of the rows before it.  The
+    rows, fn's inputs and rng's end state are those of one lane, whatever
+    the lane count; a lane's exception reaches the caller once every lane
+    has stopped."""
     fam = dist.family
     types = np.zeros(count, dtype=np.int64)
     if fam.kind == "matrix-columns":
@@ -183,11 +186,26 @@ def tilt_map_blocks(dist: TiltedDistribution, rng: np.random.Generator,
         key = int(rng.bit_generator.random_raw())
         words = -(-fam.d // 4)
 
-    def run(gen, first, last):
+    n_blocks = max(-(-count // block), 1)
+    lanes = 1
+    if type(rng.bit_generator) is np.random.PCG64:
+        # Philox advances in 4-word blocks; MT19937 and SFC64 cannot advance
+        lanes = max(1, min(_cpus_available(), n_blocks,
+                           count * fam.d // LANE_DRAWS))
+    gens = {0: rng}  # by each lane's first block
+    for lane in range(1, lanes):
+        first = n_blocks * lane // lanes
+        bits = np.random.PCG64()
+        bits.state = rng.bit_generator.state
+        bits.advance(first * block * words)
+        gens[first] = np.random.Generator(bits)
+
+    def run(first, last):  # blocks [first, last) on the lane's generator
         out = []
         if fam.kind != "matrix-columns":
-            raw, philox = gen.bit_generator.random_raw, np.random.Philox(key=key)
-        for s in range(first, last, block):
+            raw = gens[first].bit_generator.random_raw
+            philox = np.random.Philox(key=key)
+        for s in range(first * block, last * block, block):
             t = types[s:s + block]
             if fam.kind == "matrix-columns":
                 out.append(fn(PointBatch(fam, t, cols=cols[s:s + block])))
@@ -200,35 +218,14 @@ def tilt_map_blocks(dist: TiltedDistribution, rng: np.random.Generator,
                 out.append(fn(PointBatch(fam, t, v=v)))
         return out
 
-    n_blocks = max(-(-count // block), 1)
-    lanes = 1
-    if type(rng.bit_generator) is np.random.PCG64:
-        # Philox advances in 4-word blocks; MT19937 and SFC64 cannot advance
-        lanes = max(1, min(_cpus_available(), n_blocks,
-                           count * fam.d // LANE_DRAWS))
-    if lanes == 1:
-        return run(rng, 0, max(count, 1))
-
-    from concurrent.futures import ThreadPoolExecutor  # multi-lane runs only
-
-    firsts = [n_blocks * lane // lanes * block for lane in range(lanes)]
-    gens = []
-    for first in firsts[1:]:
-        bits = np.random.PCG64()
-        bits.state = rng.bit_generator.state
-        bits.advance(first * words)
-        gens.append(np.random.Generator(bits))
-    with ThreadPoolExecutor(lanes - 1) as pool:
-        helpers = [pool.submit(run, gen, first, last) for gen, first, last
-                   in zip(gens, firsts[1:], firsts[2:] + [count])]
-        out = run(rng, 0, firsts[1])
-        for lane in helpers:
-            out += lane.result()
-    # the type draw may leave half a word buffered, which random_raw never
-    # touches
-    end = rng.bit_generator.state
-    end["state"] = gens[-1].bit_generator.state["state"]
-    rng.bit_generator.state = end
+    out = [batch for lane in _in_ranges(n_blocks, lanes, run)
+           for batch in lane]
+    if lanes > 1:
+        # rng ends where the last lane did; the type draw may leave half a
+        # word buffered, which random_raw never touches
+        end = rng.bit_generator.state
+        end["state"] = gens[max(gens)].bit_generator.state["state"]
+        rng.bit_generator.state = end
     return out
 
 

@@ -625,15 +625,16 @@ class TestSuiteDeterminism:
     def test_csv_bytes_match_golden_digest_in_lanes(self, label, tmp_path,
                                                     monkeypatch):
         # every golden config draws fewer than LANE_DRAWS v-bits in one
-        # block and certifies fewer than THREAD_WORK multiply-adds of
-        # regular-check thetas; in 16-row blocks forced to three lanes, and
-        # with thetas forced to three threads over one BLAS thread, each
+        # block, and its regular-check thetas cost fewer than THETA_WORK
+        # multiply-adds each; in 16-row blocks forced to three lanes, and
+        # with thetas forced to three threads (check_regular is told BLAS
+        # runs one thread; BLAS keeps the threads it started with), each
         # pinned digest runs the multi-lane and the threaded path
         monkeypatch.setattr(tilt_module, "LANE_DRAWS", 1)
         monkeypatch.setattr(tilt_module, "_cpus_available", lambda: 3)
-        monkeypatch.setattr(structure, "THREAD_WORK", 1)
+        monkeypatch.setattr(structure, "THETA_WORK", 1)
         monkeypatch.setattr(structure, "_cpus_available", lambda: 3)
-        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.setattr(structure, "_BLAS_THREADS", 1)
         for module in (attack, ada):
             monkeypatch.setattr(module, "SAMPLE_BLOCK", 16)
         self.check_golden_digests(label, tmp_path)

@@ -10,7 +10,6 @@ import ast
 import dataclasses
 import json
 import math
-import multiprocessing
 import os
 import re
 import subprocess
@@ -22,7 +21,6 @@ import numpy as np
 import pytest
 
 import tiltlab
-from tiltlab import tilt as tilt_module
 from tiltlab.attack import ThetaSampler, run_attack_trial, separation
 from tiltlab.cli import main
 from tiltlab.config import KINDS, ConfigError, ExperimentConfig, parse_config
@@ -68,7 +66,7 @@ def test_import_skips_unused_scipy_modules():
     # array-API shim pulls in numpy.f2py); no experiment kind, the CLI or
     # replay needs scipy, only a multi-worker run needs multiprocessing, and
     # only a draw split into lanes (tilt.LANE_DRAWS) or a regular check in
-    # theta threads (structure.THREAD_WORK) needs concurrent; one BLAS
+    # theta threads (structure.THETA_WORK) needs concurrent; one BLAS
     # thread leaves every CPU to theta threads, so both BLAS settings run
     configs = ["\n".join([f"kind = {kind}"] + [
         f"{key} = {value}" for key, value in TINY_SETTINGS[kind].items()])
@@ -649,25 +647,6 @@ class TestRunExperiment:
         assert rerun.rows[0]["status"].startswith("error:ValueError:analyst")
         assert rerun.log_path == first.log_path
         assert not rerun.log_path.exists()
-
-    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
-                        reason="workers see the patched kind only by fork")
-    def test_pool_workers_share_cpus(self, tmp_path, monkeypatch):
-        # each of W pool workers gets max(1, cpus // W) for lanes and threads
-        monkeypatch.setattr(tilt_module, "_cpu_count", lambda: 7)
-        record = EXPERIMENT_KINDS["mech-bench"]
-
-        def trial(cfg, master_seed, t):
-            return {**dict.fromkeys(record.columns, 0),
-                    "support": tilt_module._cpus_available()}, True, []
-
-        monkeypatch.setitem(EXPERIMENT_KINDS, "mech-bench",
-                            dataclasses.replace(record, trial=trial))
-        cfg = ExperimentConfig(kind="mech-bench", trials=4)
-        for workers, share in ((1, 7), (2, 3), (3, 2), (4, 1), (9, 1)):
-            res = run_experiment(cfg, 3, out_dir=tmp_path, workers=workers)
-            assert [row["support"] for row in res.rows] == [str(share)] * 4
-        assert tilt_module._cpus_available() == 7
 
     def test_error_row_fails_invariants(self, tmp_path):
         cfg = tiny_config("mech-bench", trials=2, support=0)

@@ -409,20 +409,20 @@ class TestRegular:
 
 def force_threads(monkeypatch, cpus=3):
     """One theta thread per CPU on any regular check, with cpus CPUs and
-    one BLAS thread."""
+    check_regular told BLAS runs one thread (whatever BLAS really runs)."""
     monkeypatch.setattr(structure_module, "_cpus_available", lambda: cpus)
-    monkeypatch.setattr(structure_module, "THREAD_WORK", 1)
-    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.setattr(structure_module, "THETA_WORK", 1)
+    monkeypatch.setattr(structure_module, "_BLAS_THREADS", 1)
 
 
 def record_threads(monkeypatch, fail_off_caller=False):
-    """Counter of tilted covariances computed on (True) and off (False) the
-    calling thread; with fail_off_caller, each call off it raises."""
-    caller, calls = threading.get_ident(), Counter()
+    """List of the tilted covariances computed, True on the calling thread
+    and False off it; with fail_off_caller, each call off it raises."""
+    caller, calls = threading.get_ident(), []
 
     def cov(a, p, mu):
         on_caller = threading.get_ident() == caller
-        calls[on_caller] += 1
+        calls.append(on_caller)  # atomic, unlike a shared counter's +=
         if fail_off_caller and not on_caller:
             raise RuntimeError("helper range failed")
         return tilted_column_cov(a, p, mu)
@@ -447,20 +447,19 @@ class TestRegularThreads:
         calls = record_threads(monkeypatch)
         threaded = check_regular(a, 1.0, 60, np.random.default_rng(1))
         # the caller takes the first of three ranges, helpers the others
-        assert calls == {True: 20, False: 40}
+        assert Counter(calls) == {True: 20, False: 40}
         assert threaded.fraction_above == serial.fraction_above
 
     def test_serial_below_work_floor_or_with_blas_threads(self, monkeypatch):
         a = duplicated_row_matrix()
         force_threads(monkeypatch)
         calls = record_threads(monkeypatch)
-        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+        monkeypatch.setattr(structure_module, "_BLAS_THREADS", 3)
         check_regular(a, 1.0, 60, np.random.default_rng(1))
-        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
-        monkeypatch.setattr(structure_module, "THREAD_WORK",
-                            60 * 16 * 16 * 256)
+        monkeypatch.setattr(structure_module, "_BLAS_THREADS", 1)
+        monkeypatch.setattr(structure_module, "THETA_WORK", 16 * 16 * 256 + 1)
         check_regular(a, 1.0, 60, np.random.default_rng(1))
-        assert calls == {True: 120}
+        assert calls == [True] * 120
 
     @pytest.mark.parametrize("env,threads", [
         ({}, 5),
@@ -473,7 +472,7 @@ class TestRegularThreads:
     def test_blas_threads_as_openblas_reads_them(self, monkeypatch, env,
                                                  threads):
         # the first positive variable in OpenBLAS's order, else every CPU
-        monkeypatch.setattr(tilt_module, "_cpu_count", lambda: 5)
+        monkeypatch.setattr(tilt_module, "_cpus_available", lambda: 5)
         for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
                     "OMP_NUM_THREADS"):
             monkeypatch.delenv(var, raising=False)
@@ -488,7 +487,7 @@ class TestRegularThreads:
             check_regular(duplicated_row_matrix(), 1.0, 60,
                           np.random.default_rng(1))
         # the caller finished its own range first
-        assert calls[True] == 20 and calls[False] >= 1
+        assert calls.count(True) == 20 and False in calls
 
 
 class TestTiltedColumnCov:
