@@ -67,7 +67,11 @@ def _cmd_run(args) -> int:
         print(f"--workers must be >= 1, got {args.workers}", file=sys.stderr)
         return 2
     out = args.out or os.environ.get("TILTLAB_OUT") or None
-    result = run_experiment(cfg, seed, out_dir=out, workers=args.workers)
+    try:
+        result = run_experiment(cfg, seed, out_dir=out, workers=args.workers)
+    except OSError as exc:  # trials make rows of their own errors
+        print(f"cannot write output: {exc}", file=sys.stderr)
+        return 2
     print(f"wrote {result.csv_path} ({len(result.rows)} rows)")
     print(f"wrote {result.manifest_path}")
     for path in (result.log_path, result.errors_path):

@@ -12,7 +12,8 @@ every seed fixed so reruns are bitwise-stable:
     - exact Rademacher tails, the K-functional sandwich, and reductions
       (these lemma helpers and the privacy audit live in tests/lemmas.py)
     - bitwise CSV determinism across worker counts, across BLAS thread
-      counts, and against the golden digests in tests/golden/
+      counts, and against the golden digests in tests/golden/, also in
+      forced lanes and theta threads and under a 1 us thread switch
 
 The four full-scale runs that take most of the suite's time carry the
 ``slow`` marker; ``pytest -m "not slow"`` skips them for a quick loop.
@@ -624,6 +625,24 @@ class TestSuiteDeterminism:
     @pytest.mark.parametrize("label", sorted(DETERMINISM_CONFIGS))
     def test_csv_bytes_match_golden_digest_in_lanes(self, label, tmp_path,
                                                     monkeypatch):
+        self.force_threads(monkeypatch)
+        self.check_golden_digests(label, tmp_path)
+
+    @pytest.mark.parametrize("label", sorted(DETERMINISM_CONFIGS))
+    def test_csv_bytes_match_golden_digest_under_thread_stress(
+            self, label, tmp_path, monkeypatch):
+        # a thread switch every microsecond interleaves the lanes and the
+        # theta threads as finely as Python allows
+        self.force_threads(monkeypatch)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            self.check_golden_digests(label, tmp_path)
+        finally:
+            sys.setswitchinterval(interval)
+
+    @staticmethod
+    def force_threads(monkeypatch):
         # every golden config draws fewer than LANE_DRAWS v-bits in one
         # block, and its regular-check thetas cost fewer than THETA_WORK
         # multiply-adds each; in 16-row blocks forced to three lanes, and
@@ -637,7 +656,6 @@ class TestSuiteDeterminism:
         monkeypatch.setattr(structure, "_BLAS_THREADS", 1)
         for module in (attack, ada):
             monkeypatch.setattr(module, "SAMPLE_BLOCK", 16)
-        self.check_golden_digests(label, tmp_path)
 
     @staticmethod
     def check_golden_digests(label, tmp_path):

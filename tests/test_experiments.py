@@ -3,7 +3,7 @@
 The heavy numerics live in the module tests; here the suites run at toy
 scale and the checks are structural: byte-identical reruns across worker
 counts, replayable rows, error rows that flush instead of killing the run,
-and exit codes.
+exit codes, and negative controls for the attack kinds' row gates.
 """
 
 import ast
@@ -504,6 +504,77 @@ class TestRunTrial:
         assert "gap=" in logs[-1]
 
 
+def edit_attack_reports(monkeypatch, edit):
+    """Run the real attack trial, then edit its report before the kind's
+    row gate reads it."""
+    def trial(*args, **kwargs):
+        report = run_attack_trial(*args, **kwargs)
+        edit(report)
+        return report
+
+    monkeypatch.setattr("tiltlab.experiments.run_attack_trial", trial)
+
+
+class TestAttackGates:
+    """Negative controls: scores moved just past a kind's row gate give an
+    invariant-failed row, and scores moved to just inside it an ok row."""
+
+    @pytest.mark.parametrize("ses, status", [
+        (5.0, "ok"), (-5.0, "ok"),
+        (7.0, "invariant-failed"), (-7.0, "invariant-failed"),
+    ])
+    def test_hypercube_fresh_mean_within_six_se(self, monkeypatch, ses,
+                                                status):
+        def shift(report):
+            fresh = report.fresh_scores
+            se = fresh.std(ddof=1) / math.sqrt(len(fresh))
+            report.fresh_scores = fresh - fresh.mean() + ses * se
+
+        edit_attack_reports(monkeypatch, shift)
+        row = run_trial(tiny_config("attack-hypercube"), 7, 0)[0]
+        assert float(row["fresh_mean"]) == pytest.approx(
+            ses * float(row["fresh_se"]), rel=1e-9)
+        assert row["status"] == status
+
+    @pytest.mark.parametrize("ratio, status", [
+        (1.0, "ok"), (1.2, "invariant-failed"),
+    ])
+    def test_random_second_moment_within_bound(self, monkeypatch, ratio,
+                                               status):
+        # the gate applies from 1e5 fresh points on
+        cfg = tiny_config("attack-random", fresh=100_000)
+        row = run_trial(cfg, 7, 0)[0]
+        assert row["status"] == "ok"
+        scale = math.sqrt(ratio * float(row["moment_bound"])
+                          / float(row["fresh_second_moment"]))
+
+        def stretch(report):
+            report.fresh_scores = report.fresh_scores * scale
+
+        edit_attack_reports(monkeypatch, stretch)
+        row = run_trial(cfg, 7, 0)[0]
+        assert float(row["fresh_second_moment"]) == pytest.approx(
+            ratio * float(row["moment_bound"]), rel=1e-9)
+        assert row["status"] == status
+
+    @pytest.mark.parametrize("total, status", [
+        (-1e-12, "ok"), (-1e-6, "invariant-failed"),
+    ])
+    def test_random_exact_mean_in_total_nonnegative(self, monkeypatch, total,
+                                                    status):
+        cfg = tiny_config("attack-random")
+        assert cfg.mechanism == "exact-mean"
+
+        def move(report):
+            scores = report.in_scores
+            report.in_scores = scores - scores.mean() + total / len(scores)
+
+        edit_attack_reports(monkeypatch, move)
+        row = run_trial(cfg, 7, 0)[0]
+        assert float(row["in_total"]) == pytest.approx(total, abs=1e-11)
+        assert row["status"] == status
+
+
 class TestRunExperiment:
     def test_zero_trials_header_only(self, tmp_path):
         cfg = tiny_config("mech-bench", trials=0)
@@ -719,6 +790,25 @@ class TestCli:
         assert main(["replay", "--csv", str(out / "mech-bench.csv"),
                      "--row", "1"]) == 0
         assert "match" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("target", ["file", "below-file"])
+    def test_unusable_out_is_one_line(self, tmp_path, capsys, monkeypatch,
+                                      target):
+        # an existing file, or a path below one, is no output directory:
+        # exit 2 with one line before any trial runs
+        trials = []
+        monkeypatch.setattr("tiltlab.experiments.run_trial",
+                            lambda *args: trials.append(args))
+        cfg = write_config(tmp_path, "kind = mech-bench\ntrials = 2")
+        (tmp_path / "file").write_text("")
+        out = tmp_path / "file" if target == "file" else "/dev/null/x"
+        assert main(["run", "--config", cfg, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and trials == []
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("cannot write output: ")
+        assert str(out) in lines[0]
 
     def test_run_reports_errors_log(self, tmp_path, capsys, monkeypatch):
         def trial(cfg, master_seed, t):

@@ -27,6 +27,10 @@ Oracles:
     - Blocks mapped in 1, 2 or 3 lanes (and the gap Monte Carlo built on
       them) against one one-block draw and the recipe: same rows, same
       generator state, chunk ties in helper lanes included.
+    - Draw groups against blocks drawn one at a time in one lane: the same
+      batches handed to fn and the same generator state at block sizes 1,
+      7 and SAMPLE_BLOCK, with lane boundaries inside groups and chunk ties
+      on both sides of a group boundary; count = 0 as one empty batch.
 """
 
 import math
@@ -542,6 +546,32 @@ def lane_draw(name, rng):
     return dist, blocks, sum(on_caller)
 
 
+def seen_batches(dist, count, block, seed):
+    """What fn is handed, batch by batch, and the generator's end state."""
+    rng = np.random.default_rng(seed)
+    seen = tilt_map_blocks(dist, rng, count, block,
+                           lambda b: (b.types, b.v, b.cols))
+    return seen, rng.bit_generator.state
+
+
+def ungrouped_batches(monkeypatch, dist, count, block, seed):
+    """seen_batches with every block drawn on its own, in one lane."""
+    with monkeypatch.context() as patch:
+        patch.setattr(tilt_module, "SAMPLE_GROUP", 1)
+        force_lanes(patch, 1)
+        return seen_batches(dist, count, block, seed)
+
+
+def assert_same_batches(got, want):
+    (got_seen, got_state), (want_seen, want_state) = got, want
+    assert len(got_seen) == len(want_seen)
+    for got_arrays, want_arrays in zip(got_seen, want_seen):
+        for a, b in zip(got_arrays, want_arrays):
+            assert (a is None) == (b is None)
+            assert a is None or (a.dtype == b.dtype and np.array_equal(a, b))
+    assert got_state == want_state
+
+
 class TestLanes:
     @pytest.mark.parametrize("cpus", [1, 2, 3])
     @pytest.mark.parametrize("name", sorted(LANE_FAMILIES))
@@ -648,6 +678,81 @@ class TestLanes:
         rng = np.random.default_rng(45)
         assert gap(query, refs, dist, mc_count, rng) == want
         assert rng.bit_generator.state == want_rng.bit_generator.state
+
+    @pytest.mark.parametrize("cpus", [2, 3])
+    @pytest.mark.parametrize("block", [1, 7, tilt_module.SAMPLE_BLOCK])
+    @pytest.mark.parametrize("name", sorted(LANE_FAMILIES))
+    def test_draw_groups_are_invisible(self, monkeypatch, name, block, cpus):
+        # 10 blocks, the last ragged unless block = 1: two lanes draw groups
+        # of 4 and 1 blocks each; three lanes split at blocks 3 and 6, so
+        # they draw groups of 3, 3 and 4 blocks
+        assert tilt_module.SAMPLE_GROUP == 4
+        fam = make_family(**LANE_FAMILIES[name])
+        dist = tilt(fam, np.random.default_rng(40).normal(size=fam.dim))
+        count = 9 * block + (block + 1) // 2
+        want = ungrouped_batches(monkeypatch, dist, count, block, 60)
+        force_lanes(monkeypatch, cpus)
+        got = seen_batches(dist, count, block, 60)
+        assert [len(types) for types, _, _ in got[0]] == \
+            [block] * 9 + [(block + 1) // 2]
+        assert_same_batches(got, want)
+
+    def test_ties_across_a_group_boundary(self, monkeypatch):
+        # two lanes over 10 blocks: the calling thread draws blocks 0-3 and
+        # then block 4; the chunks of the last row of the first group and
+        # of the first row of the second are made to tie, and each must be
+        # decided by the keyed bits at its index in the whole draw, as when
+        # blocks are drawn one at a time
+        fam = make_family("hypercube", d=16)
+        dist = tilt(fam, np.random.default_rng(40).normal(size=fam.dim))
+        block, seed = 7, 61
+        edge = tilt_module.SAMPLE_GROUP * block  # first row of group 2
+        count = 10 * block - 3
+        recipe = np.random.default_rng(seed).bit_generator
+        key = int(recipe.random_raw())
+        chunks = recipe.random_raw(count * 4).astype("<u8").view("<u2") \
+            .reshape(count, fam.d)
+        dist.chunk_hi = dist.chunk_hi.copy()
+        dist.chunk_hi[0, :2] = chunks[edge - 1, 0], chunks[edge, 1]
+        dist.chunk_lo = np.full_like(dist.chunk_lo, 2 ** 36)
+        want = ungrouped_batches(monkeypatch, dist, count, block, seed)
+
+        caller = threading.get_ident()
+        decide = tilt_module.chunk_signs
+        tied_rows = []  # per chunk_signs call of the caller, its tied rows
+
+        def spy(chunks, hi, lo, types, first, philox):
+            if threading.get_ident() == caller:
+                tied = np.flatnonzero(chunks == hi)
+                tied_rows.append(set((first + tied) // fam.d))
+            return decide(chunks, hi, lo, types, first, philox)
+
+        force_lanes(monkeypatch, 2)
+        monkeypatch.setattr(tilt_module, "chunk_signs", spy)
+        got = seen_batches(dist, count, block, seed)
+        assert_same_batches(got, want)
+        assert len(tied_rows) == 2
+        assert edge - 1 in tied_rows[0] and edge in tied_rows[1]
+        v = np.concatenate([v for _, v, _ in got[0]])
+        for row, col in ((edge - 1, 0), (edge, 1)):
+            keyed = np.random.Philox(key=key, counter=row * fam.d + col) \
+                .random_raw() >> 27
+            assert v[row, col] == (1 if keyed < 2 ** 36 else -1)
+
+    @pytest.mark.parametrize("name", sorted(LANE_FAMILIES))
+    def test_count_zero_is_one_empty_batch(self, name):
+        fam = make_family(**LANE_FAMILIES[name])
+        dist = tilt(fam, np.random.default_rng(40).normal(size=fam.dim))
+        seen = tilt_map_blocks(dist, np.random.default_rng(0), 0, LANE_BLOCK,
+                               lambda b: b)
+        assert len(seen) == 1 and len(seen[0]) == 0
+        batch = tilt_sample_many(dist, np.random.default_rng(0), 0)
+        assert len(batch) == 0
+        if name == "matrix-columns":
+            assert batch.cols.shape == (0,)
+        else:
+            assert batch.v.shape == (0, fam.d)
+        assert batch.densify().shape == (0, fam.dim)
 
 
 class TestDatasetPlumbing:
