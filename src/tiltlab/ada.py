@@ -129,7 +129,8 @@ class ScoreField:
     ref_shift: np.ndarray  # (m * k, d)
 
     def score(self, t, v: np.ndarray) -> np.ndarray:
-        return ((v - self.ref_shift[t]) * self.c_hat[t]).sum(axis=1)
+        return ((v - self.ref_shift.take(t, axis=0))
+                * self.c_hat.take(t, axis=0)).sum(axis=1)
 
     def advance(self, t, v_r: np.ndarray, r: int, psum: np.ndarray,
                 run_max: np.ndarray) -> None:
@@ -224,11 +225,11 @@ class StageQueryBatch:
             types, vr, comp = self._types[idx], self._vr[idx], self._comp[idx]
         m = self._hmat.shape[1]
         k = self._basis.shape[0]
-        # per-type sums of the live +-1 bits: exact integers in any order
+        # integer sums, +-1 tables: exact in any grouping; take the cheap one
         sums = np.bincount(types, weights=np.where(comp, 0.0, vr),
                            minlength=m * k).reshape(m, k)
-        vals = self._basis @ (sums.T @ self._hmat.T)  # (k, 2^m)
-        vals += float(comp.sum())
+        vals = (self._basis @ sums.T) @ self._hmat.T  # (k, 2^m)
+        vals += np.count_nonzero(comp)
         vals /= len(types)
         return vals.reshape(-1)
 
@@ -390,7 +391,7 @@ def default_tau(d: int, alpha: float, C: float, m: int) -> float:
     return C * math.sqrt(d * math.log(1.0 / alpha)) / m
 
 
-def _digest(payload: bytes) -> str:
+def _digest(payload) -> str:
     return hashlib.sha256(payload).hexdigest()[:16]
 
 
@@ -527,9 +528,10 @@ def run_ada_protocol(
             stage=r,
             query_digest=_digest(np.array([r], dtype=np.int64).tobytes()
                                  + np.packbits(comp).tobytes()),
-            answer_digest=_digest(answers.tobytes()),
-            compromised_count=int(crossed.sum()),
-            pop_compromised_frac=float(pop_comp.mean()),
+            # hashed from the buffer; a strided answer view needs the copy
+            answer_digest=_digest(np.ascontiguousarray(answers)),
+            compromised_count=int(np.count_nonzero(crossed)),
+            pop_compromised_frac=int(np.count_nonzero(pop_comp)) / mc_accuracy,
             accuracy_ok=accuracy_ok,
             max_population_dev=max_dev,
         ))

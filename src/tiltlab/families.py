@@ -33,16 +33,18 @@ _TENSOR_ALIASES = {"hypercube": (1, 1)}
 _KINDS = ("tensor", "matrix-columns", *_TENSOR_ALIASES)
 
 
+@functools.lru_cache(maxsize=None)
 def hadamard_orthogonal_set(k: int) -> np.ndarray:
     """Return k pairwise-orthogonal vectors in {+-1}^k as float64 rows.
 
-    Sylvester construction, unscaled entries. Requires k a power of two.
+    Sylvester construction; one cached read-only table per power of two k.
     """
     if k < 1 or (k & (k - 1)) != 0:
         raise ValueError(f"k must be a positive power of two, got {k}")
     h = np.ones((1, 1))
     while h.shape[0] < k:
         h = np.block([[h, h], [h, -h]])
+    h.flags.writeable = False
     return h
 
 

@@ -139,7 +139,7 @@ class HistogramVector:
         if ids.dtype.kind not in "iu":
             raise ValueError("elements must be integer ids")
         self.elements = ids.astype(np.int64, copy=False)
-        if len(np.unique(ids)) < len(ids):
+        if len(set(ids.tolist())) < len(ids):
             raise ValueError("elements must be distinct")
         if not (self.weights >= 0).all():
             raise ValueError("weights must be nonnegative")
@@ -307,11 +307,12 @@ def reconstruct_slices_batch(
     if answers.ndim != 2 or answers.shape[1] != 2 ** m:
         raise ValueError(f"expected (slices, {2 ** m}) answers")
     box = 1.0 / m
-    mu = np.clip(answers @ h / 2 ** m, -box, box)
-    best_mu = mu.copy()
+    # np.clip's result, NaN included, without its wrapper's cost
+    mu = np.minimum(np.maximum(answers @ h / 2 ** m, -box), box)
     best_f = np.max(np.abs(mu @ h.T - answers), axis=1)
     if not (best_f > alpha).any():
-        return best_mu
+        return mu
+    best_mu = mu.copy()
     tol = RECONSTRUCT_STOP_ULPS * np.finfo(float).eps \
         * np.max(np.abs(answers), axis=1)
     stop = np.maximum(alpha, complement_floor(answers) + tol)

@@ -13,7 +13,8 @@ every seed fixed so reruns are bitwise-stable:
       (these lemma helpers and the privacy audit live in tests/lemmas.py)
     - bitwise CSV determinism across worker counts, across BLAS thread
       counts, and against the golden digests in tests/golden/, also in
-      forced lanes and theta threads and under a 1 us thread switch
+      forced lanes and theta threads and under a 1 us thread switch, and
+      a replay of every golden row
 
 The four full-scale runs that take most of the suite's time carry the
 ``slow`` marker; ``pytest -m "not slow"`` skips them for a quick loop.
@@ -40,7 +41,7 @@ from tiltlab.ada import ExactMeanAnalyst, SampleSplitAnalyst, default_tau, \
     run_ada_protocol
 from tiltlab.attack import ThetaSampler, run_attack_trial, separation
 from tiltlab.config import parse_config
-from tiltlab.experiments import THETA_STREAM_TAG, run_experiment
+from tiltlab.experiments import THETA_STREAM_TAG, replay_row, run_experiment
 from tiltlab.families import make_family
 from tiltlab.mechanisms import (
     QUERY_RELEASE_CPRIME,
@@ -584,6 +585,18 @@ DETERMINISM_CONFIGS = {
         mc_gap = 1024
         tau = 0.5
     """,
+    # the ada-desk shape: the full-size (m=6, k=64) query products, slice
+    # reconstructions and compromised evaluators; mc_gap is lowered so the
+    # lane-forced run's 16-row gap blocks stay cheap
+    "ada-run-desk": """
+        kind = ada-run
+        trials = 2
+        m = 6
+        k = 64
+        d = 32
+        n = 384
+        mc_gap = 2048
+    """,
     "mech-bench": """
         kind = mech-bench
         trials = 3
@@ -640,6 +653,19 @@ class TestSuiteDeterminism:
             self.check_golden_digests(label, tmp_path)
         finally:
             sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("label", sorted(DETERMINISM_CONFIGS))
+    def test_every_golden_row_replays(self, label, tmp_path):
+        # each row of each golden config recomputes byte-equal from its
+        # own trial and seed, through the manifest next to the CSV
+        result = run_experiment(parse_config(DETERMINISM_CONFIGS[label]), 99,
+                                tmp_path)
+        assert result.exit_code == 0
+        trials = parse_config(DETERMINISM_CONFIGS[label]).trials
+        assert len(result.rows) == trials
+        for row in range(trials):
+            stored, recomputed, match = replay_row(result.csv_path, row)
+            assert match, (stored, recomputed)
 
     @staticmethod
     def force_threads(monkeypatch):

@@ -380,6 +380,15 @@ def eval_mean_add_at(ti, tj, vr, comp, hmat, basis):
     return (vals.T.reshape(-1) + float(comp.sum())) / len(ti)
 
 
+def eval_mean_sums_first(types, vr, comp, hmat, basis):
+    """eval_mean with its products grouped basis @ (sums.T @ hmat.T)."""
+    m, k = hmat.shape[1], basis.shape[0]
+    sums = np.bincount(types, weights=np.where(comp, 0.0, vr),
+                       minlength=m * k).reshape(m, k)
+    vals = basis @ (sums.T @ hmat.T)
+    return ((vals + float(comp.sum())) / len(types)).reshape(-1)
+
+
 class TestEvalMeanOracle:
     def test_matches_add_at_formula(self):
         fam = make_family("tensor", m=3, k=8, d=4)
@@ -398,6 +407,37 @@ class TestEvalMeanOracle:
         want = eval_mean_add_at(ti[idx], tj[idx], vr[idx], comp[idx], hmat,
                                 basis)
         assert np.array_equal(batch.eval_mean(idx), want)
+
+    @pytest.mark.parametrize("m", range(1, 7))
+    @pytest.mark.parametrize("k", [1, 8, 64])
+    def test_product_order_moves_no_bit(self, m, k):
+        # per-type sums and both tables are small integers, so every
+        # product is exact and any grouping gives the same floats; the
+        # largest sums come from one type holding every live +1
+        rng = np.random.default_rng(1000 * m + k)
+        hmat = predicate_matrix(m)
+        basis = make_family("tensor", m=m, k=k, d=1).basis
+        for n in (1, 97, 4096):
+            for case in ("random", "one-type"):
+                if case == "random":
+                    types = rng.integers(0, m * k, size=n)
+                    vr = rng.choice(np.array([-1, 1], dtype=np.int8),
+                                    size=n)
+                    comp = rng.random(n) < rng.random()
+                else:
+                    types = np.full(n, rng.integers(0, m * k))
+                    vr = np.ones(n, dtype=np.int8)
+                    comp = np.zeros(n, dtype=bool)
+                batch = StageQueryBatch(types, vr, comp, hmat, basis)
+                assert np.array_equal(
+                    batch.eval_mean(),
+                    eval_mean_sums_first(types, vr, comp, hmat, basis))
+                idx = rng.choice(n, size=rng.integers(1, n + 1),
+                                 replace=False)
+                assert np.array_equal(
+                    batch.eval_mean(idx),
+                    eval_mean_sums_first(types[idx], vr[idx], comp[idx],
+                                         hmat, basis))
 
     def test_all_compromised(self):
         fam = small_family()
@@ -530,6 +570,23 @@ class OutOfRangeAnalyst:
         return np.full(batch.n_queries, 2.0)
 
 
+class StridedAnalyst(RecordingAnalyst):
+    """Exact means returned as a non-contiguous float64 view."""
+
+    def __init__(self, step):
+        super().__init__(ExactMeanAnalyst())
+        self.step = step
+
+    def answer_stage(self, stage, batch):
+        ans = super().answer_stage(stage, batch)
+        view = np.repeat(ans, abs(self.step))[::self.step]
+        if self.step < 0:
+            view = view[::-1]
+        assert not view.flags.c_contiguous
+        assert np.array_equal(view, ans)
+        return view
+
+
 class WrongShapeAnalyst:
     name = "wrong-shape"
 
@@ -558,6 +615,23 @@ class TestRunProtocol:
         assert len(lines) == fam.d + 1
         assert lines[0].startswith("stage=0 ")
         assert "gap=" in lines[-1]
+
+    @pytest.mark.parametrize("step", [2, -3])
+    def test_strided_answers_hash_like_their_bytes(self, step):
+        # the digest reads the answers' buffer; a strided view is hashed
+        # as its C-order bytes, with no BufferError
+        fam = small_family()
+        theta = surface_theta(fam, np.random.default_rng(30))
+        plain = run_ada_protocol(ExactMeanAnalyst(), fam, theta, n=48,
+                                 seed=31, alpha=0.25)
+        analyst = StridedAnalyst(step)
+        tr = run_ada_protocol(analyst, fam, theta, n=48, seed=31,
+                              alpha=0.25)
+        assert len(analyst.answers) == fam.d
+        for rec, ans, ref in zip(tr.stages, analyst.answers, plain.stages):
+            want = hashlib.sha256(ans.tobytes()).hexdigest()[:16]
+            assert rec.answer_digest == ref.answer_digest == want
+        assert tr.log_lines() == plain.log_lines()
 
     def test_ref_shift_is_the_tilts_typed_means(self):
         # flat per-type rows, in the tilt's own layout and bits

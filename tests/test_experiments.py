@@ -3,7 +3,8 @@
 The heavy numerics live in the module tests; here the suites run at toy
 scale and the checks are structural: byte-identical reruns across worker
 counts, replayable rows, error rows that flush instead of killing the run,
-exit codes, and negative controls for the attack kinds' row gates.
+exit codes, and negative controls for the attack and mech-bench row
+gates.
 """
 
 import ast
@@ -32,7 +33,8 @@ from tiltlab.experiments import (
     run_trial,
 )
 from tiltlab.families import make_family
-from tiltlab.mechanisms import RECONSTRUCT_CAP, EmpiricalMean
+from tiltlab.mechanisms import RECONSTRUCT_CAP, EmpiricalMean, \
+    HistogramVector, sparse_histogram
 from tiltlab.seeds import trial_seed_sequence
 
 
@@ -572,6 +574,65 @@ class TestAttackGates:
         edit_attack_reports(monkeypatch, move)
         row = run_trial(cfg, 7, 0)[0]
         assert float(row["in_total"]) == pytest.approx(total, abs=1e-11)
+        assert row["status"] == status
+
+
+def edit_releases(monkeypatch, edit):
+    """Run the real sparse histogram release, then hand ``edit`` the input
+    and a writable copy of the released weights before the gate reads
+    them."""
+    def release(hist, epsilon, delta, rng):
+        out = sparse_histogram(hist, epsilon, delta, rng)
+        weights = out.weights.copy()
+        edit(hist, weights)
+        return HistogramVector(out.elements, weights, out.universe_size,
+                               out.background)
+
+    monkeypatch.setattr("tiltlab.experiments.sparse_histogram", release)
+
+
+class TestMechBenchGates:
+    """Negative controls for mech-bench: a release whose mass drifts, or
+    whose sup-norm distance grows, just past the gate is invariant-failed,
+    and the same release just inside the gate is ok."""
+
+    @pytest.mark.parametrize("drift, status", [
+        (0.5e-9, "ok"), (-0.5e-9, "ok"),
+        (2e-9, "invariant-failed"), (-2e-9, "invariant-failed"),
+    ])
+    def test_mass_within_relative_1e9(self, monkeypatch, drift, status):
+        def shift(hist, weights):
+            # on the largest weight, so a negative drift stays >= 0
+            weights[weights.argmax()] += drift * max(1.0, hist.total)
+
+        edit_releases(monkeypatch, shift)
+        row = run_trial(tiny_config("mech-bench"), 7, 0)[0]
+        mass_in = float(row["mass_in"])
+        assert float(row["mass_out"]) - mass_in == pytest.approx(
+            drift * max(1.0, mass_in), rel=1e-3)
+        assert row["status"] == status
+
+    @pytest.mark.parametrize("ratio, status", [
+        (0.99, "ok"), (1.01, "invariant-failed"),
+    ])
+    def test_sup_norm_within_bound(self, monkeypatch, ratio, status):
+        cfg = tiny_config("mech-bench")
+        bound = float(run_trial(cfg, 7, 0)[0]["bound"])
+
+        def stretch(hist, weights):
+            # element 0 lands ratio * bound above its input; the others
+            # give back that mass in proportion to their weights, each by
+            # far less than the bound, so the total holds
+            moved = hist.weights[0] + ratio * bound - weights[0]
+            rest = weights[1:]
+            rest -= moved * rest / rest.sum()
+            weights[0] += moved
+
+        edit_releases(monkeypatch, stretch)
+        row = run_trial(cfg, 7, 0)[0]
+        assert float(row["linf"]) == pytest.approx(ratio * bound, rel=1e-9)
+        assert float(row["mass_out"]) == pytest.approx(
+            float(row["mass_in"]), rel=1e-12)
         assert row["status"] == status
 
 

@@ -67,6 +67,16 @@ class TestHadamard:
         u = hadamard_orthogonal_set(8)
         assert np.array_equal(u[0], np.ones(8, dtype=int))
 
+    @pytest.mark.parametrize("k", [1, 4, 64])
+    def test_one_cached_read_only_table(self, k):
+        # make_family hands every tensor family of one k the same table
+        u = hadamard_orthogonal_set(k)
+        assert hadamard_orthogonal_set(k) is u
+        assert make_family("tensor", m=2, k=k, d=3).basis is u
+        assert not u.flags.writeable
+        with pytest.raises(ValueError):
+            u[0, 0] = -1.0
+
 
 class TestPredicateMatrix:
     def test_columns_orthogonal(self):
