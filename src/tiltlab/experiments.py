@@ -24,7 +24,8 @@ from .attack import run_attack_trial, separation, ThetaSampler
 from .config import ConfigError, ExperimentConfig, analyst_from_config, \
     check_ranges, config_from_values, mechanism_from_config
 from .families import make_family
-from .mechanisms import EmpiricalMean, HistogramVector, sparse_histogram
+from .mechanisms import EmpiricalMean, check_weights, noise_bound, \
+    release_rows, row_fsums, trunc_laplace
 from .seeds import trial_seed_sequence
 from .structure import ETA_PROBE_SCALE, check_column_sums, check_expanding, \
     check_regular, tilted_column_cov
@@ -191,27 +192,46 @@ def _gap_summary(data, rows):
                 float(r["max_pop_compromised_frac"]) for r in data)}
 
 
-def _trial_mech_bench(cfg: ExperimentConfig, master_seed: int, trial: int):
-    rng = np.random.default_rng(trial_seed_sequence(master_seed, trial))
-    weights = rng.uniform(0.0, 2.0 * cfg.mass / cfg.support,
-                          size=cfg.support)
-    hist = HistogramVector(np.arange(cfg.support), weights,
-                           universe_size=cfg.universe)
-    released = sparse_histogram(hist, cfg.epsilon, cfg.delta, rng)
+# values (trials x support) that one mech-bench chunk holds in each of its
+# weight, noise and release blocks
+CHUNK_VALUES = 2 ** 11
+
+
+def _trials_mech_bench(cfg: ExperimentConfig, master_seed: int, trials):
+    # each trial draws its weights, then its noise, on its own stream, as
+    # one sparse_histogram call on it would; one release_rows call then
+    # releases the whole chunk, every row under its own mass
+    rngs = [np.random.default_rng(trial_seed_sequence(master_seed, t))
+            for t in trials]
+    weights = np.array([rng.uniform(0.0, 2.0 * cfg.mass / cfg.support,
+                                    size=cfg.support) for rng in rngs])
+    check_weights(weights, cfg.universe)
+    v = noise_bound(cfg.epsilon, cfg.delta)
+    noise = np.array([trunc_laplace(rng, 1.0 / cfg.epsilon, v, cfg.support)
+                      for rng in rngs])
+    mass_in = row_fsums(weights)
+    extra = 0 if cfg.universe is None else cfg.universe - cfg.support
+    block, level = release_rows(weights, mass_in, noise, extra)
+    # the background each release spreads beyond the support
+    spread = level if extra > 0 else np.zeros(len(level))
+    mass_out = row_fsums(block) + spread * extra
+    linf = np.maximum(np.abs(weights - block).max(axis=1, initial=0.0),
+                      spread)
     bound = 10.0 * math.log(1.0 / cfg.delta) / cfg.epsilon
-    mass_in = hist.total
-    mass_out = released.total
-    linf = hist.linf_distance(released)
-    ok = (abs(mass_out - mass_in) <= 1e-9 * max(1.0, abs(mass_in))
-          and linf <= bound)
-    row = {
-        "support": cfg.support,
-        "mass_in": mass_in,
-        "mass_out": mass_out,
-        "linf": linf,
-        "bound": bound,
-    }
-    return row, ok, []
+    out = []
+    for m_in, m_out, dist in zip(mass_in.tolist(), mass_out.tolist(),
+                                 linf.tolist()):
+        ok = (abs(m_out - m_in) <= 1e-9 * max(1.0, abs(m_in))
+              and dist <= bound)
+        row = {
+            "support": cfg.support,
+            "mass_in": m_in,
+            "mass_out": m_out,
+            "linf": dist,
+            "bound": bound,
+        }
+        out.append((row, ok, []))
+    return out
 
 
 def _trial_verify_structure(cfg: ExperimentConfig, master_seed: int,
@@ -283,18 +303,27 @@ def _max_summary(column: str, key: str):
     return lambda data, rows: {key: max(float(r[column]) for r in data)}
 
 
+def _each(trial: Callable) -> Callable:
+    """The trials function of a kind whose trials run one at a time."""
+    return lambda cfg, master_seed, trials: [trial(cfg, master_seed, t)
+                                             for t in trials]
+
+
 @dataclass(frozen=True)
 class ExperimentKind:
     """One experiment kind.  ``columns`` are its own CSV columns, framed by
-    trial and seed in front and status behind; ``trial`` returns (row keyed
-    by columns, ok, log lines); ``summary`` maps (ok rows, row count) to the
-    kind's manifest aggregate entries; ``allowed_failures`` is how many
+    trial and seed in front and status behind; ``trials`` maps (config,
+    master seed, trial indices) to one (row keyed by columns, ok, log lines)
+    per index; ``chunk`` maps a config to the number of contiguous trials
+    handed to one ``trials`` call; ``summary`` maps (ok rows, row count) to
+    the kind's manifest aggregate entries; ``allowed_failures`` is how many
     invariant-failed rows per 20 rows a run tolerates."""
 
     columns: tuple
-    trial: Callable
+    trials: Callable
     summary: Callable
     allowed_failures: int = 0
+    chunk: Callable = lambda cfg: 1
 
     @property
     def header(self) -> list:
@@ -305,49 +334,64 @@ EXPERIMENT_KINDS = {
     "attack-hypercube": ExperimentKind(
         ("region", "mechanism", "n", "stat", "in_total", "in_mean",
          "fresh_mean", "fresh_se"),
-        _trial_attack_hypercube, _separation_summary),
+        _each(_trial_attack_hypercube), _separation_summary),
     "attack-random": ExperimentKind(
         ("region", "mechanism", "n", "stat", "in_total",
          "fresh_second_moment", "moment_bound", "lambda_max"),
-        _trial_attack_random, _moment_summary),
+        _each(_trial_attack_random), _moment_summary),
     "ada-run": ExperimentKind(
         ("analyst", "n", "tau", "gap", "gap_stderr", "dataset_mean",
          "population_mean", "max_compromised_frac",
          "max_pop_compromised_frac", "inaccurate_stages"),
-        _trial_ada, _gap_summary),
+        _each(_trial_ada), _gap_summary),
     "mech-bench": ExperimentKind(
         ("support", "mass_in", "mass_out", "linf", "bound"),
-        _trial_mech_bench, _max_summary("linf", "max_linf")),
+        _trials_mech_bench, _max_summary("linf", "max_linf"),
+        chunk=lambda cfg: max(1, CHUNK_VALUES // max(cfg.support, 1))),
     "verify-structure": ExperimentKind(
         ("d", "n_columns", "col_violations", "col_mean_sq", "col_expected_sq",
          "col_stderr_sq", "expanding_fail_frac", "regular_fail_frac"),
-        _trial_verify_structure,
+        _each(_trial_verify_structure),
         lambda data, rows: {"ok_fraction": len(data) / rows},
         allowed_failures=1),  # one bad random matrix in twenty
     "divergence-check": ExperimentKind(
         ("family", "dims", "n", "abs_err"),
-        _trial_divergence, _max_summary("abs_err", "max_abs_err")),
+        _each(_trial_divergence), _max_summary("abs_err", "max_abs_err")),
 }
 
 
-def run_trial(cfg: ExperimentConfig, master_seed: int, trial: int):
-    """Compute one trial's formatted CSV row, its log lines and, for an
-    error row, the formatted traceback (else None).
+def run_trials(cfg: ExperimentConfig, master_seed: int, trials) -> list:
+    """One (formatted CSV row, log lines, traceback or None) per trial in
+    trials, from one call of the kind's trials function.
 
-    Any module error becomes an error row rather than killing the suite.
+    Any module error becomes an error row rather than killing the suite: if
+    the call raises, each trial reruns alone, so a failing trial gets its
+    own error row and traceback and every other trial its row.
     """
     kind = EXPERIMENT_KINDS[cfg.kind]
-    base = {"trial": str(trial), "seed": str(master_seed)}
     try:
-        row, ok, logs = kind.trial(cfg, master_seed, trial)
+        results = kind.trials(cfg, master_seed, trials)
     except Exception as exc:  # noqa: BLE001 - error rows must flush
-        import traceback  # only failed trials pay for its import
+        if len(trials) == 1:
+            import traceback  # only failed trials pay for its import
 
-        row = {**base, **dict.fromkeys(kind.columns, ""),
-               "status": f"error:{type(exc).__name__}:{exc}"}
-        return row, [], traceback.format_exc()
-    return {**base, **{k: _fmt(v) for k, v in row.items()},
-            "status": STATUS_OK if ok else STATUS_INVARIANT}, logs, None
+            row = {"trial": str(trials[0]), "seed": str(master_seed),
+                   **dict.fromkeys(kind.columns, ""),
+                   "status": f"error:{type(exc).__name__}:{exc}"}
+            return [(row, [], traceback.format_exc())]
+    else:
+        return [({"trial": str(t), "seed": str(master_seed),
+                  **{k: _fmt(v) for k, v in row.items()},
+                  "status": STATUS_OK if ok else STATUS_INVARIANT}, logs, None)
+                for t, (row, ok, logs) in zip(trials, results, strict=True)]
+    # out of the handler, so no rerun's traceback chains to the chunk's
+    return [out for t in trials for out in run_trials(cfg, master_seed, [t])]
+
+
+def run_trial(cfg: ExperimentConfig, master_seed: int, trial: int):
+    """run_trials on the one trial: its formatted CSV row, its log lines
+    and, for an error row, the formatted traceback (else None)."""
+    return run_trials(cfg, master_seed, [trial])[0]
 
 
 @dataclass
@@ -364,7 +408,9 @@ class RunResult:
 
 def run_experiment(cfg: ExperimentConfig, master_seed: int,
                    out_dir=None, workers: int = 1) -> RunResult:
-    """Run all trials, then write <kind>.csv, manifest.json, <kind>.log when
+    """Run all trials by run_trials, in contiguous chunks of the kind's
+    chunk size (in a pool of processes when workers > 1 and there are two
+    or more chunks), then write <kind>.csv, manifest.json, <kind>.log when
     a trial logged lines, and <kind>.errors.log with the traceback of each
     error row when there is one; a log or errors log this run does not
     write is removed."""
@@ -376,13 +422,16 @@ def run_experiment(cfg: ExperimentConfig, master_seed: int,
     out = Path(out_dir) if out_dir else Path(cfg.out or f"runs/{cfg.kind}")
     out.mkdir(parents=True, exist_ok=True)
 
-    args = [(cfg, master_seed, t) for t in range(cfg.trials)]
-    if workers > 1 and cfg.trials > 1:
+    size = kind.chunk(cfg)
+    args = [(cfg, master_seed, range(first, min(first + size, cfg.trials)))
+            for first in range(0, cfg.trials, size)]
+    if workers > 1 and len(args) > 1:
         import multiprocessing  # only multi-worker runs pay for its import
-        with multiprocessing.Pool(min(workers, cfg.trials)) as pool:
-            results = pool.starmap(run_trial, args)
+        with multiprocessing.Pool(min(workers, len(args))) as pool:
+            chunks = pool.starmap(run_trials, args)
     else:
-        results = [run_trial(*a) for a in args]
+        chunks = [run_trials(*a) for a in args]
+    results = [out for chunk in chunks for out in chunk]
 
     header = kind.header
     rows = [row for row, _, _ in results]

@@ -141,15 +141,7 @@ class HistogramVector:
         self.elements = ids.astype(np.int64, copy=False)
         if len(set(ids.tolist())) < len(ids):
             raise ValueError("elements must be distinct")
-        if not (self.weights >= 0).all():
-            raise ValueError("weights must be nonnegative")
-        if self.background < 0:
-            raise ValueError("background must be nonnegative")
-        if self.universe_size is None:
-            if self.background > 0:
-                raise ValueError("positive background needs a finite universe")
-        elif self.universe_size < len(self.elements):
-            raise ValueError("universe smaller than the explicit support")
+        check_weights(self.weights, self.universe_size, self.background)
 
     @property
     def total(self) -> float:
@@ -169,14 +161,38 @@ class HistogramVector:
         return d
 
 
-def _row_fsums(block: np.ndarray) -> np.ndarray:
+def check_weights(weights: np.ndarray, universe_size: Optional[int],
+                  background: float = 0.0) -> None:
+    """Raise ValueError unless weights (one histogram's, or one per row of
+    a block) and the background make a valid HistogramVector in a universe
+    of universe_size elements."""
+    if not (weights >= 0).all():
+        raise ValueError("weights must be nonnegative")
+    if background < 0:
+        raise ValueError("background must be nonnegative")
+    if universe_size is None:
+        if background > 0:
+            raise ValueError("positive background needs a finite universe")
+    elif universe_size < weights.shape[-1]:
+        raise ValueError("universe smaller than the explicit support")
+
+
+def noise_bound(epsilon: float, delta: float) -> float:
+    """The truncation v = 5 ln(1/delta) / epsilon of a release's noise."""
+    if epsilon <= 0 or not 0 < delta < 1:
+        raise ValueError("need epsilon > 0 and delta in (0, 1)")
+    return 5.0 * math.log(1.0 / delta) / epsilon
+
+
+def row_fsums(block: np.ndarray) -> np.ndarray:
     """Exactly rounded sum of each row of a 2-D block."""
     return np.fromiter((math.fsum(row.tolist()) for row in block),
                        dtype=float, count=len(block))
 
 
-def _water_fill_surplus(values: np.ndarray, target: float) -> np.ndarray:
-    """Lower each row uniformly (flooring at zero) until it sums to target.
+def _water_fill_surplus(values: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """Lower each row uniformly (flooring at zero) until it sums to its
+    entry of target.
 
     The level is the threshold of the Euclidean projection onto the simplex
     {x >= 0, sum(x) = target} (Held, Wolfe & Crowder 1974; Duchi et al.
@@ -188,49 +204,45 @@ def _water_fill_surplus(values: np.ndarray, target: float) -> np.ndarray:
     """
     rows, s = values.shape
     u = np.sort(values, axis=1)[:, ::-1]
-    levels = (np.cumsum(u, axis=1) - target) / np.arange(1, s + 1)
+    levels = (np.cumsum(u, axis=1) - target[:, None]) / np.arange(1, s + 1)
     rho = s - 1 - np.argmax((u >= levels)[:, ::-1], axis=1)
     pick = np.arange(rows)
     level = np.maximum(levels[pick, rho], 0.0)
     out = np.maximum(values - level[:, None], 0.0)
     top = np.argmax(out, axis=1)
     out[pick, top] = 0.0
-    patch = target - _row_fsums(out)
+    patch = target - row_fsums(out)
     if (patch < 0).any():
         raise AssertionError("water-fill residual patch went negative")
     out[pick, top] = patch
     return out
 
 
-def _release_rows(hist: HistogramVector, epsilon: float, delta: float,
-                  rng: np.random.Generator, runs: int) -> tuple:
-    """``runs`` independent sparse_histogram releases of hist.
+def release_rows(weights: np.ndarray, target, noise: np.ndarray,
+                 extra: int) -> tuple:
+    """Sparse histogram releases of the rows of weights, one per row of
+    noise: the one engine behind sparse_histogram and batched releases.
 
-    Returns (block, level): the (runs, support) released weights, columns in
-    element order, and the (runs,) deficit level each row spread over the
-    universe (zero where there was none).  The noise for all runs is one
-    array draw, run-major, so row r equals the weights of the r-th of
-    ``runs`` sequential sparse_histogram calls on rng, and rng ends in the
-    same state.
+    ``weights`` is (rows, s), or (s,) for one histogram released ``rows``
+    times; ``target`` is each row's input mass (its fsum), as a (rows,)
+    array or one float; ``noise`` is (rows, s) truncated-Laplace noise;
+    ``extra`` counts the universe elements outside the support (0 for an
+    unbounded universe).  Returns (block, level): the (rows, s) released
+    weights, and the (rows,) deficit level each row spread over the
+    universe (zero where there was none).  Every row equals the release of
+    its own weights under its own noise alone.
     """
-    if epsilon <= 0 or not 0 < delta < 1:
-        raise ValueError("need epsilon > 0 and delta in (0, 1)")
-    if hist.background != 0:
-        raise ValueError("input histogram must have zero background")
-    v = 5.0 * math.log(1.0 / delta) / epsilon
-    s = len(hist.weights)
-    target = hist.total
-    noise = trunc_laplace(rng, 1.0 / epsilon, v, runs * s).reshape(runs, s)
-    block = np.maximum(hist.weights + noise, 0.0)
-    current = _row_fsums(block)
+    s = noise.shape[1]
+    block = np.maximum(weights + noise, 0.0)
+    current = row_fsums(block)
+    target = np.broadcast_to(target, current.shape)
     surplus = current > target
     if surplus.any():
-        block[surplus] = _water_fill_surplus(block[surplus], target)
-    level = np.zeros(runs)
+        block[surplus] = _water_fill_surplus(block[surplus], target[surplus])
+    level = np.zeros(len(block))
     deficit = current < target
     if deficit.any():
-        extra = 0 if hist.universe_size is None else hist.universe_size - s
-        level[deficit] = (target - current[deficit]) / (s + extra)
+        level[deficit] = (target[deficit] - current[deficit]) / (s + extra)
         block[deficit] += level[deficit, None]
     return block, level
 
@@ -246,19 +258,25 @@ def sparse_histogram(
     Each explicitly represented element gets truncated-Laplace noise with
     scale 1/epsilon and truncation v = 5 ln(1/delta) / epsilon, is floored
     at zero, and the result is projected back to the input mass by water
-    filling.  Elements outside the support never receive noise; a mass
-    deficit is spread uniformly (over the whole universe when it is finite,
-    via the background field).  With probability one the released vector
-    satisfies ||out - hist||_inf <= 2v: per-element noise is at most v, the
-    surplus water level c solves phi(c) = total with phi(v) <= total, and a
-    deficit spreads at most (support * v) / support <= v per element.
-    The release lists hist's elements in hist's order, zeros included.
+    filling (release_rows).  Elements outside the support never receive
+    noise; a mass deficit is spread uniformly (over the whole universe when
+    it is finite, via the background field).  With probability one the
+    released vector satisfies ||out - hist||_inf <= 2v: per-element noise is
+    at most v, the surplus water level c solves phi(c) = total with
+    phi(v) <= total, and a deficit spreads at most (support * v) / support
+    <= v per element.  The release lists hist's elements in hist's order,
+    zeros included.
     """
-    block, level = _release_rows(hist, epsilon, delta, rng, 1)
-    spread = hist.universe_size is not None \
-        and hist.universe_size > len(hist.elements)
-    return HistogramVector(hist.elements, block[0], hist.universe_size,
-                           float(level[0]) if spread else 0.0)
+    v = noise_bound(epsilon, delta)
+    if hist.background != 0:
+        raise ValueError("input histogram must have zero background")
+    s = len(hist.weights)
+    size = hist.universe_size
+    extra = 0 if size is None else size - s
+    noise = trunc_laplace(rng, 1.0 / epsilon, v, s)
+    block, level = release_rows(hist.weights, hist.total, noise[None], extra)
+    return HistogramVector(hist.elements, block[0], size,
+                           float(level[0]) if extra > 0 else 0.0)
 
 
 # --------------------------------------------------------------------------

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tilt import _BLAS_THREADS, _cpus_available, _in_ranges, \
-    tilt_weights
+from .tilt import _BLAS_THREADS, _blas_control, _cpus_available, \
+    _in_ranges, tilt_weights
 
 ETA_PROBE_SCALE = 0.06
 # theta threads start only when one theta's tilted covariance costs at least
@@ -180,9 +180,10 @@ def check_regular(
 
     The thetas and all their tilt weights come first, in one block; then,
     when a theta costs THETA_WORK multiply-adds, contiguous theta ranges are
-    certified at once by tilt._in_ranges, one per CPU that BLAS leaves free
-    (numpy's BLAS and Cholesky release the GIL).  The count is the same
-    whatever the thread count."""
+    certified at once by tilt._in_ranges (numpy's BLAS and Cholesky release
+    the GIL): one per CPU when _in_ranges can hold BLAS at one thread, else
+    one per CPU that the environment's BLAS thread count leaves free.  The
+    count is the same whatever the thread count."""
     a = _validate_pm1(a)
     d, n = a.shape
     unit = _sphere_thetas(rng, trials, d, 1.0)
@@ -203,7 +204,10 @@ def check_regular(
 
     threads = 1
     if d * d * n >= THETA_WORK:
-        # python threads on top of BLAS threads run slower than one thread
-        threads = max(1, min(_cpus_available() // _BLAS_THREADS, trials))
+        # python threads on top of BLAS threads run slower than one thread:
+        # _in_ranges holds a BLAS it finds at one thread, else the
+        # environment's count stands
+        blas_threads = 1 if _blas_control() else _BLAS_THREADS
+        threads = max(1, min(_cpus_available() // blas_threads, trials))
     above = sum(_in_ranges(trials, threads, count_above))
     return RegularReport(threshold=threshold, fraction_above=above / trials)

@@ -141,20 +141,71 @@ def _blas_threads() -> int:
 _BLAS_THREADS = _blas_threads()
 
 
+# get and set of the thread count, in the OpenBLAS builds numpy ships or
+# links: scipy-openblas (numpy's wheels), and plain OpenBLAS with or without
+# 64-bit integers
+_OPENBLAS_CALLS = ("scipy_openblas_{}_num_threads64_",
+                   "openblas_{}_num_threads64_", "openblas_{}_num_threads")
+_BLAS_CONTROL = []  # the result of the first _blas_control call
+
+
+def _blas_control():
+    """(get, set) of the thread count of the OpenBLAS this process loaded,
+    or None when none is found (another BLAS, or no /proc/self/maps to
+    find it in).  Found through ctypes on the first call, then kept."""
+    if _BLAS_CONTROL:
+        return _BLAS_CONTROL[0]
+    import ctypes  # threaded runs only
+
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = sorted({line.split(None, 5)[-1].strip() for line in fh
+                            if "openblas" in line})
+    except OSError:
+        paths = []
+    found = None
+    for path, name in [(p, n) for p in paths for n in _OPENBLAS_CALLS]:
+        try:  # only a library already loaded, never a new one
+            lib = ctypes.CDLL(path, mode=os.RTLD_NOLOAD)
+            get, put = (getattr(lib, name.format(op)) for op in ("get", "set"))
+        except (OSError, AttributeError):
+            continue
+        get.argtypes, get.restype = (), ctypes.c_int
+        put.argtypes, put.restype = (ctypes.c_int,), None
+        found = (get, put)
+        break
+    _BLAS_CONTROL.append(found)
+    return found
+
+
 def _in_ranges(n: int, parts: int, fn: Callable) -> list:
     """[fn(first, last) for the parts contiguous ranges that split
     range(n)], run at once: the first range in the calling thread, the
     others in helper threads.  A range's exception reaches the caller once
-    every range has stopped."""
+    every range has stopped.
+
+    While two or more ranges run, an OpenBLAS found by _blas_control that
+    reports more than one thread is held at one, so the ranges' BLAS calls
+    do not compete for CPUs, and its count is restored when they stop.
+    The count is per process: a BLAS call that another thread makes
+    meanwhile runs on one thread too."""
     if parts == 1:
         return [fn(0, n)]
     from concurrent.futures import ThreadPoolExecutor  # threaded runs only
 
-    firsts = [n * part // parts for part in range(parts + 1)]
-    with ThreadPoolExecutor(parts - 1) as pool:
-        helpers = [pool.submit(fn, first, last)
-                   for first, last in zip(firsts[1:-1], firsts[2:])]
-        return [fn(0, firsts[1])] + [helper.result() for helper in helpers]
+    blas = _blas_control()
+    blas_threads = blas[0]() if blas else 1
+    if blas_threads > 1:
+        blas[1](1)
+    try:
+        firsts = [n * part // parts for part in range(parts + 1)]
+        with ThreadPoolExecutor(parts - 1) as pool:
+            helpers = [pool.submit(fn, first, last)
+                       for first, last in zip(firsts[1:-1], firsts[2:])]
+            return [fn(0, firsts[1])] + [h.result() for h in helpers]
+    finally:
+        if blas_threads > 1:
+            blas[1](blas_threads)
 
 
 def tilt_map_blocks(dist: TiltedDistribution, rng: np.random.Generator,

@@ -1,7 +1,8 @@
 """Lemma-level facts that the tests check and no experiment runs: the
 K_{1,2} functional and its sandwich constant, exact Rademacher tails, the
-group-privacy and padding reductions, and the (epsilon, delta) frequency
-audit.  Shared by tests/test_structure.py, tests/test_mechanisms.py and
+group-privacy and padding reductions, the (epsilon, delta) frequency
+audit, and repeated sparse histogram releases for it.  Shared by
+tests/test_structure.py, tests/test_mechanisms.py and
 tests/test_acceptance.py."""
 
 import math
@@ -11,7 +12,8 @@ import numpy as np
 from scipy.special import betaincinv
 
 from tiltlab.errors import CapacityError
-from tiltlab.mechanisms import Dataset, MechanismAnswer
+from tiltlab.mechanisms import Dataset, MechanismAnswer, noise_bound, \
+    release_rows, trunc_laplace
 
 EXACT_TAIL_CAP = 22
 K12_SEARCH_TOL = 1e-9
@@ -278,6 +280,19 @@ class PaddedMechanism:
 
 # --------------------------------------------------------------------------
 # frequency audit
+
+
+def release_many(hist, epsilon: float, delta: float,
+                 rng: np.random.Generator, runs: int) -> tuple:
+    """(block, level) of runs sparse histogram releases of hist by
+    mechanisms.release_rows, their noise drawn as one run-major array: row
+    r is the release of the r-th of runs sparse_histogram calls on rng, and
+    rng ends where those calls leave it."""
+    s = len(hist.weights)
+    noise = trunc_laplace(rng, 1.0 / epsilon, noise_bound(epsilon, delta),
+                          runs * s).reshape(runs, s)
+    extra = 0 if hist.universe_size is None else hist.universe_size - s
+    return release_rows(hist.weights, hist.total, noise, extra)
 
 
 @dataclass

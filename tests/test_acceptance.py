@@ -49,7 +49,6 @@ from tiltlab.mechanisms import (
     EmpiricalMean,
     GaussianMechanism,
     HistogramVector,
-    _release_rows,
     histogram_query_release,
     required_mass,
     sparse_histogram,
@@ -75,6 +74,7 @@ from lemmas import (
     k12,
     k12_sandwich_constant,
     rademacher_tail,
+    release_many,
 )
 
 MASTER_SEED = 1234
@@ -159,8 +159,8 @@ class TestSparseHistogramRelease:
         hist_a = HistogramVector([0, 1], [6.0, 4.0], universe_size=2)
         hist_b = HistogramVector([0, 1], [6.5, 3.5], universe_size=2)
         report = audit_frequency_ratio(
-            lambda r, n: _release_rows(hist_a, 1.0, 1e-4, r, n)[0][:, 0],
-            lambda r, n: _release_rows(hist_b, 1.0, 1e-4, r, n)[0][:, 0],
+            lambda r, n: release_many(hist_a, 1.0, 1e-4, r, n)[0][:, 0],
+            lambda r, n: release_many(hist_b, 1.0, 1e-4, r, n)[0][:, 0],
             epsilon=1.0, delta=1e-4, runs=1_000_000,
             bin_edges=np.linspace(0.0, 10.0, 21), rng=rng,
         )
@@ -602,6 +602,17 @@ DETERMINISM_CONFIGS = {
         trials = 3
         support = 8
     """,
+    # 600 trials span three release chunks of 256 (experiments.CHUNK_VALUES
+    # over support 8); delta = 0.3 makes the truncated Laplace reject draws,
+    # and universe = 100 spreads each deficit over the background, while
+    # other rows take the surplus water fill
+    "mech-bench-wide": """
+        kind = mech-bench
+        trials = 600
+        support = 8
+        universe = 100
+        delta = 0.3
+    """,
     "verify-structure": """
         kind = verify-structure
         trials = 2
@@ -672,8 +683,8 @@ class TestSuiteDeterminism:
         # every golden config draws fewer than LANE_DRAWS v-bits in one
         # block, and its regular-check thetas cost fewer than THETA_WORK
         # multiply-adds each; in 16-row blocks forced to three lanes, and
-        # with thetas forced to three threads (check_regular is told BLAS
-        # runs one thread; BLAS keeps the threads it started with), each
+        # with thetas forced to three threads (where no OpenBLAS is found to
+        # hold at one thread, check_regular is told BLAS runs one), each
         # pinned digest runs the multi-lane and the threaded path
         monkeypatch.setattr(tilt_module, "LANE_DRAWS", 1)
         monkeypatch.setattr(tilt_module, "_cpus_available", lambda: 3)

@@ -2,9 +2,9 @@
 
 The heavy numerics live in the module tests; here the suites run at toy
 scale and the checks are structural: byte-identical reruns across worker
-counts, replayable rows, error rows that flush instead of killing the run,
-exit codes, and negative controls for the attack and mech-bench row
-gates.
+counts and chunk sizes, replayable rows, error rows that flush instead of
+killing the run, exit codes, and negative controls for the row gates of
+every kind but ada-run.
 """
 
 import ast
@@ -26,6 +26,7 @@ from tiltlab.attack import ThetaSampler, run_attack_trial, separation
 from tiltlab.cli import main
 from tiltlab.config import KINDS, ConfigError, ExperimentConfig, parse_config
 from tiltlab.experiments import (
+    CHUNK_VALUES,
     EXPERIMENT_KINDS,
     _ada_theta,
     replay_row,
@@ -33,8 +34,10 @@ from tiltlab.experiments import (
     run_trial,
 )
 from tiltlab.families import make_family
-from tiltlab.mechanisms import RECONSTRUCT_CAP, EmpiricalMean, \
-    HistogramVector, sparse_histogram
+from tiltlab.mechanisms import RECONSTRUCT_CAP, EmpiricalMean, release_rows
+from tiltlab.structure import check_column_sums, check_expanding, \
+    check_regular
+from tiltlab.tilt import divergence_check
 from tiltlab.seeds import trial_seed_sequence
 
 
@@ -578,17 +581,16 @@ class TestAttackGates:
 
 
 def edit_releases(monkeypatch, edit):
-    """Run the real sparse histogram release, then hand ``edit`` the input
-    and a writable copy of the released weights before the gate reads
-    them."""
-    def release(hist, epsilon, delta, rng):
-        out = sparse_histogram(hist, epsilon, delta, rng)
-        weights = out.weights.copy()
-        edit(hist, weights)
-        return HistogramVector(out.elements, weights, out.universe_size,
-                               out.background)
+    """Run the real batched release, then hand ``edit`` each row's input
+    weights, its input mass and its writable released weights before the
+    gate reads them."""
+    def release(weights, target, noise, extra):
+        block, level = release_rows(weights, target, noise, extra)
+        for row_in, mass_in, row_out in zip(weights, target, block):
+            edit(row_in, mass_in, row_out)
+        return block, level
 
-    monkeypatch.setattr("tiltlab.experiments.sparse_histogram", release)
+    monkeypatch.setattr("tiltlab.experiments.release_rows", release)
 
 
 class TestMechBenchGates:
@@ -601,9 +603,9 @@ class TestMechBenchGates:
         (2e-9, "invariant-failed"), (-2e-9, "invariant-failed"),
     ])
     def test_mass_within_relative_1e9(self, monkeypatch, drift, status):
-        def shift(hist, weights):
+        def shift(weights_in, mass_in, weights):
             # on the largest weight, so a negative drift stays >= 0
-            weights[weights.argmax()] += drift * max(1.0, hist.total)
+            weights[weights.argmax()] += drift * max(1.0, mass_in)
 
         edit_releases(monkeypatch, shift)
         row = run_trial(tiny_config("mech-bench"), 7, 0)[0]
@@ -619,11 +621,11 @@ class TestMechBenchGates:
         cfg = tiny_config("mech-bench")
         bound = float(run_trial(cfg, 7, 0)[0]["bound"])
 
-        def stretch(hist, weights):
+        def stretch(weights_in, mass_in, weights):
             # element 0 lands ratio * bound above its input; the others
             # give back that mass in proportion to their weights, each by
             # far less than the bound, so the total holds
-            moved = hist.weights[0] + ratio * bound - weights[0]
+            moved = weights_in[0] + ratio * bound - weights[0]
             rest = weights[1:]
             rest -= moved * rest / rest.sum()
             weights[0] += moved
@@ -634,6 +636,202 @@ class TestMechBenchGates:
         assert float(row["mass_out"]) == pytest.approx(
             float(row["mass_in"]), rel=1e-12)
         assert row["status"] == status
+
+
+def edit_reports(monkeypatch, name, real, edit):
+    """Run the real check ``name`` of tiltlab.experiments, then hand its
+    report to ``edit``, whose return value the kind's row gate reads."""
+    monkeypatch.setattr(f"tiltlab.experiments.{name}",
+                        lambda *args, **kwargs: edit(real(*args, **kwargs)))
+
+
+class TestDivergenceGate:
+    """Negative control for divergence-check: an identity residual just
+    past 1e-6 is invariant-failed, and one inside it is ok."""
+
+    @pytest.mark.parametrize("abs_err, status", [
+        (0.5e-6, "ok"), (2e-6, "invariant-failed"),
+    ])
+    def test_abs_err_within_1e6(self, monkeypatch, abs_err, status):
+        edit_reports(monkeypatch, "divergence_check", divergence_check,
+                     lambda r: dataclasses.replace(r, abs_err=abs_err))
+        row = run_trial(tiny_config("divergence-check"), 7, 0)[0]
+        assert float(row["abs_err"]) == abs_err
+        assert row["status"] == status
+
+
+class TestStructureGates:
+    """Negative controls for verify-structure: a column-sum violation, a
+    mean square just past 4 standard errors, or a fail fraction just past
+    1% is invariant-failed, and the same report just inside the gate is
+    ok; a run allows one invariant-failed row in 20 and no more."""
+
+    def test_one_column_sum_violation(self, monkeypatch):
+        cfg = tiny_config("verify-structure")
+        assert run_trial(cfg, 7, 0)[0]["col_violations"] == "0"
+        edit_reports(monkeypatch, "check_column_sums", check_column_sums,
+                     lambda r: dataclasses.replace(r, violations=1))
+        row = run_trial(cfg, 7, 0)[0]
+        assert row["col_violations"] == "1"
+        assert row["status"] == "invariant-failed"
+
+    @pytest.mark.parametrize("ses, status", [
+        (3.9, "ok"), (-3.9, "ok"),
+        (4.1, "invariant-failed"), (-4.1, "invariant-failed"),
+    ])
+    def test_mean_square_within_four_se(self, monkeypatch, ses, status):
+        def move(report):
+            assert report.stderr_sq > 0
+            return dataclasses.replace(
+                report, mean_sq=report.expected_sq + ses * report.stderr_sq)
+
+        edit_reports(monkeypatch, "check_column_sums", check_column_sums,
+                     move)
+        row = run_trial(tiny_config("verify-structure"), 7, 0)[0]
+        assert float(row["col_mean_sq"]) - float(row["col_expected_sq"]) \
+            == pytest.approx(ses * float(row["col_stderr_sq"]), rel=1e-9)
+        assert row["status"] == status
+
+    @pytest.mark.parametrize("frac, status", [
+        (0.010, "ok"), (0.011, "invariant-failed"),
+    ])
+    @pytest.mark.parametrize("name, real, field, column", [
+        ("check_expanding", check_expanding, "fail_fraction",
+         "expanding_fail_frac"),
+        ("check_regular", check_regular, "fraction_above",
+         "regular_fail_frac"),
+    ])
+    def test_fail_fraction_within_one_percent(self, monkeypatch, name, real,
+                                              field, column, frac, status):
+        edit_reports(monkeypatch, name, real,
+                     lambda r: dataclasses.replace(r, **{field: frac}))
+        row = run_trial(tiny_config("verify-structure"), 7, 0)[0]
+        assert float(row[column]) == frac
+        assert row["status"] == status
+
+    @pytest.mark.parametrize("bad, ok", [(1, True), (2, False)])
+    def test_run_allows_one_failed_row_in_twenty(self, monkeypatch,
+                                                 tmp_path, bad, ok):
+        calls = []
+
+        def violate_first(report):
+            calls.append(report)  # one call per trial, in trial order
+            return dataclasses.replace(
+                report, violations=int(len(calls) <= bad))
+
+        edit_reports(monkeypatch, "check_column_sums", check_column_sums,
+                     violate_first)
+        res = run_experiment(tiny_config("verify-structure", trials=20), 7,
+                             out_dir=tmp_path)
+        assert [row["status"] for row in res.rows] == \
+            ["invariant-failed"] * bad + ["ok"] * (20 - bad)
+        assert res.invariants_ok is ok
+        assert res.exit_code == (0 if ok else 1)
+
+
+def force_chunk(monkeypatch, kind, size):
+    """Hand ``size`` trials (all of them for None) to each trials call of
+    ``kind``, and return the list of the chunks its calls get."""
+    record = EXPERIMENT_KINDS[kind]
+    chunks = []
+
+    def trials(cfg, master_seed, chunk):
+        chunks.append(list(chunk))
+        return record.trials(cfg, master_seed, chunk)
+
+    chunk = record.chunk if size == "default" \
+        else (lambda cfg: cfg.trials) if size is None else (lambda cfg: size)
+    monkeypatch.setitem(EXPERIMENT_KINDS, kind, dataclasses.replace(
+        record, trials=trials, chunk=chunk))
+    return chunks
+
+
+class TestChunks:
+    """run_experiment hands contiguous chunks of trials to one call of the
+    kind's trials function each; the bytes do not depend on the chunks."""
+
+    # support 64 makes the default chunk CHUNK_VALUES // 64 trials, so 70
+    # trials span three chunks; universe 100 spreads deficits over the
+    # background, and delta 0.3 makes the truncated Laplace reject draws
+    WIDE = dict(trials=70, support=64, universe=100, delta=0.3)
+
+    def test_default_chunk_follows_the_value_budget(self):
+        chunk = EXPERIMENT_KINDS["mech-bench"].chunk
+        assert chunk(tiny_config("mech-bench", **self.WIDE)) == \
+            CHUNK_VALUES // 64 < 70 // 2
+        assert chunk(tiny_config("mech-bench", support=10 ** 6)) == 1
+        for kind in sorted(set(EXPERIMENT_KINDS) - {"mech-bench"}):
+            assert EXPERIMENT_KINDS[kind].chunk(tiny_config(kind)) == 1
+
+    @pytest.mark.parametrize("size", [1, 7, "default", None])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_bytes_equal_across_chunk_sizes(self, monkeypatch, tmp_path,
+                                            size, workers):
+        cfg = tiny_config("mech-bench", **self.WIDE)
+        plain = run_experiment(cfg, 5, out_dir=tmp_path / "plain")
+        force_chunk(monkeypatch, "mech-bench", size)
+        res = run_experiment(cfg, 5, out_dir=tmp_path / "chunked",
+                             workers=workers)
+        assert res.csv_path.read_bytes() == plain.csv_path.read_bytes()
+        assert res.manifest_path.read_bytes() == \
+            plain.manifest_path.read_bytes()
+        assert [row["status"] for row in res.rows] == ["ok"] * 70
+        # a replayed row is the chunk of one
+        assert replay_row(res.csv_path, 33)[2]
+
+    @pytest.mark.parametrize("kind, trials, want", [
+        ("mech-bench", 70, [range(0, 32), range(32, 64), range(64, 70)]),
+        ("divergence-check", 3, [[0], [1], [2]]),
+    ])
+    def test_clean_run_calls_each_chunk_once(self, monkeypatch, tmp_path,
+                                             kind, trials, want):
+        overrides = self.WIDE if kind == "mech-bench" else {}
+        cfg = tiny_config(kind, **{**overrides, "trials": trials})
+        chunks = force_chunk(monkeypatch, kind, "default")
+        res = run_experiment(cfg, 5, out_dir=tmp_path)
+        # no fallback to single trials, and no trial computed twice
+        assert chunks == [list(c) for c in want]
+        assert res.exit_code == 0
+
+    def test_failing_chunk_reruns_its_trials_alone(self, monkeypatch,
+                                                   tmp_path):
+        cfg = tiny_config("mech-bench", **self.WIDE)
+        clean = run_experiment(cfg, 5, out_dir=tmp_path / "clean")
+        record = EXPERIMENT_KINDS["mech-bench"]
+        chunks = []
+
+        def trials(cfg, master_seed, chunk):
+            chunks.append(list(chunk))
+            if 40 in chunk:
+                raise RuntimeError("trial 40")
+            return record.trials(cfg, master_seed, chunk)
+
+        monkeypatch.setitem(EXPERIMENT_KINDS, "mech-bench",
+                            dataclasses.replace(record, trials=trials))
+        res = run_experiment(cfg, 5, out_dir=tmp_path / "failed")
+        assert chunks == [list(range(32)), list(range(32, 64))] \
+            + [[t] for t in range(32, 64)] + [list(range(64, 70))]
+        assert res.rows[40]["status"] == "error:RuntimeError:trial 40"
+        assert res.rows[:40] + res.rows[41:] == \
+            clean.rows[:40] + clean.rows[41:]
+        text = res.errors_path.read_text()
+        assert text.startswith("trial=40 seed=5\nTraceback")
+        assert text.count("Traceback (most recent call last):") == 1
+
+    def test_gate_fails_only_its_own_row_of_a_chunk(self, monkeypatch,
+                                                    tmp_path):
+        cfg = tiny_config("mech-bench", **self.WIDE)
+        rows_seen = []
+
+        def drift_row_5(weights_in, mass_in, weights):
+            rows_seen.append(None)
+            if len(rows_seen) == 6:
+                weights[weights.argmax()] += 2e-9 * max(1.0, mass_in)
+
+        edit_releases(monkeypatch, drift_row_5)
+        res = run_experiment(cfg, 5, out_dir=tmp_path)
+        assert [row["status"] for row in res.rows] == \
+            ["ok"] * 5 + ["invariant-failed"] + ["ok"] * 64
 
 
 class TestRunExperiment:
@@ -738,13 +936,14 @@ class TestRunExperiment:
         assert not clean.errors_path.exists()
         record = EXPERIMENT_KINDS[kind]
 
-        def trial(cfg, master_seed, t):
-            if t % 2:
-                raise RuntimeError(f"odd trial {t}")
-            return record.trial(cfg, master_seed, t)
+        def trials(cfg, master_seed, chunk):
+            odd = [t for t in chunk if t % 2]
+            if odd:
+                raise RuntimeError(f"odd trial {odd[0]}")
+            return record.trials(cfg, master_seed, chunk)
 
         monkeypatch.setitem(EXPERIMENT_KINDS, kind,
-                            dataclasses.replace(record, trial=trial))
+                            dataclasses.replace(record, trials=trials))
         res = run_experiment(cfg, 3, out_dir=tmp_path / "failed")
         statuses = [row["status"] for row in res.rows]
         assert statuses == [
@@ -800,11 +999,12 @@ class TestRunExperiment:
                                ok):
         record = EXPERIMENT_KINDS[kind]
 
-        def trial(cfg, master_seed, t):
-            return dict.fromkeys(record.columns, 0), t >= bad, []
+        def some_bad(cfg, master_seed, chunk):
+            return [(dict.fromkeys(record.columns, 0), t >= bad, [])
+                    for t in chunk]
 
         monkeypatch.setitem(EXPERIMENT_KINDS, kind,
-                            dataclasses.replace(record, trial=trial))
+                            dataclasses.replace(record, trials=some_bad))
         res = run_experiment(ExperimentConfig(kind=kind, trials=trials), 3,
                              out_dir=tmp_path)
         assert res.aggregate["ok_rows"] == trials - bad
@@ -858,7 +1058,7 @@ class TestCli:
         # an existing file, or a path below one, is no output directory:
         # exit 2 with one line before any trial runs
         trials = []
-        monkeypatch.setattr("tiltlab.experiments.run_trial",
+        monkeypatch.setattr("tiltlab.experiments.run_trials",
                             lambda *args: trials.append(args))
         cfg = write_config(tmp_path, "kind = mech-bench\ntrials = 2")
         (tmp_path / "file").write_text("")
@@ -872,11 +1072,11 @@ class TestCli:
         assert str(out) in lines[0]
 
     def test_run_reports_errors_log(self, tmp_path, capsys, monkeypatch):
-        def trial(cfg, master_seed, t):
+        def trials(cfg, master_seed, chunk):
             raise RuntimeError("no trial")
 
         monkeypatch.setitem(EXPERIMENT_KINDS, "mech-bench", dataclasses.replace(
-            EXPERIMENT_KINDS["mech-bench"], trial=trial))
+            EXPERIMENT_KINDS["mech-bench"], trials=trials))
         cfg = write_config(tmp_path, "kind = mech-bench\ntrials = 2")
         out = tmp_path / "out"
         assert main(["run", "--config", cfg, "--out", str(out)]) == 1
@@ -893,11 +1093,11 @@ class TestCli:
         assert main(["run", "--config", cfg, "--out", str(out)]) == 0
         assert f"wrote {out / 'ada-run.log'}" in capsys.readouterr().out
 
-        def trial(cfg, master_seed, t):
+        def trials(cfg, master_seed, chunk):
             raise RuntimeError("no trial")
 
         monkeypatch.setitem(EXPERIMENT_KINDS, "ada-run", dataclasses.replace(
-            EXPERIMENT_KINDS["ada-run"], trial=trial))
+            EXPERIMENT_KINDS["ada-run"], trials=trials))
         assert main(["run", "--config", cfg, "--out", str(out)]) == 1
         assert "ada-run.log" not in capsys.readouterr().out
         assert not (out / "ada-run.log").exists()

@@ -4,8 +4,9 @@ Oracles:
     - Truncated Laplace empirical CDF against the closed-form truncated CDF.
     - The array truncated-Laplace draw against a one-at-a-time rejection
       loop, and the sorted water level against a bisection.
-    - The rows of one batched release (_release_rows) against sequential
-      sparse_histogram calls.
+    - The rows of one batched release (release_rows) against sequential
+      sparse_histogram calls, and rows of different histograms, each under
+      its own mass, against each one's own release.
     - Water-filling projection optimality against random feasible candidates.
     - reconstruct_slices_batch against exhaustive grid search for m <= 3,
       and its certified stop against a test-local copy of the uncertified
@@ -35,18 +36,19 @@ from tiltlab.mechanisms import (
     GaussianMechanism,
     HistogramVector,
     RECONSTRUCT_STOP_ULPS,
-    _release_rows,
     complement_floor,
     histogram_query_release,
     project_to_H,
     reconstruct_slices_batch,
+    release_rows,
     required_mass,
     _water_fill_surplus,
     sparse_histogram,
     trunc_laplace,
 )
 
-from lemmas import GroupPrivacyWrapped, PaddedMechanism, audit_frequency_ratio
+from lemmas import GroupPrivacyWrapped, PaddedMechanism, \
+    audit_frequency_ratio, release_many
 
 
 def scalar_trunc_laplace(rng, scale, bound, size):
@@ -249,7 +251,7 @@ class TestSparseHistogramMany:
 
         r1 = np.random.default_rng(7)
         r2 = np.random.default_rng(7)
-        block = _release_rows(hist, eps, delta, r1, runs)[0]
+        block = release_many(hist, eps, delta, r1, runs)[0]
         seq = [sparse_histogram(hist, eps, delta, r2) for _ in range(runs)]
         assert block.dtype == np.float64 and block.shape == (runs, support)
         assert all(np.array_equal(out.elements, ids) for out in seq)
@@ -270,7 +272,7 @@ class TestSparseHistogramMany:
                 * math.fsum(values)
             if not math.fsum(values) > target:
                 continue
-            got = _water_fill_surplus(values[None, :], target)[0]
+            got = _water_fill_surplus(values[None, :], np.array([target]))[0]
             want = bisection_water_fill(values.tolist(), target)
             # every entry but the mass-patched top one moves by the level
             top = int(np.argmax(got))
@@ -283,9 +285,41 @@ class TestSparseHistogramMany:
     def test_zero_mass_rows_release_zero(self):
         # a zero target floors every row to zero, whatever the noise
         hist = HistogramVector([0, 1, 2], np.zeros(3))
-        block = _release_rows(hist, 1.0, 1e-6, np.random.default_rng(3),
-                              50)[0]
+        block = release_many(hist, 1.0, 1e-6, np.random.default_rng(3),
+                             50)[0]
         assert not block.any()
+
+    @pytest.mark.parametrize("support,universe,delta", [
+        (1, None, 1e-6), (8, None, 0.3), (8, 100, 0.3), (32, 32, 1e-6),
+    ])
+    def test_rows_of_many_histograms_equal_their_own_releases(
+            self, support, universe, delta):
+        # one call over rows of different weights, each row under its own
+        # mass, gives each row the release of its own histogram under its
+        # own noise: the chunked mech-bench path against sparse_histogram
+        eps, runs = 1.0, 200
+        rng = np.random.default_rng(support)
+        # weight scales from near zero to far above the noise, so rows take
+        # the surplus path, the deficit path and neither
+        scale = 10.0 ** rng.uniform(-3, 2, size=(runs, 1))
+        weights = rng.uniform(0.0, 1.0, size=(runs, support)) * scale
+        hists = [HistogramVector(np.arange(support), w, universe_size=universe)
+                 for w in weights]
+        seeds = rng.integers(0, 2 ** 32, size=runs)
+        v = 5 * math.log(1 / delta) / eps
+        noise = np.array([trunc_laplace(np.random.default_rng(seed), 1 / eps,
+                                        v, support) for seed in seeds])
+        extra = 0 if universe is None else universe - support
+        mass = np.array([h.total for h in hists])
+        block, level = release_rows(weights, mass, noise, extra)
+        for hist, seed, row, lev in zip(hists, seeds, block, level):
+            out = sparse_histogram(hist, eps, delta,
+                                   np.random.default_rng(seed))
+            assert np.array_equal(out.weights, row)
+            assert out.background == (lev if extra > 0 else 0.0)
+        sums = np.array([math.fsum(r) for r in
+                         np.maximum(weights + noise, 0.0).tolist()])
+        assert (sums > mass).any() and (sums < mass).any()
 
 
 class TestFrequencyAudit:

@@ -409,10 +409,27 @@ class TestRegular:
 
 def force_threads(monkeypatch, cpus=3):
     """One theta thread per CPU on any regular check, with cpus CPUs and
-    check_regular told BLAS runs one thread (whatever BLAS really runs)."""
+    check_regular told BLAS runs one thread (whatever BLAS really runs) by
+    the environment rule: no BLAS control is found."""
     monkeypatch.setattr(structure_module, "_cpus_available", lambda: cpus)
     monkeypatch.setattr(structure_module, "THETA_WORK", 1)
     monkeypatch.setattr(structure_module, "_BLAS_THREADS", 1)
+    monkeypatch.setattr(structure_module, "_blas_control", lambda: None)
+
+
+class FakeBlas:
+    """A BLAS control (get, set) whose thread count starts at ``threads``;
+    ``seen`` records the count each range of _in_ranges saw."""
+
+    def __init__(self, threads):
+        self.threads, self.sets, self.seen = threads, [], []
+
+    def control(self):
+        return (lambda: self.threads), self.put
+
+    def put(self, threads):
+        self.sets.append(threads)
+        self.threads = threads
 
 
 def record_threads(monkeypatch, fail_off_caller=False):
@@ -460,6 +477,63 @@ class TestRegularThreads:
         monkeypatch.setattr(structure_module, "THETA_WORK", 16 * 16 * 256 + 1)
         check_regular(a, 1.0, 60, np.random.default_rng(1))
         assert calls == [True] * 120
+
+    def test_threads_whatever_the_environment_when_blas_is_held(
+            self, monkeypatch):
+        # with a BLAS control found, BLAS threads in the environment do not
+        # keep the regular check serial: _in_ranges holds BLAS at one thread
+        a = duplicated_row_matrix()
+        serial = check_regular(a, 1.0, 60, np.random.default_rng(1))
+        force_threads(monkeypatch)
+        blas = FakeBlas(4)
+        monkeypatch.setattr(structure_module, "_BLAS_THREADS", 4)
+        monkeypatch.setattr(structure_module, "_blas_control", blas.control)
+        monkeypatch.setattr(tilt_module, "_blas_control", blas.control)
+        calls = record_threads(monkeypatch)
+        threaded = check_regular(a, 1.0, 60, np.random.default_rng(1))
+        assert Counter(calls) == {True: 20, False: 40}
+        assert threaded.fraction_above == serial.fraction_above
+        assert blas.sets == [1, 4]
+
+    @pytest.mark.parametrize("start, sets", [(4, [1, 4]), (1, [])])
+    def test_ranges_hold_blas_at_one_thread(self, monkeypatch, start, sets):
+        blas = FakeBlas(start)
+        monkeypatch.setattr(tilt_module, "_blas_control", blas.control)
+
+        def fn(first, last):
+            blas.seen.append(blas.threads)
+            return first, last
+
+        assert tilt_module._in_ranges(1, 1, fn) == [(0, 1)]
+        assert blas.seen == [start] and blas.sets == []
+        assert tilt_module._in_ranges(6, 3, fn) == [(0, 2), (2, 4), (4, 6)]
+        assert blas.seen == [start, 1, 1, 1]
+        # the count is restored, also when a range raises
+        assert blas.sets == sets and blas.threads == start
+
+        def fail(first, last):
+            raise RuntimeError("range failed")
+
+        with pytest.raises(RuntimeError, match="range failed"):
+            tilt_module._in_ranges(6, 2, fail)
+        assert blas.sets == sets * 2 and blas.threads == start
+
+    def test_blas_control_finds_numpy_openblas(self):
+        # numpy's wheels ship OpenBLAS; another BLAS leaves the control None
+        # and the environment rule above in force
+        control = tilt_module._blas_control()
+        if control is None:
+            pytest.skip("numpy loaded no OpenBLAS that _blas_control finds")
+        get, put = control
+        old = get()
+        assert old >= 1
+        try:
+            put(1)
+            assert get() == 1
+        finally:
+            put(old)
+        assert get() == old
+        assert tilt_module._blas_control() is control
 
     @pytest.mark.parametrize("env,threads", [
         ({}, 5),
