@@ -198,25 +198,22 @@ CHUNK_VALUES = 2 ** 11
 
 
 def _trials_mech_bench(cfg: ExperimentConfig, master_seed: int, trials):
-    # each trial draws its weights, then its noise, on its own stream, as
-    # one sparse_histogram call on it would; one release_rows call then
-    # releases the whole chunk, every row under its own mass
-    rngs = [np.random.default_rng(trial_seed_sequence(master_seed, t))
-            for t in trials]
-    weights = np.array([rng.uniform(0.0, 2.0 * cfg.mass / cfg.support,
-                                    size=cfg.support) for rng in rngs])
+    # each trial draws 2 * support uniforms on its own stream: its weights
+    # (as rng.uniform(0, high) draws them), then its noise's; one
+    # trunc_laplace and one release_rows call serve the whole chunk
+    s = cfg.support
+    u = np.array([np.random.default_rng(trial_seed_sequence(master_seed, t))
+                  .random(2 * s) for t in trials])
+    weights = (2.0 * cfg.mass / s) * u[:, :s]
     check_weights(weights, cfg.universe)
-    v = noise_bound(cfg.epsilon, cfg.delta)
-    noise = np.array([trunc_laplace(rng, 1.0 / cfg.epsilon, v, cfg.support)
-                      for rng in rngs])
+    noise = trunc_laplace(u[:, s:], 1.0 / cfg.epsilon,
+                          noise_bound(cfg.epsilon, cfg.delta))
     mass_in = row_fsums(weights)
-    extra = 0 if cfg.universe is None else cfg.universe - cfg.support
-    block, level = release_rows(weights, mass_in, noise, extra)
-    # the background each release spreads beyond the support
-    spread = level if extra > 0 else np.zeros(len(level))
-    mass_out = row_fsums(block) + spread * extra
+    extra = 0 if cfg.universe is None else cfg.universe - s
+    block, background = release_rows(weights, mass_in, noise, extra)
+    mass_out = row_fsums(block) + background * extra
     linf = np.maximum(np.abs(weights - block).max(axis=1, initial=0.0),
-                      spread)
+                      background)
     bound = 10.0 * math.log(1.0 / cfg.delta) / cfg.epsilon
     out = []
     for m_in, m_out, dist in zip(mass_in.tolist(), mass_out.tolist(),
@@ -224,7 +221,7 @@ def _trials_mech_bench(cfg: ExperimentConfig, master_seed: int, trials):
         ok = (abs(m_out - m_in) <= 1e-9 * max(1.0, abs(m_in))
               and dist <= bound)
         row = {
-            "support": cfg.support,
+            "support": s,
             "mass_in": m_in,
             "mass_out": m_out,
             "linf": dist,

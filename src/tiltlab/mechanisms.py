@@ -96,23 +96,20 @@ class GaussianMechanism:
 # private sparse histograms
 
 
-def trunc_laplace(rng: np.random.Generator, scale: float, bound: float,
-                  size: int) -> np.ndarray:
-    """``size`` draws of Laplace(0, scale) conditioned on [-bound, bound].
+def trunc_laplace(u: np.ndarray, scale: float, bound: float) -> np.ndarray:
+    """Laplace(0, scale) conditioned on [-bound, bound], by inverse CDF
+    (Devroye 1986, II.2): one value per uniform in [0, 1) of ``u``, any shape.
 
-    Rejection in array form: draw as many as are still missing and keep
-    those inside the bound, until ``size`` are kept.  Every draw of the last
-    round is kept, so the generator ends where ``size`` one-at-a-time
-    rejection loops end, with the same values in the same order.
+    The sign is negative where u < 1/2; the fold w = 2u - [u >= 1/2], exact
+    in float64, gives the magnitude -scale log1p(w expm1(-bound / scale)),
+    capped at bound so that |x| <= bound holds whatever the rounding.
     """
     if scale <= 0 or bound <= 0:
         raise ValueError("need scale > 0 and bound > 0")
-    x = rng.laplace(0.0, scale, size=size)
-    x = x[np.abs(x) <= bound]
-    while len(x) < size:
-        more = rng.laplace(0.0, scale, size=size - len(x))
-        x = np.concatenate([x, more[np.abs(more) <= bound]])
-    return x
+    upper = u >= 0.5
+    w = 2.0 * u - upper
+    mag = np.minimum(-scale * np.log1p(w * math.expm1(-bound / scale)), bound)
+    return np.where(upper, mag, -mag)
 
 
 @dataclass
@@ -227,10 +224,10 @@ def release_rows(weights: np.ndarray, target, noise: np.ndarray,
     times; ``target`` is each row's input mass (its fsum), as a (rows,)
     array or one float; ``noise`` is (rows, s) truncated-Laplace noise;
     ``extra`` counts the universe elements outside the support (0 for an
-    unbounded universe).  Returns (block, level): the (rows, s) released
-    weights, and the (rows,) deficit level each row spread over the
-    universe (zero where there was none).  Every row equals the release of
-    its own weights under its own noise alone.
+    unbounded universe).  Returns (block, background): the (rows, s)
+    released weights, and each row's deficit level where extra > 0 (else
+    zero), the background it spread over the extra elements.  Every row
+    equals the release of its own weights under its own noise alone.
     """
     s = noise.shape[1]
     block = np.maximum(weights + noise, 0.0)
@@ -239,12 +236,13 @@ def release_rows(weights: np.ndarray, target, noise: np.ndarray,
     surplus = current > target
     if surplus.any():
         block[surplus] = _water_fill_surplus(block[surplus], target[surplus])
-    level = np.zeros(len(block))
+    background = np.zeros(len(block))
     deficit = current < target
     if deficit.any():
-        level[deficit] = (target[deficit] - current[deficit]) / (s + extra)
-        block[deficit] += level[deficit, None]
-    return block, level
+        level = (target[deficit] - current[deficit]) / (s + extra)
+        block[deficit] += level[:, None]
+        background[deficit] = level if extra > 0 else 0.0
+    return block, background
 
 
 def sparse_histogram(
@@ -256,27 +254,26 @@ def sparse_histogram(
     """Release a histogram privately while preserving its exact total mass.
 
     Each explicitly represented element gets truncated-Laplace noise with
-    scale 1/epsilon and truncation v = 5 ln(1/delta) / epsilon, is floored
-    at zero, and the result is projected back to the input mass by water
-    filling (release_rows).  Elements outside the support never receive
-    noise; a mass deficit is spread uniformly (over the whole universe when
-    it is finite, via the background field).  With probability one the
-    released vector satisfies ||out - hist||_inf <= 2v: per-element noise is
-    at most v, the surplus water level c solves phi(c) = total with
-    phi(v) <= total, and a deficit spreads at most (support * v) / support
-    <= v per element.  The release lists hist's elements in hist's order,
-    zeros included.
+    scale 1/epsilon and truncation v = 5 ln(1/delta) / epsilon (trunc_laplace
+    of one rng.random(support) call), is floored at zero, and the result
+    is projected back to the input mass by water filling (release_rows).
+    Elements outside the support never receive noise; a mass deficit is
+    spread uniformly (over the whole universe when it is finite, via the
+    background field).  With probability one the released vector satisfies
+    ||out - hist||_inf <= 2v: per-element noise is at most v, the surplus
+    water level c solves phi(c) = total with phi(v) <= total, and a deficit
+    spreads at most (support * v) / support <= v per element.  The release
+    lists hist's elements in hist's order, zeros included.
     """
     v = noise_bound(epsilon, delta)
     if hist.background != 0:
         raise ValueError("input histogram must have zero background")
     s = len(hist.weights)
     size = hist.universe_size
-    extra = 0 if size is None else size - s
-    noise = trunc_laplace(rng, 1.0 / epsilon, v, s)
-    block, level = release_rows(hist.weights, hist.total, noise[None], extra)
-    return HistogramVector(hist.elements, block[0], size,
-                           float(level[0]) if extra > 0 else 0.0)
+    noise = trunc_laplace(rng.random(s), 1.0 / epsilon, v)
+    block, background = release_rows(hist.weights, hist.total, noise[None],
+                                     0 if size is None else size - s)
+    return HistogramVector(hist.elements, block[0], size, float(background[0]))
 
 
 # --------------------------------------------------------------------------

@@ -284,13 +284,13 @@ class PaddedMechanism:
 
 def release_many(hist, epsilon: float, delta: float,
                  rng: np.random.Generator, runs: int) -> tuple:
-    """(block, level) of runs sparse histogram releases of hist by
-    mechanisms.release_rows, their noise drawn as one run-major array: row
-    r is the release of the r-th of runs sparse_histogram calls on rng, and
-    rng ends where those calls leave it."""
+    """(block, background) of runs sparse histogram releases of hist by
+    mechanisms.release_rows, their noise drawn from one run-major array of
+    uniforms: row r is the release of the r-th of runs sparse_histogram
+    calls on rng, and rng ends where those calls leave it."""
     s = len(hist.weights)
-    noise = trunc_laplace(rng, 1.0 / epsilon, noise_bound(epsilon, delta),
-                          runs * s).reshape(runs, s)
+    noise = trunc_laplace(rng.random((runs, s)), 1.0 / epsilon,
+                          noise_bound(epsilon, delta))
     extra = 0 if hist.universe_size is None else hist.universe_size - s
     return release_rows(hist.weights, hist.total, noise, extra)
 

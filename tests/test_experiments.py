@@ -585,10 +585,10 @@ def edit_releases(monkeypatch, edit):
     weights, its input mass and its writable released weights before the
     gate reads them."""
     def release(weights, target, noise, extra):
-        block, level = release_rows(weights, target, noise, extra)
+        block, background = release_rows(weights, target, noise, extra)
         for row_in, mass_in, row_out in zip(weights, target, block):
             edit(row_in, mass_in, row_out)
-        return block, level
+        return block, background
 
     monkeypatch.setattr("tiltlab.experiments.release_rows", release)
 
@@ -832,6 +832,114 @@ class TestChunks:
         res = run_experiment(cfg, 5, out_dir=tmp_path)
         assert [row["status"] for row in res.rows] == \
             ["ok"] * 5 + ["invariant-failed"] + ["ok"] * 64
+
+
+# the edge values of every key each kind reads, one override set per entry;
+# floats at 1e-300 and 1e300, delta near 1, and every region, mechanism and
+# analyst by name (folds > n is the one entry here that must not parse)
+_FLOAT_EDGES = (1e-300, 1e300)
+_ATTACK_EDGES = [
+    {"d": 1}, {"n": 1}, {"fresh": 2},
+    *({"radius": x} for x in _FLOAT_EDGES),
+    *({"region": r} for r in ("l2-sphere", "l2-ball", "l1-surface",
+                              "l1-ball")),
+    *({"mechanism": "gaussian", key: x}
+      for key in ("epsilon", "delta") for x in _FLOAT_EDGES),
+    {"mechanism": "gaussian", "delta": 0.9999999},
+    {"mechanism": "gaussian", "delta": 0.999999999999},
+    *({"mechanism": "clamped-mean", "bound": x} for x in _FLOAT_EDGES),
+    {"mechanism": "exact-mean"},
+]
+FUZZ_EDGES = {
+    "attack-hypercube": _ATTACK_EDGES,
+    "attack-random": [*_ATTACK_EDGES, {"n_columns": 2}],
+    "ada-run": [
+        {"d": 1}, {"n": 1}, {"m": 1}, {"k": 1}, {"theta_mode": "frozen"},
+        {"mc_accuracy": 2, "mc_gap": 2}, {"W": 64},
+        {"alpha": 1e-300}, {"alpha": 0.999999999999},
+        *({key: x} for key in ("tau", "C", "radius") for x in _FLOAT_EDGES),
+        {"analyst": "exact-mean"},
+        *({"analyst": "gaussian-noised", "sigma": x}
+          for x in (0.0, *_FLOAT_EDGES)),
+        *({"analyst": "sample-split", "folds": f} for f in (1, 8, 9)),
+        *({"analyst": "clamped-mean", "bound": x} for x in _FLOAT_EDGES),
+    ],
+    "mech-bench": [
+        {"support": 1}, {"universe": 4}, {"universe": 10 ** 6},
+        *({key: x} for key in ("epsilon", "delta", "mass")
+          for x in _FLOAT_EDGES),
+        {"delta": 0.9999999}, {"delta": 0.999999999999}, {"mass": 0.0},
+    ],
+    "verify-structure": [
+        {"d": 1}, {"n_columns": 2}, {"n_subsets": 1}, {"n_theta": 1},
+        {"k_subset": 2}, {"k_subset": 64, "cap_scale": 1e300},
+        *({key: x} for key in ("cap_scale", "radius")
+          for x in _FLOAT_EDGES),
+        *({"eta_probe": x} for x in (-1e300, 0.0, *_FLOAT_EDGES)),
+    ],
+    "divergence-check": [{"trials": 1}],
+}
+# small shapes each edge lands on
+FUZZ_BASE = {
+    "attack-hypercube": dict(d=4, n=2, fresh=20),
+    "attack-random": dict(d=4, n_columns=8, n=2, fresh=20),
+    "ada-run": dict(m=2, k=2, d=3, n=8, mc_accuracy=32, mc_gap=32),
+    "mech-bench": dict(support=4),
+    "verify-structure": dict(d=8, n_columns=64, n_theta=8, n_subsets=16,
+                             cap_scale=1.0),
+    "divergence-check": {},
+}
+
+
+def fuzz_texts(kind, combos=24, seed=0):
+    """Config texts of kind: each edge alone on the small base shape, then
+    combos seeded draws of two to four edges at once (a later edge's keys
+    win)."""
+    edges = FUZZ_EDGES[kind]
+    rng = np.random.default_rng([seed, KINDS.index(kind)])
+    picks = [[e] for e in edges] + [
+        [edges[i] for i in rng.choice(len(edges), size=int(size),
+                                      replace=False)]
+        for size in rng.integers(2, 5, size=combos) if size <= len(edges)]
+    for pick in picks:
+        values = {"kind": kind, **FUZZ_BASE[kind]}
+        for edge in pick:
+            values.update(edge)
+        yield "\n".join(f"{key} = {value}" for key, value in values.items())
+
+
+def test_fuzz_texts_cover_every_name():
+    # every region, mechanism and analyst the parser knows
+    texts = "\n".join(t for kind in KINDS for t in fuzz_texts(kind))
+    for name in ("l2-sphere", "l2-ball", "l1-surface", "l1-ball",
+                 "exact-mean", "clamped-mean", "gaussian", "gaussian-noised",
+                 "sample-split"):
+        assert f"= {name}\n" in texts + "\n"
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_every_parsed_config_runs_a_trial(kind):
+    # the guard of "every config the parser accepts runs to its end": a text
+    # either raises ConfigError or runs one trial to a row that is not an
+    # error row (invariant-failed is a verdict, not a crash)
+    for text in fuzz_texts(kind):
+        try:
+            cfg = parse_config(text)
+        except ConfigError:
+            continue
+        row, _, tb = run_trial(cfg, 5, 0)
+        assert not row["status"].startswith("error:"), (text, tb)
+
+
+@pytest.mark.parametrize("delta", ["0.9999999", "0.999999999999"])
+def test_mech_bench_with_delta_near_one_runs_to_its_end(delta, tmp_path):
+    # a truncation v of 5e-7 and 5e-12 noise scales, inside which a
+    # rejection draw lands about once in 2e6 and 2e11 tries
+    cfg = parse_config(f"kind = mech-bench\ntrials = 100\nsupport = 32\n"
+                       f"delta = {delta}")
+    res = run_experiment(cfg, 1, out_dir=tmp_path)
+    assert res.exit_code == 0
+    assert [row["status"] for row in res.rows] == ["ok"] * 100
 
 
 class TestRunExperiment:

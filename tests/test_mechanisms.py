@@ -1,9 +1,10 @@
 """Histogram release, slice reconstruction, projections, and reductions.
 
 Oracles:
-    - Truncated Laplace empirical CDF against the closed-form truncated CDF.
-    - The array truncated-Laplace draw against a one-at-a-time rejection
-      loop, and the sorted water level against a bisection.
+    - Truncated Laplace empirical CDF against the closed-form truncated CDF,
+      at 1e6 draws from bound/scale = 1e-8 to 100, and its two signs
+      against exact negation.
+    - The sorted water level against a bisection.
     - The rows of one batched release (release_rows) against sequential
       sparse_histogram calls, and rows of different histograms, each under
       its own mass, against each one's own release.
@@ -51,18 +52,6 @@ from lemmas import GroupPrivacyWrapped, PaddedMechanism, \
     audit_frequency_ratio, release_many
 
 
-def scalar_trunc_laplace(rng, scale, bound, size):
-    """One rejection loop per draw: the stream the array draw must equal."""
-    out = []
-    for _ in range(size):
-        while True:
-            x = rng.laplace(0.0, scale)
-            if abs(x) <= bound:
-                out.append(float(x))
-                break
-    return np.array(out)
-
-
 def bisection_water_fill(values, target):
     """Water fill by a 200-step fsum bisection of the level, to 1e-12."""
     lo, hi = 0.0, max(values)
@@ -79,16 +68,32 @@ def bisection_water_fill(values, target):
     return np.array([v - c if v > c else 0.0 for v in values])
 
 
+def truncated_laplace_cdf(x, scale, bound):
+    """CDF of Laplace(0, scale) conditioned on [-bound, bound], from expm1
+    so that it keeps its digits at bound / scale = 1e-8."""
+    mag = np.minimum(np.abs(x), bound)
+    return 0.5 + 0.5 * np.sign(x) * np.expm1(-mag / scale) \
+        / math.expm1(-bound / scale)
+
+
+def ks_distance(draws, cdf):
+    """Kolmogorov-Smirnov distance of the draws from a continuous CDF."""
+    n = len(draws)
+    f = cdf(np.sort(draws))
+    return max(np.max(np.arange(1, n + 1) / n - f),
+               np.max(f - np.arange(n) / n))
+
+
 class TestTruncLaplace:
     def test_always_inside_bound(self):
         rng = np.random.default_rng(0)
-        draws = trunc_laplace(rng, 1.0, 3.0, 2000)
+        draws = trunc_laplace(rng.random(2000), 1.0, 3.0)
         assert np.all(np.abs(draws) <= 3.0)
 
     def test_matches_truncated_cdf(self):
         rng = np.random.default_rng(1)
         scale, bound, n = 0.8, 2.0, 100_000
-        draws = np.sort(trunc_laplace(rng, scale, bound, n))
+        draws = np.sort(trunc_laplace(rng.random(n), scale, bound))
 
         def laplace_cdf(x):
             return np.where(
@@ -101,21 +106,42 @@ class TestTruncLaplace:
         ks = np.max(np.abs(cdf - emp))
         assert ks < 0.01
 
-    @pytest.mark.parametrize("scale,bound", [
-        (1.0, 3.0), (1.0, 0.3), (2.0, 0.5), (0.5, 10.0),
-    ])
-    def test_equals_one_at_a_time_rejection(self, scale, bound):
-        # bound 0.3 at scale 1 rejects 74% of draws
-        for seed in range(40):
-            for size in (0, 1, 7, 64):
-                r1 = np.random.default_rng(seed)
-                r2 = np.random.default_rng(seed)
-                got = trunc_laplace(r1, scale, bound, size)
-                assert got.shape == (size,)
-                assert np.array_equal(got,
-                                      scalar_trunc_laplace(r2, scale, bound,
-                                                           size))
-                assert r1.random() == r2.random()
+    @pytest.mark.parametrize("ratio", [1e-8, 1e-4, 1.0, 10.0, 100.0])
+    def test_law_at_1e6_draws(self, ratio):
+        # sqrt(n) KS > 3 has chance 3e-8 under the right law
+        # (tests/golden/FALSE_ALARMS.md)
+        scale, n = 0.7, 1_000_000
+        bound = ratio * scale
+        draws = trunc_laplace(np.random.default_rng(11).random(n), scale,
+                              bound)
+        assert draws.shape == (n,)
+        assert np.abs(draws).max() <= bound
+        ks = ks_distance(draws,
+                         lambda x: truncated_laplace_cdf(x, scale, bound))
+        assert ks * math.sqrt(n) < 3.0
+
+    def test_halves_of_the_unit_interval_give_opposite_signs(self):
+        # u and u + 1/2 fold to the same w exactly, so their values are
+        # exact negatives: u < 1/2 draws the negative half
+        u = np.random.default_rng(2).random(10_000)
+        u = np.concatenate([u[u < 0.5], [0.0, 0.5 - 2.0 ** -53]])
+        for scale, bound in ((1.0, 3.0), (0.5, 1e-6), (2.0, 200.0)):
+            low = trunc_laplace(u, scale, bound)
+            high = trunc_laplace(u + 0.5, scale, bound)
+            assert np.array_equal(high, -low)
+            assert (low <= 0).all() and (high >= 0).all()
+
+    def test_keeps_the_shape_of_its_uniforms(self):
+        u = np.random.default_rng(3).random((4, 5))
+        x = trunc_laplace(u, 1.0, 2.0)
+        assert x.shape == (4, 5)
+        assert np.array_equal(x.ravel(), trunc_laplace(u.ravel(), 1.0, 2.0))
+
+    @pytest.mark.parametrize("scale,bound", [(0.0, 1.0), (1.0, 0.0),
+                                             (-1.0, 1.0)])
+    def test_rejects_nonpositive_scale_or_bound(self, scale, bound):
+        with pytest.raises(ValueError, match="scale > 0 and bound > 0"):
+            trunc_laplace(np.full(3, 0.25), scale, bound)
 
 
 def random_sparse_hist(rng, support, total, universe_size=None, min_w=0.2):
@@ -240,14 +266,15 @@ class TestSparseHistogramMany:
         hist = HistogramVector(ids, w, universe_size=universe)
         v = 5 * math.log(1 / delta) / eps
         # the noise the releases see: some rows must add mass, some must
-        # remove it, and delta = 0.3 must make the truncation reject
-        noise = trunc_laplace(np.random.default_rng(7), 1 / eps, v,
-                              runs * support).reshape(runs, support)
+        # remove it, and at delta = 0.3 the truncation must bind, so that
+        # the untruncated Laplace of the same folded uniforms passes v
+        u = np.random.default_rng(7).random((runs, support))
+        noise = trunc_laplace(u, 1 / eps, v)
         noised = np.maximum(w + noise, 0.0)
         sums = np.array([math.fsum(r) for r in noised.tolist()])
         assert (sums > hist.total).any() and (sums < hist.total).any()
-        raw = np.random.default_rng(7).laplace(0, 1 / eps, runs * support)
-        assert (np.abs(raw) > v).any() == (delta == 0.3)
+        untruncated = -np.log1p(-(2 * u - (u >= 0.5))) / eps
+        assert (untruncated > v).any() == (delta == 0.3)
 
         r1 = np.random.default_rng(7)
         r2 = np.random.default_rng(7)
@@ -307,16 +334,19 @@ class TestSparseHistogramMany:
                  for w in weights]
         seeds = rng.integers(0, 2 ** 32, size=runs)
         v = 5 * math.log(1 / delta) / eps
-        noise = np.array([trunc_laplace(np.random.default_rng(seed), 1 / eps,
-                                        v, support) for seed in seeds])
+        noise = trunc_laplace(np.array([
+            np.random.default_rng(seed).random(support) for seed in seeds]),
+            1 / eps, v)
         extra = 0 if universe is None else universe - support
         mass = np.array([h.total for h in hists])
-        block, level = release_rows(weights, mass, noise, extra)
-        for hist, seed, row, lev in zip(hists, seeds, block, level):
+        block, background = release_rows(weights, mass, noise, extra)
+        for hist, seed, row, bg in zip(hists, seeds, block, background):
             out = sparse_histogram(hist, eps, delta,
                                    np.random.default_rng(seed))
             assert np.array_equal(out.weights, row)
-            assert out.background == (lev if extra > 0 else 0.0)
+            assert out.background == bg
+        # a background only where elements lie beyond the support
+        assert (background > 0).any() == (extra > 0)
         sums = np.array([math.fsum(r) for r in
                          np.maximum(weights + noise, 0.0).tolist()])
         assert (sums > mass).any() and (sums < mass).any()
@@ -514,6 +544,32 @@ class TestCertifiedStop:
         for iters in (0, 1, 400, 5000):
             out = reconstruct_slices_batch(answers, alpha, m, iters=iters)
             assert np.array_equal(out, warm)
+
+    @pytest.mark.parametrize("gap", [1e-7, 1e-13])
+    def test_warm_start_just_above_the_floor_still_steps(self, gap):
+        # a_h = <mu0, h> + s_h + gap * parity(h), with s_h = s_{-h}: the
+        # warm start is mu0 and misses by s_0 + gap on h_0 alone, while the
+        # floor is s_0 and mu0 + (gap/3) h_0 reaches it.  With alpha half way
+        # between, only the stop's slack (about 2e-15 here) decides whether
+        # the warm start is certified.  A slack past the gap, about 1e9 ulps
+        # at gap 1e-7 and 1e3 at gap 1e-13, certifies it and returns it
+        m = 3
+        h = predicate_matrix(m)
+        parity = h.prod(axis=1)
+        rng = np.random.default_rng(50)
+        mu0 = rng.uniform(-0.15, 0.15, size=(6, m))
+        pairs = np.hstack([np.full((6, 1), 0.3),
+                           rng.uniform(0.0, 0.1, size=(6, 3))])
+        answers = mu0 @ h.T + np.hstack([pairs, pairs[:, ::-1]]) \
+            + gap * parity
+        floor = complement_floor(answers)
+        warm = np.clip(answers @ h / 2 ** m, -1 / m, 1 / m)
+        warm_obj = chebyshev_objective(warm, answers, m)
+        assert np.allclose(warm_obj - floor, gap, rtol=0.05, atol=0.0)
+        alpha = float(floor.max()) + gap / 2
+        assert np.all(warm_obj > alpha)
+        out = reconstruct_slices_batch(answers, alpha, m)
+        assert np.all(chebyshev_objective(out, answers, m) < warm_obj)
 
     def test_matches_uncertified_loop_at_heavy_compromise(self):
         # the desk point at tau/8, where compromise pushes the exact
