@@ -164,6 +164,14 @@ def config_from_values(values) -> ExperimentConfig:
 # keeps every one of them finite, with room to spare
 RADIUS_DIM_CAP = 1e300
 
+# a Gaussian-noised answer coordinate is a mean in [-1, 1] plus sigma times
+# a normal draw, which numpy's ziggurat keeps below 14 in size (its tail is
+# r - ln(1 - U) / r with 1 - U >= 2^-53); a score sums d products of such a
+# coordinate with a difference of two points of [-1, 1]^d, so sigma * d at
+# most this keeps every score below about 3e101 and every sum of their
+# squares over any fresh count, like the moment bound, far from overflow
+NOISE_DIM_CAP = 1e100
+
 # the config key whose value each built-in analyst's constructor takes
 ANALYST_SETTINGS = {"gaussian-noised": "sigma", "sample-split": "folds",
                     "clamped-mean": "bound"}
@@ -247,6 +255,12 @@ def check_ranges(cfg: ExperimentConfig, lines: Optional[dict] = None) -> None:
                               f"{', '.join(MECHANISMS)}, got {cfg.mechanism!r}")
         if cfg.mechanism == "gaussian":
             privacy_budget()
+            sigma = mechanism_from_config(cfg).sigma(cfg.n, cfg.d)
+            if not sigma * cfg.d <= NOISE_DIM_CAP:
+                fail("epsilon", f"the gaussian noise scale sigma * d must be "
+                                f"<= {NOISE_DIM_CAP:g}, got sigma = {sigma:g} "
+                                f"at epsilon = {cfg.epsilon}, n = {cfg.n}, "
+                                f"d = {cfg.d}")
         if cfg.mechanism == "clamped-mean" and not cfg.bound > 0:
             fail("bound", f"bound must be > 0, got {cfg.bound}")
     elif cfg.kind == "verify-structure":

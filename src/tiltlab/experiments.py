@@ -1,10 +1,12 @@
 """Seeded experiment suites with deterministic CSV/manifest artifacts.
 
 Trial i of a run with master seed s derives all of its randomness from
-SeedSequence(entropy=s, spawn_key=(i,)), so outputs are identical across
-reruns and worker counts.  Every value is formatted once, by the trial
-worker, as a round-trippable string; the writer only arranges rows in trial
-order.  Wall-clock never enters the CSV or the manifest.
+SeedSequence(entropy=s, spawn_key=(i,)), except a mech-bench trial, which
+reads words [2ki, 2k(i+1)) at support k of one stream per run (see
+MECH_STREAM_TAG), so outputs are identical across reruns, worker counts and
+chunk sizes.  Every value is formatted once, by the trial worker, as a
+round-trippable string; the writer only arranges rows in trial order.
+Wall-clock never enters the CSV or the manifest.
 """
 
 from __future__ import annotations
@@ -195,15 +197,21 @@ def _gap_summary(data, rows):
 # values (trials x support) that one mech-bench chunk holds in each of its
 # weight, noise and release blocks
 CHUNK_VALUES = 2 ** 11
+# entropy tag of the mech-bench run stream (not THETA_STREAM_TAG)
+MECH_STREAM_TAG = 0x5EED
 
 
 def _trials_mech_bench(cfg: ExperimentConfig, master_seed: int, trials):
-    # each trial draws 2 * support uniforms on its own stream: its weights
-    # (as rng.uniform(0, high) draws them), then its noise's; one
-    # trunc_laplace and one release_rows call serve the whole chunk
+    # trial t reads words [2st, 2s(t+1)) of the run stream, a double a word:
+    # its weights (as rng.uniform(0, high) draws them), then its noise's; a
+    # chunk jumps to its first trial's words, and one trunc_laplace and one
+    # release_rows call serve it whole
     s = cfg.support
-    u = np.array([np.random.default_rng(trial_seed_sequence(master_seed, t))
-                  .random(2 * s) for t in trials])
+    if list(trials) != list(range(trials[0], trials[0] + len(trials))):
+        raise ValueError("a mech-bench chunk must hold contiguous trials")
+    rng = np.random.default_rng((master_seed, MECH_STREAM_TAG))
+    rng.bit_generator.advance(trials[0] * 2 * s)
+    u = rng.random((len(trials), 2 * s))
     weights = (2.0 * cfg.mass / s) * u[:, :s]
     check_weights(weights, cfg.universe)
     noise = trunc_laplace(u[:, s:], 1.0 / cfg.epsilon,

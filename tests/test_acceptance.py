@@ -603,9 +603,9 @@ DETERMINISM_CONFIGS = {
         support = 8
     """,
     # 600 trials span three release chunks of 256 (experiments.CHUNK_VALUES
-    # over support 8); delta = 0.3 makes the truncated Laplace reject draws,
-    # and universe = 100 spreads each deficit over the background, while
-    # other rows take the surplus water fill
+    # over support 8); delta = 0.3 makes the noise truncation bind on some
+    # draws, and universe = 100 spreads each deficit over the background,
+    # while other rows take the surplus water fill
     "mech-bench-wide": """
         kind = mech-bench
         trials = 600

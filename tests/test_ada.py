@@ -587,6 +587,40 @@ class StridedAnalyst(RecordingAnalyst):
         return view
 
 
+class ShiftedPopulationAnalyst:
+    """Answers each stage's queries with given values (the population's)
+    each moved toward zero by shift."""
+
+    name = "shifted-population"
+
+    def __init__(self, values, shift):
+        self.values = values
+        self.shift = shift
+
+    def begin(self, obf_dataset, rng):
+        pass
+
+    def answer_stage(self, stage, batch):
+        vals = self.values[stage]
+        return vals - np.copysign(self.shift, vals)
+
+
+def accuracy_population(fam, theta, seed, mc):
+    """The accuracy branch's population by test-local code: one draw per
+    run, types first, then all d slices by the v-bit recipe."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(5)[2])
+    types = rng.integers(0, fam.m * fam.k, size=mc)
+    p_plus = expit(2.0 * tilt(fam, theta).type_tilts)
+    return types, recipe_bits(rng, p_plus[types])
+
+
+def accuracy_slack(fam, mc):
+    """The accuracy check's slack at family-wise level 1e-3 over the 2^m k
+    queries of a stage."""
+    n_queries = 2 ** fam.m * fam.k
+    return math.sqrt(2.0 * math.log(2.0 * n_queries / 1e-3) / mc)
+
+
 class WrongShapeAnalyst:
     name = "wrong-shape"
 
@@ -709,16 +743,11 @@ class TestRunProtocol:
         tr = run_ada_protocol(analyst, fam, theta, n=32, seed=seed, tau=tau,
                               alpha=alpha, mc_accuracy=mc)
 
-        ss_acc = np.random.SeedSequence(seed).spawn(5)[2]
-        rng = np.random.default_rng(ss_acc)
-        types = rng.integers(0, m * k, size=mc)
-        p_plus = expit(2.0 * tilt(fam, theta).type_tilts)
-        v = recipe_bits(rng, p_plus[types])
+        types, v = accuracy_population(fam, theta, seed, mc)
         ti, tj = np.divmod(types, k)
         hmat = predicate_matrix(m)
         basis = fam.basis
-        n_queries = 2 ** m * k
-        slack = math.sqrt(2.0 * math.log(2.0 * n_queries / 1e-3) / mc)
+        slack = accuracy_slack(fam, mc)
         # slice s of c_hat is fixed after stage s
         field = ScoreField(tr.c_hat, tr.ref_shift)
         for r, rec in enumerate(tr.stages):
@@ -730,6 +759,32 @@ class TestRunProtocol:
             assert rec.accuracy_ok == (dev <= alpha + slack)
         assert sum(rec.pop_compromised_frac > 0 for rec in tr.stages) >= 3
         assert 0 < len(tr.inaccurate_stages) < d
+
+    @pytest.mark.parametrize("factor, flagged", [(1 + 1e-6, True),
+                                                 (1 - 1e-6, False)])
+    def test_accuracy_flag_negative_control(self, factor, flagged):
+        # at tau = 1e9 no point is ever compromised, so a stage's population
+        # values are its plain query means over the population; answers
+        # (alpha + slack) * factor from them are flagged exactly when the
+        # factor is past 1, at every stage
+        fam = small_family()
+        theta = surface_theta(fam, np.random.default_rng(80))
+        alpha, mc, seed = 0.1, 256, 81
+        types, v = accuracy_population(fam, theta, seed, mc)
+        ti, tj = np.divmod(types, fam.k)
+        clear = np.zeros(mc, dtype=bool)
+        values = [eval_mean_add_at(ti, tj, v[:, r], clear,
+                                   predicate_matrix(fam.m), fam.basis)
+                  for r in range(fam.d)]
+        shift = (alpha + accuracy_slack(fam, mc)) * factor
+        tr = run_ada_protocol(ShiftedPopulationAnalyst(values, shift), fam,
+                              theta, n=32, seed=seed, tau=1e9, alpha=alpha,
+                              mc_accuracy=mc)
+        for rec in tr.stages:
+            assert rec.pop_compromised_frac == 0
+            assert rec.max_population_dev == pytest.approx(shift, rel=1e-12)
+        assert tr.inaccurate_stages == \
+            (list(range(fam.d)) if flagged else [])
 
     @pytest.mark.parametrize("tau", [0.0, -1.0, math.nan])
     def test_nonpositive_tau_rejected(self, tau):

@@ -24,17 +24,23 @@ import pytest
 import tiltlab
 from tiltlab.attack import ThetaSampler, run_attack_trial, separation
 from tiltlab.cli import main
-from tiltlab.config import KINDS, ConfigError, ExperimentConfig, parse_config
+from tiltlab.config import KINDS, NOISE_DIM_CAP, ConfigError, \
+    ExperimentConfig, parse_config
 from tiltlab.experiments import (
     CHUNK_VALUES,
     EXPERIMENT_KINDS,
+    MECH_STREAM_TAG,
+    THETA_STREAM_TAG,
     _ada_theta,
     replay_row,
     run_experiment,
     run_trial,
+    run_trials,
 )
 from tiltlab.families import make_family
-from tiltlab.mechanisms import RECONSTRUCT_CAP, EmpiricalMean, release_rows
+from tiltlab.mechanisms import RECONSTRUCT_CAP, EmpiricalMean, \
+    GaussianMechanism, check_weights, noise_bound, release_rows, \
+    trunc_laplace
 from tiltlab.structure import check_column_sums, check_expanding, \
     check_regular
 from tiltlab.tilt import divergence_check
@@ -379,6 +385,29 @@ class TestParseConfig:
         assert res.aggregate["error_rows"] == 0
         # the tensor tilt has no softmax to overflow
         parse_config("kind = attack-hypercube\nradius = 1e308\nd = 64")
+
+    @pytest.mark.parametrize("kind", ["attack-hypercube", "attack-random"])
+    def test_gaussian_noise_scale_cap(self, kind, tmp_path):
+        # sigma * d past 1e100 could overflow the squares of the scores; at
+        # the cap every trial runs to its end without a warning
+        tiny = TINY_SETTINGS[kind]
+        sigma_at_1 = GaussianMechanism(1.0, 1e-6).sigma(tiny["n"], tiny["d"])
+        edge = sigma_at_1 * tiny["d"] / NOISE_DIM_CAP
+
+        def text(epsilon):
+            return f"kind = {kind}\nepsilon = {epsilon!r}\n" \
+                   "mechanism = gaussian\n" + "\n".join(
+                       f"{key} = {value}" for key, value in tiny.items())
+
+        with pytest.raises(ConfigError, match="line 2: the gaussian noise "
+                                              "scale sigma \\* d must be "
+                                              "<= 1e\\+100"):
+            parse_config(text(edge * (1 - 1e-9)))
+        cfg = parse_config(text(edge * (1 + 1e-9)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            res = run_experiment(cfg, 3, out_dir=tmp_path)
+        assert res.aggregate["error_rows"] == 0
 
     def test_attack_mechanism_settings_checked_only_for_their_mechanism(self):
         cfg = parse_config("kind = attack-hypercube\nepsilon = 0\n"
@@ -752,7 +781,7 @@ class TestChunks:
 
     # support 64 makes the default chunk CHUNK_VALUES // 64 trials, so 70
     # trials span three chunks; universe 100 spreads deficits over the
-    # background, and delta 0.3 makes the truncated Laplace reject draws
+    # background, and delta 0.3 makes the noise truncation bind on some draws
     WIDE = dict(trials=70, support=64, universe=100, delta=0.3)
 
     def test_default_chunk_follows_the_value_budget(self):
@@ -832,6 +861,80 @@ class TestChunks:
         res = run_experiment(cfg, 5, out_dir=tmp_path)
         assert [row["status"] for row in res.rows] == \
             ["ok"] * 5 + ["invariant-failed"] + ["ok"] * 64
+
+
+def mech_bench_oracle_row(cfg, master_seed, trial):
+    """The CSV row of mech-bench trial ``trial``, from words
+    [2st, 2s(t+1)) of the run stream, drawn from its start and sliced."""
+    s = cfg.support
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(
+        entropy=(master_seed, MECH_STREAM_TAG))))
+    u = rng.random(2 * s * (trial + 1))[2 * s * trial:]
+    weights = (2.0 * cfg.mass / s) * u[:s]
+    noise = trunc_laplace(u[s:], 1.0 / cfg.epsilon,
+                          noise_bound(cfg.epsilon, cfg.delta))
+    mass_in = math.fsum(weights.tolist())
+    block = release_rows(weights, mass_in, noise[None], 0)[0][0]
+    return {"trial": str(trial), "seed": str(master_seed), "support": str(s),
+            "mass_in": repr(mass_in),
+            "mass_out": repr(math.fsum(block.tolist())),
+            "linf": repr(float(np.abs(weights - block).max())),
+            "bound": repr(10.0 * math.log(1.0 / cfg.delta) / cfg.epsilon),
+            "status": "ok"}
+
+
+class TestMechBenchStream:
+    """Trial t of a mech-bench run reads words [2st, 2s(t+1)) of one PCG64
+    stream per run, seeded by (master seed, MECH_STREAM_TAG), one double a
+    word; a chunk jumps to its first trial's slice."""
+
+    def test_tag_differs_from_the_theta_tag(self):
+        assert MECH_STREAM_TAG != THETA_STREAM_TAG
+
+    def test_rows_are_slices_of_the_run_stream(self, tmp_path):
+        # at support 32 a chunk holds 64 trials, so trials 63 and 64 sit on
+        # each side of a chunk edge, and 199 is in the last, short chunk
+        cfg = tiny_config("mech-bench", trials=200, support=32)
+        assert EXPERIMENT_KINDS["mech-bench"].chunk(cfg) == 64
+        res = run_experiment(cfg, 5, out_dir=tmp_path)
+        for trial in (0, 63, 64, 199):
+            want = mech_bench_oracle_row(cfg, 5, trial)
+            assert res.rows[trial] == want
+            assert run_trial(cfg, 5, trial)[0] == want
+
+    def test_scattered_trials_rerun_alone(self):
+        # a chunk's trials read one run of words, so the kind refuses a
+        # chunk that is not contiguous, and run_trials reruns its trials
+        # one by one
+        cfg = tiny_config("mech-bench", trials=6)
+        with pytest.raises(ValueError, match="contiguous"):
+            EXPERIMENT_KINDS["mech-bench"].trials(cfg, 5, [0, 5])
+        assert run_trials(cfg, 5, [0, 5]) == \
+            [run_trial(cfg, 5, 0), run_trial(cfg, 5, 5)]
+
+    def test_run_reads_distinct_uniforms(self, monkeypatch, tmp_path):
+        # mass = support / 2 makes each weight its uniform, bit for bit; an
+        # overlap of two trials' slices repeats 2s uniforms, while a correct
+        # stream repeats one of its n = 128,000 doubles with chance about
+        # n^2 / 2^54, 1e-6
+        cfg = tiny_config("mech-bench", trials=2000, support=32, mass=16.0)
+        seen = []
+
+        def check(weights, universe):
+            seen.append(weights.copy())
+            check_weights(weights, universe)
+
+        def noise(u, scale, bound):
+            seen.append(u.copy())
+            return trunc_laplace(u, scale, bound)
+
+        monkeypatch.setattr("tiltlab.experiments.check_weights", check)
+        monkeypatch.setattr("tiltlab.experiments.trunc_laplace", noise)
+        res = run_experiment(cfg, 5, out_dir=tmp_path)
+        assert res.exit_code == 0
+        u = np.concatenate([a.ravel() for a in seen])
+        assert u.size == 2 * 32 * 2000
+        assert np.unique(u).size == u.size
 
 
 # the edge values of every key each kind reads, one override set per entry;
@@ -920,14 +1023,19 @@ def test_fuzz_texts_cover_every_name():
 @pytest.mark.parametrize("kind", KINDS)
 def test_every_parsed_config_runs_a_trial(kind):
     # the guard of "every config the parser accepts runs to its end": a text
-    # either raises ConfigError or runs one trial to a row that is not an
-    # error row (invariant-failed is a verdict, not a crash)
+    # either raises ConfigError or runs one trial, with no RuntimeWarning,
+    # to a row that is not an error row (invariant-failed is a verdict, not
+    # a crash)
     for text in fuzz_texts(kind):
         try:
             cfg = parse_config(text)
         except ConfigError:
             continue
-        row, _, tb = run_trial(cfg, 5, 0)
+        # a warning (an overflow, say) makes an error row, since an ok row
+        # built on an inf or nan is no verdict
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            row, _, tb = run_trial(cfg, 5, 0)
         assert not row["status"].startswith("error:"), (text, tb)
 
 
