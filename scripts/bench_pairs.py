@@ -1,18 +1,18 @@
 """Alternating parent/change pairs of the benchmark, for a speed claim.
 
-    python3 scripts/bench_pairs.py PARENT CHANGE --workload W --pairs N \
-        --seconds S [--seed K] [--setup-only]
+    python3 scripts/bench_pairs.py PARENT CHANGE --workload W [--workload W2
+        ...] --pairs N --seconds S [--seed K] [--setup-only]
 
-PARENT and CHANGE are two checkouts of the repository. Each pair runs
-`perfbench/run.py --workload W --seed K --seconds S` once in each tree, in
-a fresh interpreter, the parent first in odd pairs and the change first in
-even ones; every `__pycache__` of both trees is removed before every run,
+PARENT and CHANGE are two checkouts of the repository. For each workload W
+in turn, each pair runs `perfbench/run.py --workload W --seed K --seconds S`
+once in each tree, in a fresh interpreter, the parent first in odd pairs
+and the change first in even ones; every `__pycache__` of both trees is removed before every run,
 so each run compiles the same way. With `--setup-only`, a run is instead
 three `perfbench/child.py setup W` children, timed from spawn to their
 `ready` reading as `run.py` times them, and its `setup_s` is their median.
 
-Prints each pair's end-to-end metrics, then per metric the medians, the
-change's median gain (in the metric's better direction, from the change's
+Prints, per workload, each pair's end-to-end metrics, then one table with
+per metric the medians, the change's median gain (in the metric's better direction, from the change's
 BENCHMARK.json), the parent's interquartile range and the number of pairs
 the change won. Uses the standard library only.
 """
@@ -39,10 +39,10 @@ def clear_pycache(tree: Path) -> None:
             shutil.rmtree(cache, ignore_errors=True)
 
 
-def run_bench(tree: Path, args) -> dict:
-    """End-to-end metric values of one benchmark run in tree."""
+def run_bench(tree: Path, workload: str, args) -> dict:
+    """End-to-end metric values of one benchmark run of workload in tree."""
     proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", args.workload,
+        [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", str(args.seed), "--seconds", str(args.seconds)],
         cwd=tree, capture_output=True, text=True, timeout=600)
     if proc.returncode != 0:
@@ -53,8 +53,9 @@ def run_bench(tree: Path, args) -> dict:
     return {name: m["value"] for name, m in result["metrics"].items()}
 
 
-def run_setup(tree: Path, args) -> dict:
-    """setup_s of one run of SETUP_SAMPLES setup children in tree."""
+def run_setup(tree: Path, workload: str, args) -> dict:
+    """setup_s of one run of SETUP_SAMPLES setup children of workload in
+    tree."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
     env.update({var: "1" for var in THREAD_VARS})
     samples = []
@@ -62,7 +63,7 @@ def run_setup(tree: Path, args) -> dict:
         spawned = time.monotonic()
         proc = subprocess.run(
             [sys.executable, str(tree / "perfbench" / "child.py"), "setup",
-             args.workload], cwd=tree, env=env, capture_output=True,
+             workload], cwd=tree, env=env, capture_output=True,
             text=True, timeout=120)
         if proc.returncode != 0:
             sys.exit(f"setup child failed in {tree}:\n{proc.stderr[-4000:]}")
@@ -76,21 +77,10 @@ def directions(tree: Path) -> dict:
     return {m["name"]: m["better"] for m in spec["end_to_end"]}
 
 
-def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("parent", type=Path)
-    ap.add_argument("change", type=Path)
-    ap.add_argument("--workload", required=True)
-    ap.add_argument("--pairs", type=int, required=True)
-    ap.add_argument("--seconds", type=float, default=6.0)
-    ap.add_argument("--seed", type=int, default=1)
-    ap.add_argument("--setup-only", action="store_true")
-    args = ap.parse_args(argv)
-    trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
-    run = run_setup if args.setup_only else run_bench
-    better = directions(trees["change"])
-
-    print(f"nproc {len(os.sched_getaffinity(0))}, workload {args.workload}, "
+def pairs(trees: dict, workload: str, run, better: dict, args) -> None:
+    """Run and print args.pairs alternating pairs of workload, then the
+    table of their medians, gains, parent IQRs and wins."""
+    print(f"nproc {len(os.sched_getaffinity(0))}, workload {workload}, "
           f"{'setup only' if args.setup_only else f'{args.seconds} s runs'}")
     values = {"parent": [], "change": []}
     for pair in range(args.pairs):
@@ -98,11 +88,11 @@ def main(argv=None) -> int:
         for side in order:
             for tree in trees.values():
                 clear_pycache(tree)
-            values[side].append(run(trees[side], args))
+            values[side].append(run(trees[side], workload, args))
         parent, change = values["parent"][-1], values["change"][-1]
         print(f"pair {pair + 1} ({order[0]} first): " + ", ".join(
             f"{name} {parent[name]:.6g} -> {change[name]:.6g}"
-            for name in parent))
+            for name in parent), flush=True)
 
     print(f"{'metric':16s} {'parent':>10s} {'change':>10s} {'gain':>8s} "
           f"{'parent IQR':>10s} {'wins':>6s}")
@@ -116,7 +106,25 @@ def main(argv=None) -> int:
         gain = sign * (statistics.median(new) - statistics.median(old))
         print(f"{name:16s} {statistics.median(old):10.4g} "
               f"{statistics.median(new):10.4g} {gain:+8.3g} {q3 - q1:10.3g} "
-              f"{wins:3d}/{len(old)}")
+              f"{wins:3d}/{len(old)}", flush=True)
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("parent", type=Path)
+    ap.add_argument("change", type=Path)
+    ap.add_argument("--workload", action="append", required=True,
+                    help="a workload to pair; repeat for several")
+    ap.add_argument("--pairs", type=int, required=True)
+    ap.add_argument("--seconds", type=float, default=6.0)
+    ap.add_argument("--seed", type=int, default=1)
+    ap.add_argument("--setup-only", action="store_true")
+    args = ap.parse_args(argv)
+    trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    run = run_setup if args.setup_only else run_bench
+    better = directions(trees["change"])
+    for workload in args.workload:
+        pairs(trees, workload, run, better, args)
     return 0
 
 

@@ -15,6 +15,7 @@ import csv
 import json
 import math
 from dataclasses import asdict, dataclass
+from operator import itemgetter
 from typing import Callable
 from pathlib import Path
 
@@ -196,7 +197,7 @@ def _gap_summary(data, rows):
 
 # values (trials x support) that one mech-bench chunk holds in each of its
 # weight, noise and release blocks
-CHUNK_VALUES = 2 ** 11
+CHUNK_VALUES = 2 ** 13
 # entropy tag of the mech-bench run stream (not THETA_STREAM_TAG)
 MECH_STREAM_TAG = 0x5EED
 
@@ -223,20 +224,15 @@ def _trials_mech_bench(cfg: ExperimentConfig, master_seed: int, trials):
     linf = np.maximum(np.abs(weights - block).max(axis=1, initial=0.0),
                       background)
     bound = 10.0 * math.log(1.0 / cfg.delta) / cfg.epsilon
-    out = []
-    for m_in, m_out, dist in zip(mass_in.tolist(), mass_out.tolist(),
-                                 linf.tolist()):
-        ok = (abs(m_out - m_in) <= 1e-9 * max(1.0, abs(m_in))
-              and dist <= bound)
-        row = {
-            "support": s,
-            "mass_in": m_in,
-            "mass_out": m_out,
-            "linf": dist,
-            "bound": bound,
-        }
-        out.append((row, ok, []))
-    return out
+    ok = (np.abs(mass_out - mass_in)
+          <= 1e-9 * np.maximum(1.0, np.abs(mass_in))) & (linf <= bound)
+    # each column formatted once for the chunk, as _fmt formats its values
+    support_txt, bound_txt = _fmt(s), _fmt(bound)
+    return [({"support": support_txt, "mass_in": m_in, "mass_out": m_out,
+              "linf": dist, "bound": bound_txt}, good, [])
+            for m_in, m_out, dist, good in zip(
+                map(repr, mass_in.tolist()), map(repr, mass_out.tolist()),
+                map(repr, linf.tolist()), ok.tolist())]
 
 
 def _trial_verify_structure(cfg: ExperimentConfig, master_seed: int,
@@ -305,24 +301,28 @@ def _trial_divergence(cfg: ExperimentConfig, master_seed: int, trial: int):
 
 
 def _max_summary(column: str, key: str):
-    return lambda data, rows: {key: max(float(r[column]) for r in data)}
+    return lambda data, rows: {key: max(map(float, map(itemgetter(column),
+                                                       data)))}
 
 
 def _each(trial: Callable) -> Callable:
-    """The trials function of a kind whose trials run one at a time."""
-    return lambda cfg, master_seed, trials: [trial(cfg, master_seed, t)
-                                             for t in trials]
+    """The trials function of a kind whose trials run one at a time, each
+    row's values formatted by _fmt."""
+    return lambda cfg, master_seed, trials: [
+        ({k: _fmt(v) for k, v in row.items()}, ok, logs)
+        for row, ok, logs in (trial(cfg, master_seed, t) for t in trials)]
 
 
 @dataclass(frozen=True)
 class ExperimentKind:
     """One experiment kind.  ``columns`` are its own CSV columns, framed by
     trial and seed in front and status behind; ``trials`` maps (config,
-    master seed, trial indices) to one (row keyed by columns, ok, log lines)
-    per index; ``chunk`` maps a config to the number of contiguous trials
-    handed to one ``trials`` call; ``summary`` maps (ok rows, row count) to
-    the kind's manifest aggregate entries; ``allowed_failures`` is how many
-    invariant-failed rows per 20 rows a run tolerates."""
+    master seed, trial indices) to one (row of CSV strings keyed by columns,
+    ok, log lines) per index; ``chunk`` maps a config to the number of
+    contiguous trials handed to one ``trials`` call; ``summary`` maps (ok
+    rows, row count) to the kind's manifest aggregate entries;
+    ``allowed_failures`` is how many invariant-failed rows per 20 rows a run
+    tolerates."""
 
     columns: tuple
     trials: Callable
@@ -385,8 +385,8 @@ def run_trials(cfg: ExperimentConfig, master_seed: int, trials) -> list:
                    "status": f"error:{type(exc).__name__}:{exc}"}
             return [(row, [], traceback.format_exc())]
     else:
-        return [({"trial": str(t), "seed": str(master_seed),
-                  **{k: _fmt(v) for k, v in row.items()},
+        seed = str(master_seed)
+        return [({"trial": str(t), "seed": seed, **row,
                   "status": STATUS_OK if ok else STATUS_INVARIANT}, logs, None)
                 for t, (row, ok, logs) in zip(trials, results, strict=True)]
     # out of the handler, so no rerun's traceback chains to the chunk's
@@ -446,8 +446,7 @@ def run_experiment(cfg: ExperimentConfig, master_seed: int,
     with open(csv_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([row[col] for col in header])
+        writer.writerows(map(itemgetter(*header), rows))
 
     log_path = out / f"{cfg.kind}.log"
     if log_lines:
@@ -464,12 +463,12 @@ def run_experiment(cfg: ExperimentConfig, master_seed: int,
         errors_path.unlink(missing_ok=True)  # a stale one from an older run
 
     data = [r for r in rows if r["status"] == STATUS_OK]
-    errors = sum(1 for r in rows if r["status"].startswith("error"))
+    errors = len(failures)  # an error row is the one kind with a traceback
     aggregate = {"rows": len(rows), "ok_rows": len(data),
                  "error_rows": errors}
     if data:
         aggregate.update(kind.summary(data, len(rows)))
-    bad = sum(1 for r in rows if r["status"] == STATUS_INVARIANT)
+    bad = len(rows) - len(data) - errors
     ok = errors == 0 and bad <= kind.allowed_failures * (len(rows) // 20)
     manifest = {
         "kind": cfg.kind,

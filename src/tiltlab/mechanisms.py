@@ -142,7 +142,7 @@ class HistogramVector:
 
     @property
     def total(self) -> float:
-        base = math.fsum(self.weights.tolist())
+        base = row_fsums(self.weights[None]).item()
         if self.universe_size is not None:
             base += self.background * (self.universe_size - len(self.weights))
         return base
@@ -182,9 +182,41 @@ def noise_bound(epsilon: float, delta: float) -> float:
 
 
 def row_fsums(block: np.ndarray) -> np.ndarray:
-    """Exactly rounded sum of each row of a 2-D block."""
-    return np.fromiter((math.fsum(row.tolist()) for row in block),
-                       dtype=float, count=len(block))
+    """Exactly rounded sum of each row of a 2-D block: math.fsum's bits,
+    exceptions included.
+
+    A row x of n values splits exactly as x = q + r (ExtractVector; Rump,
+    Ogita & Oishi 2008, SIAM J. Sci. Comput. 31(1), Lemma 3.3).  With u =
+    2^-53, 2^b the least power of two >= max(n, 2), and sigma = 2^k >=
+    2^b max|x|, q = (sigma + x) - sigma is a multiple of u sigma with
+    |q| <= sigma / n, so every partial sum of q is a double and sum(q) is
+    exact in any order.  |r| <= u sigma and every r is a multiple of g =
+    ulp(least nonzero |x|), so sum(r) is exact in any order too when
+    2^b u sigma <= 2^53 g.  The row's sum is then sum(q) + sum(r) exactly,
+    and one IEEE addition rounds it to nearest, ties to even, as fsum does:
+    the certified error bound is zero.  math.fsum sums the rows this does
+    not settle: non-finite rows, rows with max|x| outside
+    [2^-901, 2^(1019 - b)), rows spanning more than about 2^53 / n^2 in
+    magnitude, and rows summing to zero (fsum sets the sign of a zero).
+    """
+    x = np.asarray(block, dtype=float)
+    bits = max(x.shape[1] - 1, 1).bit_length()
+    cols = np.ascontiguousarray(x.T)  # a row's values down a column
+    # a nonnegative double's bits, read as an integer, order as its value
+    mag = np.abs(cols).view(np.uint64)
+    top = mag.max(axis=0, initial=0).view(float)
+    least = ((mag - 1).min(axis=0, initial=np.iinfo(np.uint64).max)
+             + 1).view(float)  # 0 - 1 wraps to the largest integer
+    _, exp = np.frexp(top)  # top < 2^exp
+    with np.errstate(over="ignore", invalid="ignore"):
+        sigma = np.ldexp(1.0, exp + bits)
+        q = (cols + sigma) - sigma
+        out = q.sum(axis=0) + (cols - q).sum(axis=0)
+    exact = np.isfinite(top) & (exp >= -900) & (exp + bits <= 1019) \
+        & (np.ldexp(sigma, bits - 106) <= np.spacing(least)) & (out != 0)
+    for i in np.flatnonzero(~exact).tolist():
+        out[i] = math.fsum(x[i].tolist())
+    return out
 
 
 def _water_fill_surplus(values: np.ndarray, target: np.ndarray) -> np.ndarray:

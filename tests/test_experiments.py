@@ -779,15 +779,18 @@ class TestChunks:
     """run_experiment hands contiguous chunks of trials to one call of the
     kind's trials function each; the bytes do not depend on the chunks."""
 
-    # support 64 makes the default chunk CHUNK_VALUES // 64 trials, so 70
-    # trials span three chunks; universe 100 spreads deficits over the
-    # background, and delta 0.3 makes the noise truncation bind on some draws
-    WIDE = dict(trials=70, support=64, universe=100, delta=0.3)
+    # support 64 makes the default chunk CHUNK = CHUNK_VALUES // 64 trials,
+    # so 2 CHUNK + 6 trials span three chunks, the last one short; universe
+    # 100 spreads deficits over the background, and delta 0.3 makes the
+    # noise truncation bind on some draws
+    CHUNK = CHUNK_VALUES // 64
+    TRIALS = 2 * CHUNK + 6
+    WIDE = dict(trials=TRIALS, support=64, universe=100, delta=0.3)
 
     def test_default_chunk_follows_the_value_budget(self):
         chunk = EXPERIMENT_KINDS["mech-bench"].chunk
         assert chunk(tiny_config("mech-bench", **self.WIDE)) == \
-            CHUNK_VALUES // 64 < 70 // 2
+            self.CHUNK < self.TRIALS // 2
         assert chunk(tiny_config("mech-bench", support=10 ** 6)) == 1
         for kind in sorted(set(EXPERIMENT_KINDS) - {"mech-bench"}):
             assert EXPERIMENT_KINDS[kind].chunk(tiny_config(kind)) == 1
@@ -804,14 +807,15 @@ class TestChunks:
         assert res.csv_path.read_bytes() == plain.csv_path.read_bytes()
         assert res.manifest_path.read_bytes() == \
             plain.manifest_path.read_bytes()
-        assert [row["status"] for row in res.rows] == ["ok"] * 70
+        assert [row["status"] for row in res.rows] == ["ok"] * self.TRIALS
         # a replayed row is the chunk of one
         assert replay_row(res.csv_path, 33)[2]
 
     @pytest.mark.parametrize("kind, trials, want", [
-        ("mech-bench", 70, [range(0, 32), range(32, 64), range(64, 70)]),
+        ("mech-bench", TRIALS, [range(0, CHUNK), range(CHUNK, 2 * CHUNK),
+                                range(2 * CHUNK, TRIALS)]),
         ("divergence-check", 3, [[0], [1], [2]]),
-    ])
+    ], ids=["mech-bench", "divergence-check"])
     def test_clean_run_calls_each_chunk_once(self, monkeypatch, tmp_path,
                                              kind, trials, want):
         overrides = self.WIDE if kind == "mech-bench" else {}
@@ -829,22 +833,25 @@ class TestChunks:
         record = EXPERIMENT_KINDS["mech-bench"]
         chunks = []
 
+        size, bad = self.CHUNK, self.CHUNK + 8  # bad is in the second chunk
+
         def trials(cfg, master_seed, chunk):
             chunks.append(list(chunk))
-            if 40 in chunk:
-                raise RuntimeError("trial 40")
+            if bad in chunk:
+                raise RuntimeError(f"trial {bad}")
             return record.trials(cfg, master_seed, chunk)
 
         monkeypatch.setitem(EXPERIMENT_KINDS, "mech-bench",
                             dataclasses.replace(record, trials=trials))
         res = run_experiment(cfg, 5, out_dir=tmp_path / "failed")
-        assert chunks == [list(range(32)), list(range(32, 64))] \
-            + [[t] for t in range(32, 64)] + [list(range(64, 70))]
-        assert res.rows[40]["status"] == "error:RuntimeError:trial 40"
-        assert res.rows[:40] + res.rows[41:] == \
-            clean.rows[:40] + clean.rows[41:]
+        assert chunks == [list(range(size)), list(range(size, 2 * size))] \
+            + [[t] for t in range(size, 2 * size)] \
+            + [list(range(2 * size, self.TRIALS))]
+        assert res.rows[bad]["status"] == f"error:RuntimeError:trial {bad}"
+        assert res.rows[:bad] + res.rows[bad + 1:] == \
+            clean.rows[:bad] + clean.rows[bad + 1:]
         text = res.errors_path.read_text()
-        assert text.startswith("trial=40 seed=5\nTraceback")
+        assert text.startswith(f"trial={bad} seed=5\nTraceback")
         assert text.count("Traceback (most recent call last):") == 1
 
     def test_gate_fails_only_its_own_row_of_a_chunk(self, monkeypatch,
@@ -860,7 +867,7 @@ class TestChunks:
         edit_releases(monkeypatch, drift_row_5)
         res = run_experiment(cfg, 5, out_dir=tmp_path)
         assert [row["status"] for row in res.rows] == \
-            ["ok"] * 5 + ["invariant-failed"] + ["ok"] * 64
+            ["ok"] * 5 + ["invariant-failed"] + ["ok"] * (self.TRIALS - 6)
 
 
 def mech_bench_oracle_row(cfg, master_seed, trial):
@@ -892,12 +899,14 @@ class TestMechBenchStream:
         assert MECH_STREAM_TAG != THETA_STREAM_TAG
 
     def test_rows_are_slices_of_the_run_stream(self, tmp_path):
-        # at support 32 a chunk holds 64 trials, so trials 63 and 64 sit on
-        # each side of a chunk edge, and 199 is in the last, short chunk
-        cfg = tiny_config("mech-bench", trials=200, support=32)
-        assert EXPERIMENT_KINDS["mech-bench"].chunk(cfg) == 64
+        # at support 32 a chunk holds CHUNK_VALUES // 32 trials, so the
+        # trials size - 1 and size sit on each side of a chunk edge, and the
+        # last trial is in the fourth, short chunk
+        size = CHUNK_VALUES // 32
+        cfg = tiny_config("mech-bench", trials=3 * size + 8, support=32)
+        assert EXPERIMENT_KINDS["mech-bench"].chunk(cfg) == size
         res = run_experiment(cfg, 5, out_dir=tmp_path)
-        for trial in (0, 63, 64, 199):
+        for trial in (0, size - 1, size, 3 * size + 7):
             want = mech_bench_oracle_row(cfg, 5, trial)
             assert res.rows[trial] == want
             assert run_trial(cfg, 5, trial)[0] == want

@@ -1,6 +1,8 @@
 """Histogram release, slice reconstruction, projections, and reductions.
 
 Oracles:
+    - row_fsums against math.fsum of each row, bit for bit and exception
+      for exception.
     - Truncated Laplace empirical CDF against the closed-form truncated CDF,
       at 1e6 draws from bound/scale = 1e-8 to 100, and its two signs
       against exact negation.
@@ -21,6 +23,7 @@ features: they live in tests/lemmas.py, and group_shrink lives here.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -43,6 +46,7 @@ from tiltlab.mechanisms import (
     reconstruct_slices_batch,
     release_rows,
     required_mass,
+    row_fsums,
     _water_fill_surplus,
     sparse_histogram,
     trunc_laplace,
@@ -171,6 +175,123 @@ class TestHistogramVector:
         hist = HistogramVector([0, 1], [1.0, 2.0])
         with pytest.raises(ValueError, match="equal elements"):
             hist.linf_distance(HistogramVector(other, np.ones(len(other))))
+
+
+def fsum_rows(block):
+    """math.fsum of each row, or the exception of the first row it raises
+    on."""
+    try:
+        return np.array([math.fsum(row) for row in block.tolist()],
+                        dtype=float).reshape(len(block))
+    except (ValueError, OverflowError) as exc:
+        return exc
+
+
+def assert_fsum_bits(block):
+    want = fsum_rows(block)
+    if isinstance(want, Exception):
+        with pytest.raises(type(want), match=f"^{re.escape(str(want))}$"):
+            row_fsums(block)
+    else:
+        got = row_fsums(block)
+        assert got.shape == want.shape
+        assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+
+
+def layouts(block):
+    """block as C and Fortran arrays, as a strided view into a larger
+    array, and with its columns reversed."""
+    rows, n = block.shape
+    big = np.full((2 * rows, 3 * n), np.nan)
+    big[::2, 1::3] = block
+    return [block, np.asfortranarray(block), big[::2, 1::3],
+            block[:, ::-1]]
+
+
+# a double of 53 significant bits in [2^e, 2^(e+1)), either sign
+def scaled(e):
+    return st.integers(2 ** 52, 2 ** 53 - 1).flatmap(
+        lambda m: st.sampled_from([m, -m])).map(
+        lambda m: math.ldexp(m, e - 52))
+
+
+@st.composite
+def near_midpoint(draw):
+    """A row whose exact sum is the rounding midpoint next to its first
+    value, or that midpoint moved by up to three terms far below it."""
+    a = draw(st.floats(1e-290, 1e290) | st.floats(-1e290, -1e-290))
+    half = math.ulp(a) / 2
+    tail = draw(st.lists(st.tuples(st.sampled_from([-1.0, 1.0]),
+                                   st.integers(1, 60)), max_size=3))
+    return [a, draw(st.sampled_from([half, -half]))] \
+        + [sign * half * 2.0 ** -k for sign, k in tail]
+
+
+@st.composite
+def blocks(draw):
+    """A (rows, n) block of one of three row families: any doubles (1e-300
+    to 1e300, zeros and subnormals), doubles of one scale with cancelling
+    signs, and rows on or next to a rounding midpoint."""
+    family = draw(st.sampled_from(["any", "scaled", "midpoint"]))
+    rows = draw(st.integers(0, 6))
+    if family == "midpoint":
+        made = [draw(near_midpoint()) for _ in range(rows)]
+        n = max((len(r) for r in made), default=0)
+        made = [r + [0.0] * (n - len(r)) for r in made]
+        return np.array(made, dtype=float).reshape(rows, n)
+    n = draw(st.integers(0, 40))
+    if family == "any":
+        values = st.floats(allow_nan=False, allow_infinity=False)
+    else:
+        e = draw(st.integers(-1000, 1000))
+        values = scaled(e) | scaled(e - draw(st.integers(0, 50))) \
+            | st.just(0.0)
+    flat = draw(st.lists(values, min_size=rows * n, max_size=rows * n))
+    block = np.array(flat, dtype=float).reshape(rows, n)
+    cancel = draw(st.sampled_from([None, 1.0, 0.5]))
+    if family == "scaled" and cancel is not None:
+        # the back half cancels the front half, whole or in part
+        half = n // 2
+        block[:, n - half:] = -cancel * block[:, :half]
+    return block
+
+
+class TestRowFsums:
+    """row_fsums returns math.fsum's bits on every row, and its exceptions,
+    whether the certified split settles a row or fsum does."""
+
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    @given(block=blocks())
+    def test_equals_fsum_bitwise(self, block):
+        for view in layouts(block):
+            assert_fsum_bits(view)
+
+    @pytest.mark.parametrize("row, want", [
+        ([1.0, 2.0 ** -53], 1.0),
+        ([1.0, 2.0 ** -53, 2.0 ** -105], 1.0 + 2.0 ** -52),
+        ([1.0 + 2.0 ** -52, 2.0 ** -53], 1.0 + 2.0 ** -51),
+        # just below the midpoint between 1 + 2^-52 and 1 + 2^-51, where
+        # a sum of the low parts rounded once would land on it exactly
+        ([1.0 + 2.0 ** -52, 2.0 ** -53 - 2.0 ** -106], 1.0 + 2.0 ** -52),
+        ([-1.0, -(2.0 ** -53), -(2.0 ** -105)], -(1.0 + 2.0 ** -52)),
+        ([2.0 ** 60, 1.0, -(2.0 ** 60)], 1.0),
+        ([5e-324, 5e-324, -1e-323], 0.0),
+        ([-0.0], math.fsum([-0.0])),
+        ([math.inf, 1.0], math.inf),
+        ([1e308, 1e308], None),
+        ([1e308, 1e308, -1e308], None),
+        ([math.inf, -math.inf], None),
+    ])
+    def test_midpoints_and_specials(self, row, want):
+        block = np.array([row, row])
+        assert_fsum_bits(block)
+        if want is not None:
+            assert row_fsums(block).tolist() == [want, want]
+
+    def test_empty_shapes(self):
+        assert row_fsums(np.empty((0, 5))).shape == (0,)
+        assert row_fsums(np.empty((3, 0))).tolist() == [0.0] * 3
+        assert_fsum_bits(np.array([[3.5], [-0.0], [5e-324], [math.nan]]))
 
 
 class TestSparseHistogram:
