@@ -44,9 +44,9 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from tiltlab.ada import builtin_analysts, run_ada_protocol
+from tiltlab.ada import ExactMeanAnalyst, run_ada_protocol
 from tiltlab.attack import ThetaSampler
-from tiltlab.experiments import THETA_STREAM_TAG
+from tiltlab.experiments import THETA_STREAM_TAG, trial_seed_sequence
 from tiltlab.families import make_family
 from tiltlab.mechanisms import (
     QUERY_RELEASE_CPRIME,
@@ -54,7 +54,6 @@ from tiltlab.mechanisms import (
     histogram_query_release,
     required_mass,
 )
-from tiltlab.seeds import trial_seed_sequence
 from tiltlab.structure import ETA_PROBE_SCALE, check_expanding, check_regular
 
 
@@ -135,7 +134,6 @@ def ada_desk_section(master_seed: int, trials: int) -> None:
     n_over = 10 * n_under
     fam = make_family("tensor", m=m, k=k, d=d)
     sampler = ThetaSampler("l1-surface", fam.dim, fam.dim / math.sqrt(k))
-    analyst_factory = builtin_analysts()["exact-mean"]
     tau = c_const * math.sqrt(d * math.log(1.0 / alpha)) / m
     print(f"== ada-desk calibration (m={m}, k={k}, d={d}, alpha={alpha}, "
           f"C={c_const}, tau={tau:.4f}) ==")
@@ -146,7 +144,7 @@ def ada_desk_section(master_seed: int, trials: int) -> None:
         theta = sampler.sample(theta_rng)
         for n, out in ((n_under, under_gaps), (n_over, over_gaps)):
             tr = run_ada_protocol(
-                analyst_factory(), fam, theta, n=n,
+                ExactMeanAnalyst(), fam, theta, n=n,
                 seed=trial_seed_sequence(master_seed, t if n == n_under
                                          else trials + t),
                 alpha=alpha, C=c_const,

@@ -304,15 +304,6 @@ class ClampedMeanAnalyst:
         return np.clip(batch.eval_mean(), -self.bound, self.bound)
 
 
-def builtin_analysts() -> dict:
-    return {
-        "exact-mean": ExactMeanAnalyst,
-        "gaussian-noised": GaussianNoisedAnalyst,
-        "sample-split": SampleSplitAnalyst,
-        "clamped-mean": ClampedMeanAnalyst,
-    }
-
-
 # --------------------------------------------------------------------------
 # protocol
 
@@ -395,7 +386,6 @@ def _digest(payload) -> str:
     return hashlib.sha256(payload).hexdigest()[:16]
 
 
-RECONSTRUCT_ITERS = 400  # subgradient steps per slice reconstruction
 ACCURACY_SIGNIFICANCE = 1e-3  # family-wise level of the accuracy slack
 
 
@@ -511,8 +501,7 @@ def run_ada_protocol(
         # the evaluators already answered in terms of the clear queries, so
         # the analyst's values feed the slice reconstruction directly
         per_p = answers.reshape(k, 2 ** m)
-        recon = reconstruct_slices_batch(per_p, alpha, m,
-                                         iters=RECONSTRUCT_ITERS)  # (k, m)
+        recon = reconstruct_slices_batch(per_p, alpha, m)  # (k, m)
         # recon[p, i] estimates mean coordinate (i, p) of the slice, so
         # column i of recon is the coordinate vector that projects onto H
         _, lam = project_to_H(recon, basis, 1.0 / m)  # (k, m)

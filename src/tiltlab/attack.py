@@ -28,7 +28,7 @@ from .mechanisms import Dataset
 from .tilt import SAMPLE_BLOCK, TiltedDistribution, tilt, tilt_map_blocks, \
     tilt_mean, tilt_sample_many, typed_means
 
-_REGIONS = ("l2-sphere", "l2-ball", "l1-surface", "l1-ball")
+REGIONS = ("l2-sphere", "l2-ball", "l1-surface", "l1-ball")
 # scores this many ulps apart or closer are equal for separation: GEMV bits
 # held in blocks of 64 to 4,096 rows, tails included, not in 1, 7 or 511
 EQUAL_ULPS = 4
@@ -43,8 +43,8 @@ class ThetaSampler:
     radius: float
 
     def __post_init__(self):
-        if self.region not in _REGIONS:
-            raise ValueError(f"region must be one of {_REGIONS}")
+        if self.region not in REGIONS:
+            raise ValueError(f"region must be one of {REGIONS}")
         if self.dimension < 1:
             raise ValueError("dimension must be at least 1")
         if self.radius <= 0:

@@ -6,8 +6,9 @@ import math
 from dataclasses import dataclass
 from typing import Optional, get_args, get_type_hints
 
-from .ada import builtin_analysts
-from .attack import _REGIONS
+from .ada import ClampedMeanAnalyst, ExactMeanAnalyst, \
+    GaussianNoisedAnalyst, SampleSplitAnalyst
+from .attack import REGIONS
 from .mechanisms import RECONSTRUCT_CAP, ClampedMean, EmpiricalMean, \
     GaussianMechanism
 from .structure import column_sum_cap
@@ -172,34 +173,40 @@ RADIUS_DIM_CAP = 1e300
 # squares over any fresh count, like the moment bound, far from overflow
 NOISE_DIM_CAP = 1e100
 
-# the config key whose value each built-in analyst's constructor takes
-ANALYST_SETTINGS = {"gaussian-noised": "sigma", "sample-split": "folds",
-                    "clamped-mean": "bound"}
+# each analyst name: its class and the one config key whose value its
+# constructor takes (None for none)
+ANALYSTS = {
+    "exact-mean": (ExactMeanAnalyst, None),
+    "gaussian-noised": (GaussianNoisedAnalyst, "sigma"),
+    "sample-split": (SampleSplitAnalyst, "folds"),
+    "clamped-mean": (ClampedMeanAnalyst, "bound"),
+}
 
 
 def analyst_from_config(cfg: ExperimentConfig):
     """Build cfg.analyst from the one setting it reads; ValueError when the
     name is unknown or the analyst rejects the setting."""
-    registry = builtin_analysts()
-    if cfg.analyst not in registry:
-        raise ValueError(f"analyst must be one of {', '.join(registry)}")
-    key = ANALYST_SETTINGS.get(cfg.analyst)
-    return registry[cfg.analyst](*([getattr(cfg, key)] if key else []))
+    if cfg.analyst not in ANALYSTS:
+        raise ValueError(f"analyst must be one of {', '.join(ANALYSTS)}")
+    cls, key = ANALYSTS[cfg.analyst]
+    return cls(*([getattr(cfg, key)] if key else []))
 
 
-MECHANISMS = ("exact-mean", "clamped-mean", "gaussian")
+# each mechanism name: its constructor from the settings it reads
+MECHANISMS = {
+    "exact-mean": lambda cfg: EmpiricalMean(),
+    "clamped-mean": lambda cfg: ClampedMean(bound=cfg.bound),
+    "gaussian": lambda cfg: GaussianMechanism(epsilon=cfg.epsilon,
+                                              delta=cfg.delta),
+}
 
 
 def mechanism_from_config(cfg: ExperimentConfig):
     """Build cfg.mechanism with the settings it reads; ValueError when the
     name is unknown."""
-    if cfg.mechanism == "exact-mean":
-        return EmpiricalMean()
-    if cfg.mechanism == "clamped-mean":
-        return ClampedMean(bound=cfg.bound)
-    if cfg.mechanism == "gaussian":
-        return GaussianMechanism(epsilon=cfg.epsilon, delta=cfg.delta)
-    raise ValueError(f"unknown mechanism {cfg.mechanism!r}")
+    if cfg.mechanism not in MECHANISMS:
+        raise ValueError(f"unknown mechanism {cfg.mechanism!r}")
+    return MECHANISMS[cfg.mechanism](cfg)
 
 
 def check_ranges(cfg: ExperimentConfig, lines: Optional[dict] = None) -> None:
@@ -244,8 +251,8 @@ def check_ranges(cfg: ExperimentConfig, lines: Optional[dict] = None) -> None:
         at_least(("d", 1), ("n", 1), ("fresh", 2))
         if cfg.kind == "attack-random":
             at_least(("n_columns", 2))
-        if cfg.region not in _REGIONS:
-            fail("region", f"region must be one of {', '.join(_REGIONS)}, "
+        if cfg.region not in REGIONS:
+            fail("region", f"region must be one of {', '.join(REGIONS)}, "
                            f"got {cfg.region!r}")
         unset_or_positive("radius")
         if cfg.kind == "attack-random":
@@ -303,7 +310,7 @@ def check_ranges(cfg: ExperimentConfig, lines: Optional[dict] = None) -> None:
         try:
             analyst_from_config(cfg)
         except ValueError as err:
-            key = ANALYST_SETTINGS.get(cfg.analyst, "analyst")
+            key = ANALYSTS.get(cfg.analyst, (None, None))[1] or "analyst"
             fail(key, f"{err}, got {getattr(cfg, key)!r}")
     elif cfg.kind == "mech-bench":
         at_least(("support", 1))

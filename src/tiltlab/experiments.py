@@ -1,12 +1,14 @@
 """Seeded experiment suites with deterministic CSV/manifest artifacts.
 
 Trial i of a run with master seed s derives all of its randomness from
-SeedSequence(entropy=s, spawn_key=(i,)), except a mech-bench trial, which
-reads words [2ki, 2k(i+1)) at support k of one stream per run (see
-MECH_STREAM_TAG), so outputs are identical across reruns, worker counts and
-chunk sizes.  Every value is formatted once, by the trial worker, as a
-round-trippable string; the writer only arranges rows in trial order.
-Wall-clock never enters the CSV or the manifest.
+trial_seed_sequence(s, i) = SeedSequence(entropy=s, spawn_key=(i,)), with
+sub-streams spawned at fixed branch indices, except an ada-run trial's
+theta (see THETA_STREAM_TAG) and a mech-bench trial, which reads words
+[2ki, 2k(i+1)) at support k of one stream per run (see MECH_STREAM_TAG).
+So outputs are identical across reruns, worker counts and chunk sizes, and
+replaying one row reproduces it bitwise.  Every value is formatted once, by
+the trial worker, as a round-trippable string; the writer only arranges
+rows in trial order.  Wall-clock never enters the CSV or the manifest.
 """
 
 from __future__ import annotations
@@ -29,13 +31,19 @@ from .config import ConfigError, ExperimentConfig, analyst_from_config, \
 from .families import make_family
 from .mechanisms import EmpiricalMean, check_weights, noise_bound, \
     release_rows, row_fsums, trunc_laplace
-from .seeds import trial_seed_sequence
 from .structure import ETA_PROBE_SCALE, check_column_sums, check_expanding, \
     check_regular, tilted_column_cov
 from .tilt import divergence_check
 
 STATUS_OK = "ok"
 STATUS_INVARIANT = "invariant-failed"
+
+
+def trial_seed_sequence(master_seed: int,
+                        trial: int) -> np.random.SeedSequence:
+    if master_seed < 0 or trial < 0:
+        raise ValueError("master_seed and trial must be nonnegative")
+    return np.random.SeedSequence(entropy=master_seed, spawn_key=(trial,))
 
 
 def _fmt(x) -> str:
@@ -142,14 +150,11 @@ def _ada_theta(cfg: ExperimentConfig, master_seed: int, trial: int,
     # tagging the entropy keeps theta draws disjoint from every stream
     # spawned under the bare master seed (protocol branches included)
     radius = cfg.radius if cfg.radius is not None else dim / math.sqrt(k)
-    if cfg.theta_mode == "frozen":
-        seq = np.random.SeedSequence(entropy=(master_seed, THETA_STREAM_TAG))
-    elif cfg.theta_mode == "sampled":
-        seq = np.random.SeedSequence(entropy=(master_seed, THETA_STREAM_TAG),
-                                     spawn_key=(trial,))
-    else:
+    if cfg.theta_mode not in ("sampled", "frozen"):
         raise ValueError(f"unknown theta_mode {cfg.theta_mode!r}")
-    rng = np.random.default_rng(seq)
+    rng = np.random.default_rng(np.random.SeedSequence(
+        entropy=(master_seed, THETA_STREAM_TAG),
+        spawn_key=(trial,) if cfg.theta_mode == "sampled" else ()))
     return ThetaSampler("l1-surface", dim, radius).sample(rng)
 
 
@@ -202,28 +207,27 @@ CHUNK_VALUES = 2 ** 13
 MECH_STREAM_TAG = 0x5EED
 
 
-def _trials_mech_bench(cfg: ExperimentConfig, master_seed: int, trials):
+def _trials_mech_bench(cfg: ExperimentConfig, master_seed: int,
+                       trials: range):
     # trial t reads words [2st, 2s(t+1)) of the run stream, a double a word:
     # its weights (as rng.uniform(0, high) draws them), then its noise's; a
     # chunk jumps to its first trial's words, and one trunc_laplace and one
     # release_rows call serve it whole
     s = cfg.support
-    if list(trials) != list(range(trials[0], trials[0] + len(trials))):
-        raise ValueError("a mech-bench chunk must hold contiguous trials")
     rng = np.random.default_rng((master_seed, MECH_STREAM_TAG))
-    rng.bit_generator.advance(trials[0] * 2 * s)
+    rng.bit_generator.advance(trials.start * 2 * s)
     u = rng.random((len(trials), 2 * s))
     weights = (2.0 * cfg.mass / s) * u[:, :s]
     check_weights(weights, cfg.universe)
-    noise = trunc_laplace(u[:, s:], 1.0 / cfg.epsilon,
-                          noise_bound(cfg.epsilon, cfg.delta))
+    v = noise_bound(cfg.epsilon, cfg.delta)
+    noise = trunc_laplace(u[:, s:], 1.0 / cfg.epsilon, v)
     mass_in = row_fsums(weights)
     extra = 0 if cfg.universe is None else cfg.universe - s
     block, background = release_rows(weights, mass_in, noise, extra)
     mass_out = row_fsums(block) + background * extra
     linf = np.maximum(np.abs(weights - block).max(axis=1, initial=0.0),
                       background)
-    bound = 10.0 * math.log(1.0 / cfg.delta) / cfg.epsilon
+    bound = 2.0 * v  # sparse_histogram's sup-norm bound
     ok = (np.abs(mass_out - mass_in)
           <= 1e-9 * np.maximum(1.0, np.abs(mass_in))) & (linf <= bound)
     # each column formatted once for the chunk, as _fmt formats its values
@@ -317,9 +321,9 @@ def _each(trial: Callable) -> Callable:
 class ExperimentKind:
     """One experiment kind.  ``columns`` are its own CSV columns, framed by
     trial and seed in front and status behind; ``trials`` maps (config,
-    master seed, trial indices) to one (row of CSV strings keyed by columns,
-    ok, log lines) per index; ``chunk`` maps a config to the number of
-    contiguous trials handed to one ``trials`` call; ``summary`` maps (ok
+    master seed, a range of trial indices) to one (row of CSV strings keyed
+    by columns, ok, log lines) per index; ``chunk`` maps a config to the
+    length of the range handed to one ``trials`` call; ``summary`` maps (ok
     rows, row count) to the kind's manifest aggregate entries;
     ``allowed_failures`` is how many invariant-failed rows per 20 rows a run
     tolerates."""
@@ -365,9 +369,10 @@ EXPERIMENT_KINDS = {
 }
 
 
-def run_trials(cfg: ExperimentConfig, master_seed: int, trials) -> list:
+def run_trials(cfg: ExperimentConfig, master_seed: int,
+               trials: range) -> list:
     """One (formatted CSV row, log lines, traceback or None) per trial in
-    trials, from one call of the kind's trials function.
+    the range trials, from one call of the kind's trials function.
 
     Any module error becomes an error row rather than killing the suite: if
     the call raises, each trial reruns alone, so a failing trial gets its
@@ -390,13 +395,14 @@ def run_trials(cfg: ExperimentConfig, master_seed: int, trials) -> list:
                   "status": STATUS_OK if ok else STATUS_INVARIANT}, logs, None)
                 for t, (row, ok, logs) in zip(trials, results, strict=True)]
     # out of the handler, so no rerun's traceback chains to the chunk's
-    return [out for t in trials for out in run_trials(cfg, master_seed, [t])]
+    return [out for t in trials
+            for out in run_trials(cfg, master_seed, range(t, t + 1))]
 
 
 def run_trial(cfg: ExperimentConfig, master_seed: int, trial: int):
     """run_trials on the one trial: its formatted CSV row, its log lines
     and, for an error row, the formatted traceback (else None)."""
-    return run_trials(cfg, master_seed, [trial])[0]
+    return run_trials(cfg, master_seed, range(trial, trial + 1))[0]
 
 
 @dataclass
@@ -507,6 +513,9 @@ def replay_row(csv_path, row_index: int):
     """
     csv_path = Path(csv_path)
     manifest = json.loads((csv_path.parent / "manifest.json").read_text())
+    if not isinstance(manifest, dict):
+        raise ValueError(f"manifest.json must hold an object, got "
+                         f"{type(manifest).__name__}")
     version = manifest.get("version")
     if version != __version__:
         raise ValueError(f"manifest written by tiltlab {version!r}, "
@@ -520,7 +529,10 @@ def replay_row(csv_path, row_index: int):
     except ConfigError as exc:
         raise ConfigError(f"manifest config out of range: {exc}") from None
     with open(csv_path, newline="") as fh:
-        stored_rows = list(csv.DictReader(fh))
+        try:
+            stored_rows = list(csv.DictReader(fh))
+        except csv.Error as exc:  # not a ValueError
+            raise ValueError(f"unreadable CSV: {exc}") from None
     if not 0 <= row_index < len(stored_rows):
         raise IndexError(
             f"row {row_index} out of range ({len(stored_rows)} data rows)")

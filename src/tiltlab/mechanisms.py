@@ -312,6 +312,7 @@ def sparse_histogram(
 # slice reconstruction and subspace projection
 
 RECONSTRUCT_CAP = 12
+RECONSTRUCT_ITERS = 400  # subgradient steps per slice reconstruction
 # slack of the certified stop, in ulps of each row's largest |answer|
 RECONSTRUCT_STOP_ULPS = 18
 
@@ -330,7 +331,6 @@ def reconstruct_slices_batch(
     answers: np.ndarray,
     alpha: float,
     m: int,
-    iters: int = 800,
 ) -> np.ndarray:
     """Recover mean slices in [-1/m, 1/m]^m from noisy predicate answers.
 
@@ -364,7 +364,7 @@ def reconstruct_slices_batch(
         * np.max(np.abs(answers), axis=1)
     stop = np.maximum(alpha, complement_floor(answers) + tol)
     rows = np.arange(len(mu))
-    for t in range(1, iters + 1):
+    for t in range(1, RECONSTRUCT_ITERS + 1):
         live = best_f > stop
         if not live.any():
             break

@@ -14,8 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tilt import _BLAS_THREADS, _blas_control, _cpus_available, \
-    _in_ranges, tilt_weights
+from .tilt import in_ranges, thread_budget, tilt_weights
 
 ETA_PROBE_SCALE = 0.06
 # theta threads start only when one theta's tilted covariance costs at least
@@ -23,6 +22,9 @@ ETA_PROBE_SCALE = 0.06
 # threads ran 0.4-0.9x the serial speed at d^2 N <= 2^20, about 1.0-1.6x at
 # 2^21 and 1.14-1.9x from 2^22 on, for 10 to 160 thetas and d = 16 to 96
 THETA_WORK = 2 ** 22
+# check_regular counts the thetas whose covariance has lambda_max at or
+# above this
+REGULAR_THRESHOLD = 2.0
 
 
 def _validate_pm1(a: np.ndarray) -> np.ndarray:
@@ -163,7 +165,6 @@ def tilted_column_cov(a: np.ndarray, p: np.ndarray,
 
 @dataclass
 class RegularReport:
-    threshold: float
     fraction_above: float
 
 
@@ -172,24 +173,23 @@ def check_regular(
     r: float,
     trials: int,
     rng: np.random.Generator,
-    threshold: float = 2.0,
 ) -> RegularReport:
     """Fraction of thetas in the radius-r ball whose exact column covariance
-    C has lambda_max(C) >= threshold, up to rounding; no eigenvalue is taken,
-    as threshold * I - C has a Cholesky factor iff lambda_max(C) < threshold.
+    C has lambda_max(C) >= REGULAR_THRESHOLD, up to rounding; no eigenvalue
+    is taken, as REGULAR_THRESHOLD * I - C has a Cholesky factor iff
+    lambda_max(C) < REGULAR_THRESHOLD.
 
     The thetas and all their tilt weights come first, in one block; then,
     when a theta costs THETA_WORK multiply-adds, contiguous theta ranges are
-    certified at once by tilt._in_ranges (numpy's BLAS and Cholesky release
-    the GIL): one per CPU when _in_ranges can hold BLAS at one thread, else
-    one per CPU that the environment's BLAS thread count leaves free.  The
-    count is the same whatever the thread count."""
+    certified at once by tilt.in_ranges (numpy's BLAS and Cholesky release
+    the GIL), in as many threads as tilt.thread_budget allows.  The count is
+    the same whatever the thread count."""
     a = _validate_pm1(a)
     d, n = a.shape
     unit = _sphere_thetas(rng, trials, d, 1.0)
     radii = r * rng.random(trials) ** (1.0 / d)
     thetas = unit * radii[:, None]
-    ceiling = threshold * np.eye(d)
+    ceiling = REGULAR_THRESHOLD * np.eye(d)
     p, mu = tilt_weights(a, thetas)
 
     def count_above(first, last):
@@ -204,10 +204,6 @@ def check_regular(
 
     threads = 1
     if d * d * n >= THETA_WORK:
-        # python threads on top of BLAS threads run slower than one thread:
-        # _in_ranges holds a BLAS it finds at one thread, else the
-        # environment's count stands
-        blas_threads = 1 if _blas_control() else _BLAS_THREADS
-        threads = max(1, min(_cpus_available() // blas_threads, trials))
-    above = sum(_in_ranges(trials, threads, count_above))
-    return RegularReport(threshold=threshold, fraction_above=above / trials)
+        threads = max(1, min(thread_budget(), trials))
+    above = sum(in_ranges(trials, threads, count_above))
+    return RegularReport(fraction_above=above / trials)

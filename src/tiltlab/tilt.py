@@ -178,7 +178,15 @@ def _blas_control():
     return found
 
 
-def _in_ranges(n: int, parts: int, fn: Callable) -> list:
+def thread_budget() -> int:
+    """Python threads a run of BLAS-calling ranges may use: one per CPU when
+    _blas_control finds BLAS, as in_ranges then holds it at one thread, else
+    one per CPU that the environment's BLAS thread count leaves free, since
+    Python threads on top of BLAS threads run slower than one thread."""
+    return _cpus_available() // (1 if _blas_control() else _BLAS_THREADS)
+
+
+def in_ranges(n: int, parts: int, fn: Callable) -> list:
     """[fn(first, last) for the parts contiguous ranges that split
     range(n)], run at once: the first range in the calling thread, the
     others in helper threads.  A range's exception reaches the caller once
@@ -216,7 +224,7 @@ def tilt_map_blocks(dist: TiltedDistribution, rng: np.random.Generator,
     then the v-bits, ceil(d / 4) words per row by random_raw (see
     chunk_signs), so every block size gives the same rows and rng state;
     count = 0 is one empty batch.  Contiguous runs of blocks go to lanes
-    that run at once (_in_ranges), one per CPU while each has LANE_DRAWS
+    that run at once (in_ranges), one per CPU while each has LANE_DRAWS
     v-bits to draw: lane 0 on rng in the calling thread, lane l > 0 on a
     copy of rng's PCG64 advanced past the words of the rows before it; each
     of two or more lanes draws SAMPLE_GROUP blocks at a time.  The rows,
@@ -273,7 +281,7 @@ def tilt_map_blocks(dist: TiltedDistribution, rng: np.random.Generator,
                                          **{field: drawn[s:s + block]})))
         return out
 
-    out = [batch for lane in _in_ranges(n_blocks, lanes, run)
+    out = [batch for lane in in_ranges(n_blocks, lanes, run)
            for batch in lane]
     if lanes > 1:
         # rng ends where the last lane did; the type draw may leave half a
@@ -387,8 +395,8 @@ def divergence_check(
     g(theta) = E_{x ~ D_theta^n}[A(x)]; the left side sums central finite
     differences of g_i in theta_i at step DIVERGENCE_STEP, the right side is
     the exact expectation of the summed scores, centred on typed_means. The
-    mechanism must be deterministic (pass an exactly averaged version of a
-    randomized mechanism).
+    mechanism returns a MechanismAnswer and must be deterministic (pass an
+    exactly averaged version of a randomized mechanism).
     """
     theta = np.asarray(theta, dtype=np.float64)
     if n < 1:
@@ -405,8 +413,7 @@ def divergence_check(
     tuples = np.indices((size,) * n).reshape(n, -1).T  # (size^n, n)
     outputs = np.empty((len(tuples), family.dim))
     for t, row in enumerate(tuples):
-        result = mechanism(Dataset(mat[row]))
-        outputs[t] = result.estimate if hasattr(result, "estimate") else result
+        outputs[t] = mechanism(Dataset(mat[row])).estimate
 
     def dataset_weights(dist):
         lw = log_weights(dist)

@@ -41,7 +41,8 @@ from tiltlab.ada import ExactMeanAnalyst, SampleSplitAnalyst, default_tau, \
     run_ada_protocol
 from tiltlab.attack import ThetaSampler, run_attack_trial, separation
 from tiltlab.config import parse_config
-from tiltlab.experiments import THETA_STREAM_TAG, replay_row, run_experiment
+from tiltlab.experiments import THETA_STREAM_TAG, replay_row, \
+    run_experiment, trial_seed_sequence
 from tiltlab.families import make_family
 from tiltlab.mechanisms import (
     QUERY_RELEASE_CPRIME,
@@ -53,7 +54,6 @@ from tiltlab.mechanisms import (
     required_mass,
     sparse_histogram,
 )
-from tiltlab.seeds import trial_seed_sequence
 from tiltlab.structure import (
     ETA_PROBE_SCALE,
     check_column_sums,
@@ -688,9 +688,8 @@ class TestSuiteDeterminism:
         # pinned digest runs the multi-lane and the threaded path
         monkeypatch.setattr(tilt_module, "LANE_DRAWS", 1)
         monkeypatch.setattr(tilt_module, "_cpus_available", lambda: 3)
+        monkeypatch.setattr(tilt_module, "_BLAS_THREADS", 1)
         monkeypatch.setattr(structure, "THETA_WORK", 1)
-        monkeypatch.setattr(structure, "_cpus_available", lambda: 3)
-        monkeypatch.setattr(structure, "_BLAS_THREADS", 1)
         for module in (attack, ada):
             monkeypatch.setattr(module, "SAMPLE_BLOCK", 16)
 

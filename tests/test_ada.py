@@ -25,7 +25,6 @@ from tiltlab.ada import (
     SampleSplitAnalyst,
     ScoreField,
     StageQueryBatch,
-    builtin_analysts,
     default_tau,
     gap,
     obfuscate_many,
@@ -34,6 +33,7 @@ from tiltlab.ada import (
     run_ada_protocol,
 )
 from tiltlab.attack import ThetaSampler
+from tiltlab.config import ANALYSTS
 from tiltlab.errors import ProtocolAbort
 from tiltlab.families import PointBatch, make_family, predicate_matrix, \
     support_batch
@@ -1000,9 +1000,11 @@ class TestAnalysts:
         assert np.allclose(ans, np.clip(batch.eval_mean(), -0.05, 0.05))
 
     def test_builtin_registry(self):
-        reg = builtin_analysts()
-        assert set(reg) == {"exact-mean", "gaussian-noised", "sample-split",
-                            "clamped-mean"}
+        # config.ANALYSTS is the one table of analyst names
+        assert {name: key for name, (_, key) in ANALYSTS.items()} == {
+            "exact-mean": None, "gaussian-noised": "sigma",
+            "sample-split": "folds", "clamped-mean": "bound"}
+        reg = {name: cls for name, (cls, _) in ANALYSTS.items()}
         assert reg["exact-mean"]().name == "exact-mean"
         assert reg["gaussian-noised"](0.25).name == "gaussian-noised(0.25)"
         assert reg["sample-split"](4).name == "sample-split(4)"

@@ -36,6 +36,7 @@ from tiltlab.experiments import (
     run_experiment,
     run_trial,
     run_trials,
+    trial_seed_sequence,
 )
 from tiltlab.families import make_family
 from tiltlab.mechanisms import RECONSTRUCT_CAP, EmpiricalMean, \
@@ -44,7 +45,6 @@ from tiltlab.mechanisms import RECONSTRUCT_CAP, EmpiricalMean, \
 from tiltlab.structure import check_column_sums, check_expanding, \
     check_regular
 from tiltlab.tilt import divergence_check
-from tiltlab.seeds import trial_seed_sequence
 
 
 def test_src_imports_only_stdlib_and_numpy():
@@ -70,6 +70,24 @@ def test_src_imports_only_stdlib_and_numpy():
         project = tomllib.load(fh)["project"]
     assert [re.match(r"[A-Za-z0-9_.-]+", dep).group()
             for dep in project["dependencies"]] == ["numpy"]
+
+
+def test_src_imports_no_private_name_of_another_module():
+    # a name that one tiltlab module reads from another is public: no
+    # "from .x import _name" (dunders such as __version__ aside), so every
+    # decision a module shares has one public home
+    root = Path(__file__).resolve().parent.parent
+    private = []
+    for path in sorted((root / "src" / "tiltlab").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom) and (
+                    node.level > 0 or
+                    (node.module or "").partition(".")[0] == "tiltlab"):
+                private += [f"{path.name}:{node.lineno} {alias.name}"
+                            for alias in node.names
+                            if alias.name.startswith("_")
+                            and not alias.name.endswith("__")]
+    assert private == []
 
 
 def test_import_skips_unused_scipy_modules():
@@ -912,12 +930,10 @@ class TestMechBenchStream:
             assert run_trial(cfg, 5, trial)[0] == want
 
     def test_scattered_trials_rerun_alone(self):
-        # a chunk's trials read one run of words, so the kind refuses a
-        # chunk that is not contiguous, and run_trials reruns its trials
-        # one by one
+        # a chunk is a range, whose trials read one run of words; a list of
+        # scattered trials is no range, so the kind's call fails and
+        # run_trials reruns its trials one by one
         cfg = tiny_config("mech-bench", trials=6)
-        with pytest.raises(ValueError, match="contiguous"):
-            EXPERIMENT_KINDS["mech-bench"].trials(cfg, 5, [0, 5])
         assert run_trials(cfg, 5, [0, 5]) == \
             [run_trial(cfg, 5, 0), run_trial(cfg, 5, 5)]
 
@@ -1572,6 +1588,36 @@ class TestCli:
         assert "'0.0.1'" in captured.err
         assert repr(tiltlab.__version__) in captured.err
         assert "MISMATCH" not in captured.out
+
+    def test_replay_csv_the_csv_module_rejects_exit_code(self, tmp_path,
+                                                         capsys):
+        # a field past the csv module's field size limit raises csv.Error,
+        # which is no ValueError
+        cfg = write_config(tmp_path, "kind = mech-bench\ntrials = 1")
+        out = tmp_path / "out"
+        main(["run", "--config", cfg, "--out", str(out)])
+        capsys.readouterr()
+        csv_path = out / "mech-bench.csv"
+        with open(csv_path, "a") as fh:
+            fh.write("x" * 131_073 + "\n")
+        assert main(["replay", "--csv", str(csv_path), "--row", "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("replay failed: unreadable CSV: ")
+        assert "field larger than field limit" in captured.err
+        assert captured.out == ""
+
+    def test_replay_manifest_not_an_object_exit_code(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "kind = mech-bench\ntrials = 1")
+        out = tmp_path / "out"
+        main(["run", "--config", cfg, "--out", str(out)])
+        capsys.readouterr()
+        (out / "manifest.json").write_text("[1]\n")
+        assert main(["replay", "--csv", str(out / "mech-bench.csv"),
+                     "--row", "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == \
+            "replay failed: manifest.json must hold an object, got list\n"
+        assert captured.out == ""
 
     def test_env_seed_default(self, tmp_path, monkeypatch, capsys):
         cfg = write_config(tmp_path, "kind = mech-bench\ntrials = 1")

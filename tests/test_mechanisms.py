@@ -33,6 +33,7 @@ from scipy.optimize import linprog
 from tiltlab.ada import ExactMeanAnalyst, default_tau, run_ada_protocol
 from tiltlab.attack import ThetaSampler
 from tiltlab.errors import CapacityError
+from tiltlab import mechanisms
 from tiltlab.families import make_family, predicate_matrix, support_batch
 from tiltlab.mechanisms import (
     Dataset,
@@ -538,22 +539,23 @@ def grid_chebyshev(answers, m, resolution):
 
 class TestReconstructSlice:
     @pytest.mark.parametrize("m,resolution", [(2, 201), (3, 61)])
-    def test_matches_exhaustive_grid(self, m, resolution):
+    def test_matches_exhaustive_grid(self, monkeypatch, m, resolution):
+        monkeypatch.setattr(mechanisms, "RECONSTRUCT_ITERS", 10_000)
         rng = np.random.default_rng(8)
         h = predicate_matrix(m)
         for _ in range(5):
             mu_true = rng.uniform(-1 / m, 1 / m, size=m)
             alpha = 0.05
             answers = h @ mu_true + rng.uniform(-0.8, 0.8, size=2 ** m) * alpha
-            mu_hat = reconstruct_slices_batch(answers[None], alpha, m,
-                                              iters=10_000)[0]
+            mu_hat = reconstruct_slices_batch(answers[None], alpha, m)[0]
             viol_hat = np.max(np.abs(h @ mu_hat - answers))
             _, viol_grid = grid_chebyshev(answers, m, resolution)
             grid_step = (2 / m) / (resolution - 1)
             assert viol_hat <= viol_grid + m * grid_step + 1e-9
             assert np.all(np.abs(mu_hat) <= 1 / m + 1e-12)
 
-    def test_recovery_within_two_alpha(self):
+    def test_recovery_within_two_alpha(self, monkeypatch):
+        monkeypatch.setattr(mechanisms, "RECONSTRUCT_ITERS", 10_000)
         rng = np.random.default_rng(9)
         m = 4
         h = predicate_matrix(m)
@@ -561,8 +563,7 @@ class TestReconstructSlice:
             mu_true = rng.uniform(-1 / m, 1 / m, size=m)
             alpha = 0.1
             answers = h @ mu_true + rng.uniform(-0.7, 0.7, size=2 ** m) * alpha
-            mu_hat = reconstruct_slices_batch(answers[None], alpha, m,
-                                              iters=10_000)[0]
+            mu_hat = reconstruct_slices_batch(answers[None], alpha, m)[0]
             assert np.abs(mu_hat - mu_true).sum() <= 2 * alpha + 1e-9
 
     def test_capacity_limit(self):
@@ -651,7 +652,7 @@ class TestCertifiedStop:
                       <= objective + stop_tol(answers))
 
     @pytest.mark.parametrize("m", [1, 2, 4, 6])
-    def test_affine_answers_return_the_warm_start(self, m):
+    def test_affine_answers_return_the_warm_start(self, monkeypatch, m):
         # a_h = <mu0, h> + f is what compromised points give an exact
         # analyst: the warm start is optimal with value f, so no step runs
         rng = np.random.default_rng(30 + m)
@@ -663,7 +664,8 @@ class TestCertifiedStop:
         warm = np.clip(answers @ h / 2 ** m, -1 / m, 1 / m)
         assert np.all(chebyshev_objective(warm, answers, m) > alpha)
         for iters in (0, 1, 400, 5000):
-            out = reconstruct_slices_batch(answers, alpha, m, iters=iters)
+            monkeypatch.setattr(mechanisms, "RECONSTRUCT_ITERS", iters)
+            out = reconstruct_slices_batch(answers, alpha, m)
             assert np.array_equal(out, warm)
 
     @pytest.mark.parametrize("gap", [1e-7, 1e-13])
@@ -714,8 +716,9 @@ class TestCertifiedStop:
         noised = np.clip(recorded + np.random.default_rng(42).uniform(
             -0.1, 0.1, recorded.shape), -1.0, 1.0)
         answers = np.concatenate([recorded, noised])
-        new = reconstruct_slices_batch(answers, alpha, m, iters=400)
-        old = uncertified_reconstruct(answers, alpha, m, iters=400)
+        new = reconstruct_slices_batch(answers, alpha, m)
+        old = uncertified_reconstruct(answers, alpha, m,
+                                      iters=mechanisms.RECONSTRUCT_ITERS)
         new_obj = chebyshev_objective(new, answers, m)
         old_obj = chebyshev_objective(old, answers, m)
         assert np.all(np.abs(new_obj - old_obj) <= stop_tol(answers))

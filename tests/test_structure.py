@@ -365,6 +365,24 @@ class TestRegular:
         assert lambda_max(cols, np.zeros(8)) == pytest.approx(1.0, abs=1e-9)
         assert report.fraction_above == 0.0
 
+    def test_thetas_are_uniform_in_the_ball(self, monkeypatch):
+        # a uniform point of the radius-r ball in R^d is a uniform direction
+        # times r U^(1/d), as Pr[|theta| <= s] = (s / r)^d: the check weighs
+        # exactly the thetas regular_thetas draws so, at d = 3, where
+        # U^(1/4) in place of U^(1/3) moves every radius
+        weighed = []
+
+        def weights(a, thetas):
+            weighed.append(thetas)
+            return tilt_weights(a, thetas)
+
+        monkeypatch.setattr(structure_module, "tilt_weights", weights)
+        rng = np.random.default_rng(23)
+        a = random_pm1_matrix(rng, 3, 16)
+        want = regular_thetas(0.7, 50, copy.deepcopy(rng), 3)
+        check_regular(a, 0.7, 50, rng)
+        assert len(weighed) == 1 and np.array_equal(weighed[0], want)
+
     def test_lambda_max_dominates_diagonal(self):
         rng = np.random.default_rng(19)
         a = random_pm1_matrix(rng, 20, 150)
@@ -378,7 +396,7 @@ class TestRegular:
         flat_cov = cov_at(a, np.zeros(20))
         assert lambda_max(a, np.zeros(20)) >= np.max(np.diag(flat_cov)) - 1e-9
 
-    def test_verdict_matches_eigvalsh(self):
+    def test_verdict_matches_eigvalsh(self, monkeypatch):
         # threshold at the median top eigenvalue, so both verdicts occur:
         # the Cholesky certificate must agree with eigvalsh on every theta
         rng = np.random.default_rng(21)
@@ -388,8 +406,8 @@ class TestRegular:
         thetas = regular_thetas(r, trials, copy.deepcopy(rng), d)
         lams = np.array([lambda_max(a, th) for th in thetas])
         threshold = float(np.median(lams))
-        report = check_regular(a, r=r, trials=trials, rng=rng,
-                               threshold=threshold)
+        monkeypatch.setattr(structure_module, "REGULAR_THRESHOLD", threshold)
+        report = check_regular(a, r=r, trials=trials, rng=rng)
         assert 0.0 < report.fraction_above < 1.0
         assert report.fraction_above == np.mean(lams >= threshold)
         # the batched weights give each theta's single-row covariance
@@ -409,17 +427,17 @@ class TestRegular:
 
 def force_threads(monkeypatch, cpus=3):
     """One theta thread per CPU on any regular check, with cpus CPUs and
-    check_regular told BLAS runs one thread (whatever BLAS really runs) by
-    the environment rule: no BLAS control is found."""
-    monkeypatch.setattr(structure_module, "_cpus_available", lambda: cpus)
+    tilt.thread_budget told BLAS runs one thread (whatever BLAS really runs)
+    by the environment rule: no BLAS control is found."""
+    monkeypatch.setattr(tilt_module, "_cpus_available", lambda: cpus)
+    monkeypatch.setattr(tilt_module, "_BLAS_THREADS", 1)
+    monkeypatch.setattr(tilt_module, "_blas_control", lambda: None)
     monkeypatch.setattr(structure_module, "THETA_WORK", 1)
-    monkeypatch.setattr(structure_module, "_BLAS_THREADS", 1)
-    monkeypatch.setattr(structure_module, "_blas_control", lambda: None)
 
 
 class FakeBlas:
     """A BLAS control (get, set) whose thread count starts at ``threads``;
-    ``seen`` records the count each range of _in_ranges saw."""
+    ``seen`` records the count each range of in_ranges saw."""
 
     def __init__(self, threads):
         self.threads, self.sets, self.seen = threads, [], []
@@ -471,9 +489,9 @@ class TestRegularThreads:
         a = duplicated_row_matrix()
         force_threads(monkeypatch)
         calls = record_threads(monkeypatch)
-        monkeypatch.setattr(structure_module, "_BLAS_THREADS", 3)
+        monkeypatch.setattr(tilt_module, "_BLAS_THREADS", 3)
         check_regular(a, 1.0, 60, np.random.default_rng(1))
-        monkeypatch.setattr(structure_module, "_BLAS_THREADS", 1)
+        monkeypatch.setattr(tilt_module, "_BLAS_THREADS", 1)
         monkeypatch.setattr(structure_module, "THETA_WORK", 16 * 16 * 256 + 1)
         check_regular(a, 1.0, 60, np.random.default_rng(1))
         assert calls == [True] * 120
@@ -481,13 +499,12 @@ class TestRegularThreads:
     def test_threads_whatever_the_environment_when_blas_is_held(
             self, monkeypatch):
         # with a BLAS control found, BLAS threads in the environment do not
-        # keep the regular check serial: _in_ranges holds BLAS at one thread
+        # keep the regular check serial: in_ranges holds BLAS at one thread
         a = duplicated_row_matrix()
         serial = check_regular(a, 1.0, 60, np.random.default_rng(1))
         force_threads(monkeypatch)
         blas = FakeBlas(4)
-        monkeypatch.setattr(structure_module, "_BLAS_THREADS", 4)
-        monkeypatch.setattr(structure_module, "_blas_control", blas.control)
+        monkeypatch.setattr(tilt_module, "_BLAS_THREADS", 4)
         monkeypatch.setattr(tilt_module, "_blas_control", blas.control)
         calls = record_threads(monkeypatch)
         threaded = check_regular(a, 1.0, 60, np.random.default_rng(1))
@@ -504,9 +521,9 @@ class TestRegularThreads:
             blas.seen.append(blas.threads)
             return first, last
 
-        assert tilt_module._in_ranges(1, 1, fn) == [(0, 1)]
+        assert tilt_module.in_ranges(1, 1, fn) == [(0, 1)]
         assert blas.seen == [start] and blas.sets == []
-        assert tilt_module._in_ranges(6, 3, fn) == [(0, 2), (2, 4), (4, 6)]
+        assert tilt_module.in_ranges(6, 3, fn) == [(0, 2), (2, 4), (4, 6)]
         assert blas.seen == [start, 1, 1, 1]
         # the count is restored, also when a range raises
         assert blas.sets == sets and blas.threads == start
@@ -515,7 +532,7 @@ class TestRegularThreads:
             raise RuntimeError("range failed")
 
         with pytest.raises(RuntimeError, match="range failed"):
-            tilt_module._in_ranges(6, 2, fail)
+            tilt_module.in_ranges(6, 2, fail)
         assert blas.sets == sets * 2 and blas.threads == start
 
     def test_blas_control_finds_numpy_openblas(self):

@@ -47,7 +47,8 @@ from tiltlab import tilt as tilt_module
 from tiltlab.ada import gap
 from tiltlab.errors import CapacityError
 from tiltlab.families import PointBatch, make_family, support_batch
-from tiltlab.mechanisms import ClampedMean, Dataset, EmpiricalMean
+from tiltlab.mechanisms import ClampedMean, Dataset, EmpiricalMean, \
+    MechanismAnswer
 from tiltlab.structure import tilted_column_cov
 from tiltlab.tilt import (
     divergence_check,
@@ -346,7 +347,8 @@ class TestDivergence:
         lin = rng.normal(size=(fam.dim, fam.dim))
 
         def mech(ds):
-            return lin @ ds.points.mean(axis=0)
+            return MechanismAnswer(lin @ ds.points.mean(axis=0),
+                                   epsilon=math.inf, delta=0.0)
 
         report = divergence_check(fam, theta, mech, n=2)
         assert report.abs_err <= 1e-6
