@@ -116,8 +116,7 @@ def eta_probe_section(master_seed: int, matrices: int, thetas: int) -> None:
             rep = check_expanding(fam.matrix, r, frozen, thetas, rng)
             fails_frozen.append(rep.fail_fraction)
             fails_rej.append(float(np.mean(rep.values < rejected)))
-            reg = check_regular(fam.matrix, r, thetas, rng)
-            fails_reg.append(reg.fraction_above)
+            fails_reg.append(check_regular(fam.matrix, r, thetas, rng))
         worst_frozen = max(worst_frozen, max(fails_frozen))
         print(f"d={d:3d} N={n_cols}: probe=0.06lnN fail "
               f"{min(fails_frozen):.4f}-{max(fails_frozen):.4f} | 0.2lnN fail "

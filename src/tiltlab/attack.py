@@ -24,7 +24,6 @@ from typing import Optional
 import numpy as np
 
 from .families import PointFamily
-from .mechanisms import Dataset
 from .tilt import SAMPLE_BLOCK, TiltedDistribution, tilt, tilt_map_blocks, \
     tilt_mean, tilt_sample_many, typed_means
 
@@ -97,9 +96,8 @@ def run_attack_trial(
     theta = sampler.sample(rng)
     dist = tilt(family, theta)
     batch = tilt_sample_many(dist, rng, n)
-    ds = Dataset.from_refs(batch)
-    ans = mechanism(ds, rng)
-    answer = np.asarray(ans.estimate, dtype=float).reshape(-1)
+    points = batch.densify()
+    answer = np.asarray(mechanism(points, rng), dtype=float).reshape(-1)
     mu = None
     if recenter:
         mu = tilt_mean(dist)
@@ -119,7 +117,7 @@ def run_attack_trial(
         mechanism=getattr(mechanism, "name", type(mechanism).__name__),
         dist=dist,
         answer=answer,
-        in_scores=score(ds.points, batch.types),
+        in_scores=score(points, batch.types),
         fresh_scores=np.concatenate(fresh),
         shift=mu,
     )

@@ -255,7 +255,7 @@ def _trial_verify_structure(cfg: ExperimentConfig, master_seed: int,
                or abs(col.mean_sq - col.expected_sq) <= 4 * col.stderr_sq)
     ok = (col.violations == 0 and mean_ok
           and expanding.fail_fraction <= 0.01
-          and regular.fraction_above <= 0.01)
+          and regular <= 0.01)
     row = {
         "d": cfg.d,
         "n_columns": cfg.n_columns,
@@ -264,7 +264,7 @@ def _trial_verify_structure(cfg: ExperimentConfig, master_seed: int,
         "col_expected_sq": col.expected_sq,
         "col_stderr_sq": col.stderr_sq,
         "expanding_fail_frac": expanding.fail_fraction,
-        "regular_fail_frac": regular.fraction_above,
+        "regular_fail_frac": regular,
     }
     return row, ok, []
 
@@ -536,7 +536,12 @@ def replay_row(csv_path, row_index: int):
     if not 0 <= row_index < len(stored_rows):
         raise IndexError(
             f"row {row_index} out of range ({len(stored_rows)} data rows)")
-    stored = dict(stored_rows[row_index])
+    stored = stored_rows[row_index]
+    # DictReader fills a short row with None, and keys a long row's extra
+    # fields by None
+    if None in stored or None in stored.values():
+        raise ValueError(f"row {row_index} does not have the header's "
+                         f"{len(stored) - (None in stored)} fields")
     trial = int(stored["trial"])
     seed = int(stored["seed"])
     recomputed = run_trial(cfg, seed, trial)[0]

@@ -1,8 +1,7 @@
 """Mean-release mechanisms and private histogram release.
 
-Dataset mechanisms consume a Dataset (the dense (n, dim) matrix of its
-points) and return a MechanismAnswer carrying the estimate and privacy
-metadata.
+Dataset mechanisms take the (n, dim) float64 array of a dataset's points
+and return their (dim,) estimate.
 Histogram mechanisms operate on HistogramVector (nonnegative weights on
 integer elements, with a fixed total mass) under L1 adjacency.
 """
@@ -16,30 +15,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import CapacityError
-from .families import PointBatch, PointFamily, predicate_matrix
-
-
-@dataclass
-class Dataset:
-    """Ordered dataset of dense points; replace-one adjacency."""
-
-    points: np.ndarray  # (n, dim)
-
-    @classmethod
-    def from_refs(cls, batch: PointBatch) -> "Dataset":
-        """Dataset of a PointBatch, densified once (perfbench times this)."""
-        return cls(batch.densify())
-
-    @property
-    def n(self) -> int:
-        return len(self.points)
-
-
-@dataclass
-class MechanismAnswer:
-    estimate: np.ndarray
-    epsilon: float
-    delta: float
+from .families import PointFamily, predicate_matrix
 
 
 class EmpiricalMean:
@@ -47,9 +23,8 @@ class EmpiricalMean:
 
     name = "exact-mean"
 
-    def __call__(self, ds: Dataset, rng=None) -> MechanismAnswer:
-        return MechanismAnswer(estimate=ds.points.mean(axis=0),
-                               epsilon=math.inf, delta=0.0)
+    def __call__(self, points: np.ndarray, rng=None) -> np.ndarray:
+        return points.mean(axis=0)
 
 
 class ClampedMean:
@@ -62,9 +37,8 @@ class ClampedMean:
             raise ValueError("bound must be positive")
         self.bound = bound
 
-    def __call__(self, ds: Dataset, rng=None) -> MechanismAnswer:
-        est = np.clip(ds.points.mean(axis=0), -self.bound, self.bound)
-        return MechanismAnswer(estimate=est, epsilon=math.inf, delta=0.0)
+    def __call__(self, points: np.ndarray, rng=None) -> np.ndarray:
+        return np.clip(points.mean(axis=0), -self.bound, self.bound)
 
 
 class GaussianMechanism:
@@ -83,13 +57,13 @@ class GaussianMechanism:
         sensitivity = 2.0 * math.sqrt(dim) / n
         return sensitivity * math.sqrt(2.0 * math.log(1.25 / self.delta)) / self.epsilon
 
-    def __call__(self, ds: Dataset, rng: Optional[np.random.Generator] = None):
+    def __call__(self, points: np.ndarray,
+                 rng: Optional[np.random.Generator] = None) -> np.ndarray:
         if rng is None:
             raise ValueError("gaussian mechanism needs an rng")
-        sigma = self.sigma(ds.n, ds.points.shape[1])
-        est = ds.points.mean(axis=0) + rng.normal(scale=sigma, size=ds.points.shape[1])
-        return MechanismAnswer(estimate=est, epsilon=self.epsilon,
-                               delta=self.delta)
+        n, dim = points.shape
+        return points.mean(axis=0) + rng.normal(scale=self.sigma(n, dim),
+                                                size=dim)
 
 
 # --------------------------------------------------------------------------
@@ -196,8 +170,8 @@ def row_fsums(block: np.ndarray) -> np.ndarray:
     and one IEEE addition rounds it to nearest, ties to even, as fsum does:
     the certified error bound is zero.  math.fsum sums the rows this does
     not settle: non-finite rows, rows with max|x| outside
-    [2^-901, 2^(1019 - b)), rows spanning more than about 2^53 / n^2 in
-    magnitude, and rows summing to zero (fsum sets the sign of a zero).
+    [2^-901, 2^(1019 - b)), and rows spanning more than about 2^53 / n^2
+    in magnitude.
     """
     x = np.asarray(block, dtype=float)
     bits = max(x.shape[1] - 1, 1).bit_length()
@@ -213,7 +187,7 @@ def row_fsums(block: np.ndarray) -> np.ndarray:
         q = (cols + sigma) - sigma
         out = q.sum(axis=0) + (cols - q).sum(axis=0)
     exact = np.isfinite(top) & (exp >= -900) & (exp + bits <= 1019) \
-        & (np.ldexp(sigma, bits - 106) <= np.spacing(least)) & (out != 0)
+        & (np.ldexp(sigma, bits - 106) <= np.spacing(least))
     for i in np.flatnonzero(~exact).tolist():
         out[i] = math.fsum(x[i].tolist())
     return out

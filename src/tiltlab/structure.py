@@ -163,17 +163,12 @@ def tilted_column_cov(a: np.ndarray, p: np.ndarray,
     return cov
 
 
-@dataclass
-class RegularReport:
-    fraction_above: float
-
-
 def check_regular(
     a: np.ndarray,
     r: float,
     trials: int,
     rng: np.random.Generator,
-) -> RegularReport:
+) -> float:
     """Fraction of thetas in the radius-r ball whose exact column covariance
     C has lambda_max(C) >= REGULAR_THRESHOLD, up to rounding; no eigenvalue
     is taken, as REGULAR_THRESHOLD * I - C has a Cholesky factor iff
@@ -206,4 +201,4 @@ def check_regular(
     if d * d * n >= THETA_WORK:
         threads = max(1, min(thread_budget(), trials))
     above = sum(in_ranges(trials, threads, count_above))
-    return RegularReport(fraction_above=above / trials)
+    return above / trials

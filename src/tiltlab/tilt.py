@@ -43,7 +43,6 @@ import numpy as np
 
 from .errors import CapacityError
 from .families import ENUMERATION_CAP, PointBatch, PointFamily, support_batch
-from .mechanisms import Dataset
 
 DATASET_PRODUCT_CAP = 10 ** 6
 DIVERGENCE_STEP = 1e-4  # divergence_check's central-difference step
@@ -395,8 +394,9 @@ def divergence_check(
     g(theta) = E_{x ~ D_theta^n}[A(x)]; the left side sums central finite
     differences of g_i in theta_i at step DIVERGENCE_STEP, the right side is
     the exact expectation of the summed scores, centred on typed_means. The
-    mechanism returns a MechanismAnswer and must be deterministic (pass an
-    exactly averaged version of a randomized mechanism).
+    mechanism maps an (n, dim) points array to its (dim,) answer and must be
+    deterministic (pass an exactly averaged version of a randomized
+    mechanism).
     """
     theta = np.asarray(theta, dtype=np.float64)
     if n < 1:
@@ -413,7 +413,7 @@ def divergence_check(
     tuples = np.indices((size,) * n).reshape(n, -1).T  # (size^n, n)
     outputs = np.empty((len(tuples), family.dim))
     for t, row in enumerate(tuples):
-        outputs[t] = mechanism(Dataset(mat[row])).estimate
+        outputs[t] = mechanism(mat[row])
 
     def dataset_weights(dist):
         lw = log_weights(dist)

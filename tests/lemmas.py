@@ -12,8 +12,7 @@ import numpy as np
 from scipy.special import betaincinv
 
 from tiltlab.errors import CapacityError
-from tiltlab.mechanisms import Dataset, MechanismAnswer, noise_bound, \
-    release_rows, trunc_laplace
+from tiltlab.mechanisms import noise_bound, release_rows, trunc_laplace
 
 EXACT_TAIL_CAP = 22
 K12_SEARCH_TOL = 1e-9
@@ -207,6 +206,11 @@ def rademacher_tail(a: np.ndarray, t_values) -> TailReport:
 # black-box reductions
 
 
+def privacy(mech) -> tuple:
+    """(epsilon, delta) of a mechanism; one without them is non-private."""
+    return getattr(mech, "epsilon", math.inf), getattr(mech, "delta", 0.0)
+
+
 class GroupPrivacyWrapped:
     """Replicates each point p times before calling the base mechanism.
 
@@ -221,27 +225,21 @@ class GroupPrivacyWrapped:
             raise ValueError("group size p must be a positive integer")
         self.mech = mech
         self.p = p
+        eps, delta = privacy(mech)
+        if p == 1 or math.isinf(eps):
+            self.epsilon, self.delta = eps, delta
+        elif eps == 0:
+            self.epsilon, self.delta = 0.0, p * delta
+        else:
+            self.epsilon = p * eps
+            self.delta = delta * math.expm1(p * eps) / math.expm1(eps)
 
     @property
     def name(self) -> str:
         return f"group-{self.p}x-{self.mech.name}"
 
-    def __call__(self, ds: Dataset, rng=None) -> MechanismAnswer:
-        p = self.p
-        ans = self.mech(Dataset(np.repeat(ds.points, p, axis=0)), rng)
-        eps, delta = ans.epsilon, ans.delta
-        if p == 1 or math.isinf(eps):
-            new_eps, new_delta = eps, delta
-        elif eps == 0:
-            new_eps, new_delta = 0.0, p * delta
-        else:
-            new_eps = p * eps
-            new_delta = delta * math.expm1(p * eps) / math.expm1(eps)
-        return MechanismAnswer(
-            estimate=ans.estimate,
-            epsilon=new_eps,
-            delta=new_delta,
-        )
+    def __call__(self, points: np.ndarray, rng=None) -> np.ndarray:
+        return self.mech(np.repeat(points, self.p, axis=0), rng)
 
 
 class PaddedMechanism:
@@ -249,7 +247,8 @@ class PaddedMechanism:
 
     On m real points, runs the base mechanism on n = k m points (the extra
     n - m are the anchor z) and returns (n/m) (q - ((n-m)/n) z), which
-    undoes the padding exactly for mean answers.
+    undoes the padding exactly for mean answers.  Its (epsilon, delta) are
+    the base mechanism's.
     """
 
     def __init__(self, mech, k: int, anchor: np.ndarray):
@@ -260,22 +259,18 @@ class PaddedMechanism:
             raise ValueError("the anchor must be one dense (dim,) point")
         self.mech = mech
         self.k = k
+        self.epsilon, self.delta = privacy(mech)
 
     @property
     def name(self) -> str:
         return f"pad-{self.k}x-{self.mech.name}"
 
-    def __call__(self, ds: Dataset, rng=None) -> MechanismAnswer:
-        m = ds.n
+    def __call__(self, points: np.ndarray, rng=None) -> np.ndarray:
+        m = len(points)
         n = self.k * m
         pad = np.tile(self.anchor, (n - m, 1))
-        ans = self.mech(Dataset(np.vstack([ds.points, pad])), rng)
-        est = (n / m) * (ans.estimate - ((n - m) / n) * self.anchor)
-        return MechanismAnswer(
-            estimate=est,
-            epsilon=ans.epsilon,
-            delta=ans.delta,
-        )
+        q = self.mech(np.vstack([points, pad]), rng)
+        return (n / m) * (q - ((n - m) / n) * self.anchor)
 
 
 # --------------------------------------------------------------------------

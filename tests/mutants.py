@@ -70,8 +70,7 @@ MUTANTS = (
     Mutant("experiments.py", "expanding.fail_fraction <= 0.01",
            "expanding.fail_fraction <= 0.02",
            f"{EXP}::TestStructureGates::test_fail_fraction_within_one_percent"),
-    Mutant("experiments.py", "regular.fraction_above <= 0.01",
-           "regular.fraction_above <= 0.02",
+    Mutant("experiments.py", "regular <= 0.01", "regular <= 0.02",
            f"{EXP}::TestStructureGates::test_fail_fraction_within_one_percent"),
     # the mech-bench run stream
     Mutant("experiments.py", "advance(trials.start * 2 * s)",
@@ -118,10 +117,6 @@ MUTANTS = (
     # exact sums and the release
     Mutant("mechanisms.py", "bits - 106", "bits - 116",
            f"{MECH}::TestRowFsums::test_midpoints_and_specials"),
-    Mutant("mechanisms.py", " & (out != 0)", "", "",
-           "no certified row sums to -0.0 (q is never -0.0, and every r is "
-           "-0.0 only in an all-zero row, which the least-value test sends "
-           "to fsum), and a certified zero sum is +0.0, as fsum's is"),
     Mutant("mechanisms.py", "    out[pick, top] = patch\n", "",
            f"{MECH}::TestSparseHistogram::test_mass_exact_at_tiny_and_large_totals"),
 )

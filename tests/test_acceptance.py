@@ -46,7 +46,6 @@ from tiltlab.experiments import THETA_STREAM_TAG, replay_row, \
 from tiltlab.families import make_family
 from tiltlab.mechanisms import (
     QUERY_RELEASE_CPRIME,
-    Dataset,
     EmpiricalMean,
     GaussianMechanism,
     HistogramVector,
@@ -257,7 +256,7 @@ class TestTiltStructureChecks:
                 expanding = check_expanding(family.matrix, r, probe, 2000, rng)
                 regular = check_regular(family.matrix, r, 2000, rng)
                 bad += (expanding.fail_fraction > 0.01
-                        or regular.fraction_above > 0.01)
+                        or regular > 0.01)
         assert bad <= 1
 
     # negative controls: each bound above fails on a structured matrix at
@@ -266,13 +265,13 @@ class TestTiltStructureChecks:
     def test_duplicated_rows_break_regular_bound(self):
         # [B; B] has tilted covariance [[S, S], [S, S]], eigenvalues 2 eig(S),
         # so lambda_max > 2 on every theta (2.50 at the least here) and the
-        # fraction_above <= 0.01 bound fails
+        # regular fraction <= 0.01 bound fails
         d, n_cols = 64, 2048
         family, rng = seeded_matrix_family(d // 2, n_cols, 0)
         a = np.vstack([family.matrix, family.matrix])
         r = 0.3 * math.sqrt(math.log(n_cols))
         regular = check_regular(a, r, 50, rng)
-        assert regular.fraction_above == 1.0
+        assert regular == 1.0
 
     def test_repeated_column_breaks_expanding_bound(self):
         # N copies of one column c: the tilt is uniform over equal points,
@@ -521,13 +520,12 @@ class TestMeanReductions:
         family = make_family("hypercube", d=8)
         rng = np.random.default_rng(93)
         refs = tilt_sample_many(tilt(family, np.zeros(8)), rng, 6)
-        ds = Dataset.from_refs(refs)
         wrapped = GroupPrivacyWrapped(GaussianMechanism(eps, delta), p)
-        ans = wrapped(ds, rng)
-        assert ans.epsilon == pytest.approx(p * eps, rel=1e-12)
+        wrapped(refs.densify(), rng)
+        assert wrapped.epsilon == pytest.approx(p * eps, rel=1e-12)
         expected_delta = delta if p == 1 else \
             delta * math.expm1(p * eps) / math.expm1(eps)
-        assert ans.delta == pytest.approx(expected_delta, rel=1e-12)
+        assert wrapped.delta == pytest.approx(expected_delta, rel=1e-12)
 
     def test_padding_reproduces_small_mean(self):
         # padded exact-mean undoes the anchor contribution exactly for
@@ -538,11 +536,10 @@ class TestMeanReductions:
         for _ in range(100):
             anchor = tilt_sample_many(dist, rng, 1).densify()[0]
             refs = tilt_sample_many(dist, rng, 5)
-            ds = Dataset.from_refs(refs)
+            points = refs.densify()
             padded = PaddedMechanism(EmpiricalMean(), 3, anchor)
-            est = padded(ds).estimate
             np.testing.assert_allclose(
-                est, ds.points.mean(axis=0), atol=1e-12)
+                padded(points), points.mean(axis=0), atol=1e-12)
 
 
 DETERMINISM_CONFIGS = {

@@ -21,12 +21,7 @@ from scipy import stats
 
 from tiltlab.attack import ThetaSampler, run_attack_trial, separation
 from tiltlab.families import make_family
-from tiltlab.mechanisms import (
-    Dataset,
-    EmpiricalMean,
-    GaussianMechanism,
-    MechanismAnswer,
-)
+from tiltlab.mechanisms import EmpiricalMean, GaussianMechanism
 from tiltlab.structure import tilt_weights, tilted_column_cov
 from tiltlab.tilt import (
     SAMPLE_BLOCK,
@@ -47,12 +42,8 @@ class ConstantAnswer:
     def __init__(self, value):
         self.value = np.asarray(value, dtype=float)
 
-    def __call__(self, ds, rng=None):
-        return MechanismAnswer(
-            estimate=self.value.copy(),
-            epsilon=0.0,
-            delta=0.0,
-        )
+    def __call__(self, points, rng=None):
+        return self.value.copy()
 
 
 class ClippedGaussian:
@@ -61,10 +52,8 @@ class ClippedGaussian:
     def __init__(self, epsilon, delta):
         self.inner = GaussianMechanism(epsilon=epsilon, delta=delta)
 
-    def __call__(self, ds, rng=None):
-        ans = self.inner(ds, rng)
-        ans.estimate = np.clip(ans.estimate, -1.0, 1.0)
-        return ans
+    def __call__(self, points, rng=None):
+        return np.clip(self.inner(points, rng), -1.0, 1.0)
 
 
 class TestThetaSampler:
@@ -246,9 +235,8 @@ class TestShiftedAttack:
         class ShiftEcho:
             name = "shift-echo"
 
-            def __call__(self, ds, rng=None):
-                mu = tilt_mean(self._dist)
-                return MechanismAnswer(estimate=mu, epsilon=0.0, delta=0.0)
+            def __call__(self, points, rng=None):
+                return tilt_mean(self._dist)
 
         mech = ShiftEcho()
         # bind the same tilt the harness will build, via the sampler seed
@@ -333,7 +321,7 @@ class TestFreshBlocks:
         rng = np.random.default_rng(seed)
         dist = tilt(fam, sampler.sample(rng))
         in_pts = tilt_sample_many(dist, rng, n)
-        answer = EmpiricalMean()(Dataset(in_pts.densify()), rng).estimate
+        answer = EmpiricalMean()(in_pts.densify(), rng)
         fresh_pts = tilt_sample_many(dist, rng, MULTI_BLOCK)
         return rng, dist, answer, in_pts, fresh_pts
 

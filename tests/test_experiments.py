@@ -745,13 +745,14 @@ class TestStructureGates:
     @pytest.mark.parametrize("name, real, field, column", [
         ("check_expanding", check_expanding, "fail_fraction",
          "expanding_fail_frac"),
-        ("check_regular", check_regular, "fraction_above",
-         "regular_fail_frac"),
+        # check_regular returns the fraction itself
+        ("check_regular", check_regular, None, "regular_fail_frac"),
     ])
     def test_fail_fraction_within_one_percent(self, monkeypatch, name, real,
                                               field, column, frac, status):
         edit_reports(monkeypatch, name, real,
-                     lambda r: dataclasses.replace(r, **{field: frac}))
+                     lambda r: frac if field is None
+                     else dataclasses.replace(r, **{field: frac}))
         row = run_trial(tiny_config("verify-structure"), 7, 0)[0]
         assert float(row[column]) == frac
         assert row["status"] == status
@@ -1605,6 +1606,27 @@ class TestCli:
         assert captured.err.startswith("replay failed: unreadable CSV: ")
         assert "field larger than field limit" in captured.err
         assert captured.out == ""
+
+    @pytest.mark.parametrize("extra", ["short", "long"])
+    def test_replay_row_of_wrong_width_exit_code(self, tmp_path, capsys,
+                                                 extra):
+        # csv.DictReader pads a short row with None and files a long row's
+        # surplus under the key None; neither reaches int()
+        cfg = write_config(tmp_path, "kind = mech-bench\ntrials = 2")
+        out = tmp_path / "out"
+        main(["run", "--config", cfg, "--out", str(out)])
+        capsys.readouterr()
+        csv_path = out / "mech-bench.csv"
+        lines = csv_path.read_text().splitlines()
+        with open(csv_path, "a") as fh:
+            fh.write("1\n" if extra == "short" else lines[-1] + ",1\n")
+        assert main(["replay", "--csv", str(csv_path), "--row", "2"]) == 2
+        captured = capsys.readouterr()
+        header = len(lines[0].split(","))
+        assert captured.err == (f"replay failed: row 2 does not have the "
+                                f"header's {header} fields\n")
+        assert captured.out == ""
+        assert main(["replay", "--csv", str(csv_path), "--row", "1"]) == 0
 
     def test_replay_manifest_not_an_object_exit_code(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "kind = mech-bench\ntrials = 1")

@@ -36,7 +36,6 @@ from tiltlab.errors import CapacityError
 from tiltlab import mechanisms
 from tiltlab.families import make_family, predicate_matrix, support_batch
 from tiltlab.mechanisms import (
-    Dataset,
     EmpiricalMean,
     GaussianMechanism,
     HistogramVector,
@@ -282,6 +281,12 @@ class TestRowFsums:
         ([1e308, 1e308], None),
         ([1e308, 1e308, -1e308], None),
         ([math.inf, -math.inf], None),
+        # rows summing to zero give +0.0, as fsum does
+        ([1.0, -1.0], 0.0),
+        ([-2.0, 1.0, 1.0], 0.0),
+        ([5e-324, -5e-324], 0.0),
+        ([-1.0, -0.0, 1.0], 0.0),
+        ([0.0, -0.0], 0.0),
     ])
     def test_midpoints_and_specials(self, row, want):
         block = np.array([row, row])
@@ -846,44 +851,43 @@ class TestQueryRelease:
         assert released.total == pytest.approx(n_req, abs=1e-6)
 
 
-def group_shrink(ds: Dataset, p: int) -> Dataset:
+def group_shrink(points: np.ndarray, p: int) -> np.ndarray:
     """Keep one representative per block of p points; remainder discarded."""
     if not isinstance(p, int) or p < 1:
         raise ValueError("group size p must be a positive integer")
-    q = ds.n // p
+    q = len(points) // p
     if q == 0:
         raise ValueError("dataset smaller than the group size")
     keep = slice(0, q * p, p)
-    return Dataset(ds.points[keep].copy())
+    return points[keep].copy()
 
 
 class TestReductions:
     def test_group_wrap_metadata_and_estimate(self):
         fam = make_family("hypercube", d=3)
-        ds = Dataset(support_batch(fam).densify()[:4])
+        points = support_batch(fam).densify()[:4]
         mech = GaussianMechanism(epsilon=0.5, delta=1e-5)
         wrapped = GroupPrivacyWrapped(mech, p=3)
-        ans = wrapped(ds, np.random.default_rng(16))
-        assert ans.epsilon == pytest.approx(1.5, abs=1e-12)
+        assert wrapped(points, np.random.default_rng(16)).shape == (3,)
+        assert wrapped.epsilon == pytest.approx(1.5, abs=1e-12)
         want_delta = 1e-5 * (math.exp(1.5) - 1) / (math.exp(0.5) - 1)
-        assert ans.delta == pytest.approx(want_delta, rel=1e-12)
+        assert wrapped.delta == pytest.approx(want_delta, rel=1e-12)
         # replication leaves the empirical mean invariant
-        plain = GroupPrivacyWrapped(EmpiricalMean(), p=4)(ds)
-        np.testing.assert_allclose(plain.estimate, ds.points.mean(axis=0),
-                                   atol=1e-12)
+        plain = GroupPrivacyWrapped(EmpiricalMean(), p=4)(points)
+        np.testing.assert_allclose(plain, points.mean(axis=0), atol=1e-12)
 
     def test_group_wrap_identity_at_p_one(self):
         fam = make_family("hypercube", d=2)
-        ds = Dataset(support_batch(fam).densify()[:2])
-        ans = GroupPrivacyWrapped(EmpiricalMean(), p=1)(ds)
-        np.testing.assert_array_equal(ans.estimate, ds.points.mean(axis=0))
-        assert ans.delta == 0.0
+        points = support_batch(fam).densify()[:2]
+        wrapped = GroupPrivacyWrapped(EmpiricalMean(), p=1)
+        np.testing.assert_array_equal(wrapped(points), points.mean(axis=0))
+        assert wrapped.delta == 0.0
 
     def test_group_shrink_discards_remainder(self):
         fam = make_family("hypercube", d=2)
-        ds = Dataset(support_batch(fam).densify())  # 4 points
-        small = group_shrink(ds, p=3)
-        assert small.n == 1
+        points = support_batch(fam).densify()  # 4 points
+        small = group_shrink(points, p=3)
+        assert len(small) == 1
         with pytest.raises(ValueError):
             group_shrink(small, p=2)
 
@@ -893,11 +897,10 @@ class TestReductions:
         rng = np.random.default_rng(17)
         for _ in range(20):
             anchor = support[rng.integers(len(support))]
-            ds = Dataset(support[rng.choice(len(support), size=4)])
+            points = support[rng.choice(len(support), size=4)]
             padded = PaddedMechanism(EmpiricalMean(), k=3, anchor=anchor)
-            ans = padded(ds)
             np.testing.assert_allclose(
-                ans.estimate, ds.points.mean(axis=0), atol=1e-12
+                padded(points), points.mean(axis=0), atol=1e-12
             )
         with pytest.raises(ValueError, match="anchor"):
             PaddedMechanism(EmpiricalMean(), k=3, anchor=support[:1])

@@ -360,10 +360,10 @@ class TestRegular:
 
         fam = make_family("hypercube", d=8)
         cols = support_batch(fam).densify().T.astype(np.int8)  # (8, 256)
-        report = check_regular(cols, r=0.0, trials=1,
-                               rng=np.random.default_rng(18))
+        frac = check_regular(cols, r=0.0, trials=1,
+                             rng=np.random.default_rng(18))
         assert lambda_max(cols, np.zeros(8)) == pytest.approx(1.0, abs=1e-9)
-        assert report.fraction_above == 0.0
+        assert frac == 0.0
 
     def test_thetas_are_uniform_in_the_ball(self, monkeypatch):
         # a uniform point of the radius-r ball in R^d is a uniform direction
@@ -407,9 +407,9 @@ class TestRegular:
         lams = np.array([lambda_max(a, th) for th in thetas])
         threshold = float(np.median(lams))
         monkeypatch.setattr(structure_module, "REGULAR_THRESHOLD", threshold)
-        report = check_regular(a, r=r, trials=trials, rng=rng)
-        assert 0.0 < report.fraction_above < 1.0
-        assert report.fraction_above == np.mean(lams >= threshold)
+        frac = check_regular(a, r=r, trials=trials, rng=rng)
+        assert 0.0 < frac < 1.0
+        assert frac == np.mean(lams >= threshold)
         # the batched weights give each theta's single-row covariance
         p, mu = tilt_weights(a, thetas)
         for i, theta in enumerate(thetas):
@@ -421,8 +421,8 @@ class TestRegular:
         d, n_cols = 64, 4096
         a = random_pm1_matrix(rng, d, n_cols)
         r = 0.3 * math.sqrt(math.log(n_cols))
-        report = check_regular(a, r=r, trials=200, rng=rng)
-        assert report.fraction_above <= 0.01
+        frac = check_regular(a, r=r, trials=200, rng=rng)
+        assert frac <= 0.01
 
 
 def force_threads(monkeypatch, cpus=3):
@@ -477,13 +477,13 @@ class TestRegularThreads:
     def test_threads_match_serial(self, monkeypatch):
         a = duplicated_row_matrix()
         serial = check_regular(a, 1.0, 60, np.random.default_rng(1))
-        assert 0.0 < serial.fraction_above < 1.0
+        assert 0.0 < serial < 1.0
         force_threads(monkeypatch)
         calls = record_threads(monkeypatch)
         threaded = check_regular(a, 1.0, 60, np.random.default_rng(1))
         # the caller takes the first of three ranges, helpers the others
         assert Counter(calls) == {True: 20, False: 40}
-        assert threaded.fraction_above == serial.fraction_above
+        assert threaded == serial
 
     def test_serial_below_work_floor_or_with_blas_threads(self, monkeypatch):
         a = duplicated_row_matrix()
@@ -509,7 +509,7 @@ class TestRegularThreads:
         calls = record_threads(monkeypatch)
         threaded = check_regular(a, 1.0, 60, np.random.default_rng(1))
         assert Counter(calls) == {True: 20, False: 40}
-        assert threaded.fraction_above == serial.fraction_above
+        assert threaded == serial
         assert blas.sets == [1, 4]
 
     @pytest.mark.parametrize("start, sets", [(4, [1, 4]), (1, [])])

@@ -46,9 +46,8 @@ from scipy.special import expit
 from tiltlab import tilt as tilt_module
 from tiltlab.ada import gap
 from tiltlab.errors import CapacityError
-from tiltlab.families import PointBatch, make_family, support_batch
-from tiltlab.mechanisms import ClampedMean, Dataset, EmpiricalMean, \
-    MechanismAnswer
+from tiltlab.families import make_family, support_batch
+from tiltlab.mechanisms import ClampedMean, EmpiricalMean
 from tiltlab.structure import tilted_column_cov
 from tiltlab.tilt import (
     divergence_check,
@@ -346,9 +345,8 @@ class TestDivergence:
         theta = rng.normal(scale=0.5, size=fam.dim)
         lin = rng.normal(size=(fam.dim, fam.dim))
 
-        def mech(ds):
-            return MechanismAnswer(lin @ ds.points.mean(axis=0),
-                                   epsilon=math.inf, delta=0.0)
+        def mech(points):
+            return lin @ points.mean(axis=0)
 
         report = divergence_check(fam, theta, mech, n=2)
         assert report.abs_err <= 1e-6
@@ -755,15 +753,3 @@ class TestLanes:
         else:
             assert batch.v.shape == (0, fam.d)
         assert batch.densify().shape == (0, fam.dim)
-
-
-class TestDatasetPlumbing:
-    def test_from_refs_densifies_batch(self):
-        fam = make_family("tensor", m=2, k=2, d=3)
-        full = support_batch(fam)
-        batch = PointBatch(fam, full.types[3:9], v=full.v[3:9])
-        ds = Dataset.from_refs(batch)
-        assert ds.n == 6
-        assert np.array_equal(
-            ds.points, np.stack([resolve(fam, batch, i) for i in range(6)]))
-        assert ds.points.shape == (6, fam.dim)
